@@ -12,7 +12,7 @@
 
 use smc_bench::quickbench::{black_box, Harness};
 use smc_core::batch::{check_batch, check_parallel};
-use smc_core::checker::{check_with_config, CheckConfig, SchedulerKind};
+use smc_core::checker::{check_with_config, CheckConfig, EngineKind};
 use smc_core::{models, ModelSpec};
 use smc_history::{History, HistoryBuilder};
 use smc_programs::corpus::litmus_suite;
@@ -138,7 +138,7 @@ fn bench_memoized_sweep(harness: &mut Harness) {
 }
 
 /// One SC refutation whose single-rf extension search dominates: the
-/// prefix-split path lets `check_parallel` partition that search. The
+/// work-stealing path lets `check_parallel` split that search. The
 /// history is tiny (a handful of search nodes), so under the default
 /// config the adaptive cutover probe decides it sequentially and the
 /// `check_parallel_j*` rows should sit within noise of `sequential` —
@@ -188,35 +188,29 @@ fn padded_sb(pad: i64) -> History {
     b.build()
 }
 
-/// The deep-funnel refutation that separates the two parallel engines.
-/// The static-prefix engine hands every prefix a *private* failed-state
-/// memo, so each of its subtrees re-explores the shared diamond from
-/// scratch; the work-stealing engine's workers prune through one shared
-/// concurrent failed-state set. The j4 rows compare the engines at the
-/// same worker count (the stealing row also carries the scheduler's task
-/// and fingerprint overhead, which is why `sequential` is the floor).
+/// The deep-funnel refutation: many interleavings converge on the same
+/// `(scheduled, last-writes)` states, so workers with private
+/// failed-state memos would each re-explore the shared diamond; the
+/// work-stealing engine's workers prune through one shared concurrent
+/// failed-state set instead. The stealing row also carries the
+/// scheduler's task and fingerprint overhead, which is why `sequential`
+/// is the floor.
 fn bench_split_dfs_deep_funnel(harness: &mut Harness) {
     let h = padded_sb(48);
     let spec = models::sc();
     // Cutover disabled: this history's ~4.8k nodes would exhaust the
-    // default probe and the parallel rows would pay probe + fan-out,
-    // muddying the engine comparison these rows exist to make.
+    // default probe and the parallel row would pay probe + fan-out,
+    // muddying the comparison with the sequential search. Exhaustive
+    // engine pinned: at 100 SC ops `Auto` would route both rows to the
+    // saturation engine and no search would be split at all.
     let stealing = CheckConfig {
         parallel_cutover: 0,
-        ..CheckConfig::default()
-    };
-    let static_cfg = CheckConfig {
-        scheduler: SchedulerKind::StaticPrefix,
-        parallel_cutover: 0,
+        engine: EngineKind::Exhaustive,
         ..CheckConfig::default()
     };
     let mut g = harness.group("batch/split_dfs_deep_funnel");
     g.bench("sequential", || {
         black_box(check_with_config(&h, &spec, &stealing));
-    });
-    g.bench("static_prefix_j4", || {
-        let (v, stats) = check_parallel(&h, &spec, &static_cfg, 4);
-        black_box((v, stats.nodes_spent));
     });
     g.bench("stealing_j4", || {
         let (v, stats) = check_parallel(&h, &spec, &stealing, 4);

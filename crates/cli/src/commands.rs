@@ -2,9 +2,7 @@
 
 use crate::json::JsonObject;
 use smc_core::batch::{check_batch, BatchResult};
-use smc_core::checker::{
-    format_view, CheckConfig, CheckStats, Engine, EngineKind, SchedulerKind, Verdict,
-};
+use smc_core::checker::{format_view, CheckConfig, CheckStats, Engine, EngineKind, Verdict};
 use smc_core::memo::MemoStats;
 use smc_core::models;
 use smc_core::spec::ModelSpec;
@@ -25,14 +23,12 @@ use std::process::ExitCode;
 pub const USAGE: &str = "\
 usage:
   smc check <file> [--model NAME] [--jobs N] [--stats]
-            [--memo-file PATH] [--scheduler stealing|static]
-            [--cutover N] [--engine exhaustive|saturate|auto]
+            [--memo-file PATH] [--cutover N]
+            [--engine exhaustive|saturate|auto]
                                     check a litmus history or suite;
                                     --memo-file persists decided verdicts
                                     across runs (corrupt or mismatched
-                                    files are ignored with a warning);
-                                    --scheduler selects the parallel
-                                    search engine (default stealing)
+                                    files are ignored with a warning)
   smc corpus [--jobs N] [--stats] [--json PATH] [--exhaustive]
             [--engine-equiv] [--memo-file PATH] [--cutover N]
             [--engine exhaustive|saturate|auto]
@@ -57,8 +53,7 @@ usage:
                                     run the Bakery algorithm (default rcpc)
   smc separate <model-a> <model-b> [--jobs N] [--max-universe SPEC]
             [--json PATH] [--memo-file PATH] [--emit-dir DIR]
-            [--no-minimize] [--scheduler stealing|static]
-            [--cutover N] [--engine exhaustive|saturate|auto]
+            [--no-minimize] [--engine exhaustive|saturate|auto]
                                     search universes of increasing size for
                                     minimized witness histories one model
                                     admits and the other refutes;
@@ -303,8 +298,9 @@ fn render_stats(stats: &CheckStats) -> String {
         ));
     }
     // Failed-set counters only mean something when the work-stealing
-    // scheduler actually ran; the static and sequential paths never
-    // touch the set, and printing their zeros would imply it did.
+    // scheduler actually ran; the sequential path and the coarse
+    // per-store-order fan-out never touch the set, and printing their
+    // zeros would imply it did.
     if stats.work_stealing_ran {
         let fs = stats.failed_set;
         s.push_str(&format!(
@@ -379,18 +375,6 @@ fn cutover_flag(args: &[String], default: u64) -> Result<u64, String> {
     }
 }
 
-/// Parse `--scheduler stealing|static` (default stealing).
-fn scheduler_flag(args: &[String]) -> Result<SchedulerKind, String> {
-    match flag_value(args, "--scheduler") {
-        None => Ok(SchedulerKind::WorkStealing),
-        Some("stealing") => Ok(SchedulerKind::WorkStealing),
-        Some("static") => Ok(SchedulerKind::StaticPrefix),
-        Some(other) => Err(format!(
-            "--scheduler: `{other}` is not `stealing` or `static`"
-        )),
-    }
-}
-
 /// Parse `--engine exhaustive|saturate|auto` (default auto).
 fn engine_flag(args: &[String]) -> Result<EngineKind, String> {
     match flag_value(args, "--engine") {
@@ -404,12 +388,12 @@ fn engine_flag(args: &[String]) -> Result<EngineKind, String> {
     }
 }
 
-/// The checking flags every checking subcommand (`check`, `corpus`,
-/// `matrix`, `separate`, `monitor`) accepts. Parsed in one place so the
-/// commands cannot drift apart in spelling, defaults or error messages.
+/// The checking flags the checking subcommands (`check`, `corpus`,
+/// `matrix`, `separate`, `monitor`) share; each advertises the ones it
+/// reads. Parsed in one place so the commands cannot drift apart in
+/// spelling, defaults or error messages.
 struct CheckFlags {
     jobs: usize,
-    scheduler: SchedulerKind,
     cutover: u64,
     engine: EngineKind,
     memo_file: Option<String>,
@@ -419,7 +403,6 @@ impl CheckFlags {
     fn parse(args: &[String]) -> Result<Self, String> {
         Ok(CheckFlags {
             jobs: jobs_flag(args)?,
-            scheduler: scheduler_flag(args)?,
             cutover: cutover_flag(args, CheckConfig::default().parallel_cutover)?,
             engine: engine_flag(args)?,
             memo_file: flag_value(args, "--memo-file").map(str::to_owned),
@@ -429,7 +412,6 @@ impl CheckFlags {
     /// Copy the parsed flags into a config (memo attachment stays the
     /// caller's decision — see [`CheckFlags::with_memo_if_requested`]).
     fn configure(&self, cfg: &mut CheckConfig) {
-        cfg.scheduler = self.scheduler;
         cfg.parallel_cutover = self.cutover;
         cfg.engine = self.engine;
     }
@@ -570,7 +552,7 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
         return corpus_engine_equiv(&flags, json_path);
     }
     if args.iter().any(|a| a == "--exhaustive") {
-        return corpus_exhaustive(jobs, show_stats, json_path, flags.cutover);
+        return corpus_exhaustive(jobs, show_stats, json_path);
     }
     // Decided verdicts are renaming-invariant, so the memo is safe here:
     // expectations compare only allowed/forbidden, never the witness.
@@ -700,7 +682,6 @@ fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<Ex
         ..CheckConfig::default()
     };
     for cfg in [&mut ex_cfg, &mut sat_cfg] {
-        cfg.scheduler = flags.scheduler;
         cfg.parallel_cutover = flags.cutover;
     }
     let suite = smc_programs::corpus::litmus_suite();
@@ -797,7 +778,6 @@ fn corpus_exhaustive(
     jobs: usize,
     show_stats: bool,
     json_path: Option<&str>,
-    cutover: u64,
 ) -> Result<ExitCode, String> {
     let params = smc_core::histgen::GenParams {
         procs: 2,
@@ -807,8 +787,7 @@ fn corpus_exhaustive(
     };
     let corpus = smc_core::histgen::all_histories(&params);
     let model_list = models::figure5_models();
-    let mut cfg = CheckConfig::default().with_memo();
-    cfg.parallel_cutover = cutover;
+    let cfg = CheckConfig::default().with_memo();
     let memo = cfg.memo.clone().expect("with_memo attaches a cache");
     let (classifications, prop) =
         smc_core::lattice::classify_all_propagating(&corpus, &model_list, &cfg, jobs);
@@ -1110,14 +1089,12 @@ fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
     // `positional` treats the word after any `--flag` as its value, which
     // would swallow a model name after the boolean `--all`/`--no-minimize`;
     // collect positionals against the explicit value-flag list instead.
-    const VALUE_FLAGS: [&str; 8] = [
+    const VALUE_FLAGS: [&str; 6] = [
         "--jobs",
         "--max-universe",
         "--json",
         "--memo-file",
         "--emit-dir",
-        "--scheduler",
-        "--cutover",
         "--engine",
     ];
     let pos = positionals_with(args, &VALUE_FLAGS);
@@ -1533,13 +1510,12 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
     use smc_monitor::{Monitor, MonitorConfig, TriVerdict};
     use std::io::BufRead;
 
-    const VALUE_FLAGS: [&str; 12] = [
+    const VALUE_FLAGS: [&str; 11] = [
         "--model",
         "--jobs",
         "--json",
         "--max-states",
         "--cutover",
-        "--scheduler",
         "--engine",
         "--memo-file",
         "--batch",
@@ -2620,8 +2596,6 @@ mod tests {
             "7",
             "--engine",
             "saturate",
-            "--scheduler",
-            "static",
             "--memo-file",
             "m.bin",
         ]
@@ -2635,7 +2609,6 @@ mod tests {
         flags.configure(&mut cfg);
         assert_eq!(cfg.parallel_cutover, 7);
         assert_eq!(cfg.engine, EngineKind::Saturate);
-        assert_eq!(cfg.scheduler, SchedulerKind::StaticPrefix);
         // Defaults when no flags are given.
         let flags = CheckFlags::parse(&[]).unwrap();
         assert_eq!(flags.jobs, 1);

@@ -29,17 +29,14 @@ use crate::budget::{Budget, SharedBudget};
 use crate::canon::canonicalize;
 use crate::checker::{
     check_with_budget, check_with_rf, check_with_stats, check_with_store_order, proc_constraints,
-    view_op_sets, CheckConfig, CheckStats, SchedulerKind, Stage, Step, Verdict, Witness,
+    view_op_sets, CheckConfig, CheckStats, Engine, Stage, Step, Verdict, Witness,
 };
 use crate::constraints::{assemble_global, BaseOrders, Candidates};
 use crate::memo::MemoCache;
 use crate::rf::{enumerate_reads_from, ReadsFrom};
 use crate::spec::ModelSpec;
 use crate::steal::{run_units, steal_search, SharedFailedSet, StealDriver, Unit};
-use crate::view::{
-    find_legal_extension, find_legal_extension_from, split_prefixes, LegalityMode, PrefixSplit,
-    SearchOutcome, ViewProblem,
-};
+use crate::view::{LegalityMode, SearchOutcome, ViewProblem};
 use smc_history::{History, OpId};
 use smc_relation::BitSet;
 use std::ops::ControlFlow;
@@ -51,6 +48,11 @@ use std::time::Instant;
 /// TSO fan-out would preprocess too many scheduling contexts up front;
 /// the coarse per-store fan-out takes over.
 const STEAL_UNIT_CAP: usize = 1024;
+
+/// Maximum store orders [`check_parallel`] collects up front when fanning
+/// a TSO-style check across workers; above the cap it falls back to the
+/// sequential streaming enumeration.
+const STORE_ORDER_CAP: usize = 16_384;
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     match m.lock() {
@@ -161,6 +163,16 @@ fn views_decouple(spec: &ModelSpec) -> bool {
     !spec.identical_views && !spec.global_write_order && !spec.coherence && spec.labeled.is_none()
 }
 
+/// `true` if [`fan_out`] has a parallel driver for the model's shape.
+/// Coherence and labeled-order enumerations without reads-from (Coherent,
+/// PCG, Hybrid) have none: they are inherently sequential in this engine.
+fn has_parallel_driver(spec: &ModelSpec) -> bool {
+    spec.needs_reads_from()
+        || views_decouple(spec)
+        || spec.identical_views
+        || spec.global_write_order
+}
+
 /// Run a single check on up to `jobs` threads sharing one pool of
 /// `cfg.node_budget` search nodes.
 ///
@@ -168,13 +180,13 @@ fn views_decouple(spec: &ModelSpec) -> bool {
 /// out across workers (causal, PC, RC — any model that enumerates
 /// explanations); for models with no shared orders (PRAM-like) the
 /// per-processor view searches run concurrently; identical-views models
-/// (SC) prefix-partition the single global view search into work-stealing
-/// subtrees; and global-write-order models (TSO) fan the store orders out
-/// (up to `cfg.store_order_cap`, beyond which they stream sequentially).
-/// Coherence and labeled-order enumerations fall back to
-/// [`check_with_stats`]. All sub-searches inherit the caller's
-/// `CheckConfig` (budget, split factor, caps) rather than re-deriving
-/// defaults.
+/// (SC) run the single global view search on the work-stealing scheduler;
+/// and global-write-order models (TSO) fan the store orders out (up to
+/// `STORE_ORDER_CAP`, beyond which they stream sequentially).
+/// Shapes with no parallel driver (coherence or labeled-order
+/// enumerations without reads-from) run [`check_with_stats`]. All
+/// sub-searches inherit the caller's `CheckConfig` (budget, cutover,
+/// engine) rather than re-deriving defaults.
 pub fn check_parallel(
     h: &History,
     spec: &ModelSpec,
@@ -232,8 +244,9 @@ fn check_parallel_inner(
     // parallelize; run it directly under the full node budget. This is
     // how big-history checks reach the engine through `check_parallel`
     // (and through the monitor's batch fallback) without every caller
-    // re-implementing the routing.
-    if cfg.resolve_engine(h, spec) == crate::checker::Engine::Saturate {
+    // re-implementing the routing. Shapes with no parallel driver go the
+    // same way: a probe could only repeat the start of this search.
+    if cfg.resolve_engine(h, spec) == Engine::Saturate || !has_parallel_driver(spec) {
         let (verdict, mut stats) = check_with_stats(h, spec, cfg);
         stats.ran_sequential = !stats.memo_hit;
         return finish(verdict, stats, start);
@@ -269,8 +282,9 @@ fn check_parallel_inner(
 }
 
 /// The parallel dispatch proper: pick a fan-out strategy from the
-/// model's shape and run it. Reached only when the cutover probe is
-/// disabled or has exhausted its node budget.
+/// model's shape and run it. Reached only for shapes with a parallel
+/// driver, when the cutover probe is disabled or has exhausted its node
+/// budget.
 fn fan_out(
     h: &History,
     spec: &ModelSpec,
@@ -300,21 +314,21 @@ fn fan_out(
     } else if views_decouple(spec) {
         parallel_views(h, spec, &base, None, cfg, jobs)
     } else if spec.identical_views {
-        // SC-like: run the single global view search on the scheduler
-        // selected by `cfg.scheduler` (work-stealing frontier tasks, or
-        // static prefix partitions over one shared pool).
+        // SC-like: one global view search on the work-stealing scheduler.
         parallel_identical_views(h, spec, &base, cfg, jobs)
-    } else if spec.global_write_order {
-        // TSO-like: collect the store orders up front and fan them out.
+    } else {
+        // TSO-like, the last shape `has_parallel_driver` admits: collect
+        // the store orders up front and fan them out.
+        debug_assert!(spec.global_write_order);
         match parallel_store_orders(h, spec, &base, cfg, jobs) {
             Some(r) => r,
             // Too many store orders to collect: stream them sequentially.
-            None => return check_with_stats(h, spec, cfg),
+            None => {
+                let (verdict, mut stats) = check_with_stats(h, spec, cfg);
+                stats.ran_sequential = true;
+                return (verdict, stats);
+            }
         }
-    } else {
-        // Coherence and labeled-order enumerations are inherently
-        // sequential in this engine; use the plain checker.
-        return check_with_stats(h, spec, cfg);
     };
     stats.wall = start.elapsed();
     (verdict, stats)
@@ -449,10 +463,9 @@ impl StealDriver for AllViewsDriver {
 
 /// Search each processor's view concurrently (models with no shared
 /// orders, so the views are independent once the reads-from assignment —
-/// if any — is fixed). Any processor with no legal view refutes the whole
-/// history and cancels the sibling searches. Under the work-stealing
-/// scheduler all processors' searches feed one task pool; under
-/// [`SchedulerKind::StaticPrefix`] each processor is one coarse task.
+/// if any — is fixed). All processors' searches feed one work-stealing
+/// task pool; any processor with no legal view refutes the whole history
+/// and cancels the sibling searches.
 fn parallel_views(
     h: &History,
     spec: &ModelSpec,
@@ -480,114 +493,34 @@ fn parallel_views(
 
     let op_sets = view_op_sets(h, spec.delta);
     let procs = h.num_procs();
-
-    if cfg.scheduler == SchedulerKind::WorkStealing {
-        let constraints: Vec<_> = (0..procs)
-            .map(|p| proc_constraints(h, spec, base, &g, p))
-            .collect();
-        let units: Vec<Unit<'_>> = (0..procs)
-            .map(|p| Unit::from_parts(h, &op_sets[p], &constraints[p], legality, p as u64 + 1))
-            .collect();
-        let driver = AllViewsDriver {
-            views: Mutex::new((0..procs).map(|_| None).collect()),
-            missing: AtomicUsize::new(procs),
-            refuted: AtomicBool::new(false),
-        };
-        let pool = SharedBudget::new(cfg.node_budget);
-        let failed = SharedFailedSet::with_capacity(cfg.failed_set_capacity);
-        let end = run_units(&units, &driver, jobs, &pool, &failed);
-        stats.nodes_spent = end.nodes;
-        stats.work_stealing_ran = true;
-        stats.failed_set = failed.stats();
-        if driver.refuted.load(Ordering::SeqCst) {
-            return (Verdict::Disallowed, stats);
-        }
-        let views = std::mem::take(&mut *lock(&driver.views));
-        if end.exhausted || views.iter().any(Option::is_none) {
-            stats.exhausted_stage = Some(Stage::ViewSearch);
-            return (Verdict::Exhausted, stats);
-        }
-        return (
-            Verdict::Allowed(Box::new(Witness {
-                views: views.into_iter().flatten().collect(),
-                store_order: None,
-                coherence: None,
-                labeled_order: None,
-                reads_from: rf.map(|r| r.as_slice().to_vec()),
-            })),
-            stats,
-        );
-    }
-
+    let constraints: Vec<_> = (0..procs)
+        .map(|p| proc_constraints(h, spec, base, &g, p))
+        .collect();
+    let units: Vec<Unit<'_>> = (0..procs)
+        .map(|p| Unit::from_parts(h, &op_sets[p], &constraints[p], legality, p as u64 + 1))
+        .collect();
+    let driver = AllViewsDriver {
+        views: Mutex::new((0..procs).map(|_| None).collect()),
+        missing: AtomicUsize::new(procs),
+        refuted: AtomicBool::new(false),
+    };
     let pool = SharedBudget::new(cfg.node_budget);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SearchOutcome>>> = Mutex::new((0..procs).map(|_| None).collect());
-    let nodes = Mutex::new(0u64);
-
-    let jobs = jobs.min(procs.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                let budget = pool.attach();
-                loop {
-                    if pool.is_cancelled() {
-                        break;
-                    }
-                    let p = next.fetch_add(1, Ordering::Relaxed);
-                    if p >= procs {
-                        break;
-                    }
-                    let constraints = proc_constraints(h, spec, base, &g, p);
-                    let problem = ViewProblem {
-                        history: h,
-                        ops: op_sets[p].clone(),
-                        constraints: &constraints,
-                        legality,
-                    };
-                    let out = find_legal_extension(&problem, &budget);
-                    // A missing view refutes the history outright.
-                    if matches!(out, SearchOutcome::NotFound) {
-                        pool.cancel();
-                    }
-                    if let Ok(mut slots) = slots.lock() {
-                        slots[p] = Some(out);
-                    } else {
-                        break;
-                    }
-                }
-                budget.release();
-                if let Ok(mut nodes) = nodes.lock() {
-                    *nodes += budget.spent();
-                }
-            });
-        }
-    });
-
-    let slots = match slots.into_inner() {
-        Ok(s) => s,
-        Err(p) => p.into_inner(),
-    };
-    stats.nodes_spent = match nodes.into_inner() {
-        Ok(n) => n,
-        Err(p) => p.into_inner(),
-    };
-
-    let mut views = Vec::with_capacity(procs);
-    let mut exhausted = false;
-    for slot in slots {
-        match slot {
-            Some(SearchOutcome::Found(v)) => views.push(v),
-            Some(SearchOutcome::NotFound) => return (Verdict::Disallowed, stats),
-            Some(SearchOutcome::Exhausted) | None => exhausted = true,
-        }
+    let failed = SharedFailedSet::default();
+    let end = run_units(&units, &driver, jobs, &pool, &failed);
+    stats.nodes_spent = end.nodes;
+    stats.work_stealing_ran = true;
+    stats.failed_set = failed.stats();
+    if driver.refuted.load(Ordering::SeqCst) {
+        return (Verdict::Disallowed, stats);
     }
-    if exhausted {
+    let views = std::mem::take(&mut *lock(&driver.views));
+    if end.exhausted || views.iter().any(Option::is_none) {
         stats.exhausted_stage = Some(Stage::ViewSearch);
         return (Verdict::Exhausted, stats);
     }
     (
         Verdict::Allowed(Box::new(Witness {
-            views,
+            views: views.into_iter().flatten().collect(),
             store_order: None,
             coherence: None,
             labeled_order: None,
@@ -597,16 +530,12 @@ fn parallel_views(
     )
 }
 
-/// Parallelize an identical-views (SC-like) check. Under the default
-/// [`SchedulerKind::WorkStealing`], the single global legal-extension
-/// search runs on the frontier scheduler in [`crate::steal`], with workers
-/// stealing subtrees from each other and sharing dead-state fingerprints
-/// through one [`SharedFailedSet`]. Under [`SchedulerKind::StaticPrefix`]
-/// (the pre-stealing engine, kept for comparison), the search space is
-/// prefix-partitioned up front ([`split_prefixes`]) and each subtree is
-/// handed to a worker over one shared node pool. Either way the first
-/// complete legal order cancels the rest, and all-`NotFound` refutes the
-/// history exactly as the sequential DFS would.
+/// Parallelize an identical-views (SC-like) check: the single global
+/// legal-extension search runs on the frontier scheduler in
+/// [`crate::steal`], with workers stealing subtrees from each other and
+/// sharing dead-state fingerprints through one [`SharedFailedSet`]. The
+/// first complete legal order cancels the rest, and a fully refuted tree
+/// refutes the history exactly as the sequential DFS would.
 fn parallel_identical_views(
     h: &History,
     spec: &ModelSpec,
@@ -629,109 +558,29 @@ fn parallel_identical_views(
         constraints: &g,
         legality: LegalityMode::ByValue,
     };
-    let witness = |order: Vec<OpId>| {
-        Verdict::Allowed(Box::new(Witness {
-            views: vec![order; h.num_procs()],
-            store_order: None,
-            coherence: None,
-            labeled_order: None,
-            reads_from: None,
-        }))
-    };
-
-    if cfg.scheduler == SchedulerKind::WorkStealing {
-        let pool = SharedBudget::new(cfg.node_budget);
-        let failed = SharedFailedSet::with_capacity(cfg.failed_set_capacity);
-        let (out, nodes) = steal_search(&problem, jobs, &pool, &failed);
-        stats.nodes_spent = nodes;
-        stats.work_stealing_ran = true;
-        stats.failed_set = failed.stats();
-        return match out {
-            SearchOutcome::Found(order) => (witness(order), stats),
-            SearchOutcome::NotFound => (Verdict::Disallowed, stats),
-            SearchOutcome::Exhausted => {
-                stats.exhausted_stage = Some(Stage::ViewSearch);
-                (Verdict::Exhausted, stats)
-            }
-        };
-    }
-
     let pool = SharedBudget::new(cfg.node_budget);
-    let seed = pool.attach();
-    let split = split_prefixes(&problem, jobs * cfg.split_prefix_factor.max(1), &seed);
-    seed.release();
-    let seed_spent = seed.spent();
-    let prefixes = match split {
-        PrefixSplit::Found(order) => {
-            stats.nodes_spent = seed_spent;
-            return (witness(order), stats);
-        }
-        PrefixSplit::NoExtension => {
-            stats.nodes_spent = seed_spent;
-            return (Verdict::Disallowed, stats);
-        }
-        PrefixSplit::Split(p) => p,
-    };
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SearchOutcome>>> =
-        Mutex::new((0..prefixes.len()).map(|_| None).collect());
-    let nodes = Mutex::new(seed_spent);
-    let workers = jobs.min(prefixes.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let budget = pool.attach();
-                loop {
-                    if pool.is_cancelled() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= prefixes.len() {
-                        break;
-                    }
-                    let out = find_legal_extension_from(&problem, &prefixes[i], &budget);
-                    if matches!(out, SearchOutcome::Found(_)) {
-                        pool.cancel();
-                    }
-                    if let Ok(mut slots) = slots.lock() {
-                        slots[i] = Some(out);
-                    } else {
-                        break;
-                    }
-                }
-                budget.release();
-                if let Ok(mut nodes) = nodes.lock() {
-                    *nodes += budget.spent();
-                }
-            });
-        }
-    });
-
-    let slots = match slots.into_inner() {
-        Ok(s) => s,
-        Err(p) => p.into_inner(),
-    };
-    stats.nodes_spent = match nodes.into_inner() {
-        Ok(n) => n,
-        Err(p) => p.into_inner(),
-    };
-    let mut exhausted = false;
-    for slot in slots {
-        match slot {
-            Some(SearchOutcome::Found(order)) => return (witness(order), stats),
-            Some(SearchOutcome::NotFound) => {}
-            // A `None` slot means a worker was cancelled (or died) before
-            // recording; without a decided outcome that subtree is
-            // unexplored, so the honest answer is exhaustion.
-            Some(SearchOutcome::Exhausted) | None => exhausted = true,
+    let failed = SharedFailedSet::default();
+    let (out, nodes) = steal_search(&problem, jobs, &pool, &failed);
+    stats.nodes_spent = nodes;
+    stats.work_stealing_ran = true;
+    stats.failed_set = failed.stats();
+    match out {
+        SearchOutcome::Found(order) => (
+            Verdict::Allowed(Box::new(Witness {
+                views: vec![order; h.num_procs()],
+                store_order: None,
+                coherence: None,
+                labeled_order: None,
+                reads_from: None,
+            })),
+            stats,
+        ),
+        SearchOutcome::NotFound => (Verdict::Disallowed, stats),
+        SearchOutcome::Exhausted => {
+            stats.exhausted_stage = Some(Stage::ViewSearch);
+            (Verdict::Exhausted, stats)
         }
     }
-    if exhausted {
-        stats.exhausted_stage = Some(Stage::ViewSearch);
-        return (Verdict::Exhausted, stats);
-    }
-    (Verdict::Disallowed, stats)
 }
 
 /// Per-store-order state inside a [`StoreDriver`]: which processor views
@@ -799,7 +648,6 @@ fn steal_store_orders(
     h: &History,
     spec: &ModelSpec,
     base: &BaseOrders,
-    cfg: &CheckConfig,
     jobs: usize,
     pool: &Arc<SharedBudget>,
     stores: &[Vec<OpId>],
@@ -877,7 +725,7 @@ fn steal_store_orders(
         slots,
         winner: AtomicUsize::new(usize::MAX),
     };
-    let failed = SharedFailedSet::with_capacity(cfg.failed_set_capacity);
+    let failed = SharedFailedSet::default();
     let end = run_units(&units, &driver, jobs, pool, &failed);
     stats.nodes_spent = seed_spent + end.nodes;
     stats.work_stealing_ran = true;
@@ -914,13 +762,12 @@ fn steal_store_orders(
 }
 
 /// Parallelize a global-write-order (TSO-like) check: collect the store
-/// orders up front (bounded by `cfg.store_order_cap`), then fan them out.
-/// Under the work-stealing scheduler every (store order, processor) pair
-/// becomes a schedulable unit ([`steal_store_orders`]); under
-/// [`SchedulerKind::StaticPrefix`] — or when the unit grid would exceed
-/// [`STEAL_UNIT_CAP`] — each store order is one coarse task. Returns
-/// `None` when the enumeration exceeds the cap, in which case the caller
-/// streams the orders sequentially.
+/// orders up front (bounded by [`STORE_ORDER_CAP`]), then fan them out.
+/// Every (store order, processor) pair becomes a work-stealing unit
+/// ([`steal_store_orders`]); when that unit grid would exceed
+/// [`STEAL_UNIT_CAP`], each store order is one coarse task instead.
+/// Returns `None` when the enumeration exceeds the cap, in which case
+/// the caller streams the orders sequentially.
 fn parallel_store_orders(
     h: &History,
     spec: &ModelSpec,
@@ -941,7 +788,7 @@ fn parallel_store_orders(
     let mut over_cap = false;
     let mut collect_exhausted = false;
     let _ = smc_relation::linext::for_each_linear_extension(&base.ppo, &writes, |ext| {
-        if stores.len() >= cfg.store_order_cap {
+        if stores.len() >= STORE_ORDER_CAP {
             over_cap = true;
             return ControlFlow::Break(());
         }
@@ -959,14 +806,11 @@ fn parallel_store_orders(
         return None;
     }
 
-    if cfg.scheduler == SchedulerKind::WorkStealing
-        && stores.len().saturating_mul(h.num_procs().max(1)) <= STEAL_UNIT_CAP
-    {
+    if stores.len().saturating_mul(h.num_procs().max(1)) <= STEAL_UNIT_CAP {
         return Some(steal_store_orders(
             h,
             spec,
             base,
-            cfg,
             jobs,
             &pool,
             &stores,
@@ -1052,63 +896,6 @@ fn parallel_store_orders(
         }
         None => (Verdict::Disallowed, stats),
     })
-}
-
-/// Run a whole batch against one shared node pool (used by callers that
-/// want a global ceiling across many checks rather than a per-check
-/// budget; verdicts may then differ from per-check budgeting by
-/// exhausting earlier).
-pub fn check_batch_shared(
-    pairs: &[(&History, &ModelSpec)],
-    cfg: &CheckConfig,
-    jobs: usize,
-    pool_nodes: u64,
-) -> Vec<BatchResult> {
-    let jobs = jobs.max(1).min(pairs.len().max(1));
-    let pool = SharedBudget::new(pool_nodes);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<BatchResult>>> =
-        Mutex::new((0..pairs.len()).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                let budget = pool.attach();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= pairs.len() {
-                        break;
-                    }
-                    let (h, m) = pairs[index];
-                    let (verdict, stats) = check_with_budget(h, m, cfg, &budget);
-                    let done = BatchResult {
-                        index,
-                        verdict,
-                        stats,
-                    };
-                    match slots.lock() {
-                        Ok(mut slots) => slots[index] = Some(done),
-                        Err(_) => break,
-                    }
-                }
-                budget.release();
-            });
-        }
-    });
-    let slots = match slots.into_inner() {
-        Ok(s) => s,
-        Err(p) => p.into_inner(),
-    };
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, r)| {
-            r.unwrap_or_else(|| BatchResult {
-                index,
-                verdict: Verdict::Exhausted,
-                stats: CheckStats::default(),
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1214,47 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_agree_with_sequential() {
-        // The pre-stealing static-prefix engine stays selectable (it is
-        // the benchmark baseline); both schedulers must match the
-        // sequential verdicts on every figure.
-        for scheduler in [SchedulerKind::WorkStealing, SchedulerKind::StaticPrefix] {
-            let cfg = CheckConfig {
-                scheduler,
-                ..CheckConfig::default()
-            };
-            for h in figures() {
-                for m in [
-                    models::sc(),
-                    models::tso(),
-                    models::pram(),
-                    models::causal(),
-                ] {
-                    let seq = check_with_config(&h, &m, &cfg);
-                    let (par, stats) = check_parallel(&h, &m, &cfg, 4);
-                    assert_eq!(
-                        par.decided(),
-                        seq.decided(),
-                        "{} under {scheduler:?} disagrees",
-                        m.name
-                    );
-                    if let Verdict::Allowed(w) = &par {
-                        verify_witness(&h, &m, w).expect("witness verifies");
-                    }
-                    if scheduler == SchedulerKind::StaticPrefix {
-                        let z = crate::steal::FailedSetStats::default();
-                        assert_eq!(stats.failed_set, z, "static path must not touch the set");
-                        assert!(
-                            !stats.work_stealing_ran,
-                            "static path must not claim a stealing run"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn memoized_parallel_hits_across_renamings() {
         // The same history under a processor/location/value renaming must
         // hit the cache and still return a verifying witness.
@@ -1274,20 +1020,47 @@ mod tests {
         assert!(memo.stats().hits >= 3);
     }
 
+    /// Store buffering with `pad` private writes per processor ahead of
+    /// the critical section: SC-refuted only at the final reads, after a
+    /// `(pad+1)²`-state diamond of padding interleavings.
+    fn padded_sb(pad: usize) -> History {
+        let p: String = (1..=pad).map(|v| format!(" w(a){v}")).collect();
+        let q: String = (1..=pad).map(|v| format!(" w(b){v}")).collect();
+        parse_history(&format!("p:{p} w(x)1 r(y)0\nq:{q} w(y)1 r(x)0")).unwrap()
+    }
+
     #[test]
-    fn shared_pool_batch_exhausts_instead_of_lying() {
-        let histories = figures();
-        let models = [models::sc()];
-        let cfg = CheckConfig::default();
-        let pairs: Vec<(&History, &ModelSpec)> = histories
-            .iter()
-            .flat_map(|h| models.iter().map(move |m| (h, m)))
-            .collect();
-        // A pool far too small to decide anything: every result must be
-        // Exhausted, never a fabricated decision.
-        let results = check_batch_shared(&pairs, &cfg, 2, 1);
-        assert!(results
-            .iter()
-            .all(|r| matches!(r.verdict, Verdict::Exhausted)));
+    fn probe_overrun_hands_off_to_work_stealing() {
+        // Exhaustive SC on the pad-48 funnel needs more nodes than the
+        // default probe grants, so the check must fan out to workers.
+        let h = padded_sb(48);
+        let cfg = CheckConfig {
+            engine: crate::checker::EngineKind::Exhaustive,
+            ..CheckConfig::default()
+        };
+        let (v, stats) = check_parallel(&h, &models::sc(), &cfg, 2);
+        assert!(v.is_disallowed());
+        assert!(stats.probe_nodes > 0);
+        assert!(stats.nodes_spent > stats.probe_nodes);
+        assert!(!stats.ran_sequential);
+        assert!(stats.work_stealing_ran);
+    }
+
+    #[test]
+    fn driverless_shape_runs_sequentially() {
+        // Coherent memory has no parallel driver: whatever the cutover,
+        // the check runs on the sequential checker and says so.
+        let h = parse_history("p: w(x)1 w(x)2\nq: r(x)2 r(x)1").unwrap();
+        for parallel_cutover in [0, 1, 4096] {
+            let cfg = CheckConfig {
+                parallel_cutover,
+                ..CheckConfig::default()
+            };
+            let (v, stats) = check_parallel(&h, &models::coherent(), &cfg, 4);
+            assert!(v.is_disallowed());
+            assert!(stats.ran_sequential, "cutover {parallel_cutover}");
+            assert!(!stats.work_stealing_ran, "cutover {parallel_cutover}");
+            assert_eq!(stats.probe_nodes, 0, "cutover {parallel_cutover}");
+        }
     }
 }

@@ -55,21 +55,6 @@ pub struct CheckConfig {
     /// witness, which verifies but need not be the same witness the
     /// search would find.
     pub memo: Option<Arc<MemoCache>>,
-    /// Work-stealing split granularity for [`crate::batch::check_parallel`]:
-    /// a single view search is prefix-partitioned into about
-    /// `jobs × split_prefix_factor` subtrees.
-    pub split_prefix_factor: usize,
-    /// Maximum store orders [`crate::batch::check_parallel`] collects
-    /// up-front when fanning a TSO-style check across workers; above the
-    /// cap it falls back to the sequential streaming enumeration.
-    pub store_order_cap: usize,
-    /// Which parallel engine [`crate::batch::check_parallel`] uses to
-    /// split a single view search across workers.
-    pub scheduler: SchedulerKind,
-    /// Capacity (fingerprint slots) of the shared failed-state set one
-    /// work-stealing check allocates; see
-    /// [`crate::steal::SharedFailedSet`].
-    pub failed_set_capacity: usize,
     /// Adaptive-cutover threshold for [`crate::batch::check_parallel`]:
     /// before spawning any workers, a bounded sequential probe runs under
     /// a budget of this many search nodes. If the probe decides, the
@@ -85,20 +70,6 @@ pub struct CheckConfig {
     /// ([`crate::saturate`]), or an automatic choice by model support
     /// and history size.
     pub engine: EngineKind,
-    /// The `engine: Auto` size threshold: histories with more than this
-    /// many operations route to the saturation engine when the model
-    /// supports it, mirroring [`CheckConfig::parallel_cutover`]'s
-    /// never-pessimize rule — litmus-sized checks keep the exhaustive
-    /// path (and its bit-identical verdicts/witnesses), big histories
-    /// get the engine that can actually decide them.
-    pub engine_cutover: usize,
-    /// The `engine: Auto` size threshold for models with *no* shared
-    /// write structure (no global write order, no coherence — SC, PRAM,
-    /// causal). Their exhaustive searches have no factorial store-order
-    /// enumeration to fall into, so the crossover point sits higher
-    /// than [`CheckConfig::engine_cutover`]: benchmarks show the
-    /// saturation engine ~2.7× slower on 16-op structure-free traces.
-    pub engine_cutover_unstructured: usize,
     /// Conflict-driven learning in the saturation engine: derive a
     /// reason cut from every conflict, backjump over unblamed decisions,
     /// and memoize exhausted decision sets in a nogood store so
@@ -122,8 +93,8 @@ pub enum EngineKind {
     /// [`Verdict::Unsupported`].
     Saturate,
     /// Saturate when [`crate::saturate::supports`] the model and the
-    /// history has more than [`CheckConfig::engine_cutover`] operations;
-    /// exhaustive otherwise.
+    /// history has more than 16 operations (32 for models without shared
+    /// write structure; see `ENGINE_CUTOVER`); exhaustive otherwise.
     #[default]
     Auto,
 }
@@ -148,21 +119,23 @@ impl std::fmt::Display for Engine {
     }
 }
 
-/// The engine [`crate::batch::check_parallel`] uses to split a single
-/// view search across worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Work-stealing frontier scheduler over a shared concurrent
-    /// failed-state set ([`crate::steal`]): workers donate and steal
-    /// partially-explored subtrees, and every refuted state is pruned
-    /// for all workers at once.
-    #[default]
-    WorkStealing,
-    /// The legacy engine: statically prefix-partition the search via
-    /// [`crate::view::split_prefixes`], one private failed-state memo
-    /// per worker. Kept selectable for ablation benchmarks.
-    StaticPrefix,
-}
+/// The `engine: Auto` size threshold: histories with more than this many
+/// operations route to the saturation engine when the model supports it,
+/// mirroring [`CheckConfig::parallel_cutover`]'s never-pessimize rule —
+/// litmus-sized checks keep the exhaustive path (and its bit-identical
+/// verdicts/witnesses), big histories get the engine that can actually
+/// decide them. Corpus litmus tests top out around a dozen operations;
+/// above that the exhaustive enumerations start losing to the
+/// polynomial-per-decision saturation engine.
+pub(crate) const ENGINE_CUTOVER: usize = 16;
+
+/// The `engine: Auto` size threshold for models with *no* shared write
+/// structure (no global write order, no coherence — SC, PRAM, causal).
+/// Their exhaustive searches have no factorial store-order enumeration to
+/// fall into, so the exhaustive engine stays competitive to roughly twice
+/// [`ENGINE_CUTOVER`] (BENCH_bighist.json: SC_ops_16 exhaustive beats
+/// saturate 2.7×).
+pub(crate) const ENGINE_CUTOVER_UNSTRUCTURED: usize = 32;
 
 impl Default for CheckConfig {
     fn default() -> Self {
@@ -170,25 +143,12 @@ impl Default for CheckConfig {
             max_rf: 4096,
             node_budget: 20_000_000,
             memo: None,
-            split_prefix_factor: 4,
-            store_order_cap: 16_384,
-            scheduler: SchedulerKind::WorkStealing,
-            failed_set_capacity: crate::steal::DEFAULT_FAILED_CAPACITY,
             // ~1.2ms of sequential probing at measured search rates — a
             // few times the thread-spawn + failed-set setup cost it can
             // save, while the corpus's litmus-sized checks (tens to a few
             // thousand nodes) always decide inside the probe.
             parallel_cutover: 4096,
             engine: EngineKind::Auto,
-            // Corpus litmus tests top out around a dozen operations;
-            // above that the exhaustive enumerations start losing to the
-            // polynomial-per-decision saturation engine.
-            engine_cutover: 16,
-            // Without a store order or coherence to enumerate, the
-            // exhaustive engine stays competitive to roughly twice that
-            // size (BENCH_bighist.json: SC_ops_16 exhaustive beats
-            // saturate 2.7×).
-            engine_cutover_unstructured: 32,
             saturate_learning: true,
             // Conservative Luby unit: long enough that litmus-sized
             // searches finish inside the first window, short enough to
@@ -219,9 +179,9 @@ impl CheckConfig {
                 // coherence orders) blow up earliest; structure-free
                 // models keep the exhaustive engine longer.
                 let cutover = if spec.global_write_order || spec.coherence {
-                    self.engine_cutover
+                    ENGINE_CUTOVER
                 } else {
-                    self.engine_cutover_unstructured
+                    ENGINE_CUTOVER_UNSTRUCTURED
                 };
                 if crate::saturate::supports(spec) && h.num_ops() > cutover {
                     Engine::Saturate
@@ -282,7 +242,8 @@ pub struct CheckStats {
     /// search.
     pub memo_hit: bool,
     /// `true` if the work-stealing scheduler actually ran for this
-    /// check (as opposed to the sequential or static-prefix paths).
+    /// check (as opposed to the sequential path or the coarse
+    /// per-store-order fan-out).
     /// Gates reporting of [`CheckStats::failed_set`]: all-zero counters
     /// from a real stealing run are still meaningful, while counters
     /// from a path that never touched the set are not.

@@ -239,30 +239,45 @@ impl<'a> Ctx<'a> {
     }
 }
 
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// 64-bit fingerprint of a search state `(scheduled set, last writes)`,
 /// salted so states from different search problems sharing one table
 /// never alias. FNV-1a over the bit-set words and last-write vector with
 /// a murmur-style finalizer so both the high bits (shard selection) and
 /// low bits (slot selection) are well mixed. Never returns `0`, which
 /// the concurrent table reserves for empty slots.
+///
+/// A nonzero salt enters as its own finalized FNV round. XORing it into
+/// the basis instead would let it cancel against the first bit-set
+/// word: `(salt 1, {op 1})` and `(salt 2, {op 0})` would collide, and
+/// [`crate::steal::SharedFailedSet`], which stores bare fingerprints,
+/// would prune a live state of one unit with another unit's refutation.
+/// Salt `0` skips the round: the sequential DFS's fingerprints stay plain
+/// FNV-1a over the state words.
 pub(crate) fn state_hash(salt: u64, placed: &BitSet, last_write: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt;
+    let mut h = FNV_BASIS;
+    if salt != 0 {
+        h = (h ^ finalize(salt)).wrapping_mul(FNV_PRIME);
+    }
     for &w in placed.words() {
-        h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+        h = (h ^ w).wrapping_mul(FNV_PRIME);
     }
     for &lw in last_write {
-        h = (h ^ u64::from(lw)).wrapping_mul(0x0000_0100_0000_01B3);
+        h = (h ^ u64::from(lw)).wrapping_mul(FNV_PRIME);
     }
     finalize(h)
 }
 
 /// [`state_hash`]'s sibling over an already-packed row of `u64` words
 /// (same FNV-1a core and finalizer, same never-zero guarantee). Used by
-/// the packed tables, where the row *is* the canonical state.
+/// the packed tables, where the row *is* the canonical state. Those
+/// tables compare exact rows, so the salt only spreads buckets.
 pub fn hash_words(salt: u64, words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt;
+    let mut h = FNV_BASIS ^ salt;
     for &w in words {
-        h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+        h = (h ^ w).wrapping_mul(FNV_PRIME);
     }
     finalize(h)
 }
@@ -567,5 +582,30 @@ mod tests {
         let lw = [NO_WRITE, 0];
         assert_ne!(state_hash(0, &p, &lw), 0);
         assert_ne!(state_hash(1, &p, &lw), state_hash(2, &p, &lw));
+    }
+
+    #[test]
+    fn salt_cannot_cancel_against_the_scheduled_set() {
+        // Equal last writes, and `1 ^ {op 1} == 2 ^ {op 0}` word-wise:
+        // a salt XORed into the basis makes these two fingerprints equal.
+        let lw = [NO_WRITE, 3];
+        let mut a = BitSet::new(4);
+        a.insert(1);
+        let mut b = BitSet::new(4);
+        b.insert(0);
+        assert_ne!(state_hash(1, &a, &lw), state_hash(2, &b, &lw));
+    }
+
+    #[test]
+    fn unsalted_state_hash_is_plain_fnv_over_state_words() {
+        // Salt 0 adds no round: hashing the live state equals hashing its
+        // bit-set words followed by one word per last write.
+        let mut p = BitSet::new(70);
+        p.insert(2);
+        p.insert(66);
+        let lw = [NO_WRITE, 5];
+        let mut words = p.words().to_vec();
+        words.extend(lw.iter().map(|&w| u64::from(w)));
+        assert_eq!(state_hash(0, &p, &lw), hash_words(0, &words));
     }
 }

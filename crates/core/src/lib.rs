@@ -94,12 +94,12 @@ pub mod steal;
 pub mod verify;
 pub mod view;
 
-pub use batch::{check_batch, check_batch_shared, check_matrix, check_parallel, BatchResult};
+pub use batch::{check_batch, check_matrix, check_parallel, BatchResult};
 pub use budget::{Budget, SharedBudget};
 pub use canon::{canonicalize, Canon, HistoryKey};
 pub use checker::{
-    check, check_with_config, check_with_stats, CheckConfig, CheckStats, Engine, EngineKind,
-    SchedulerKind, Stage, Verdict, Witness,
+    check, check_with_config, check_with_stats, CheckConfig, CheckStats, Engine, EngineKind, Stage,
+    Verdict, Witness,
 };
 pub use frontier::{AppendReport, FrontierEngine, FrontierStats, SealReport, ViewOp};
 pub use memo::{MemoCache, MemoStats};

@@ -2,12 +2,11 @@
 //!
 //! [`crate::view::find_legal_extension`] answers one view question with a
 //! sequential DFS whose pruning power comes almost entirely from
-//! memoizing *failed* states. The previous parallel engine statically
-//! prefix-partitioned that DFS (`split_prefixes`) and gave every worker a
-//! private memo, so workers re-refuted subtrees their siblings had
-//! already killed — on memo-heavy "deep funnel" shapes the static split
-//! does strictly *more* total work than the sequential search. This
-//! module replaces it with two pieces:
+//! memoizing *failed* states. Workers that each kept a private memo would
+//! re-refute subtrees their siblings had already killed, so on
+//! memo-heavy "deep funnel" shapes they would do strictly *more* total
+//! work than the sequential search. This module shares the memo instead,
+//! with two pieces:
 //!
 //! * [`SharedFailedSet`] — a sharded, open-addressed table of 64-bit
 //!   state fingerprints with bounded memory and per-shard clock
@@ -37,7 +36,8 @@
 //! processor) view search as a unit, so a worker that finishes its store
 //! order steals extension subtrees from stores still in flight instead
 //! of idling. Each unit salts the fingerprints with its own id so states
-//! from different constraint systems never alias within a run.
+//! from different constraint systems never alias within a run (see
+//! [`crate::kernel`]'s `state_hash` for why the salt gets its own round).
 
 use crate::budget::{Budget, SharedBudget};
 use crate::kernel::{state_hash, Ctx, NO_WRITE};
@@ -65,8 +65,7 @@ const STEAL_CHUNK: u64 = 256;
 /// and zeroed — per parallel check, so the default favors a cheap
 /// setup over headroom; litmus-scale searches insert a few hundred
 /// fingerprints, and overflowing merely evicts proofs (re-exploration,
-/// never wrong verdicts). Raise `CheckConfig::failed_set_capacity` for
-/// long exhaustive refutations.
+/// never wrong verdicts).
 pub const DEFAULT_FAILED_CAPACITY: usize = 1 << 16;
 
 struct FailedShard {

@@ -31,9 +31,11 @@ if [ "${1:-}" != "--no-test" ]; then
         exit 1
     fi
 
-    # Scheduler equivalence gate: the work-stealing parallel engine must
-    # classify the exhaustive sweep bit-identically to the sequential
-    # checker — same golden file, checked at 4 workers.
+    # Batch equivalence gate: fanning the exhaustive sweep's histories
+    # across 4 workers must classify it bit-identically to the sequential
+    # sweep — same golden file. The sweep never enters `check_parallel`;
+    # the work-stealing engine's verdict gate is
+    # `schedulers_agree_across_job_counts` in tests/batch_equiv.rs.
     echo "==> smc corpus --exhaustive --jobs 4 (j1 vs j4 equivalence)"
     cargo run -q --release --bin smc -- corpus --exhaustive --jobs 4 --json "$sweep_j4" >/dev/null
     if ! grep '"verdicts"' "$sweep_j4" | diff -u tests/golden/exhaustive_verdicts.txt -; then

@@ -14,6 +14,7 @@ use smc_core::checker::{check_with_config, CheckConfig, Verdict};
 use smc_core::models;
 use smc_core::verify::verify_witness;
 use smc_core::ModelSpec;
+use smc_history::litmus::parse_history;
 use smc_history::{History, HistoryBuilder};
 use smc_prng::SmallRng;
 use smc_programs::corpus::litmus_suite;
@@ -178,6 +179,63 @@ fn corpus_verdicts_identical_across_job_counts() {
     }
 }
 
+/// The litmus corpus plus one random history per seed.
+fn corpus_plus_random(seeds: std::ops::Range<u64>) -> Vec<History> {
+    let mut cases: Vec<History> = litmus_suite().iter().map(|t| t.history.clone()).collect();
+    cases.extend(seeds.map(|seed| random_history(&mut SmallRng::seed_from_u64(seed))));
+    cases
+}
+
+/// Every case under SC, TSO, PRAM and causal — the models that exercise
+/// all three parallel drivers: the single shared view (SC), the
+/// store-order fan-out (TSO), and the independent per-processor views
+/// (PRAM, causal) — decides through `check_parallel` at jobs 1/2/4/8
+/// exactly like the sequential checker, takes the route the forced
+/// cutover pins, and yields witnesses that verify independently.
+fn assert_agrees_at_cutover(cases: &[History], cutover: u64) {
+    let model_list = [
+        models::sc(),
+        models::tso(),
+        models::pram(),
+        models::causal(),
+    ];
+    let cfg = CheckConfig {
+        parallel_cutover: cutover,
+        ..CheckConfig::default()
+    };
+    for (ci, h) in cases.iter().enumerate() {
+        for spec in &model_list {
+            let seq = check_with_config(h, spec, &cfg);
+            for jobs in [1usize, 2, 4, 8] {
+                let (par, stats) = check_parallel(h, spec, &cfg, jobs);
+                assert_eq!(
+                    par.decided(),
+                    seq.decided(),
+                    "case {ci} {} cutover={cutover} jobs={jobs}: {seq:?} vs {par:?}\n{h}",
+                    spec.name
+                );
+                // The forced settings pin the cutover decision: with
+                // the probe disabled only jobs=1 runs sequentially;
+                // with an unbounded probe no check ever fans out.
+                if cutover == 0 {
+                    assert_eq!(stats.ran_sequential, jobs == 1);
+                    assert_eq!(stats.probe_nodes, 0);
+                } else {
+                    assert!(stats.ran_sequential);
+                }
+                if let Verdict::Allowed(w) = &par {
+                    verify_witness(h, spec, w).unwrap_or_else(|e| {
+                        panic!(
+                            "case {ci} {} cutover={cutover} jobs={jobs}: bad witness: {e}\n{h}",
+                            spec.name
+                        )
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// Verdicts are independent of the adaptive cutover decision: with the
 /// probe forced off (`parallel_cutover: 0`, every parallel check fans
 /// out immediately) and forced always-on (`u64::MAX`, every parallel
@@ -188,96 +246,56 @@ fn corpus_verdicts_identical_across_job_counts() {
 /// can never change an answer — only where it is computed.
 #[test]
 fn cutover_extremes_agree_with_sequential() {
-    let mut cases: Vec<History> = litmus_suite().iter().map(|t| t.history.clone()).collect();
-    cases.extend((2000..2200u64).map(|seed| random_history(&mut SmallRng::seed_from_u64(seed))));
-    let model_list = [
-        models::sc(),
-        models::tso(),
-        models::pram(),
-        models::causal(),
-    ];
+    let cases = corpus_plus_random(2000..2200);
     for cutover in [0u64, u64::MAX] {
-        let cfg = CheckConfig {
-            parallel_cutover: cutover,
-            ..CheckConfig::default()
-        };
-        for (ci, h) in cases.iter().enumerate() {
-            for spec in &model_list {
-                let seq = check_with_config(h, spec, &cfg);
-                for jobs in [1usize, 2, 4, 8] {
-                    let (par, stats) = check_parallel(h, spec, &cfg, jobs);
-                    assert_eq!(
-                        par.decided(),
-                        seq.decided(),
-                        "case {ci} {} cutover={cutover} jobs={jobs}: {seq:?} vs {par:?}\n{h}",
-                        spec.name
-                    );
-                    // The forced settings pin the cutover decision: with
-                    // the probe disabled only jobs=1 runs sequentially;
-                    // with an unbounded probe no check ever fans out.
-                    if cutover == 0 {
-                        assert_eq!(stats.ran_sequential, jobs == 1);
-                        assert_eq!(stats.probe_nodes, 0);
-                    } else {
-                        assert!(stats.ran_sequential);
-                    }
-                    if let Verdict::Allowed(w) = &par {
-                        verify_witness(h, spec, w).unwrap_or_else(|e| {
-                            panic!(
-                                "case {ci} {} cutover={cutover} jobs={jobs}: bad witness: {e}\n{h}",
-                                spec.name
-                            )
-                        });
-                    }
-                }
-            }
-        }
+        assert_agrees_at_cutover(&cases, cutover);
     }
 }
 
-/// The work-stealing scheduler and the static-prefix baseline both match
-/// the sequential checker — same decided verdicts, and witnesses that
-/// verify independently — across every worker count, on the litmus corpus
-/// plus 200 random histories. This is the bit-identical-verdicts gate for
-/// the parallel engine.
+/// The work-stealing scheduler matches the sequential checker across
+/// every worker count, on the litmus corpus plus 200 more random
+/// histories. The probe is off (`parallel_cutover: 0`): every
+/// litmus-sized check decides inside the default probe, so only with it
+/// off do the scheduler's drivers actually run. This is the
+/// bit-identical-verdicts gate for the parallel engine.
 #[test]
 fn schedulers_agree_across_job_counts() {
-    use smc_core::checker::SchedulerKind;
-    let mut cases: Vec<History> = litmus_suite().iter().map(|t| t.history.clone()).collect();
-    cases.extend((1000..1200u64).map(|seed| random_history(&mut SmallRng::seed_from_u64(seed))));
-    // The models that exercise all three parallel drivers: the single
-    // shared view (SC), the store-order fan-out (TSO), and the
-    // independent per-processor views (PRAM, causal).
-    let model_list = [
-        models::sc(),
-        models::tso(),
-        models::pram(),
-        models::causal(),
+    assert_agrees_at_cutover(&corpus_plus_random(1000..1200), 0);
+}
+
+/// Regression: TSO units of different store orders share one op set per
+/// processor, and their fingerprint salts used to cancel against the
+/// scheduled-set bits, so a refutation recorded under one store order
+/// pruned a live state of another and work stealing answered
+/// `Disallowed` for admitted histories. Scheduling is racy, so each
+/// history runs many times at every worker count.
+#[test]
+fn stealing_tso_matches_sequential_under_salt_aliasing() {
+    let cases = [
+        "p: w(x)2 r(x)1 w(x)1\nq: r(x)0 r(y)0 r(x)1\nr: w(x)1",
+        "p: w(y)1 w(x)1\nq:\nr: r(y)1 r(x)1 w(x)1",
     ];
-    for scheduler in [SchedulerKind::WorkStealing, SchedulerKind::StaticPrefix] {
-        let cfg = CheckConfig {
-            scheduler,
-            ..CheckConfig::default()
-        };
-        for (ci, h) in cases.iter().enumerate() {
-            for spec in &model_list {
-                let seq = check_with_config(h, spec, &cfg);
-                for jobs in [1usize, 2, 4, 8] {
-                    let (par, _) = check_parallel(h, spec, &cfg, jobs);
-                    assert_eq!(
-                        par.decided(),
-                        seq.decided(),
-                        "case {ci} {} {scheduler:?} jobs={jobs}: {seq:?} vs {par:?}\n{h}",
-                        spec.name
-                    );
-                    if let Verdict::Allowed(w) = &par {
-                        verify_witness(h, spec, w).unwrap_or_else(|e| {
-                            panic!(
-                                "case {ci} {} {scheduler:?} jobs={jobs}: bad witness: {e}\n{h}",
-                                spec.name
-                            )
-                        });
-                    }
+    let spec = models::tso();
+    let cfg = CheckConfig {
+        parallel_cutover: 0,
+        ..CheckConfig::default()
+    };
+    for src in cases {
+        let h = parse_history(src).expect("fixture parses");
+        let seq = check_with_config(&h, &spec, &cfg).decided();
+        assert!(seq.is_some(), "sequential check must decide:\n{h}");
+        for jobs in [2usize, 4, 8] {
+            for run in 0..50 {
+                let (par, stats) = check_parallel(&h, &spec, &cfg, jobs);
+                assert!(stats.work_stealing_ran, "jobs={jobs}: stealing must run");
+                assert_eq!(
+                    par.decided(),
+                    seq,
+                    "jobs={jobs} run {run}: {par:?} vs sequential\n{h}"
+                );
+                if let Verdict::Allowed(w) = &par {
+                    verify_witness(&h, &spec, w)
+                        .unwrap_or_else(|e| panic!("jobs={jobs} run {run}: bad witness: {e}\n{h}"));
                 }
             }
         }

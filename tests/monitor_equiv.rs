@@ -10,7 +10,7 @@
 //! in practice, so the skip is a safety valve, not a loophole.
 
 use smc_core::batch::check_parallel;
-use smc_core::checker::{CheckConfig, SchedulerKind};
+use smc_core::checker::CheckConfig;
 use smc_core::models;
 use smc_history::trace::Trace;
 use smc_history::{History, HistoryBuilder};
@@ -21,26 +21,19 @@ use smc_sim::sched::run_random;
 use smc_sim::workload::{Access, OpScript};
 use smc_sim::TsoMem;
 
-fn assert_monitor_matches_batch(h: &History, jobs: usize, scheduler: SchedulerKind, ctx: &str) {
+fn assert_monitor_matches_batch(h: &History, jobs: usize, ctx: &str) {
     let models = models::lattice_models();
-    let check = CheckConfig {
-        scheduler,
-        ..CheckConfig::default().with_memo()
-    };
     let mut mon = Monitor::new(
         models.clone(),
         MonitorConfig {
-            check: check.clone(),
+            check: CheckConfig::default().with_memo(),
             jobs,
             ..MonitorConfig::default()
         },
     );
     mon.feed_trace(&Trace::from_history(h));
     // A fresh memo for the batch side, so neither run warms the other.
-    let batch_cfg = CheckConfig {
-        scheduler,
-        ..CheckConfig::default().with_memo()
-    };
+    let batch_cfg = CheckConfig::default().with_memo();
     for (i, spec) in models.iter().enumerate() {
         let batch = check_parallel(h, spec, &batch_cfg, jobs).0.decided();
         let Some(batch_admits) = batch else { continue };
@@ -52,7 +45,7 @@ fn assert_monitor_matches_batch(h: &History, jobs: usize, scheduler: SchedulerKi
         assert_eq!(
             mon.verdicts()[i],
             expected,
-            "{ctx}: monitor disagrees with batch on {} (jobs {jobs}, {scheduler:?})\n{h}",
+            "{ctx}: monitor disagrees with batch on {} (jobs {jobs})\n{h}",
             spec.name
         );
     }
@@ -60,12 +53,7 @@ fn assert_monitor_matches_batch(h: &History, jobs: usize, scheduler: SchedulerKi
 
 fn corpus_agrees(jobs: usize) {
     for t in litmus_suite() {
-        assert_monitor_matches_batch(
-            &t.history,
-            jobs,
-            SchedulerKind::WorkStealing,
-            t.name.as_str(),
-        );
+        assert_monitor_matches_batch(&t.history, jobs, t.name.as_str());
     }
 }
 
@@ -82,13 +70,6 @@ fn corpus_agrees_two_jobs() {
 #[test]
 fn corpus_agrees_four_jobs() {
     corpus_agrees(4);
-}
-
-#[test]
-fn corpus_agrees_static_prefix_scheduler() {
-    for t in litmus_suite() {
-        assert_monitor_matches_batch(&t.history, 2, SchedulerKind::StaticPrefix, t.name.as_str());
-    }
 }
 
 const PROCS: [&str; 4] = ["p", "q", "r", "s"];
@@ -117,12 +98,7 @@ fn random_histories_agree() {
     for case in 0..200u64 {
         let h = random_history(&mut SmallRng::seed_from_u64(0x117_u64.wrapping_add(case)));
         let jobs = [1, 2, 4][case as usize % 3];
-        let scheduler = if case % 2 == 0 {
-            SchedulerKind::WorkStealing
-        } else {
-            SchedulerKind::StaticPrefix
-        };
-        assert_monitor_matches_batch(&h, jobs, scheduler, &format!("case {case}"));
+        assert_monitor_matches_batch(&h, jobs, &format!("case {case}"));
     }
 }
 
