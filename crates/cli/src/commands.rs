@@ -1,5 +1,6 @@
 //! Subcommand implementations for the `smc` binary.
 
+use crate::args::Args;
 use crate::json::JsonObject;
 use smc_core::batch::{check_batch, BatchResult};
 use smc_core::checker::{format_view, CheckConfig, CheckStats, Engine, EngineKind, Verdict};
@@ -18,6 +19,63 @@ use smc_sim::{
     CausalMem, CoherentMem, HybridMem, PcMem, PramMem, RcMem, ScMem, SyncMode, TsoMem, WoMem,
 };
 use std::process::ExitCode;
+
+/// Evaluate `$body` with `$mem` bound to the operational machine named
+/// `$name` (a `--memory` name) over `$n` processors and `$l` locations,
+/// or `Err` for an unknown name. A macro because each machine is its
+/// own type behind a trait that cannot be made into an object.
+macro_rules! with_machine {
+    ($name:expr, $n:expr, $l:expr, |$mem:ident| $body:expr) => {{
+        let (n, l) = ($n, $l);
+        match $name {
+            "sc" => Ok({
+                let $mem = ScMem::new(n, l);
+                $body
+            }),
+            "tso" => Ok({
+                let $mem = TsoMem::new(n, l);
+                $body
+            }),
+            "tso-fwd" => Ok({
+                let $mem = TsoMem::with_forwarding(n, l);
+                $body
+            }),
+            "pram" => Ok({
+                let $mem = PramMem::new(n, l);
+                $body
+            }),
+            "causal" => Ok({
+                let $mem = CausalMem::new(n, l);
+                $body
+            }),
+            "pc" => Ok({
+                let $mem = PcMem::new(n, l);
+                $body
+            }),
+            "coherent" => Ok({
+                let $mem = CoherentMem::new(n, l);
+                $body
+            }),
+            "rcsc" => Ok({
+                let $mem = RcMem::new(SyncMode::Sc, n, l);
+                $body
+            }),
+            "rcpc" => Ok({
+                let $mem = RcMem::new(SyncMode::Pc, n, l);
+                $body
+            }),
+            "wo" => Ok({
+                let $mem = WoMem::new(n, l);
+                $body
+            }),
+            "hybrid" => Ok({
+                let $mem = HybridMem::new(n, l);
+                $body
+            }),
+            other => Err(format!("unknown memory `{other}`")),
+        }
+    }};
+}
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -116,20 +174,28 @@ usage:
                                     SHUTDOWN
   smc serve --bench [--sessions N] [--events N] [--conns C]
             [--query-every K] [--memory NAME] [--seed S] [--json PATH]
+            [--procs N] [--locs L] [--values V | --alias-values K]
                                     start an ephemeral server, drive it
                                     with the in-tree load generator over
                                     loopback, diff every final verdict
                                     against the offline monitor, and
                                     report sustained events/sec + QUERY
-                                    latency percentiles
+                                    latency percentiles; --procs, --locs,
+                                    --values and --alias-values shape
+                                    each session's trace as in `trace gen`
   smc loadgen --addr HOST:PORT [--sessions N] [--events N] [--conns C]
             [--query-every K] [--memory NAME] [--seed S] [--verify]
-            [--max-states N] [--shutdown] [--json PATH]
+            [--model NAME] [--max-states N] [--shutdown] [--json PATH]
+            [--procs N] [--locs L] [--values V | --alias-values K]
                                     drive a running `smc serve` with
                                     generated multi-session traffic;
                                     --verify diffs final verdicts
-                                    against the offline monitor,
-                                    --shutdown stops the server after
+                                    against the offline monitor (give it
+                                    the server's --model and --max-states),
+                                    --shutdown stops the server after;
+                                    --procs, --locs, --values and
+                                    --alias-values shape each session's
+                                    trace as in `trace gen`
   smc trace gen [--memory NAME] [--procs N] [--ops N | --events N]
             [--locs L] [--values V | --alias-values K] [--seed S]
             [--sessions N] [--churn K] [--out PATH]
@@ -175,51 +241,81 @@ else stays exhaustive.
 
 memories for --memory: sc tso tso-fwd pram causal pc coherent rcsc rcpc wo hybrid";
 
+/// The flags the checking subcommands share (see [`CheckFlags`]).
+const CHECKING: &str = "--jobs N --cutover N --engine exhaustive|saturate|auto --memo-file PATH";
+
+/// The flags `smc loadgen` and `smc serve --bench` share: the load
+/// generator's, the trace generator's ([`GenSpec`]) and the report's.
+const TRAFFIC: &str = "--sessions N --events N --conns C --query-every K --memory NAME --seed S \
+     --procs N --locs L --values V --alias-values K --json PATH";
+
+type Command = fn(&Args) -> Result<ExitCode, String>;
+
+/// Every subcommand with its flag table, in synopsis form (see
+/// [`Args::parse`]); `USAGE` documents exactly these flags.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("check", CHECK_FLAGS, cmd_check),
+    ("corpus", CORPUS_FLAGS, cmd_corpus),
+    ("matrix", MATRIX_FLAGS, cmd_matrix),
+    ("explore", EXPLORE_FLAGS, cmd_explore),
+    ("bakery", BAKERY_FLAGS, cmd_bakery),
+    ("separate", SEPARATE_FLAGS, cmd_separate),
+    ("monitor", MONITOR_FLAGS, cmd_monitor),
+    ("serve", SERVE_FLAGS, cmd_serve),
+    ("loadgen", LOADGEN_FLAGS, cmd_loadgen),
+    ("trace", TRACE_FLAGS, cmd_trace),
+    ("models", &[], cmd_models),
+];
+
 /// Dispatch on the first argument.
 pub fn run(args: &[String]) -> Result<ExitCode, String> {
-    match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
-        Some("corpus") => cmd_corpus(&args[1..]),
-        Some("matrix") => cmd_matrix(&args[1..]),
-        Some("explore") => cmd_explore(&args[1..]),
-        Some("bakery") => cmd_bakery(&args[1..]),
-        Some("separate") => cmd_separate(&args[1..]),
-        Some("monitor") => cmd_monitor(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("models") => cmd_models(),
-        Some("help") | Some("--help") | Some("-h") => {
+    let sub = match args.first().map(String::as_str) {
+        Some("help" | "--help" | "-h") => {
             println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
+            return Ok(ExitCode::SUCCESS);
         }
-        Some(other) => Err(format!("unknown subcommand `{other}`")),
-        None => Err("missing subcommand".into()),
+        Some(sub) => sub,
+        None => return Err("missing subcommand".into()),
+    };
+    let (_, table, command) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == sub)
+        .ok_or_else(|| format!("unknown subcommand `{sub}`"))?;
+    command(&Args::parse(&args[1..], table)?)
+}
+
+/// The usage to print after an error in subcommand `sub`: its own
+/// blocks of `USAGE`, or all of it when `sub` names no subcommand.
+pub fn usage_for(sub: Option<&str>) -> String {
+    match sub.map(usage_blocks) {
+        Some(blocks) if !blocks.is_empty() => format!("usage:\n{blocks}"),
+        _ => USAGE.to_owned(),
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The `USAGE` blocks of subcommand `sub`: each synopsis line naming it,
+/// with the lines under it up to the next synopsis or blank line.
+fn usage_blocks(sub: &str) -> String {
+    let head = format!("  smc {sub} ");
+    let mut inside = false;
+    let lines: Vec<&str> = USAGE
+        .lines()
+        .filter(|line| {
+            if line.is_empty() || line.starts_with("  smc ") {
+                inside = format!("{line} ").starts_with(&head);
+            }
+            inside
+        })
+        .collect();
+    lines.join("\n")
 }
 
-fn positional(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = true;
-            continue;
-        }
-        out.push(a);
+/// Print `text` (a history, witness or counterexample) indented under
+/// the line before it.
+fn print_indented(text: &dyn std::fmt::Display) {
+    for line in text.to_string().lines() {
+        println!("    {line}");
     }
-    out
 }
 
 fn read_file(path: &str) -> Result<String, String> {
@@ -247,26 +343,51 @@ fn load(path: &str) -> Result<Vec<LitmusTest>, String> {
     }
 }
 
-fn resolve_models(selector: Option<&str>) -> Result<Vec<ModelSpec>, String> {
+/// The models `--model NAME` selects: that one model, or all of `every`
+/// when the flag is absent or `all`.
+fn resolve_models(
+    selector: Option<&str>,
+    every: fn() -> Vec<ModelSpec>,
+) -> Result<Vec<ModelSpec>, String> {
     match selector {
-        None | Some("all") => Ok(models::all_models()),
-        Some(name) => models::by_name(name)
-            .map(|m| vec![m])
-            .ok_or_else(|| format!("unknown model `{name}` (try `smc models`)")),
+        None | Some("all") => Ok(every()),
+        Some(name) => Ok(vec![model_named(name)?]),
     }
 }
 
+fn model_named(name: &str) -> Result<ModelSpec, String> {
+    models::by_name(name).ok_or_else(|| format!("unknown model `{name}` (try `smc models`)"))
+}
+
 /// Parse `--jobs N` (default 1 = sequential).
-fn jobs_flag(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--jobs") {
-        None if args.iter().any(|a| a == "--jobs") => Err("--jobs requires a value".to_string()),
-        None => Ok(1),
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--jobs: `{v}` is not a positive integer")),
+fn jobs_flag(args: &Args) -> Result<usize, String> {
+    Ok(args.positive("--jobs")?.unwrap_or(1))
+}
+
+fn exit_status(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
+}
+
+/// The ` [N jobs]` suffix of a summary line (empty when sequential).
+fn jobs_suffix(jobs: usize) -> String {
+    if jobs > 1 {
+        format!(" [{jobs} jobs]")
+    } else {
+        String::new()
+    }
+}
+
+fn write_file(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))
+}
+
+/// Write a `--json` report: one JSON object per line.
+fn write_json_lines(path: &str, lines: &[String]) -> Result<(), String> {
+    write_file(path, &format!("{}\n", lines.join("\n")))
 }
 
 fn render_stats(stats: &CheckStats) -> String {
@@ -361,24 +482,9 @@ fn check_suite(
     check_batch(&pairs, cfg, jobs)
 }
 
-/// Parse `--cutover N` (default: `CheckConfig`'s probe budget). 0 means
-/// parallel checks fan out immediately, skipping the sequential probe.
-fn cutover_flag(args: &[String], default: u64) -> Result<u64, String> {
-    match flag_value(args, "--cutover") {
-        None if args.iter().any(|a| a == "--cutover") => {
-            Err("--cutover requires a value".to_string())
-        }
-        None => Ok(default),
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("--cutover: `{v}` is not a non-negative integer")),
-    }
-}
-
 /// Parse `--engine exhaustive|saturate|auto` (default auto).
-fn engine_flag(args: &[String]) -> Result<EngineKind, String> {
-    match flag_value(args, "--engine") {
-        None if args.iter().any(|a| a == "--engine") => Err("--engine requires a value".into()),
+fn engine_flag(args: &Args) -> Result<EngineKind, String> {
+    match args.value("--engine") {
         None | Some("auto") => Ok(EngineKind::Auto),
         Some("exhaustive") => Ok(EngineKind::Exhaustive),
         Some("saturate") => Ok(EngineKind::Saturate),
@@ -388,46 +494,41 @@ fn engine_flag(args: &[String]) -> Result<EngineKind, String> {
     }
 }
 
-/// The checking flags the checking subcommands (`check`, `corpus`,
-/// `matrix`, `separate`, `monitor`) share; each advertises the ones it
-/// reads. Parsed in one place so the commands cannot drift apart in
-/// spelling, defaults or error messages.
-struct CheckFlags {
+/// The `CHECKING` flags the checking subcommands (`check`, `corpus`,
+/// `matrix`, `monitor`) share, parsed in one place so the commands
+/// cannot drift apart in spelling, defaults or error messages.
+struct CheckFlags<'a> {
     jobs: usize,
+    /// `--cutover N` (default: `CheckConfig`'s probe budget); 0 means
+    /// parallel checks fan out immediately, skipping the sequential probe.
     cutover: u64,
     engine: EngineKind,
-    memo_file: Option<String>,
+    memo_file: Option<&'a str>,
 }
 
-impl CheckFlags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+impl<'a> CheckFlags<'a> {
+    fn parse(args: &Args<'a>) -> Result<Self, String> {
         Ok(CheckFlags {
             jobs: jobs_flag(args)?,
-            cutover: cutover_flag(args, CheckConfig::default().parallel_cutover)?,
+            cutover: args.num("--cutover", CheckConfig::default().parallel_cutover)?,
             engine: engine_flag(args)?,
-            memo_file: flag_value(args, "--memo-file").map(str::to_owned),
+            memo_file: args.value("--memo-file"),
         })
     }
 
-    /// Copy the parsed flags into a config (memo attachment stays the
-    /// caller's decision — see [`CheckFlags::with_memo_if_requested`]).
-    fn configure(&self, cfg: &mut CheckConfig) {
-        cfg.parallel_cutover = self.cutover;
-        cfg.engine = self.engine;
-    }
-
-    /// Attach a memo cache when `--memo-file` was given (commands that
-    /// always memoize call `.with_memo()` themselves).
-    fn with_memo_if_requested(&self, cfg: CheckConfig) -> CheckConfig {
-        if self.memo_file.is_some() {
-            cfg.with_memo()
-        } else {
-            cfg
+    /// `base` with the parsed cutover and engine, and with a memo cache
+    /// when `memo` is set or `--memo-file` names one (loaded from it).
+    fn config(&self, base: CheckConfig, memo: bool) -> CheckConfig {
+        let mut cfg = CheckConfig {
+            parallel_cutover: self.cutover,
+            engine: self.engine,
+            ..base
+        };
+        if memo || self.memo_file.is_some() {
+            cfg = cfg.with_memo();
         }
-    }
-
-    fn memo_file(&self) -> Option<&str> {
-        self.memo_file.as_deref()
+        memo_file_load(&cfg, self.memo_file);
+        cfg
     }
 }
 
@@ -458,25 +559,22 @@ fn memo_file_save(cfg: &CheckConfig, path: Option<&str>) {
     }
 }
 
-fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("check: missing <file>")?;
-    let model_list = resolve_models(flag_value(args, "--model"))?;
+const CHECK_FLAGS: &[&str] = &["--model NAME --stats", CHECKING];
+
+fn cmd_check(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operands().first().ok_or("check: missing <file>")?;
+    let model_list = resolve_models(args.value("--model"), models::all_models)?;
     let flags = CheckFlags::parse(args)?;
     let jobs = flags.jobs;
-    let show_stats = args.iter().any(|a| a == "--stats");
-    let mut cfg = flags.with_memo_if_requested(CheckConfig::default());
-    flags.configure(&mut cfg);
-    memo_file_load(&cfg, flags.memo_file());
+    let show_stats = args.switch("--stats");
+    let cfg = flags.config(CheckConfig::default(), false);
     let suite = load(path)?;
     let results = check_suite(&suite, &model_list, &cfg, jobs);
-    memo_file_save(&cfg, flags.memo_file());
+    memo_file_save(&cfg, flags.memo_file);
     let mut failures = 0;
     for (ti, t) in suite.iter().enumerate() {
         println!("== {} ==", t.name);
-        for line in t.history.to_string().lines() {
-            println!("    {line}");
-        }
+        print_indented(&t.history);
         for (mi, m) in model_list.iter().enumerate() {
             let r = &results[ti * model_list.len() + mi];
             let v = &r.verdict;
@@ -517,12 +615,18 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         }
         println!();
     }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
+    if failures > 0 {
         eprintln!("{failures} expectation(s) failed");
-        ExitCode::FAILURE
-    })
+    }
+    Ok(exit_status(failures == 0))
+}
+
+/// The `--stats` memo-counter line.
+fn memo_line(s: &MemoStats) -> String {
+    format!(
+        "memo: {} hits, {} misses, {} inserts, {} evictions",
+        s.hits, s.misses, s.inserts, s.evictions
+    )
 }
 
 fn memo_json(memo: &MemoStats) -> String {
@@ -543,27 +647,37 @@ fn verdict_word(v: &Verdict) -> &'static str {
     }
 }
 
-fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
+/// A verdict as one cell of a classification matrix.
+fn matrix_cell(v: &Verdict) -> &'static str {
+    match v {
+        Verdict::Allowed(_) => "yes",
+        Verdict::Disallowed => "no",
+        Verdict::Exhausted => "?",
+        Verdict::Unsupported(_) => "n/a",
+    }
+}
+
+const CORPUS_FLAGS: &[&str] = &["--stats --json PATH --exhaustive --engine-equiv", CHECKING];
+
+fn cmd_corpus(args: &Args) -> Result<ExitCode, String> {
     let flags = CheckFlags::parse(args)?;
     let jobs = flags.jobs;
-    let show_stats = args.iter().any(|a| a == "--stats");
-    let json_path = flag_value(args, "--json");
-    if args.iter().any(|a| a == "--engine-equiv") {
+    let show_stats = args.switch("--stats");
+    let json_path = args.value("--json");
+    if args.switch("--engine-equiv") {
         return corpus_engine_equiv(&flags, json_path);
     }
-    if args.iter().any(|a| a == "--exhaustive") {
+    if args.switch("--exhaustive") {
         return corpus_exhaustive(jobs, show_stats, json_path);
     }
     // Decided verdicts are renaming-invariant, so the memo is safe here:
     // expectations compare only allowed/forbidden, never the witness.
-    let mut cfg = CheckConfig::default().with_memo();
-    flags.configure(&mut cfg);
+    let cfg = flags.config(CheckConfig::default(), true);
     let memo = cfg.memo.clone().expect("with_memo attaches a cache");
-    memo_file_load(&cfg, flags.memo_file());
     let suite = smc_programs::corpus::litmus_suite();
     let model_list = models::all_models();
     let results = check_suite(&suite, &model_list, &cfg, jobs);
-    memo_file_save(&cfg, flags.memo_file());
+    memo_file_save(&cfg, flags.memo_file);
     let mut failures = 0;
     let mut checked = 0;
     let mut nodes = 0u64;
@@ -634,9 +748,7 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
                 .raw("memo", &memo_json(&memo_stats))
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
     println!(
         "corpus: {} tests × {} models, {} expectation(s) checked, {} failure(s){}",
@@ -644,24 +756,13 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
         model_list.len(),
         checked,
         failures,
-        if jobs > 1 {
-            format!(" [{jobs} jobs]")
-        } else {
-            String::new()
-        }
+        jobs_suffix(jobs)
     );
     if show_stats {
         println!("total search nodes: {nodes}");
-        println!(
-            "memo: {} hits, {} misses, {} inserts, {} evictions",
-            memo_stats.hits, memo_stats.misses, memo_stats.inserts, memo_stats.evictions
-        );
+        println!("{}", memo_line(&memo_stats));
     }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_status(failures == 0))
 }
 
 /// `smc corpus --engine-equiv`: the engine drift gate. Every embedded
@@ -673,21 +774,20 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, String> {
 fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<ExitCode, String> {
     use smc_core::verify::verify_witness;
 
-    let mut ex_cfg = CheckConfig {
-        engine: EngineKind::Exhaustive,
+    let cfg = |engine| CheckConfig {
+        engine,
+        parallel_cutover: flags.cutover,
         ..CheckConfig::default()
     };
-    let mut sat_cfg = CheckConfig {
-        engine: EngineKind::Saturate,
-        ..CheckConfig::default()
-    };
-    for cfg in [&mut ex_cfg, &mut sat_cfg] {
-        cfg.parallel_cutover = flags.cutover;
-    }
     let suite = smc_programs::corpus::litmus_suite();
     let model_list = models::saturating_models();
-    let ex = check_suite(&suite, &model_list, &ex_cfg, flags.jobs);
-    let sat = check_suite(&suite, &model_list, &sat_cfg, flags.jobs);
+    let ex = check_suite(
+        &suite,
+        &model_list,
+        &cfg(EngineKind::Exhaustive),
+        flags.jobs,
+    );
+    let sat = check_suite(&suite, &model_list, &cfg(EngineKind::Saturate), flags.jobs);
 
     let mut pairs = 0usize;
     let mut divergences = 0usize;
@@ -745,11 +845,7 @@ fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<Ex
         model_list.len(),
         pairs,
         divergences,
-        if flags.jobs > 1 {
-            format!(" [{} jobs]", flags.jobs)
-        } else {
-            String::new()
-        }
+        jobs_suffix(flags.jobs)
     );
     if let Some(path) = json_path {
         json_lines.push(
@@ -758,15 +854,9 @@ fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<Ex
                 .num("divergences", divergences as u64)
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
-    Ok(if divergences == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_status(divergences == 0))
 }
 
 /// `smc corpus --exhaustive`: classify the full universe of small
@@ -835,9 +925,7 @@ fn corpus_exhaustive(
                 .raw("memo", &memo_json(&memo_stats))
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
     println!(
         "exhaustive: {} histories × {} models, {} checked, {} propagated, {} undecided{}",
@@ -846,42 +934,26 @@ fn corpus_exhaustive(
         prop.checked,
         prop.propagated,
         undecided,
-        if jobs > 1 {
-            format!(" [{jobs} jobs]")
-        } else {
-            String::new()
-        }
+        jobs_suffix(jobs)
     );
     if show_stats {
-        println!(
-            "memo: {} hits, {} misses, {} inserts, {} evictions",
-            memo_stats.hits, memo_stats.misses, memo_stats.inserts, memo_stats.evictions
-        );
+        println!("{}", memo_line(&memo_stats));
     }
-    Ok(if undecided == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_status(undecided == 0))
 }
 
-fn cmd_matrix(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("matrix: missing <file>")?;
+const MATRIX_FLAGS: &[&str] = &["--stats", CHECKING];
+
+fn cmd_matrix(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operands().first().ok_or("matrix: missing <file>")?;
     let flags = CheckFlags::parse(args)?;
     let jobs = flags.jobs;
-    let show_stats = args.iter().any(|a| a == "--stats");
+    let show_stats = args.switch("--stats");
     let suite = load(path)?;
     let model_list = models::all_models();
-    let mut cfg = if show_stats || flags.memo_file.is_some() {
-        CheckConfig::default().with_memo()
-    } else {
-        CheckConfig::default()
-    };
-    flags.configure(&mut cfg);
-    memo_file_load(&cfg, flags.memo_file());
+    let cfg = flags.config(CheckConfig::default(), show_stats);
     let results = check_suite(&suite, &model_list, &cfg, jobs);
-    memo_file_save(&cfg, flags.memo_file());
+    memo_file_save(&cfg, flags.memo_file);
     let name_w = suite.iter().map(|t| t.name.len()).max().unwrap_or(7).max(7);
     print!("{:<name_w$}", "history");
     for m in &model_list {
@@ -898,13 +970,7 @@ fn cmd_matrix(args: &[String]) -> Result<ExitCode, String> {
         for mi in 0..model_list.len() {
             let r = &results[ti * model_list.len() + mi];
             row_nodes += r.stats.nodes_spent;
-            let cell = match &r.verdict {
-                Verdict::Allowed(_) => "yes",
-                Verdict::Disallowed => "no",
-                Verdict::Exhausted => "?",
-                Verdict::Unsupported(_) => "n/a",
-            };
-            print!(" {cell:>14}");
+            print!(" {:>14}", matrix_cell(&r.verdict));
         }
         if show_stats {
             print!(" {row_nodes:>12}");
@@ -915,11 +981,7 @@ fn cmd_matrix(args: &[String]) -> Result<ExitCode, String> {
     if show_stats {
         println!("total search nodes: {nodes}");
         if let Some(memo) = &cfg.memo {
-            let s = memo.stats();
-            println!(
-                "memo: {} hits, {} misses, {} inserts, {} evictions",
-                s.hits, s.misses, s.inserts, s.evictions
-            );
+            println!("{}", memo_line(&memo.stats()));
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -944,41 +1006,23 @@ fn to_script(h: &History) -> OpScript {
     OpScript::new(threads, h.num_locs())
 }
 
-fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(args);
-    let path = pos.first().ok_or("explore: missing <file>")?;
-    let memory = flag_value(args, "--memory").ok_or("explore: missing --memory NAME")?;
-    let do_check = args.iter().any(|a| a == "--check");
+const EXPLORE_FLAGS: &[&str] = &["--memory NAME --check --model NAME --jobs N"];
+
+fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operands().first().ok_or("explore: missing <file>")?;
+    let memory = args
+        .value("--memory")
+        .ok_or("explore: missing --memory NAME")?;
     let jobs = jobs_flag(args)?;
     let tests = load(path)?;
     let t = tests.first().ok_or("explore: file contains no history")?;
     let script = to_script(&t.history);
-    let (n, l) = (t.history.num_procs(), t.history.num_locs());
     let cfg = ExploreConfig::default();
-
-    fn go<M: MemorySystem>(
-        mem: M,
-        script: &OpScript,
-        cfg: &ExploreConfig,
-    ) -> (String, smc_sim::explore::ExploreOutcome) {
-        let name = mem.name();
-        (name, explore(&mem, script, cfg))
-    }
-
-    let (mem_name, out) = match memory {
-        "sc" => go(ScMem::new(n, l), &script, &cfg),
-        "tso" => go(TsoMem::new(n, l), &script, &cfg),
-        "tso-fwd" => go(TsoMem::with_forwarding(n, l), &script, &cfg),
-        "pram" => go(PramMem::new(n, l), &script, &cfg),
-        "causal" => go(CausalMem::new(n, l), &script, &cfg),
-        "pc" => go(PcMem::new(n, l), &script, &cfg),
-        "coherent" => go(CoherentMem::new(n, l), &script, &cfg),
-        "rcsc" => go(RcMem::new(SyncMode::Sc, n, l), &script, &cfg),
-        "rcpc" => go(RcMem::new(SyncMode::Pc, n, l), &script, &cfg),
-        "wo" => go(WoMem::new(n, l), &script, &cfg),
-        "hybrid" => go(HybridMem::new(n, l), &script, &cfg),
-        other => return Err(format!("unknown memory `{other}`")),
-    };
+    let (n, l) = (t.history.num_procs(), t.history.num_locs());
+    let (mem_name, out) = with_machine!(memory, n, l, |mem| (
+        mem.name(),
+        explore(&mem, &script, &cfg)
+    ))?;
     println!(
         "{}: {} distinct histories over {} states{}{}",
         mem_name,
@@ -987,11 +1031,9 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
         if out.truncated { " (TRUNCATED)" } else { "" },
         if out.bounded { " (bounded)" } else { "" },
     );
-    if !do_check {
+    if !args.switch("--check") {
         for h in &out.histories {
-            for line in h.to_string().lines() {
-                println!("    {line}");
-            }
+            print_indented(h);
             println!();
         }
         return Ok(ExitCode::SUCCESS);
@@ -1000,7 +1042,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     // --check: classify every explored history against the models, using
     // the batch engine (explored histories come out in a deterministic
     // order, and batch results preserve input order).
-    let model_list = resolve_models(flag_value(args, "--model"))?;
+    let model_list = resolve_models(args.value("--model"), models::all_models)?;
     let check_cfg = CheckConfig::default();
     let results = smc_core::batch::check_matrix(&out.histories, &model_list, &check_cfg, jobs);
     print!("{:<8}", "");
@@ -1011,40 +1053,29 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     for (hi, h) in out.histories.iter().enumerate() {
         print!("#{hi:<7}");
         for mi in 0..model_list.len() {
-            let cell = match &results[hi * model_list.len() + mi].verdict {
-                Verdict::Allowed(_) => "yes",
-                Verdict::Disallowed => "no",
-                Verdict::Exhausted => "?",
-                Verdict::Unsupported(_) => "n/a",
-            };
+            let cell = matrix_cell(&results[hi * model_list.len() + mi].verdict);
             print!(" {cell:>14}");
         }
         println!();
-        for line in h.to_string().lines() {
-            println!("    {line}");
-        }
+        print_indented(h);
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_bakery(args: &[String]) -> Result<ExitCode, String> {
-    let n: usize = flag_value(args, "--n")
-        .unwrap_or("2")
-        .parse()
-        .map_err(|_| "--n: not a number")?;
-    let runs: u64 = flag_value(args, "--runs")
-        .unwrap_or("1000")
-        .parse()
-        .map_err(|_| "--runs: not a number")?;
-    let memory = flag_value(args, "--memory").unwrap_or("rcpc");
+const BAKERY_FLAGS: &[&str] = &["--memory NAME --n N --runs R --show-program"];
+
+fn cmd_bakery(args: &Args) -> Result<ExitCode, String> {
+    let n: usize = args.num("--n", 2)?;
+    let runs: u64 = args.num("--runs", 1000)?;
+    let memory = args.value("--memory").unwrap_or("rcpc");
     let program = bakery(n, Label::Labeled);
     let locs = program.num_locs();
-    if args.iter().any(|a| a == "--show-program") {
+    if args.switch("--show-program") {
         println!("{program}");
     }
 
     fn trial<M: MemorySystem>(
-        make: impl Fn() -> M,
+        mem: M,
         program: &smc_programs::Program,
         runs: u64,
     ) -> (u64, Option<(u64, String, History)>) {
@@ -1052,7 +1083,7 @@ fn cmd_bakery(args: &[String]) -> Result<ExitCode, String> {
         let mut first = None;
         for seed in 0..runs {
             let w = ProgramWorkload::new(program.clone(), 200);
-            let r = run_random(make(), w, seed, 200_000);
+            let r = run_random(mem.clone(), w, seed, 200_000);
             if let Some(v) = r.violation {
                 violations += 1;
                 if first.is_none() {
@@ -1063,55 +1094,35 @@ fn cmd_bakery(args: &[String]) -> Result<ExitCode, String> {
         (violations, first)
     }
 
-    let (violations, first) = match memory {
-        "sc" => trial(|| ScMem::new(n, locs), &program, runs),
-        "tso" => trial(|| TsoMem::new(n, locs), &program, runs),
-        "rcsc" => trial(|| RcMem::new(SyncMode::Sc, n, locs), &program, runs),
-        "rcpc" => trial(|| RcMem::new(SyncMode::Pc, n, locs), &program, runs),
-        "wo" => trial(|| WoMem::new(n, locs), &program, runs),
-        "hybrid" => trial(|| HybridMem::new(n, locs), &program, runs),
-        other => return Err(format!("bakery: unsupported memory `{other}`")),
-    };
+    if !["sc", "tso", "rcsc", "rcpc", "wo", "hybrid"].contains(&memory) {
+        return Err(format!("bakery: unsupported memory `{memory}`"));
+    }
+    let (violations, first) = with_machine!(memory, n, locs, |mem| trial(mem, &program, runs))?;
     println!("Bakery n={n} on {memory}: {violations}/{runs} runs violated mutual exclusion");
     if let Some((seed, msg, history)) = first {
         println!("first violation (seed {seed}): {msg}");
-        for line in history.to_string().lines() {
-            println!("    {line}");
-        }
+        print_indented(&history);
     }
     Ok(ExitCode::SUCCESS)
 }
 
+const SEPARATE_FLAGS: &[&str] = &["--all --no-minimize --max-universe SPEC --json PATH \
+     --emit-dir DIR --jobs N --engine exhaustive|saturate|auto --memo-file PATH"];
+
 /// `smc separate`: search for model-separation witness histories.
-fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_separate(args: &Args) -> Result<ExitCode, String> {
     use smc_core::separate::{DirectionStatus, Separator};
 
-    // `positional` treats the word after any `--flag` as its value, which
-    // would swallow a model name after the boolean `--all`/`--no-minimize`;
-    // collect positionals against the explicit value-flag list instead.
-    const VALUE_FLAGS: [&str; 6] = [
-        "--jobs",
-        "--max-universe",
-        "--json",
-        "--memo-file",
-        "--emit-dir",
-        "--engine",
-    ];
-    let pos = positionals_with(args, &VALUE_FLAGS);
-    let all = args.iter().any(|a| a == "--all");
-    let model_list: Vec<ModelSpec> = if all {
-        if !pos.is_empty() {
+    let model_list: Vec<ModelSpec> = if args.switch("--all") {
+        if !args.operands().is_empty() {
             return Err("separate: --all takes no model arguments".into());
         }
         models::lattice_models()
     } else {
-        let [a, b] = pos[..] else {
+        let [a, b] = args.operands()[..] else {
             return Err("separate: expected <model-a> <model-b>, or --all".into());
         };
-        let ma =
-            models::by_name(a).ok_or_else(|| format!("unknown model `{a}` (try `smc models`)"))?;
-        let mb =
-            models::by_name(b).ok_or_else(|| format!("unknown model `{b}` (try `smc models`)"))?;
+        let (ma, mb) = (model_named(a)?, model_named(b)?);
         if ma.name == mb.name {
             return Err(format!(
                 "`{a}` and `{b}` are both {} — nothing to separate",
@@ -1120,16 +1131,17 @@ fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
         }
         vec![ma, mb]
     };
-    let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
-    let spec = flag_value(args, "--max-universe").unwrap_or("medium");
+    let jobs = jobs_flag(args)?;
+    let memo_file = args.value("--memo-file");
+    let spec = args.value("--max-universe").unwrap_or("medium");
     let universes = smc_core::separate::ladder(spec).map_err(|e| format!("--max-universe: {e}"))?;
-    let json_path = flag_value(args, "--json");
-    let minimize = !args.iter().any(|a| a == "--no-minimize");
-    let emit_dir = flag_value(args, "--emit-dir");
-    let mut cfg = CheckConfig::default().with_memo();
-    flags.configure(&mut cfg);
-    memo_file_load(&cfg, flags.memo_file());
+    let json_path = args.value("--json");
+    let cfg = CheckConfig {
+        engine: engine_flag(args)?,
+        ..CheckConfig::default()
+    }
+    .with_memo();
+    memo_file_load(&cfg, memo_file);
 
     let t0 = std::time::Instant::now();
     let mut sep = Separator::new(model_list.clone(), cfg.clone(), jobs);
@@ -1156,10 +1168,10 @@ fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
             println!("    -> {resolved} direction(s) witnessed");
         }
     }
-    if minimize {
+    if !args.switch("--no-minimize") {
         sep.minimize_found();
     }
-    memo_file_save(&cfg, flags.memo_file());
+    memo_file_save(&cfg, memo_file);
     let wall = t0.elapsed();
     let last_label = universes.last().map_or_else(String::new, |u| u.label());
 
@@ -1191,9 +1203,7 @@ fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
                     w.index,
                     if w.minimized { ", minimized" } else { "" }
                 );
-                for l in w.history.to_string().lines() {
-                    println!("    {l}");
-                }
+                print_indented(&w.history);
                 line = line
                     .str("status", "found")
                     .str("universe", &w.universe.label())
@@ -1236,7 +1246,7 @@ fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
         st.propagated,
         st.undecided,
         wall,
-        if jobs > 1 { format!(" [{jobs} jobs]") } else { String::new() }
+        jobs_suffix(jobs)
     );
 
     if let Some(path) = json_path {
@@ -1256,12 +1266,10 @@ fn cmd_separate(args: &[String]) -> Result<ExitCode, String> {
                 .num("wall_ms", wall.as_millis() as u64)
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
 
-    if let Some(dir) = emit_dir {
+    if let Some(dir) = args.value("--emit-dir") {
         emit_separation_files(dir, &model_list, &sep)?;
     }
     Ok(ExitCode::SUCCESS)
@@ -1312,44 +1320,11 @@ fn emit_separation_files(
             );
             let header = "# Machine-found separation witnesses; regenerate with\n\
                           #     smc separate --all --emit-dir litmus/separations\n\n";
-            std::fs::write(&path, format!("{header}{text}"))
-                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+            write_file(&path, &format!("{header}{text}"))?;
             println!("wrote {path}");
         }
     }
     Ok(())
-}
-
-/// Split `args` into positionals given the flags that consume a value
-/// (the `positional` helper would swallow the word after a boolean flag).
-fn positionals_with<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
-    let mut pos: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if value_flags.contains(&a) {
-            i += 2;
-            continue;
-        }
-        if a.starts_with("--") {
-            i += 1;
-            continue;
-        }
-        pos.push(a);
-        i += 1;
-    }
-    pos
-}
-
-/// Parse an optional numeric flag with a default.
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name) {
-        None if args.iter().any(|a| a == name) => Err(format!("{name} requires a value")),
-        None => Ok(default),
-        Some(v) => v
-            .parse::<T>()
-            .map_err(|_| format!("{name}: `{v}` is not a valid number")),
-    }
 }
 
 /// Per-stream monitoring state for `smc monitor`: one incremental
@@ -1382,6 +1357,16 @@ impl MonitorStream {
             declared_locs: 0,
             applied_lifecycle: 0,
             warnings: 0,
+        }
+    }
+
+    /// A `--json` line, tagged with the session id in a multi-session
+    /// replay.
+    fn json(&self) -> JsonObject {
+        let line = JsonObject::new();
+        match &self.label {
+            Some(sid) => line.str("session", sid),
+            None => line,
         }
     }
 
@@ -1473,12 +1458,9 @@ impl MonitorStream {
                     }
                 }
                 if want_json {
-                    let mut line = JsonObject::new();
-                    if let Some(sid) = &self.label {
-                        line = line.str("session", sid);
-                    }
                     json_lines.push(
-                        line.num("event", rep.events as u64)
+                        self.json()
+                            .num("event", rep.events as u64)
                             .str("op", &what)
                             .num("frontier_states", rep.frontier_states)
                             .num("created", rep.created)
@@ -1503,70 +1485,53 @@ impl MonitorStream {
     }
 }
 
+const MONITOR_FLAGS: &[&str] = &[
+    "--corpus --model NAME --stats --json PATH --max-states N --batch N --window N \
+     --checkpoint-file PATH --restore-from PATH",
+    CHECKING,
+];
+
 /// `smc monitor`: stream a trace through the incremental admission
 /// monitor, reporting per-prefix verdicts as events arrive.
-fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     use smc_history::trace::{is_session_id, parse_trace_line, split_session_line};
     use smc_monitor::{Monitor, MonitorConfig, TriVerdict};
     use std::io::BufRead;
 
-    const VALUE_FLAGS: [&str; 11] = [
-        "--model",
-        "--jobs",
-        "--json",
-        "--max-states",
-        "--cutover",
-        "--engine",
-        "--memo-file",
-        "--batch",
-        "--window",
-        "--checkpoint-file",
-        "--restore-from",
-    ];
-    let pos = positionals_with(args, &VALUE_FLAGS);
     let flags = CheckFlags::parse(args)?;
     let jobs = flags.jobs;
-    let show_stats = args.iter().any(|a| a == "--stats");
-    let json_path = flag_value(args, "--json");
+    let show_stats = args.switch("--stats");
+    let json_path = args.value("--json");
     // Feed granularity: --batch N amortizes interning, table growth and
     // restart-model settling over N events per feed_batch call. Verdict
     // transitions and per-step stats then report at batch granularity;
     // final verdicts are identical to per-event feeding.
-    let batch: usize = num_flag(args, "--batch", 1)?;
-    if batch == 0 {
-        return Err("monitor: --batch must be at least 1".into());
-    }
-    if args.iter().any(|a| a == "--corpus") {
-        if !pos.is_empty() {
+    let batch: usize = args.positive("--batch")?.unwrap_or(1);
+    if args.switch("--corpus") {
+        if !args.operands().is_empty() {
             return Err("monitor: --corpus takes no file argument".into());
         }
         return monitor_corpus(jobs, json_path);
     }
 
-    let model_list: Vec<ModelSpec> = match flag_value(args, "--model") {
-        // Lattice order keeps stronger models first, so one frontier
-        // verdict propagates to as many weaker models as possible.
-        None | Some("all") => models::lattice_models(),
-        Some(name) => vec![models::by_name(name)
-            .ok_or_else(|| format!("unknown model `{name}` (try `smc models`)"))?],
-    };
+    // Lattice order keeps stronger models first, so one frontier
+    // verdict propagates to as many weaker models as possible.
+    let model_list = resolve_models(args.value("--model"), models::lattice_models)?;
     let mut cfg = MonitorConfig {
         jobs,
         ..MonitorConfig::default()
     };
-    cfg.max_frontier_states = num_flag(args, "--max-states", cfg.max_frontier_states)?;
+    cfg.max_frontier_states = args.num("--max-states", cfg.max_frontier_states)?;
     // --window N seals the decided prefix every N events, bounding
     // frontier memory (0 = unwindowed, the default).
-    let window: usize = num_flag(args, "--window", 0)?;
+    let window: usize = args.num("--window", 0)?;
     cfg.window = (window > 0).then_some(window);
-    cfg.check = flags.with_memo_if_requested(cfg.check);
-    flags.configure(&mut cfg.check);
-    memo_file_load(&cfg.check, flags.memo_file());
+    cfg.check = flags.config(cfg.check, false);
     // The memo cache is shared by Arc, so this clone saves the verdicts
     // the monitor's rechecks insert while it owns `cfg`.
     let memo_cfg = cfg.check.clone();
-    let checkpoint_file = flag_value(args, "--checkpoint-file");
-    let restore_from = flag_value(args, "--restore-from");
+    let checkpoint_file = args.value("--checkpoint-file");
+    let restore_from = args.value("--restore-from");
     // A restore must resume under the exact configuration the
     // checkpoint was cut with; `Monitor::restore` rejects mismatched
     // models, frontier caps and window sizes with a byte-offset error.
@@ -1577,10 +1542,10 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
             let bytes = std::fs::read(p).map_err(|e| format!("cannot read `{p}`: {e}"))?;
             let (cap, win) = smc_monitor::ckpt::peek_limits(&bytes)
                 .map_err(|e| format!("monitor: cannot restore `{p}`: {e}"))?;
-            if !args.iter().any(|a| a == "--max-states") {
+            if args.value("--max-states").is_none() {
                 cfg.max_frontier_states = cap;
             }
-            if !args.iter().any(|a| a == "--window") {
+            if args.value("--window").is_none() {
                 cfg.window = (win > 0).then_some(win);
             }
             let mon = Monitor::restore_bytes(&bytes, model_list.clone(), cfg.clone())
@@ -1591,7 +1556,7 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
         None => Monitor::new(model_list.clone(), cfg.clone()),
     };
 
-    let path = pos.first().copied().unwrap_or("-");
+    let path = args.operands().first().copied().unwrap_or("-");
     let reader: Box<dyn BufRead> = if path == "-" {
         Box::new(std::io::BufReader::new(std::io::stdin()))
     } else {
@@ -1644,12 +1609,9 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
             s.warnings += 1;
             eprintln!("warning: {}skipping malformed trace input: {e}", s.tag());
             if want_json {
-                let mut jl = JsonObject::new();
-                if let Some(sid) = &s.label {
-                    jl = jl.str("session", sid);
-                }
                 json_lines.push(
-                    jl.num("skipped_line", line_no as u64)
+                    s.json()
+                        .num("skipped_line", line_no as u64)
                         .str("error", &e.to_string())
                         .finish(),
                 );
@@ -1691,11 +1653,7 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
             };
             println!("  {:<16} {}{note}", m.name, v.word());
             if want_json {
-                let mut line = JsonObject::new();
-                if let Some(sid) = &s.label {
-                    line = line.str("session", sid);
-                }
-                let mut line = line.str("model", &m.name).str("verdict", v.word());
+                let mut line = s.json().str("model", &m.name).str("verdict", v.word());
                 if let Some(n) = s.mon.first_violation(i) {
                     line = line.num("first_violation", n as u64);
                 }
@@ -1724,17 +1682,14 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
             }
             if want_json {
                 for (wi, rec) in w.records().iter().enumerate() {
-                    let mut line = JsonObject::new();
-                    if let Some(sid) = &s.label {
-                        line = line.str("session", sid);
-                    }
                     let row: Vec<String> = model_list
                         .iter()
                         .zip(&rec.verdicts)
                         .map(|(m, v)| format!("{}:{}", m.name, v.word()))
                         .collect();
                     json_lines.push(
-                        line.num("window", (wi + 1) as u64)
+                        s.json()
+                            .num("window", (wi + 1) as u64)
                             .num("end", rec.end as u64)
                             .str("verdicts", &row.join(" "))
                             .finish(),
@@ -1755,9 +1710,7 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
                     rep.model,
                     rep.prefix_len
                 );
-                for l in rep.litmus.lines() {
-                    println!("    {l}");
-                }
+                print_indented(&rep.litmus);
             }
         }
     }
@@ -1821,16 +1774,10 @@ fn cmd_monitor(args: &[String]) -> Result<ExitCode, String> {
                 .num("states_sealed", totals.states_sealed)
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
-    memo_file_save(&memo_cfg, flags.memo_file());
-    Ok(if violated == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    memo_file_save(&memo_cfg, flags.memo_file);
+    Ok(exit_status(violated == 0))
 }
 
 /// `smc monitor --corpus`: the monitor golden gate. Every embedded
@@ -1896,11 +1843,7 @@ fn monitor_corpus(jobs: usize, json_path: Option<&str>) -> Result<ExitCode, Stri
         mismatches,
         rechecks,
         propagated,
-        if jobs > 1 {
-            format!(" [{jobs} jobs]")
-        } else {
-            String::new()
-        }
+        jobs_suffix(jobs)
     );
     if let Some(path) = json_path {
         json_lines.push(
@@ -1912,50 +1855,33 @@ fn monitor_corpus(jobs: usize, json_path: Option<&str>) -> Result<ExitCode, Stri
                 .num("propagated", propagated)
                 .finish(),
         );
-        let mut text = json_lines.join("\n");
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_json_lines(path, &json_lines)?;
     }
-    Ok(if mismatches == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_status(mismatches == 0))
 }
 
-/// Resolve the models a server (or its offline verification twin)
-/// monitors per session, in lattice order so frontier verdicts
-/// propagate maximally.
-fn serve_models(selector: Option<&str>) -> Result<Vec<ModelSpec>, String> {
-    match selector {
-        None | Some("all") => Ok(models::lattice_models()),
-        Some(name) => models::by_name(name)
-            .map(|m| vec![m])
-            .ok_or_else(|| format!("unknown model `{name}` (try `smc models`)")),
-    }
-}
+const SERVE_FLAGS: &[&str] = &[
+    "--bench --listen ADDR --workers N --max-sessions N --max-conns N --queue N --model NAME \
+     --jobs N --max-states N --window N --evict-dir DIR",
+    TRAFFIC,
+];
 
-fn serve_config(args: &[String]) -> Result<smc_serve::ServeConfig, String> {
+fn serve_config(args: &Args) -> Result<smc_serve::ServeConfig, String> {
     let mut cfg = smc_serve::ServeConfig::default();
-    if let Some(a) = flag_value(args, "--listen") {
+    if let Some(a) = args.value("--listen") {
         cfg.addr = a.to_owned();
     }
-    cfg.workers = num_flag(args, "--workers", cfg.workers)?;
-    cfg.max_sessions = num_flag(args, "--max-sessions", cfg.max_sessions)?;
-    cfg.max_conns = num_flag(args, "--max-conns", cfg.max_conns)?;
-    cfg.queue_cap = num_flag(args, "--queue", cfg.queue_cap)?;
-    if cfg.queue_cap == 0 {
-        return Err("serve: --queue must be at least 1".into());
-    }
-    cfg.models = serve_models(flag_value(args, "--model"))?;
+    cfg.workers = args.num("--workers", cfg.workers)?;
+    cfg.max_sessions = args.num("--max-sessions", cfg.max_sessions)?;
+    cfg.max_conns = args.num("--max-conns", cfg.max_conns)?;
+    cfg.queue_cap = args.positive("--queue")?.unwrap_or(cfg.queue_cap);
+    // Lattice order, so frontier verdicts propagate maximally.
+    cfg.models = resolve_models(args.value("--model"), models::lattice_models)?;
     cfg.monitor.jobs = jobs_flag(args)?;
-    cfg.monitor.max_frontier_states =
-        num_flag(args, "--max-states", cfg.monitor.max_frontier_states)?;
-    let window: usize = num_flag(args, "--window", 0)?;
+    cfg.monitor.max_frontier_states = args.num("--max-states", cfg.monitor.max_frontier_states)?;
+    let window: usize = args.num("--window", 0)?;
     cfg.monitor.window = (window > 0).then_some(window);
-    if let Some(d) = flag_value(args, "--evict-dir") {
-        cfg.evict_dir = Some(std::path::PathBuf::from(d));
-    }
+    cfg.evict_dir = args.value("--evict-dir").map(std::path::PathBuf::from);
     Ok(cfg)
 }
 
@@ -1965,9 +1891,9 @@ fn serve_config(args: &[String]) -> Result<smc_serve::ServeConfig, String> {
 /// generator over loopback, verify every session's final verdict
 /// against the offline monitor, and report sustained events/sec plus
 /// query-latency percentiles (machine-readable via `--json`).
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     let cfg = serve_config(args)?;
-    if args.iter().any(|a| a == "--bench") {
+    if args.switch("--bench") {
         return serve_bench(args, cfg);
     }
     let server = smc_serve::Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
@@ -1980,28 +1906,31 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn loadgen_flags(args: &[String]) -> Result<(smc_serve::loadgen::LoadgenConfig, usize), String> {
-    let sessions: usize = num_flag(args, "--sessions", 1024)?;
-    if sessions == 0 {
-        return Err("--sessions must be at least 1".into());
-    }
+/// The generated traffic `smc loadgen` and `smc serve --bench` send to
+/// `addr`: the load-generator settings and one trace per session.
+fn traffic(
+    args: &Args,
+    addr: String,
+) -> Result<(smc_serve::loadgen::LoadgenConfig, SessionWork), String> {
+    let sessions = args.positive("--sessions")?.unwrap_or(1024);
     let cfg = smc_serve::loadgen::LoadgenConfig {
-        addr: String::new(),
-        conns: num_flag(args, "--conns", 8)?,
-        query_every: num_flag(args, "--query-every", 32)?,
-        shutdown: args.iter().any(|a| a == "--shutdown"),
+        addr,
+        conns: args.positive("--conns")?.unwrap_or(8),
+        query_every: args.num("--query-every", 32)?,
+        shutdown: false,
     };
-    if cfg.conns == 0 {
-        return Err("--conns must be at least 1".into());
-    }
-    Ok((cfg, sessions))
+    let work = gen_session_work(&GenSpec::parse(args, Some(64))?, sessions)?;
+    Ok((cfg, work))
 }
 
-fn loadgen_report_lines(
+/// Print a load-generator run's summary line, and write it as JSON to
+/// `--json` if given.
+fn report_traffic(
+    args: &Args,
     report: &smc_serve::loadgen::LoadgenReport,
     verified: Option<usize>,
     memo: Option<MemoStats>,
-) -> (String, String) {
+) -> Result<(), String> {
     let human = format!(
         "{} session(s), {} event(s) in {:.2}s: {:.0} events/sec; {} quer{} p50 {}us p99 {}us; {} busy{}",
         report.sessions,
@@ -2037,15 +1966,18 @@ fn loadgen_report_lines(
     if let Some(m) = memo {
         json = json.num("memo_hits", m.hits).num("memo_misses", m.misses);
     }
-    (human, json.finish())
+    println!("{human}");
+    if let Some(path) = args.value("--json") {
+        write_json_lines(path, &[json.finish()])?;
+        eprintln!("wrote {path}");
+    }
+    Ok(())
 }
 
-fn serve_bench(args: &[String], mut cfg: smc_serve::ServeConfig) -> Result<ExitCode, String> {
-    let (mut lg, sessions) = loadgen_flags(args)?;
-    let spec = GenSpec::parse(args)?.with_total_events(num_flag(args, "--events", 64)?);
-    let work = gen_session_work(&spec, sessions)?;
+fn serve_bench(args: &Args, mut cfg: smc_serve::ServeConfig) -> Result<ExitCode, String> {
+    let (mut lg, work) = traffic(args, String::new())?;
     cfg.addr = "127.0.0.1:0".into();
-    cfg.max_sessions = cfg.max_sessions.max(sessions);
+    cfg.max_sessions = cfg.max_sessions.max(work.len());
     let model_list = cfg.models.clone();
     let mon_cfg = cfg.monitor.clone();
     // The memo cache is shared by Arc; hold a handle so the report can
@@ -2053,7 +1985,6 @@ fn serve_bench(args: &[String], mut cfg: smc_serve::ServeConfig) -> Result<ExitC
     let memo = cfg.monitor.check.memo.clone();
     let server = smc_serve::Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
     lg.addr = server.addr().to_string();
-    lg.shutdown = false;
     let report = smc_serve::loadgen::run(&lg, &work)?;
     // Snapshot before `verify`: the offline twin shares the cache Arc,
     // and its replay traffic must not count as server memo activity.
@@ -2064,39 +1995,34 @@ fn serve_bench(args: &[String], mut cfg: smc_serve::ServeConfig) -> Result<ExitC
     for m in mismatches.iter().take(5) {
         eprintln!("mismatch: {m}");
     }
-    let (human, json) = loadgen_report_lines(&report, Some(mismatches.len()), memo_stats);
-    println!("{human}");
-    if let Some(path) = flag_value(args, "--json") {
-        std::fs::write(path, format!("{json}\n"))
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(if mismatches.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    report_traffic(args, &report, Some(mismatches.len()), memo_stats)?;
+    Ok(exit_status(mismatches.is_empty()))
 }
+
+const LOADGEN_FLAGS: &[&str] = &[
+    "--addr HOST:PORT --verify --model NAME --max-states N --shutdown",
+    TRAFFIC,
+];
 
 /// `smc loadgen`: drive a *running* server (see `smc serve`) with
 /// generated multi-session traffic and report throughput, latency
 /// percentiles and (with `--verify`) a diff of every session's final
 /// verdict against the offline monitor.
-fn cmd_loadgen(args: &[String]) -> Result<ExitCode, String> {
-    let addr = flag_value(args, "--addr").ok_or("loadgen: missing --addr HOST:PORT")?;
-    let (mut lg, sessions) = loadgen_flags(args)?;
-    lg.addr = addr.to_owned();
-    let spec = GenSpec::parse(args)?.with_total_events(num_flag(args, "--events", 64)?);
-    let work = gen_session_work(&spec, sessions)?;
+fn cmd_loadgen(args: &Args) -> Result<ExitCode, String> {
+    let addr = args
+        .value("--addr")
+        .ok_or("loadgen: missing --addr HOST:PORT")?;
+    let (mut lg, work) = traffic(args, addr.to_owned())?;
+    lg.shutdown = args.switch("--shutdown");
     let report = smc_serve::loadgen::run(&lg, &work)?;
-    let verified = if args.iter().any(|a| a == "--verify") {
+    let verified = if args.switch("--verify") {
         // The offline twin assumes the server monitors the same models
         // (its default set, or the matching --model) under the same
         // per-session frontier budget (the serve default, or the
         // matching --max-states).
-        let model_list = serve_models(flag_value(args, "--model"))?;
+        let model_list = resolve_models(args.value("--model"), models::lattice_models)?;
         let mut mon_cfg = smc_serve::ServeConfig::default().monitor;
-        mon_cfg.max_frontier_states = num_flag(args, "--max-states", mon_cfg.max_frontier_states)?;
+        mon_cfg.max_frontier_states = args.num("--max-states", mon_cfg.max_frontier_states)?;
         let mismatches = smc_serve::loadgen::verify(&work, &report, &model_list, &mon_cfg);
         for m in mismatches.iter().take(5) {
             eprintln!("mismatch: {m}");
@@ -2105,41 +2031,21 @@ fn cmd_loadgen(args: &[String]) -> Result<ExitCode, String> {
     } else {
         None
     };
-    let (human, json) = loadgen_report_lines(&report, verified, None);
-    println!("{human}");
-    if let Some(path) = flag_value(args, "--json") {
-        std::fs::write(path, format!("{json}\n"))
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(if verified.unwrap_or(0) == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    report_traffic(args, &report, verified, None)?;
+    Ok(exit_status(verified.unwrap_or(0) == 0))
 }
+
+const TRACE_FLAGS: &[&str] = &[
+    "--memory NAME --procs N --ops N --events N --locs L --values V \
+     --alias-values K --seed S --sessions N --churn K --out PATH --test NAME",
+];
 
 /// `smc trace`: generate traces (`gen`) or linearize litmus files
 /// (`from`).
-fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
-    const VALUE_FLAGS: [&str; 12] = [
-        "--memory",
-        "--procs",
-        "--ops",
-        "--locs",
-        "--values",
-        "--alias-values",
-        "--seed",
-        "--out",
-        "--test",
-        "--events",
-        "--sessions",
-        "--churn",
-    ];
-    let pos = positionals_with(args, &VALUE_FLAGS);
-    match pos.first().copied() {
-        Some("gen") => trace_gen(args),
-        Some("from") => trace_from(args, pos.get(1).copied()),
+fn cmd_trace(args: &Args) -> Result<ExitCode, String> {
+    match args.operands() {
+        ["gen", ..] => trace_gen(args),
+        ["from", rest @ ..] => trace_from(args, rest.first().copied()),
         _ => Err("trace: expected `gen` or `from <file>`".into()),
     }
 }
@@ -2147,7 +2053,7 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
 fn write_out(path: Option<&str>, text: &str) -> Result<ExitCode, String> {
     match path {
         Some(p) => {
-            std::fs::write(p, text).map_err(|e| format!("cannot write `{p}`: {e}"))?;
+            write_file(p, text)?;
             eprintln!("wrote {p}");
         }
         None => print!("{text}"),
@@ -2157,11 +2063,11 @@ fn write_out(path: Option<&str>, text: &str) -> Result<ExitCode, String> {
 
 /// `smc trace from <file>`: linearize a litmus history in
 /// processor-major program order.
-fn trace_from(args: &[String], path: Option<&str>) -> Result<ExitCode, String> {
+fn trace_from(args: &Args, path: Option<&str>) -> Result<ExitCode, String> {
     use smc_history::trace::{emit_trace, Trace};
     let path = path.ok_or("trace from: missing <file>")?;
     let suite = load(path)?;
-    let t = match flag_value(args, "--test") {
+    let t = match args.value("--test") {
         Some(name) => suite
             .iter()
             .find(|t| t.name == name)
@@ -2182,7 +2088,7 @@ fn trace_from(args: &[String], path: Option<&str>) -> Result<ExitCode, String> {
     };
     let mut text = format!("# {}\n", t.name);
     text.push_str(&emit_trace(&Trace::from_history(&t.history)));
-    write_out(flag_value(args, "--out"), &text)
+    write_out(args.value("--out"), &text)
 }
 
 /// Random-trace generation parameters, shared by `smc trace gen`, the
@@ -2201,55 +2107,35 @@ struct GenSpec {
 }
 
 impl GenSpec {
-    fn parse(args: &[String]) -> Result<GenSpec, String> {
-        let procs: usize = num_flag(args, "--procs", 3)?;
-        let events: Option<usize> = match flag_value(args, "--events") {
-            None if args.iter().any(|a| a == "--events") => {
-                return Err("--events requires a value".into())
-            }
-            None => None,
-            Some(v) => Some(
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--events: `{v}` is not a positive integer"))?,
-            ),
-        };
+    /// Read the generator flags. `events` is the `--events` default;
+    /// `None` sizes the program by `--ops` (per processor) instead.
+    fn parse(args: &Args, events: Option<usize>) -> Result<GenSpec, String> {
+        let procs: usize = args.num("--procs", 3)?;
+        let events = args.positive("--events")?.or(events);
         let ops: usize = match events {
             // Cover the requested total even when it does not divide
             // evenly; the surplus is trimmed from the emitted stream.
             Some(n) => n.div_ceil(procs.max(1)),
-            None => num_flag(args, "--ops", 4)?,
+            None => args.num("--ops", 4)?,
         };
-        let locs: usize = num_flag(args, "--locs", 2)?;
-        let values: i64 = num_flag(args, "--values", 2)?;
+        let locs: usize = args.num("--locs", 2)?;
+        let values: i64 = args.num("--values", 2)?;
         // Aliasing-heavy mode: write values come from a fresh counter
         // folded into a K-letter alphabet, so the emitted trace has the
         // *structure* of a fresh-value execution but every read ends up
         // with many same-value reads-from candidates — the adversarial
         // regime for checkers. Mutually exclusive with --values (it
         // replaces the value pool, it does not sample from one).
-        let alias_values: Option<i64> = match flag_value(args, "--alias-values") {
-            None if args.iter().any(|a| a == "--alias-values") => {
-                return Err("--alias-values requires a value".into())
-            }
-            None => None,
-            Some(v) => Some(
-                v.parse::<i64>()
-                    .ok()
-                    .filter(|&k| k >= 1)
-                    .ok_or_else(|| format!("--alias-values: `{v}` is not a positive integer"))?,
-            ),
-        };
-        if alias_values.is_some() && flag_value(args, "--values").is_some() {
+        let alias_values: Option<i64> = args.positive("--alias-values")?;
+        if alias_values.is_some() && args.value("--values").is_some() {
             return Err("trace gen: --alias-values and --values are mutually exclusive".into());
         }
-        let seed: u64 = num_flag(args, "--seed", 0)?;
+        let seed: u64 = args.num("--seed", 0)?;
         if procs == 0 || locs == 0 || values < 1 {
             return Err("trace gen: --procs/--locs/--values must be at least 1".into());
         }
         Ok(GenSpec {
-            memory: flag_value(args, "--memory").unwrap_or("tso").to_owned(),
+            memory: args.value("--memory").unwrap_or("tso").to_owned(),
             procs,
             events,
             ops,
@@ -2258,14 +2144,6 @@ impl GenSpec {
             alias_values,
             seed,
         })
-    }
-
-    /// Resize to exactly `n` total events (re-deriving the per-processor
-    /// op count the program is sized with).
-    fn with_total_events(mut self, n: usize) -> GenSpec {
-        self.events = Some(n);
-        self.ops = n.div_ceil(self.procs.max(1));
-        self
     }
 
     /// The provenance comment line `smc trace gen` writes above a
@@ -2316,24 +2194,9 @@ impl GenSpec {
             threads.push(thread);
         }
         let script = OpScript::new(threads, locs);
-
-        fn go<M: MemorySystem>(mem: M, script: &OpScript, seed: u64) -> smc_sim::sched::RunOutcome {
-            run_random(mem, script.clone(), seed, 200_000)
-        }
-        let out = match self.memory.as_str() {
-            "sc" => go(ScMem::new(procs, locs), &script, seed),
-            "tso" => go(TsoMem::new(procs, locs), &script, seed),
-            "tso-fwd" => go(TsoMem::with_forwarding(procs, locs), &script, seed),
-            "pram" => go(PramMem::new(procs, locs), &script, seed),
-            "causal" => go(CausalMem::new(procs, locs), &script, seed),
-            "pc" => go(PcMem::new(procs, locs), &script, seed),
-            "coherent" => go(CoherentMem::new(procs, locs), &script, seed),
-            "rcsc" => go(RcMem::new(SyncMode::Sc, procs, locs), &script, seed),
-            "rcpc" => go(RcMem::new(SyncMode::Pc, procs, locs), &script, seed),
-            "wo" => go(WoMem::new(procs, locs), &script, seed),
-            "hybrid" => go(HybridMem::new(procs, locs), &script, seed),
-            other => return Err(format!("unknown memory `{other}`")),
-        };
+        let out = with_machine!(self.memory.as_str(), procs, locs, |mem| run_random(
+            mem, script, seed, 200_000
+        ))?;
         let trace = match self.events {
             Some(n) if out.trace.len() > n => {
                 // One linear pass over the first n events; re-emitting or
@@ -2421,13 +2284,13 @@ fn gen_churn_text(spec: &GenSpec, churn: usize) -> Result<String, String> {
     Ok(out)
 }
 
+/// One generated trace per session, with its session id.
+type SessionWork = Vec<(String, smc_history::trace::Trace)>;
+
 /// `sessions` independent random traces, one per session id `s0..`,
 /// derived from `spec` with per-session seeds `seed + i`. Shared by
 /// `smc trace gen --sessions`, `smc loadgen` and `smc serve --bench`.
-fn gen_session_work(
-    spec: &GenSpec,
-    sessions: usize,
-) -> Result<Vec<(String, smc_history::trace::Trace)>, String> {
+fn gen_session_work(spec: &GenSpec, sessions: usize) -> Result<SessionWork, String> {
     (0..sessions)
         .map(|i| {
             let mut s = spec.clone();
@@ -2448,13 +2311,13 @@ fn gen_session_work(
 /// line-by-line under a seeded shuffle, each line `@sid`-prefixed — the
 /// multi-session wire format `smc serve` ingests and
 /// `parse_multi_trace` demultiplexes.
-fn trace_gen(args: &[String]) -> Result<ExitCode, String> {
+fn trace_gen(args: &Args) -> Result<ExitCode, String> {
     use smc_history::trace::{emit_trace, session_line};
     use smc_prng::SmallRng;
 
-    let spec = GenSpec::parse(args)?;
-    let sessions: usize = num_flag(args, "--sessions", 0)?;
-    let churn: usize = num_flag(args, "--churn", 0)?;
+    let spec = GenSpec::parse(args, None)?;
+    let sessions: usize = args.num("--sessions", 0)?;
+    let churn: usize = args.num("--churn", 0)?;
     if churn > 0 && sessions > 0 {
         return Err("trace gen: --churn and --sessions are mutually exclusive".into());
     }
@@ -2465,7 +2328,7 @@ fn trace_gen(args: &[String]) -> Result<ExitCode, String> {
             1,
         );
         text.push_str(&gen_churn_text(&spec, churn)?);
-        return write_out(flag_value(args, "--out"), &text);
+        return write_out(args.value("--out"), &text);
     }
     if sessions == 0 {
         let (trace, completed) = spec.generate()?;
@@ -2474,7 +2337,7 @@ fn trace_gen(args: &[String]) -> Result<ExitCode, String> {
             text.push_str("# note: run hit the step limit before draining\n");
         }
         text.push_str(&emit_trace(&trace));
-        return write_out(flag_value(args, "--out"), &text);
+        return write_out(args.value("--out"), &text);
     }
 
     let work = gen_session_work(&spec, sessions)?;
@@ -2509,10 +2372,10 @@ fn trace_gen(args: &[String]) -> Result<ExitCode, String> {
             live.swap_remove(k);
         }
     }
-    write_out(flag_value(args, "--out"), &text)
+    write_out(args.value("--out"), &text)
 }
 
-fn cmd_models() -> Result<ExitCode, String> {
+fn cmd_models(_: &Args) -> Result<ExitCode, String> {
     println!("Declarative models (for `smc check --model ...`):");
     for m in models::all_models() {
         println!(
@@ -2555,72 +2418,60 @@ fn cmd_models() -> Result<ExitCode, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn flag_parsing() {
-        let args: Vec<String> = ["x.litmus", "--model", "TSO", "--runs", "5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--model"), Some("TSO"));
-        assert_eq!(flag_value(&args, "--runs"), Some("5"));
-        assert_eq!(flag_value(&args, "--nope"), None);
-        assert_eq!(positional(&args), vec!["x.litmus"]);
+    /// Run `f` on the words of `line` parsed against `table`.
+    fn parsed<R>(
+        line: &str,
+        table: &[&'static str],
+        f: impl FnOnce(&Args) -> Result<R, String>,
+    ) -> Result<R, String> {
+        let words: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        f(&Args::parse(&words, table)?)
     }
 
     #[test]
     fn engine_flag_parsing() {
-        let to_args = |s: &[&str]| -> Vec<String> { s.iter().map(|x| x.to_string()).collect() };
-        assert_eq!(engine_flag(&to_args(&[])).unwrap(), EngineKind::Auto);
-        assert_eq!(
-            engine_flag(&to_args(&["--engine", "saturate"])).unwrap(),
-            EngineKind::Saturate
-        );
-        assert_eq!(
-            engine_flag(&to_args(&["--engine", "exhaustive"])).unwrap(),
-            EngineKind::Exhaustive
-        );
-        assert_eq!(
-            engine_flag(&to_args(&["--engine", "auto"])).unwrap(),
-            EngineKind::Auto
-        );
-        assert!(engine_flag(&to_args(&["--engine"])).is_err());
-        assert!(engine_flag(&to_args(&["--engine", "warp"])).is_err());
+        let engine = |line| parsed(line, &[CHECKING], engine_flag);
+        assert_eq!(engine(""), Ok(EngineKind::Auto));
+        assert_eq!(engine("--engine saturate"), Ok(EngineKind::Saturate));
+        assert_eq!(engine("--engine exhaustive"), Ok(EngineKind::Exhaustive));
+        assert_eq!(engine("--engine auto"), Ok(EngineKind::Auto));
+        assert!(engine("--engine").is_err());
+        assert!(engine("--engine warp").is_err());
     }
 
     #[test]
     fn check_flags_parse_and_configure() {
-        let args: Vec<String> = [
-            "--jobs",
-            "3",
-            "--cutover",
-            "7",
-            "--engine",
-            "saturate",
-            "--memo-file",
-            "m.bin",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let flags = CheckFlags::parse(&args).unwrap();
-        assert_eq!(flags.jobs, 3);
-        assert_eq!(flags.memo_file(), Some("m.bin"));
-        let mut cfg = CheckConfig::default();
-        flags.configure(&mut cfg);
-        assert_eq!(cfg.parallel_cutover, 7);
-        assert_eq!(cfg.engine, EngineKind::Saturate);
+        let line = "--jobs 3 --cutover 7 --engine saturate --memo-file m.bin";
+        parsed(line, &[CHECKING], |args| {
+            let flags = CheckFlags::parse(args)?;
+            assert_eq!(flags.jobs, 3);
+            assert_eq!(flags.memo_file, Some("m.bin"));
+            let cfg = flags.config(CheckConfig::default(), false);
+            assert_eq!(cfg.parallel_cutover, 7);
+            assert_eq!(cfg.engine, EngineKind::Saturate);
+            assert!(cfg.memo.is_some());
+            Ok(())
+        })
+        .unwrap();
         // Defaults when no flags are given.
-        let flags = CheckFlags::parse(&[]).unwrap();
-        assert_eq!(flags.jobs, 1);
-        assert_eq!(flags.engine, EngineKind::Auto);
-        assert!(flags.memo_file().is_none());
+        parsed("", &[CHECKING], |args| {
+            let flags = CheckFlags::parse(args)?;
+            assert_eq!(flags.jobs, 1);
+            assert_eq!(flags.engine, EngineKind::Auto);
+            assert!(flags.memo_file.is_none());
+            Ok(())
+        })
+        .unwrap();
     }
 
     #[test]
     fn resolve_model_selectors() {
-        assert!(resolve_models(None).unwrap().len() > 5);
-        assert_eq!(resolve_models(Some("tso")).unwrap()[0].name, "TSO");
-        assert!(resolve_models(Some("bogus")).is_err());
+        assert!(resolve_models(None, models::all_models).unwrap().len() > 5);
+        assert_eq!(
+            resolve_models(Some("tso"), models::all_models).unwrap()[0].name,
+            "TSO"
+        );
+        assert!(resolve_models(Some("bogus"), models::all_models).is_err());
     }
 
     #[test]
@@ -2631,7 +2482,35 @@ mod tests {
 
     #[test]
     fn models_subcommand_succeeds() {
-        assert!(cmd_models().is_ok());
+        assert!(run(&["models".to_string()]).is_ok());
+    }
+
+    #[test]
+    fn usage_blocks_list_exactly_the_table_flags() {
+        for (name, table, _) in COMMANDS {
+            let usage = usage_blocks(name);
+            assert!(!usage.is_empty(), "no usage block for `smc {name}`");
+            let documented: std::collections::BTreeSet<&str> = usage
+                .match_indices("--")
+                .map(|(i, _)| {
+                    let flag = &usage[i..];
+                    let end = flag[2..]
+                        .find(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+                        .map_or(flag.len(), |e| e + 2);
+                    &flag[..end]
+                })
+                .collect();
+            let declared: std::collections::BTreeSet<&str> = table
+                .iter()
+                .flat_map(|s| s.split_whitespace())
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            assert_eq!(documented, declared, "`smc {name}`");
+        }
+        assert!(usage_for(Some("check")).contains("smc check"));
+        assert!(!usage_for(Some("check")).contains("smc corpus"));
+        assert_eq!(usage_for(Some("frobnicate")), USAGE);
+        assert_eq!(usage_for(None), USAGE);
     }
 
     #[test]

@@ -1,14 +1,7 @@
 //! `smc` — command-line front end to the characterization framework.
 //!
-//! ```text
-//! smc check <file> [--model NAME]     check a litmus history/suite
-//! smc matrix <file>                   classification matrix for a suite
-//! smc explore <file> --memory NAME    enumerate an operational machine
-//! smc bakery [--memory NAME] [--n N] [--runs R]
-//! smc separate <model-a> <model-b>    search for a separating witness
-//! smc separate --all                  separate every unlabeled model pair
-//! smc models                          list the available models
-//! ```
+//! `smc help` prints every subcommand with its flags (`commands::USAGE`);
+//! each subcommand accepts exactly the flags listed there.
 //!
 //! Files use the litmus notation of `smc-history` (`p: w(x)1 r(y)0`; see
 //! the README). Exit status is nonzero when a suite expectation fails or
@@ -16,6 +9,7 @@
 
 use std::process::ExitCode;
 
+mod args;
 mod commands;
 mod json;
 
@@ -26,7 +20,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
-            eprintln!("{}", commands::USAGE);
+            eprintln!("{}", commands::usage_for(args.first().map(String::as_str)));
             ExitCode::from(2)
         }
     }

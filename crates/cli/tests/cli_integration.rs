@@ -14,6 +14,18 @@ fn smc(args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// Run `smc` on input it must reject as bad usage: exit status 2.
+/// Returns stderr.
+fn smc_usage_error(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_smc"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    stderr
+}
+
 fn write_tmp(name: &str, content: &str) -> String {
     let path = std::env::temp_dir().join(name);
     std::fs::write(&path, content).unwrap();
@@ -404,4 +416,83 @@ fn loadgen_requires_addr() {
     let (ok, _, stderr) = smc(&["loadgen"]);
     assert!(!ok);
     assert!(stderr.contains("--addr"), "{stderr}");
+}
+
+#[test]
+fn switches_before_the_file_leave_it_positional() {
+    let f = write_tmp(
+        "smc_switch_first.litmus",
+        "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n",
+    );
+    let (ok, stdout, stderr) = smc(&["check", "--stats", &f, "--model", "sc"]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("forbidden") && stdout.contains("nodes"),
+        "{stdout}"
+    );
+    let (ok, stdout, stderr) = smc(&["matrix", "--stats", &f]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("total search nodes"), "{stdout}");
+    let (ok, stdout, stderr) = smc(&["explore", "--check", &f, "--memory", "sc"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("SC: 3 distinct histories"), "{stdout}");
+    assert!(stdout.contains("yes"), "{stdout}");
+}
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let f = write_tmp(
+        "smc_unknown_flag.litmus",
+        "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n",
+    );
+    let cases: [(&[&str], &str); 6] = [
+        (&["check", &f, "--engin", "saturate"], "--engin"),
+        (&["check", &f, "--job", "4"], "--job"),
+        (&["check", &f, "--jobs=4"], "--jobs=4"),
+        (&["trace", "gen", "--sed", "5"], "--sed"),
+        (
+            &[
+                "serve",
+                "--bench",
+                "--sessions",
+                "4",
+                "--events",
+                "8",
+                "--bogus",
+                "1",
+            ],
+            "--bogus",
+        ),
+        // `separate` takes no --cutover.
+        (&["separate", "sc", "tso", "--cutover", "9"], "--cutover"),
+    ];
+    for (args, flag) in cases {
+        let stderr = smc_usage_error(args);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+        // Only the failing subcommand's usage follows the error.
+        assert!(stderr.contains(&format!("smc {}", args[0])), "{stderr}");
+        assert!(!stderr.contains("smc models"), "{stderr}");
+    }
+}
+
+#[test]
+fn value_flags_without_a_value_are_rejected() {
+    let f = write_tmp(
+        "smc_missing_value.litmus",
+        "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n",
+    );
+    for args in [&["check", &f, "--model"][..], &["bakery", "--n"]] {
+        let stderr = smc_usage_error(args);
+        assert!(stderr.contains("requires a value"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn serve_bench_defaults_to_64_events_per_session() {
+    let (ok, stdout, stderr) = smc(&["serve", "--bench", "--sessions", "4"]);
+    assert!(ok, "{stdout}\n{stderr}");
+    assert!(stdout.contains("4 session(s), 256 event(s)"), "{stdout}");
 }

@@ -35,17 +35,6 @@ pub struct LoadgenConfig {
     pub shutdown: bool,
 }
 
-impl Default for LoadgenConfig {
-    fn default() -> Self {
-        LoadgenConfig {
-            addr: "127.0.0.1:7400".into(),
-            conns: 8,
-            query_every: 64,
-            shutdown: false,
-        }
-    }
-}
-
 /// End-of-stream result for one session.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {

@@ -17,14 +17,37 @@ if [ "${1:-}" != "--no-test" ]; then
     echo "==> cargo test -q"
     cargo test -q
 
+    # Every gate below writes its temporary files into one scratch
+    # directory, removed on exit.
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+
+    # Start `smc serve` on an ephemeral loopback port, logging to $1, and
+    # set serve_pid and serve_addr once it reports its address; if it
+    # never does, fail the gate named $2.
+    start_server() {
+        ./target/release/smc serve --listen 127.0.0.1:0 >"$1" &
+        serve_pid=$!
+        serve_addr=""
+        for _ in $(seq 1 100); do
+            serve_addr=$(sed -n 's/^listening on //p' "$1")
+            [ -n "$serve_addr" ] && break
+            sleep 0.1
+        done
+        if [ -z "$serve_addr" ]; then
+            echo "$2: server never reported its address" >&2
+            kill "$serve_pid" 2>/dev/null || true
+            exit 1
+        fi
+    }
+
     # Verdict drift gate: the exhaustive small-history sweep must classify
     # every history exactly as the checked-in golden file records. A diff
     # here means a checker change altered admitted sets — intended changes
     # must regenerate tests/golden/exhaustive_verdicts.txt.
     echo "==> smc corpus --exhaustive (golden verdicts)"
-    sweep_json=$(mktemp)
-    sweep_j4=$(mktemp)
-    trap 'rm -f "$sweep_json" "$sweep_j4"' EXIT
+    sweep_json="$tmp/sweep.json"
+    sweep_j4="$tmp/sweep_j4.json"
     cargo run -q --release --bin smc -- corpus --exhaustive --json "$sweep_json" >/dev/null
     if ! grep '"verdicts"' "$sweep_json" | diff -u tests/golden/exhaustive_verdicts.txt -; then
         echo "verdict drift against tests/golden/exhaustive_verdicts.txt" >&2
@@ -48,8 +71,7 @@ if [ "${1:-}" != "--no-test" ]; then
     # means a checker or search change moved a lattice edge — intended
     # changes must regenerate tests/golden/separations_small.txt.
     echo "==> smc separate --all --max-universe small (golden directions)"
-    sep_json=$(mktemp)
-    trap 'rm -f "$sweep_json" "$sweep_j4" "$sep_json"' EXIT
+    sep_json="$tmp/sep.json"
     cargo run -q --release --bin smc -- separate --all --max-universe small --jobs 4 \
         --json "$sep_json" >/dev/null
     if ! grep '"admits"' "$sep_json" | diff -u tests/golden/separations_small.txt -; then
@@ -77,21 +99,7 @@ if [ "${1:-}" != "--no-test" ]; then
     # final verdict to match the offline monitor (the loadgen exits
     # nonzero on any mismatch). --shutdown stops the server afterwards.
     echo "==> smc serve + loadgen --verify (loopback smoke)"
-    serve_log=$(mktemp)
-    trap 'rm -f "$sweep_json" "$sweep_j4" "$sep_json" "$serve_log"' EXIT
-    ./target/release/smc serve --listen 127.0.0.1:0 >"$serve_log" &
-    serve_pid=$!
-    serve_addr=""
-    for _ in $(seq 1 100); do
-        serve_addr=$(sed -n 's/^listening on //p' "$serve_log")
-        [ -n "$serve_addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$serve_addr" ]; then
-        echo "serve gate: server never reported its address" >&2
-        kill "$serve_pid" 2>/dev/null || true
-        exit 1
-    fi
+    start_server "$tmp/serve.log" "serve gate"
     ./target/release/smc loadgen --addr "$serve_addr" --sessions 64 --events 16 \
         --conns 4 --query-every 8 --seed 42 --verify --shutdown >/dev/null
     wait "$serve_pid"
@@ -100,30 +108,15 @@ if [ "${1:-}" != "--no-test" ]; then
     # with SNAPSHOT must come back under a new id with RESUME carrying
     # its event count, keep accepting events, and STATS must count both.
     echo "==> serve SNAPSHOT/RESUME smoke"
-    life_log=$(mktemp)
-    ckpt_dir=$(mktemp -d)
-    trap 'rm -rf "$sweep_json" "$sweep_j4" "$sep_json" "$serve_log" "$life_log" "$ckpt_dir"' EXIT
-    ./target/release/smc serve --listen 127.0.0.1:0 >"$life_log" &
-    life_pid=$!
-    life_addr=""
-    for _ in $(seq 1 100); do
-        life_addr=$(sed -n 's/^listening on //p' "$life_log")
-        [ -n "$life_addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$life_addr" ]; then
-        echo "lifecycle smoke: server never reported its address" >&2
-        kill "$life_pid" 2>/dev/null || true
-        exit 1
-    fi
+    start_server "$tmp/life.log" "lifecycle smoke"
     life_out=$(bash -c '
         addr=$1; dir=$2
         exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
         printf "OPEN a\n@a p w(x)1\n@a q r(x)1\nSNAPSHOT a %s\nCLOSE a\nRESUME b %s\n@b q r(x)1\nQUERY b\nSTATS\nSHUTDOWN\n" \
             "$dir/a.ckpt" "$dir/a.ckpt" >&3
         cat <&3
-    ' smoke "$life_addr" "$ckpt_dir")
-    wait "$life_pid"
+    ' smoke "$serve_addr" "$tmp")
+    wait "$serve_pid"
     for want in "SNAPSHOTTED a 2" "RESUMED b 2" "VERDICT b 3" "snapshots=1" "resumes=1"; do
         if ! printf '%s\n' "$life_out" | grep -q "$want"; then
             echo "lifecycle smoke: missing \`$want\` in server replies:" >&2
@@ -138,8 +131,7 @@ if [ "${1:-}" != "--no-test" ]; then
     # against the offline monitor. Intended perf changes must
     # regenerate BENCH_serve.json.
     echo "==> bench drift gate (serve --bench events/sec >= baseline/1.5)"
-    serve_json=$(mktemp)
-    trap 'rm -rf "$sweep_json" "$sweep_j4" "$sep_json" "$serve_log" "$life_log" "$ckpt_dir" "$serve_json"' EXIT
+    serve_json="$tmp/serve.json"
     ./target/release/smc serve --bench --json "$serve_json" >/dev/null
     if ! grep -q '"verified":true' "$serve_json"; then
         echo "serve bench gate: verdict mismatch against the offline monitor" >&2
@@ -164,8 +156,7 @@ if [ "${1:-}" != "--no-test" ]; then
     # cutover, j4 paid thread-spawn plus shared failed-set setup on a
     # ~3-node search and ran 14-17x slower than sequential.
     echo "==> bench drift gate (split_dfs_sc_reversed: j4 <= 1.5x sequential)"
-    bench_json=$(mktemp)
-    trap 'rm -rf "$sweep_json" "$sweep_j4" "$sep_json" "$serve_log" "$life_log" "$ckpt_dir" "$serve_json" "$bench_json"' EXIT
+    bench_json="$tmp/bench.json"
     cargo bench -q --bench bench_batch -- split_dfs_sc_reversed --json "$bench_json" >/dev/null
     seq_ns=$(grep -o '"batch/split_dfs_sc_reversed/sequential", "ns_per_iter": [0-9]*' \
         "$bench_json" | grep -o '[0-9]*$')
@@ -188,8 +179,7 @@ if [ "${1:-}" != "--no-test" ]; then
     # propagation, learning, or the branching heuristic lost its edge —
     # intended perf changes must regenerate BENCH_bighist.json.
     echo "==> bench drift gate (TSO_ops_256/saturate <= 1.5x committed baseline)"
-    sat_json=$(mktemp)
-    trap 'rm -rf "$sweep_json" "$sweep_j4" "$sep_json" "$serve_log" "$life_log" "$ckpt_dir" "$serve_json" "$bench_json" "$sat_json"' EXIT
+    sat_json="$tmp/sat.json"
     cargo bench -q --bench bench_bighist -- TSO_ops_256 --json "$sat_json" >/dev/null
     sat_base=$(grep -o '"bighist/TSO_ops_256/saturate", "ns_per_iter": [0-9]*' \
         BENCH_bighist.json | grep -o '[0-9]*$')
@@ -215,8 +205,7 @@ if [ "${1:-}" != "--no-test" ]; then
     # superlinear growth means window seals stopped bounding the
     # frontier; the bench itself asserts the state-count ceiling).
     echo "==> bench drift gate (lifecycle: warm restore >= 5x cold replay, linear windows)"
-    life_json=$(mktemp)
-    trap 'rm -rf "$sweep_json" "$sweep_j4" "$sep_json" "$serve_log" "$life_log" "$ckpt_dir" "$serve_json" "$bench_json" "$sat_json" "$life_json"' EXIT
+    life_json="$tmp/life.json"
     cargo bench -q --bench bench_lifecycle -- --json "$life_json" >/dev/null
     cold_ns=$(grep -o '"lifecycle/session_10000_events/cold_replay", "ns_per_iter": [0-9]*' \
         "$life_json" | grep -o '[0-9]*$')
