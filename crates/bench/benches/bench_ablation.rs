@@ -1,86 +1,13 @@
-//! Ablations of the checker's design choices (DESIGN.md §6):
-//!
-//! * failure-state **memoization** on/off in the view search,
-//! * **dead-state pruning** on/off,
-//! * **parallel vs sequential** classification sweeps (the `smc-core`
-//!   batch engine).
+//! Ablations of the checker's design choices (DESIGN.md §6): **parallel
+//! vs sequential** classification sweeps (the `smc-core` batch engine).
 
 use smc_bench::quickbench::{black_box, Harness};
 use smc_core::batch::check_batch;
-use smc_core::budget::Budget;
 use smc_core::checker::CheckConfig;
 use smc_core::histgen::{all_histories, GenParams};
 use smc_core::lattice::classify;
 use smc_core::models;
-use smc_core::orders::program_order;
-use smc_core::view::{find_legal_extension_with, LegalityMode, SearchOptions, ViewProblem};
-use smc_history::{History, HistoryBuilder};
-use smc_relation::BitSet;
-
-/// A hard UNSAT instance for the view search: widened store buffering
-/// under a single global view (the SC refutation path).
-fn wide_sb(k: usize) -> History {
-    let mut b = HistoryBuilder::new();
-    for i in 0..k {
-        b.write("p", &format!("x{i}"), 1);
-    }
-    b.read("p", "y0", 0);
-    for i in 0..k {
-        b.write("q", &format!("y{i}"), 1);
-    }
-    b.read("q", "x0", 0);
-    b.build()
-}
-
-fn search(h: &History, opts: SearchOptions) -> u64 {
-    let po = program_order(h);
-    let p = ViewProblem {
-        history: h,
-        ops: BitSet::full(h.num_ops()),
-        constraints: &po,
-        legality: LegalityMode::ByValue,
-    };
-    let budget = Budget::local(u64::MAX);
-    let out = find_legal_extension_with(&p, &budget, opts);
-    assert!(matches!(out, smc_core::view::SearchOutcome::NotFound));
-    budget.spent() // nodes spent
-}
-
-fn bench_search_options(harness: &mut Harness) {
-    let mut g = harness.group("ablation/view_search_unsat");
-    let variants = [
-        ("full", SearchOptions::default()),
-        (
-            "no_memo",
-            SearchOptions {
-                memoize: false,
-                dead_prune: true,
-            },
-        ),
-        (
-            "no_dead_prune",
-            SearchOptions {
-                memoize: true,
-                dead_prune: false,
-            },
-        ),
-        (
-            "neither",
-            SearchOptions {
-                memoize: false,
-                dead_prune: false,
-            },
-        ),
-    ];
-    for &k in &[4usize, 6] {
-        let h = wide_sb(k);
-        for (name, opts) in variants {
-            g.bench(&format!("{name}/{}", h.num_ops()), || {
-                black_box(search(&h, opts));
-            });
-        }
-    }
-}
+use smc_history::History;
 
 fn bench_parallel_sweep(harness: &mut Harness) {
     let corpus = all_histories(&GenParams {
@@ -113,6 +40,5 @@ fn bench_parallel_sweep(harness: &mut Harness) {
 
 fn main() {
     let mut h = Harness::from_env();
-    bench_search_options(&mut h);
     bench_parallel_sweep(&mut h);
 }

@@ -140,17 +140,23 @@ fn bench_memoized_sweep(harness: &mut Harness) {
 /// One SC refutation whose single-rf extension search dominates: the
 /// work-stealing path lets `check_parallel` split that search. The
 /// history is tiny (a handful of search nodes), so under the default
-/// config the adaptive cutover probe decides it sequentially and the
+/// cutover the adaptive probe decides it sequentially and the
 /// `check_parallel_j*` rows should sit within noise of `sequential` —
 /// the `_nocutover` row keeps the old always-fan-out cost (thread spawn
 /// plus shared failed-set setup) measurable for comparison.
 fn bench_split_dfs(harness: &mut Harness) {
     let h = reversed_reads(10, 3);
     let spec = models::sc();
-    let cfg = CheckConfig::default();
+    // Exhaustive engine pinned: at 40 SC ops `Auto` would route every row
+    // to the saturation engine, and neither the view search nor the
+    // cutover probe would run.
+    let cfg = CheckConfig {
+        engine: EngineKind::Exhaustive,
+        ..CheckConfig::default()
+    };
     let nocutover = CheckConfig {
         parallel_cutover: 0,
-        ..CheckConfig::default()
+        ..cfg.clone()
     };
     let mut g = harness.group("batch/split_dfs_sc_reversed");
     g.bench("sequential", || {

@@ -10,10 +10,16 @@
 //! * [`check_matrix`] — convenience wrapper: every history against every
 //!   model, history-major.
 //! * [`check_parallel`] — parallelize a *single* check: reads-from
-//!   assignments fan out across workers drawing on one shared node pool,
-//!   and for models with no shared orders the per-processor view searches
-//!   run concurrently. The first worker to reach a verdict cancels the
-//!   rest.
+//!   assignments and (above a unit cap) store orders fan out across
+//!   workers drawing on one shared node pool, and view searches run on
+//!   the work-stealing scheduler ([`crate::steal`]): per processor for
+//!   models with no shared orders, one global search for identical-views
+//!   models, per (store order, processor) for TSO-like ones. The first
+//!   worker to reach a verdict cancels the rest.
+//!
+//! Every claim-an-index fan-out here, and the propagating sweep in
+//! [`crate::lattice`], runs on one worker pool, `par_map`; the
+//! work-stealing scheduler and the separation search keep their own.
 //!
 //! Determinism: `check_batch`/`check_matrix` results are positionally
 //! identical to running [`crate::checker::check_with_stats`] on each pair
@@ -35,8 +41,8 @@ use crate::constraints::{assemble_global, BaseOrders, Candidates};
 use crate::memo::MemoCache;
 use crate::rf::{enumerate_reads_from, ReadsFrom};
 use crate::spec::ModelSpec;
-use crate::steal::{run_units, steal_search, SharedFailedSet, StealDriver, Unit};
-use crate::view::{LegalityMode, SearchOutcome, ViewProblem};
+use crate::steal::{run_units, SharedFailedSet, StealDriver, Unit};
+use crate::view::LegalityMode;
 use smc_history::{History, OpId};
 use smc_relation::BitSet;
 use std::ops::ControlFlow;
@@ -82,62 +88,48 @@ pub fn check_batch(
     cfg: &CheckConfig,
     jobs: usize,
 ) -> Vec<BatchResult> {
-    let jobs = jobs.max(1).min(pairs.len().max(1));
-    if jobs <= 1 || pairs.len() <= 1 {
-        return pairs
-            .iter()
-            .enumerate()
-            .map(|(index, (h, m))| {
-                let (verdict, stats) = check_with_stats(h, m, cfg);
-                BatchResult {
-                    index,
-                    verdict,
-                    stats,
-                }
-            })
-            .collect();
-    }
+    par_map(pairs.len(), jobs, |index| {
+        let (h, m) = pairs[index];
+        let (verdict, stats) = check_with_stats(h, m, cfg);
+        BatchResult {
+            index,
+            verdict,
+            stats,
+        }
+    })
+}
 
+/// Map `f` over `0..n` on up to `jobs` scoped worker threads that claim
+/// indices in order from one shared counter. `results[i]` is `f(i)`
+/// whatever the completion order; with one job or one index, `f` runs on
+/// the caller's thread.
+pub(crate) fn par_map<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let jobs = jobs.max(1).min(n);
+    if jobs <= 1 {
+        return (0..n).map(f).collect();
+    }
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<BatchResult>>> =
-        Mutex::new((0..pairs.len()).map(|_| None).collect());
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|s| {
         for _ in 0..jobs {
             s.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= pairs.len() {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
                     break;
                 }
-                let (h, m) = pairs[index];
-                let (verdict, stats) = check_with_stats(h, m, cfg);
-                let done = BatchResult {
-                    index,
-                    verdict,
-                    stats,
-                };
-                match slots.lock() {
-                    Ok(mut slots) => slots[index] = Some(done),
-                    // A sibling panicked while holding the lock; the
-                    // scope is about to propagate that panic anyway.
-                    Err(_) => break,
-                }
+                let r = f(i);
+                lock(&slots)[i] = Some(r);
             });
         }
     });
+    // The scope re-raises any worker's panic, so every slot is filled.
     let slots = match slots.into_inner() {
-        Ok(slots) => slots,
-        Err(poisoned) => poisoned.into_inner(),
+        Ok(s) => s,
+        Err(p) => p.into_inner(),
     };
     slots
         .into_iter()
-        .enumerate()
-        .map(|(index, r)| {
-            r.unwrap_or_else(|| BatchResult {
-                index,
-                verdict: Verdict::Exhausted,
-                stats: CheckStats::default(),
-            })
-        })
+        .map(|r| r.expect("every index is claimed and filled"))
         .collect()
 }
 
@@ -296,26 +288,21 @@ fn fan_out(
 
     let (verdict, mut stats) = if spec.needs_reads_from() {
         let (rfs, truncated) = enumerate_reads_from(h, cfg.max_rf);
-        if rfs.is_empty() {
-            (Verdict::Disallowed, CheckStats::default())
-        } else if rfs.len() == 1 && views_decouple(spec) {
+        let (v, mut st) = if rfs.len() == 1 && views_decouple(spec) {
             parallel_views(h, spec, &base, Some(&rfs[0]), cfg, jobs)
         } else {
-            let (v, mut st) = parallel_rf(h, spec, &base, &rfs, cfg, jobs);
-            if truncated {
-                st.rf_truncated = true;
-                if v.is_disallowed() {
-                    st.exhausted_stage = Some(Stage::ReadsFrom);
-                    return finish(Verdict::Exhausted, st, start);
-                }
-            }
-            (v, st)
+            parallel_rf(h, spec, &base, &rfs, cfg, jobs)
+        };
+        // Refuting every enumerated assignment refutes the history only
+        // if the enumeration was complete.
+        st.rf_truncated = truncated;
+        if truncated && v.is_disallowed() {
+            st.exhausted_stage = Some(Stage::ReadsFrom);
+            return finish(Verdict::Exhausted, st, start);
         }
-    } else if views_decouple(spec) {
+        (v, st)
+    } else if views_decouple(spec) || spec.identical_views {
         parallel_views(h, spec, &base, None, cfg, jobs)
-    } else if spec.identical_views {
-        // SC-like: one global view search on the work-stealing scheduler.
-        parallel_identical_views(h, spec, &base, cfg, jobs)
     } else {
         // TSO-like, the last shape `has_parallel_driver` admits: collect
         // the store orders up front and fan them out.
@@ -340,7 +327,8 @@ fn finish(v: Verdict, mut stats: CheckStats, start: Instant) -> (Verdict, CheckS
 }
 
 /// Fan the reads-from assignments across workers sharing one node pool;
-/// the first decided outcome cancels the remaining workers.
+/// the first decided outcome cancels the remaining workers. No
+/// assignment at all means no read is explainable: `Disallowed`.
 fn parallel_rf(
     h: &History,
     spec: &ModelSpec,
@@ -350,85 +338,70 @@ fn parallel_rf(
     jobs: usize,
 ) -> (Verdict, CheckStats) {
     let pool = SharedBudget::new(cfg.node_budget);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Step>>> = Mutex::new((0..rfs.len()).map(|_| None).collect());
-    let tried = AtomicUsize::new(0);
-    let nodes = Mutex::new(0u64);
-
-    let jobs = jobs.min(rfs.len());
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                let budget = pool.attach();
-                loop {
-                    if pool.is_cancelled() {
-                        break;
-                    }
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= rfs.len() {
-                        break;
-                    }
-                    tried.fetch_add(1, Ordering::Relaxed);
-                    let step = check_with_rf(h, spec, base, Some(&rfs[index]), &budget);
-                    // A decided outcome (witness found, or the model is
-                    // out of scope) makes the remaining assignments moot.
-                    if matches!(step, Step::Allowed(_) | Step::Unsupported(_)) {
-                        pool.cancel();
-                    }
-                    if let Ok(mut slots) = slots.lock() {
-                        slots[index] = Some(step);
-                    } else {
-                        break;
-                    }
-                }
-                budget.release();
-                if let Ok(mut nodes) = nodes.lock() {
-                    *nodes += budget.spent();
-                }
-            });
-        }
+    let runs = fan_steps(rfs.len(), jobs, &pool, |i, budget| {
+        check_with_rf(h, spec, base, Some(&rfs[i]), budget)
     });
-
-    let slots = match slots.into_inner() {
-        Ok(s) => s,
-        Err(p) => p.into_inner(),
-    };
     let mut stats = CheckStats {
-        nodes_spent: match nodes.into_inner() {
-            Ok(n) => n,
-            Err(p) => p.into_inner(),
-        },
-        rf_assignments_tried: tried.load(Ordering::Relaxed),
+        rf_assignments_tried: runs.iter().flatten().count(),
         ..CheckStats::default()
     };
+    let verdict = lowest_decided(runs, Stage::ReadsFrom, &mut stats);
+    (verdict, stats)
+}
 
-    // Lowest-index decided outcome wins; cancelled or genuinely exhausted
-    // workers leave `Exhausted`/`None` slots that only matter if nothing
-    // was decided anywhere.
+/// Run `check(i, budget)` for every index in `0..n` on up to `jobs`
+/// workers, each index under its own attachment to `pool`. A decided
+/// step (a witness, or the model is out of scope) makes the rest moot,
+/// so it cancels the pool and later indices are skipped (`None`). Each
+/// step comes back with the nodes it charged.
+fn fan_steps(
+    n: usize,
+    jobs: usize,
+    pool: &Arc<SharedBudget>,
+    check: impl Fn(usize, &Budget) -> Step + Sync,
+) -> Vec<Option<(Step, u64)>> {
+    par_map(n, jobs, |i| {
+        if pool.is_cancelled() {
+            return None;
+        }
+        let budget = pool.attach();
+        let step = check(i, &budget);
+        if matches!(step, Step::Allowed(_) | Step::Unsupported(_)) {
+            pool.cancel();
+        }
+        budget.release();
+        Some((step, budget.spent()))
+    })
+}
+
+/// Settle a fan-out from its per-index steps, adding their nodes to
+/// `stats`. The lowest-index decided step wins. Failing that, the first
+/// exhausted step's stage is reported, then `unfinished` if some index
+/// never ran: only a decided step cancels the pool, so this is a
+/// safeguard, and `Disallowed` would claim unchecked candidates.
+fn lowest_decided(
+    runs: Vec<Option<(Step, u64)>>,
+    unfinished: Stage,
+    stats: &mut CheckStats,
+) -> Verdict {
+    stats.nodes_spent += runs.iter().flatten().map(|r| r.1).sum::<u64>();
     let mut exhausted: Option<Stage> = None;
     let mut skipped = false;
-    for slot in slots {
-        match slot {
-            Some(Step::Allowed(w)) => return (Verdict::Allowed(w), stats),
-            Some(Step::Unsupported(e)) => return (Verdict::Unsupported(e), stats),
+    for run in runs {
+        match run.map(|r| r.0) {
+            Some(Step::Allowed(w)) => return Verdict::Allowed(w),
+            Some(Step::Unsupported(e)) => return Verdict::Unsupported(e),
             Some(Step::Disallowed) => {}
             Some(Step::Exhausted(stage)) => exhausted = exhausted.or(Some(stage)),
             None => skipped = true,
         }
     }
-    match exhausted {
+    match exhausted.or(skipped.then_some(unfinished)) {
         Some(stage) => {
             stats.exhausted_stage = Some(stage);
-            (Verdict::Exhausted, stats)
+            Verdict::Exhausted
         }
-        // `skipped` without a decided slot can only mean cancellation
-        // raced a decided outcome that then failed to record; treat as
-        // exhaustion rather than claiming `Disallowed` for unchecked rfs.
-        None if skipped => {
-            stats.exhausted_stage = Some(Stage::ReadsFrom);
-            (Verdict::Exhausted, stats)
-        }
-        None => (Verdict::Disallowed, stats),
+        None => Verdict::Disallowed,
     }
 }
 
@@ -461,11 +434,13 @@ impl StealDriver for AllViewsDriver {
     }
 }
 
-/// Search each processor's view concurrently (models with no shared
-/// orders, so the views are independent once the reads-from assignment —
-/// if any — is fixed). All processors' searches feed one work-stealing
+/// Search the views concurrently once the reads-from assignment (if any)
+/// is fixed, for models whose views share no order beyond it. Each
+/// processor's view is one work-stealing unit, and all of them feed one
 /// task pool; any processor with no legal view refutes the whole history
-/// and cancels the sibling searches.
+/// and cancels the sibling searches. An identical-views (SC-like) model
+/// has one unit, over every operation, whose order is copied to each
+/// processor.
 fn parallel_views(
     h: &History,
     spec: &ModelSpec,
@@ -491,17 +466,22 @@ fn parallel_views(
         return (Verdict::Disallowed, stats);
     }
 
-    let op_sets = view_op_sets(h, spec.delta);
     let procs = h.num_procs();
-    let constraints: Vec<_> = (0..procs)
-        .map(|p| proc_constraints(h, spec, base, &g, p))
-        .collect();
-    let units: Vec<Unit<'_>> = (0..procs)
-        .map(|p| Unit::from_parts(h, &op_sets[p], &constraints[p], legality, p as u64 + 1))
-        .collect();
+    let units: Vec<Unit<'_>> = if spec.identical_views {
+        let all = BitSet::full(h.num_ops());
+        vec![Unit::from_parts(h, &all, &g, legality, 1)]
+    } else {
+        let op_sets = view_op_sets(h, spec.delta);
+        (0..procs)
+            .map(|p| {
+                let constraints = proc_constraints(h, spec, base, &g, p);
+                Unit::from_parts(h, &op_sets[p], &constraints, legality, p as u64 + 1)
+            })
+            .collect()
+    };
     let driver = AllViewsDriver {
-        views: Mutex::new((0..procs).map(|_| None).collect()),
-        missing: AtomicUsize::new(procs),
+        views: Mutex::new((0..units.len()).map(|_| None).collect()),
+        missing: AtomicUsize::new(units.len()),
         refuted: AtomicBool::new(false),
     };
     let pool = SharedBudget::new(cfg.node_budget);
@@ -518,9 +498,13 @@ fn parallel_views(
         stats.exhausted_stage = Some(Stage::ViewSearch);
         return (Verdict::Exhausted, stats);
     }
+    let mut views: Vec<Vec<OpId>> = views.into_iter().flatten().collect();
+    if spec.identical_views {
+        views = vec![views.remove(0); procs];
+    }
     (
         Verdict::Allowed(Box::new(Witness {
-            views: views.into_iter().flatten().collect(),
+            views,
             store_order: None,
             coherence: None,
             labeled_order: None,
@@ -528,59 +512,6 @@ fn parallel_views(
         })),
         stats,
     )
-}
-
-/// Parallelize an identical-views (SC-like) check: the single global
-/// legal-extension search runs on the frontier scheduler in
-/// [`crate::steal`], with workers stealing subtrees from each other and
-/// sharing dead-state fingerprints through one [`SharedFailedSet`]. The
-/// first complete legal order cancels the rest, and a fully refuted tree
-/// refutes the history exactly as the sequential DFS would.
-fn parallel_identical_views(
-    h: &History,
-    spec: &ModelSpec,
-    base: &BaseOrders,
-    cfg: &CheckConfig,
-    jobs: usize,
-) -> (Verdict, CheckStats) {
-    let cand = Candidates::default();
-    let g = match assemble_global(h, spec, base, None, &cand, None) {
-        Ok(g) => g,
-        Err(e) => return (Verdict::Unsupported(e), CheckStats::default()),
-    };
-    let mut stats = CheckStats::default();
-    if !g.is_acyclic() {
-        return (Verdict::Disallowed, stats);
-    }
-    let problem = ViewProblem {
-        history: h,
-        ops: BitSet::full(h.num_ops()),
-        constraints: &g,
-        legality: LegalityMode::ByValue,
-    };
-    let pool = SharedBudget::new(cfg.node_budget);
-    let failed = SharedFailedSet::default();
-    let (out, nodes) = steal_search(&problem, jobs, &pool, &failed);
-    stats.nodes_spent = nodes;
-    stats.work_stealing_ran = true;
-    stats.failed_set = failed.stats();
-    match out {
-        SearchOutcome::Found(order) => (
-            Verdict::Allowed(Box::new(Witness {
-                views: vec![order; h.num_procs()],
-                store_order: None,
-                coherence: None,
-                labeled_order: None,
-                reads_from: None,
-            })),
-            stats,
-        ),
-        SearchOutcome::NotFound => (Verdict::Disallowed, stats),
-        SearchOutcome::Exhausted => {
-            stats.exhausted_stage = Some(Stage::ViewSearch);
-            (Verdict::Exhausted, stats)
-        }
-    }
 }
 
 /// Per-store-order state inside a [`StoreDriver`]: which processor views
@@ -819,83 +750,27 @@ fn parallel_store_orders(
         ));
     }
 
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Step>>> = Mutex::new((0..stores.len()).map(|_| None).collect());
-    let nodes = Mutex::new(seed_spent);
-    let workers = jobs.min(stores.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let budget = pool.attach();
-                loop {
-                    if pool.is_cancelled() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= stores.len() {
-                        break;
-                    }
-                    let step = check_with_store_order(
-                        h,
-                        spec,
-                        base,
-                        None,
-                        LegalityMode::ByValue,
-                        &stores[i],
-                        &budget,
-                    );
-                    if matches!(step, Step::Allowed(_) | Step::Unsupported(_)) {
-                        pool.cancel();
-                    }
-                    if let Ok(mut slots) = slots.lock() {
-                        slots[i] = Some(step);
-                    } else {
-                        break;
-                    }
-                }
-                budget.release();
-                if let Ok(mut nodes) = nodes.lock() {
-                    *nodes += budget.spent();
-                }
-            });
-        }
+    let mut runs = fan_steps(stores.len(), jobs, &pool, |i, budget| {
+        check_with_store_order(
+            h,
+            spec,
+            base,
+            None,
+            LegalityMode::ByValue,
+            &stores[i],
+            budget,
+        )
     });
-
-    let slots = match slots.into_inner() {
-        Ok(s) => s,
-        Err(p) => p.into_inner(),
-    };
+    if collect_exhausted {
+        // The orders never collected count as one more exhausted step.
+        runs.push(Some((Step::Exhausted(Stage::StoreOrders), 0)));
+    }
     let mut stats = CheckStats {
-        nodes_spent: match nodes.into_inner() {
-            Ok(n) => n,
-            Err(p) => p.into_inner(),
-        },
+        nodes_spent: seed_spent,
         ..CheckStats::default()
     };
-    let mut exhausted: Option<Stage> = None;
-    let mut skipped = false;
-    for slot in slots {
-        match slot {
-            Some(Step::Allowed(w)) => return Some((Verdict::Allowed(w), stats)),
-            Some(Step::Unsupported(e)) => return Some((Verdict::Unsupported(e), stats)),
-            Some(Step::Disallowed) => {}
-            Some(Step::Exhausted(stage)) => exhausted = exhausted.or(Some(stage)),
-            None => skipped = true,
-        }
-    }
-    if collect_exhausted {
-        exhausted = exhausted.or(Some(Stage::StoreOrders));
-    }
-    if skipped {
-        exhausted = exhausted.or(Some(Stage::ViewSearch));
-    }
-    Some(match exhausted {
-        Some(stage) => {
-            stats.exhausted_stage = Some(stage);
-            (Verdict::Exhausted, stats)
-        }
-        None => (Verdict::Disallowed, stats),
-    })
+    let verdict = lowest_decided(runs, Stage::ViewSearch, &mut stats);
+    Some((verdict, stats))
 }
 
 #[cfg(test)]

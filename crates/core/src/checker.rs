@@ -413,12 +413,10 @@ fn run_check(
     let mut exhausted: Option<Stage> = None;
 
     if spec.needs_reads_from() {
+        // No assignment at all means no read is explainable, so no legal
+        // views exist — unless the enumeration was cut short.
         let (rfs, truncated) = enumerate_reads_from(h, cfg.max_rf);
         stats.rf_truncated = truncated;
-        if rfs.is_empty() {
-            // No read is explainable at all: no legal views can exist.
-            return Verdict::Disallowed;
-        }
         for rf in &rfs {
             stats.rf_assignments_tried += 1;
             match check_with_rf(h, spec, &base, Some(rf), budget) {

@@ -1,16 +1,15 @@
 //! The shared state-space kernel behind every explorer in this crate.
 //!
-//! Three engines walk the *same* state space — a view's scheduling state
+//! Two explorers walk the *same* state space — a view's scheduling state
 //! is fully captured by `(scheduled set, last write per location)`:
 //!
-//! * the sequential view-existence DFS ([`crate::view`]),
-//! * the work-stealing parallel engine ([`crate::steal`]), and
+//! * the depth-first view search ([`crate::view`]'s `Dfs`), which both the
+//!   sequential checker and the work-stealing engine ([`crate::steal`])
+//!   run, and
 //! * the incremental frontier closure ([`crate::frontier`]) that powers
 //!   the streaming monitor.
 //!
-//! Before this module each engine carried its own copy of the successor
-//! scan and its own ad-hoc state table (`HashSet`s of cloned bit sets,
-//! per-state `Vec` snapshots). The kernel centralizes:
+//! The kernel centralizes:
 //!
 //! * [`Ctx`] — the preprocessed scheduling context, with
 //!   [`Ctx::next_ready`] as the *single* successor-generation function
@@ -34,10 +33,10 @@ pub(crate) const NO_WRITE: u32 = u32::MAX;
 
 /// Preprocessed per-view scheduling context: local indexing, predecessor
 /// masks copied out of the constraint relation, and read/location
-/// metadata. Everything a DFS (recursive or explicit-stack) or a
-/// breadth-first closure needs; the source `ViewProblem`'s constraint
-/// relation may be dropped once the context is built, which is what lets
-/// [`crate::steal`] keep many contexts alive at once.
+/// metadata. Everything the DFS or a breadth-first closure needs; the
+/// source `ViewProblem`'s constraint relation may be dropped once the
+/// context is built, which is what lets [`crate::steal`] keep many
+/// contexts alive at once.
 pub(crate) struct Ctx<'a> {
     /// Global op index per local index, ascending.
     pub(crate) elems: Vec<usize>,

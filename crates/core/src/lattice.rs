@@ -21,11 +21,11 @@
 //! assert!(r.strictly_stronger(0, 1)); // SC ⊂ TSO, witnessed by fig. 1
 //! ```
 
+use crate::batch::par_map;
 use crate::checker::{check_with_config, CheckConfig};
 use crate::spec::ModelSpec;
 use smc_history::History;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Classification of one history against every model in a list:
 /// `allowed[m]` is `Some(true/false)` if decided, `None` if the budget ran
@@ -144,6 +144,21 @@ pub fn inclusion_closure(models: &[ModelSpec]) -> Vec<Vec<bool>> {
     m
 }
 
+/// The verdict for model `j` that already-decided verdicts force along
+/// the inclusion lattice (`stronger`, as from [`inclusion_closure`]):
+/// admitted by a stronger model ⇒ admitted, refuted by a weaker model ⇒
+/// refuted. Undecided verdicts (`None`) force nothing. The first decided
+/// model in list order that forces a verdict wins; with exact verdicts
+/// no two can disagree, but a monitor verdict computed on a window may
+/// commit to one interpretation.
+pub fn forced_verdict(stronger: &[Vec<bool>], verdicts: &[Option<bool>], j: usize) -> Option<bool> {
+    verdicts.iter().enumerate().find_map(|(i, v)| match *v {
+        Some(true) if stronger[i][j] => Some(true),
+        Some(false) if stronger[j][i] => Some(false),
+        _ => None,
+    })
+}
+
 /// How much checking a propagating sweep actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PropagationStats {
@@ -174,55 +189,20 @@ pub fn classify_all_propagating(
     let classify_one = |h: &History| -> Classification {
         let mut allowed: Vec<Option<bool>> = vec![None; n];
         for j in 0..n {
-            if (0..n).any(|i| stronger[i][j] && allowed[i] == Some(true)) {
-                allowed[j] = Some(true);
-                propagated.fetch_add(1, Ordering::Relaxed);
-            } else if (0..n).any(|k| stronger[j][k] && allowed[k] == Some(false)) {
-                allowed[j] = Some(false);
-                propagated.fetch_add(1, Ordering::Relaxed);
-            } else {
-                allowed[j] = check_with_config(h, &models[j], cfg).decided();
-                checked.fetch_add(1, Ordering::Relaxed);
-            }
+            allowed[j] = match forced_verdict(&stronger, &allowed, j) {
+                Some(v) => {
+                    propagated.fetch_add(1, Ordering::Relaxed);
+                    Some(v)
+                }
+                None => {
+                    checked.fetch_add(1, Ordering::Relaxed);
+                    check_with_config(h, &models[j], cfg).decided()
+                }
+            };
         }
         Classification { allowed }
     };
-
-    let jobs = jobs.max(1).min(corpus.len().max(1));
-    let classifications = if jobs <= 1 {
-        corpus.iter().map(classify_one).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Classification>>> =
-            Mutex::new((0..corpus.len()).map(|_| None).collect());
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= corpus.len() {
-                        break;
-                    }
-                    let c = classify_one(&corpus[i]);
-                    match slots.lock() {
-                        Ok(mut slots) => slots[i] = Some(c),
-                        Err(_) => break,
-                    }
-                });
-            }
-        });
-        let slots = match slots.into_inner() {
-            Ok(s) => s,
-            Err(p) => p.into_inner(),
-        };
-        slots
-            .into_iter()
-            .map(|c| {
-                c.unwrap_or(Classification {
-                    allowed: vec![None; n],
-                })
-            })
-            .collect()
-    };
+    let classifications = par_map(corpus.len(), jobs, |i| classify_one(&corpus[i]));
     (
         classifications,
         PropagationStats {
@@ -546,6 +526,43 @@ q: r(x)1",
                 }
             }
         }
+    }
+
+    #[test]
+    fn forced_verdict_follows_inclusions_and_first_decided_wins() {
+        // SC ⊆ TSO ⊆ PRAM.
+        let ms = vec![models::sc(), models::tso(), models::pram()];
+        let stronger = inclusion_closure(&ms);
+        // Admitted by a stronger model forces admitted, refuted by a
+        // weaker one forces refuted; undecided and unrelated force nothing.
+        assert_eq!(
+            forced_verdict(&stronger, &[Some(true), None, None], 2),
+            Some(true)
+        );
+        assert_eq!(
+            forced_verdict(&stronger, &[None, None, Some(false)], 0),
+            Some(false)
+        );
+        assert_eq!(
+            forced_verdict(&stronger, &[Some(false), None, None], 1),
+            None
+        );
+        assert_eq!(
+            forced_verdict(&stronger, &[None, Some(true), None], 0),
+            None
+        );
+        assert_eq!(forced_verdict(&stronger, &[None, None, None], 1), None);
+        // Conflicting forcers: the first decided model in list order wins.
+        assert_eq!(
+            forced_verdict(&stronger, &[Some(true), None, Some(false)], 1),
+            Some(true)
+        );
+        let reversed = vec![models::pram(), models::tso(), models::sc()];
+        let stronger = inclusion_closure(&reversed);
+        assert_eq!(
+            forced_verdict(&stronger, &[Some(false), None, Some(true)], 1),
+            Some(false)
+        );
     }
 
     #[test]

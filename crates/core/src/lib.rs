@@ -19,8 +19,9 @@
 //! * [`rf`] — reads-from resolution (and enumeration, when written values
 //!   collide).
 //! * [`coherence`] — per-location write orders and their enumeration.
-//! * [`view`] — the legal-extension search for a single view.
-//! * [`kernel`] — the shared state-space kernel under `view`, `steal`
+//! * [`view`] — the legal-extension search for a single view: one
+//!   depth-first search, run by the sequential checker and by `steal`.
+//! * [`kernel`] — the shared state-space kernel under the view search
 //!   and `frontier`: one successor-generation function and a packed,
 //!   arena-allocated visited-state table.
 //! * [`frontier`] — the same question as a resumable state machine: all

@@ -35,7 +35,7 @@ use crate::checker::{check_with_config, CheckConfig};
 use crate::histgen::{
     for_each_history_range, for_each_representative_range, GenParams, RangeStats,
 };
-use crate::lattice::inclusion_closure;
+use crate::lattice::{forced_verdict, inclusion_closure};
 use crate::spec::ModelSpec;
 use smc_history::{History, HistoryBuilder, Location};
 use std::collections::HashMap;
@@ -454,14 +454,7 @@ impl Separator {
             if let Some(v) = verdicts[j] {
                 return Some(v);
             }
-            let forced = if (0..n).any(|i| self.stronger[i][j] && verdicts[i] == Some(true)) {
-                Some(true)
-            } else if (0..n).any(|k| self.stronger[j][k] && verdicts[k] == Some(false)) {
-                Some(false)
-            } else {
-                None
-            };
-            let v = match forced {
+            let v = match forced_verdict(&self.stronger, verdicts, j) {
                 Some(v) => {
                     propagated.fetch_add(1, Ordering::Relaxed);
                     Some(v)

@@ -21,10 +21,12 @@
 //!   (CDSChecker; Norris & Demsky, OOPSLA 2013). The exact-key
 //!   sequential path is unaffected.
 //! * a frontier scheduler: each worker owns a deque of schedule-prefix
-//!   tasks and explores them with an explicit-stack DFS. When siblings
-//!   go hungry, a busy worker *donates* the untried children of the
-//!   shallowest frame of its stack — the biggest subtrees it still owns
-//!   — as new tasks; idle workers steal half a random victim's deque,
+//!   tasks and extends each with [`crate::view`]'s `Dfs`, the search the
+//!   sequential engine runs, over the shared set instead of a private
+//!   memo. When siblings go hungry, a busy worker *donates* the untried
+//!   children of the shallowest frame of its stack — the biggest
+//!   subtrees it still owns — as new tasks; idle workers steal half a
+//!   random victim's deque,
 //!   oldest (shallowest) tasks first. This is the classic Chase–Lev
 //!   discipline (owner works one end, thieves take the other) with a
 //!   mutex per deque instead of a lock-free buffer: the workspace
@@ -41,11 +43,12 @@
 
 use crate::budget::{Budget, SharedBudget};
 use crate::kernel::{state_hash, Ctx, NO_WRITE};
-use crate::view::{LegalityMode, SearchOutcome, ViewProblem};
+use crate::view::{global_order, Dfs, FailedTable, LegalityMode, SearchEnd};
 use smc_history::{History, OpId};
 use smc_prng::SmallRng;
 use smc_relation::{BitSet, Relation};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -78,9 +81,9 @@ struct FailedShard {
 /// of a parallel search: sharded, open-addressed `AtomicU64` buckets
 /// with a bounded memory cap and per-shard clock eviction.
 ///
-/// The value `0` is reserved for empty slots ([`crate::view`]'s state
-/// hash never produces it). All operations are lock-free loads, stores
-/// and CAS; there is no resize — at capacity, inserts evict.
+/// The value `0` is reserved for empty slots ([`crate::kernel`]'s
+/// `state_hash` never produces it). All operations are lock-free loads,
+/// stores and CAS; there is no resize — at capacity, inserts evict.
 pub struct SharedFailedSet {
     shards: Vec<FailedShard>,
     slot_mask: usize,
@@ -212,15 +215,9 @@ pub(crate) struct Unit<'a> {
 }
 
 impl<'a> Unit<'a> {
-    pub(crate) fn new(p: &ViewProblem<'a>, salt: u64) -> Self {
-        Unit {
-            ctx: Ctx::from_parts(p.history, &p.ops, p.constraints, p.legality),
-            salt,
-        }
-    }
-
-    /// Build a unit without a `ViewProblem`, so the constraint relation
-    /// may live in a shorter scope (e.g. one relation per store order).
+    /// Build a unit from a view problem's parts. The constraint relation
+    /// is copied into the context, so it may live in a shorter scope
+    /// (e.g. one relation per store order).
     pub(crate) fn from_parts(
         history: &'a History,
         ops: &BitSet,
@@ -534,19 +531,26 @@ enum TaskEnd {
     Abandoned,
 }
 
-/// One explicit-stack DFS frame: the op placed to enter this state, the
-/// last-write it displaced, the child scan cursor, and the state's
-/// fingerprint. `donated` marks frames whose remaining children were
-/// handed to other workers — such frames (and their ancestors) are not
-/// fully *locally* explored, so they must not be recorded as refuted.
-struct Frame {
-    placed_local: u32,
-    saved_lw: u32,
-    cursor: u32,
-    donated: bool,
-    key: u64,
+/// The shared set as one unit's [`FailedTable`]: fingerprints salted
+/// with the unit's id.
+struct Salted<'s> {
+    set: &'s SharedFailedSet,
+    salt: u64,
 }
 
+impl FailedTable for Salted<'_> {
+    fn probe(&mut self, placed: &BitSet, last_write: &[u32]) -> Option<u64> {
+        let key = state_hash(self.salt, placed, last_write);
+        (!self.set.contains(key)).then_some(key)
+    }
+
+    fn record(&mut self, key: u64, _: &BitSet, _: &[u32]) {
+        self.set.insert(key);
+    }
+}
+
+/// Extend one task's prefix with the shared [`Dfs`], checking for an
+/// abort and for hungry siblings before each step.
 fn run_task<D: StealDriver + ?Sized>(
     task: &Task,
     state: &RunState<'_, '_>,
@@ -557,111 +561,32 @@ fn run_task<D: StealDriver + ?Sized>(
 ) -> TaskEnd {
     let unit = task.unit as usize;
     let u = &state.units[unit];
-    let ctx = &u.ctx;
-    let m = ctx.elems.len();
-    let mut placed = BitSet::new(m);
-    let mut last_write = vec![NO_WRITE; ctx.num_locs];
-    let mut order: Vec<u32> = Vec::with_capacity(m);
-    for &l in &task.prefix {
-        let i = l as usize;
-        debug_assert!(ctx.preds[i].is_subset(&placed));
-        debug_assert!(ctx.schedulable(i, &last_write));
-        let o = ctx.op(i);
-        if o.is_write() {
-            last_write[o.loc.index()] = l;
-        }
-        placed.insert(i);
-        order.push(l);
-    }
-    // Node entry mirrors the sequential DFS: complete check, then the
-    // budget charge, then dead-prune, then the failed-state probe.
-    if order.len() == m {
-        return report_found(state, driver, unit, ctx, &order);
-    }
-    if !budget.try_spend() {
-        return TaskEnd::Exhausted;
-    }
-    if ctx.dead(&placed, &last_write) {
-        return TaskEnd::Done;
-    }
-    let root_key = state_hash(u.salt, &placed, &last_write);
-    if failed.contains(root_key) {
-        return TaskEnd::Done;
-    }
     let root_len = task.prefix.len();
-    let mut stack: Vec<Frame> = vec![Frame {
-        placed_local: u32::MAX,
-        saved_lw: NO_WRITE,
-        cursor: 0,
-        donated: false,
-        key: root_key,
-    }];
-    while let Some(top) = stack.len().checked_sub(1) {
-        if state.abort.load(Ordering::SeqCst) {
-            // The run is over (another worker decided it or died); this
-            // task stops mid-subtree, so record nothing.
-            return TaskEnd::Abandoned;
-        }
-        if state.hungry.load(Ordering::SeqCst) > 0 && state.deques[id].is_empty() {
-            donate(state, unit, ctx, &mut stack, &order, root_len, id);
-        }
-        let mut advanced = false;
-        while let Some(i) = ctx.next_ready(&placed, &last_write, stack[top].cursor as usize) {
-            stack[top].cursor = i as u32 + 1;
-            let saved = ctx.apply(i, &mut placed, &mut last_write);
-            order.push(i as u32);
-            if order.len() == m {
-                return report_found(state, driver, unit, ctx, &order);
+    let mut table = Salted {
+        set: failed,
+        salt: u.salt,
+    };
+    let end = Dfs::new(&u.ctx, &task.prefix).run(
+        &mut table,
+        budget,
+        |order| ControlFlow::Break(report_found(state, driver, unit, &u.ctx, order)),
+        |dfs| {
+            if state.abort.load(Ordering::SeqCst) {
+                // The run is over (another worker decided it or died);
+                // this task stops mid-subtree, so record nothing.
+                return ControlFlow::Break(TaskEnd::Abandoned);
             }
-            if !budget.try_spend() {
-                return TaskEnd::Exhausted;
+            if state.hungry.load(Ordering::SeqCst) > 0 && state.deques[id].is_empty() {
+                donate(state, unit, dfs, root_len, id);
             }
-            if ctx.dead(&placed, &last_write) {
-                order.pop();
-                ctx.undo(i, saved, &mut placed, &mut last_write);
-                continue;
-            }
-            let key = state_hash(u.salt, &placed, &last_write);
-            if failed.contains(key) {
-                order.pop();
-                ctx.undo(i, saved, &mut placed, &mut last_write);
-                continue;
-            }
-            stack.push(Frame {
-                placed_local: i as u32,
-                saved_lw: saved,
-                cursor: 0,
-                donated: false,
-                key,
-            });
-            advanced = true;
-            break;
-        }
-        if advanced {
-            continue;
-        }
-        // Every child of the top frame is covered: retire it.
-        let f = stack.pop().expect("non-empty stack");
-        if f.donated {
-            // Donated children are someone else's responsibility; the
-            // frame (and so its ancestors) is not locally refuted.
-            if let Some(parent) = stack.last_mut() {
-                parent.donated = true;
-            }
-        } else {
-            failed.insert(f.key);
-        }
-        if f.placed_local != u32::MAX {
-            let i = f.placed_local as usize;
-            order.pop();
-            placed.remove(i);
-            let o = ctx.op(i);
-            if o.is_write() {
-                last_write[o.loc.index()] = f.saved_lw;
-            }
-        }
+            ControlFlow::Continue(())
+        },
+    );
+    match end {
+        SearchEnd::Broke(e) => e,
+        SearchEnd::Completed => TaskEnd::Done,
+        SearchEnd::Exhausted => TaskEnd::Exhausted,
     }
-    TaskEnd::Done
 }
 
 fn report_found<D: StealDriver + ?Sized>(
@@ -671,12 +596,8 @@ fn report_found<D: StealDriver + ?Sized>(
     ctx: &Ctx<'_>,
     order: &[u32],
 ) -> TaskEnd {
-    let global: Vec<OpId> = order
-        .iter()
-        .map(|&l| OpId(ctx.elems[l as usize] as u32))
-        .collect();
     state.unit_found[unit].store(true, Ordering::SeqCst);
-    if driver.found(unit, global) {
+    if driver.found(unit, global_order(ctx, order)) {
         TaskEnd::Decided
     } else {
         TaskEnd::Done
@@ -691,34 +612,28 @@ fn report_found<D: StealDriver + ?Sized>(
 fn donate(
     state: &RunState<'_, '_>,
     unit: usize,
-    ctx: &Ctx<'_>,
-    stack: &mut [Frame],
-    order: &[u32],
+    dfs: &mut Dfs<'_, '_>,
     root_len: usize,
     id: usize,
 ) {
+    let ctx = dfs.ctx;
     let m = ctx.elems.len();
-    for (k, frame) in stack.iter_mut().enumerate() {
+    for (k, frame) in dfs.stack.iter_mut().enumerate() {
         if (frame.cursor as usize) >= m {
             continue;
         }
         let plen = root_len + k;
         let mut placed = BitSet::new(m);
         let mut last_write = vec![NO_WRITE; ctx.num_locs];
-        for &l in &order[..plen] {
-            let i = l as usize;
-            let o = ctx.op(i);
-            if o.is_write() {
-                last_write[o.loc.index()] = l;
-            }
-            placed.insert(i);
+        for &l in &dfs.order[..plen] {
+            ctx.apply(l as usize, &mut placed, &mut last_write);
         }
         let mut tasks: Vec<Task> = Vec::new();
         let mut cursor = frame.cursor as usize;
         while let Some(i) = ctx.next_ready(&placed, &last_write, cursor) {
             cursor = i + 1;
             let mut prefix = Vec::with_capacity(plen + 1);
-            prefix.extend_from_slice(&order[..plen]);
+            prefix.extend_from_slice(&dfs.order[..plen]);
             prefix.push(i as u32);
             tasks.push(Task {
                 unit: unit as u32,
@@ -739,70 +654,77 @@ fn donate(
     }
 }
 
-/// Driver for a single view problem: first witness or full refutation
-/// decides the run.
-struct SingleDriver {
-    witness: Mutex<Option<Vec<OpId>>>,
-}
-
-impl StealDriver for SingleDriver {
-    fn found(&self, _unit: usize, order: Vec<OpId>) -> bool {
-        let mut w = match self.witness.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        if w.is_none() {
-            *w = Some(order);
-        }
-        true
-    }
-
-    fn refuted(&self, _unit: usize) -> bool {
-        true
-    }
-
-    fn skip(&self, _unit: usize) -> bool {
-        false
-    }
-}
-
-/// Work-stealing analogue of [`crate::view::find_legal_extension`]: the
-/// same question, answered by `jobs` workers sharing `pool` and the
-/// failed-state set. Returns the outcome plus the search nodes charged.
-///
-/// The verdict agrees with the sequential search (`Found` witnesses may
-/// be different legal extensions; `NotFound`/`Exhausted` coincide up to
-/// budget-split timing).
-pub fn steal_search(
-    p: &ViewProblem<'_>,
-    jobs: usize,
-    pool: &Arc<SharedBudget>,
-    failed: &SharedFailedSet,
-) -> (SearchOutcome, u64) {
-    let units = [Unit::new(p, 0)];
-    let driver = SingleDriver {
-        witness: Mutex::new(None),
-    };
-    let end = run_units(&units, &driver, jobs, pool, failed);
-    let witness = match driver.witness.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
-    .take();
-    let outcome = match witness {
-        Some(w) => SearchOutcome::Found(w),
-        None if end.exhausted => SearchOutcome::Exhausted,
-        None => SearchOutcome::NotFound,
-    };
-    (outcome, end.nodes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::orders::program_order;
-    use crate::view::{find_legal_extension, is_legal_sequence};
+    use crate::view::{find_legal_extension, is_legal_sequence, SearchOutcome, ViewProblem};
     use smc_history::litmus::parse_history;
+
+    /// Driver for a single view problem: first witness or full refutation
+    /// decides the run.
+    struct SingleDriver {
+        witness: Mutex<Option<Vec<OpId>>>,
+    }
+
+    impl StealDriver for SingleDriver {
+        fn found(&self, _unit: usize, order: Vec<OpId>) -> bool {
+            let mut w = match self.witness.lock() {
+                Ok(g) => g,
+                Err(p) => p.into_inner(),
+            };
+            if w.is_none() {
+                *w = Some(order);
+            }
+            true
+        }
+
+        fn refuted(&self, _unit: usize) -> bool {
+            true
+        }
+
+        fn skip(&self, _unit: usize) -> bool {
+            false
+        }
+    }
+
+    /// Work-stealing analogue of [`crate::view::find_legal_extension`]: the
+    /// same question, answered by `jobs` workers sharing `pool` and the
+    /// failed-state set. Returns the outcome plus the search nodes charged.
+    ///
+    /// The verdict agrees with the sequential search (`Found` witnesses may
+    /// be different legal extensions; `NotFound`/`Exhausted` coincide up to
+    /// budget-split timing). One worker runs the sequential search itself:
+    /// same witness, same node count.
+    fn steal_search(
+        p: &ViewProblem<'_>,
+        jobs: usize,
+        pool: &Arc<SharedBudget>,
+        failed: &SharedFailedSet,
+    ) -> (SearchOutcome, u64) {
+        let units = [Unit::from_parts(
+            p.history,
+            &p.ops,
+            p.constraints,
+            p.legality,
+            0,
+        )];
+        let driver = SingleDriver {
+            witness: Mutex::new(None),
+        };
+        let end = run_units(&units, &driver, jobs, pool, failed);
+        let witness = match driver.witness.lock() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        }
+        .take();
+        let outcome = match witness {
+            Some(w) => SearchOutcome::Found(w),
+            None if end.exhausted => SearchOutcome::Exhausted,
+            None => SearchOutcome::NotFound,
+        };
+        (outcome, end.nodes)
+    }
 
     fn problem<'a>(h: &'a History, po: &'a Relation) -> ViewProblem<'a> {
         ViewProblem {
@@ -953,14 +875,18 @@ mod tests {
             let h = parse_history(src).unwrap();
             let po = program_order(&h);
             let p = problem(&h, &po);
-            let seq = {
-                let budget = Budget::local(1_000_000);
-                find_legal_extension(&p, &budget)
-            };
+            let budget = Budget::local(1_000_000);
+            let seq = find_legal_extension(&p, &budget);
             for jobs in [1, 2, 4] {
                 let pool = SharedBudget::new(1_000_000);
                 let failed = SharedFailedSet::default();
-                let (par, _) = steal_search(&p, jobs, &pool, &failed);
+                let (par, nodes) = steal_search(&p, jobs, &pool, &failed);
+                if jobs == 1 {
+                    // One worker with nobody to donate to is the
+                    // sequential search over a salted table.
+                    assert_eq!(par, seq, "{src:?}");
+                    assert_eq!(nodes, budget.spent(), "{src:?}");
+                }
                 match (&seq, &par) {
                     (SearchOutcome::Found(_), SearchOutcome::Found(w)) => {
                         assert!(is_legal_sequence(&h, w))

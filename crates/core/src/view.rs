@@ -13,13 +13,16 @@
 //!
 //! * dead-state pruning (a read whose explanation has been overwritten can
 //!   never be scheduled), and
-//! * memoization of failed states, keyed by the scheduled-set bit mask and
-//!   the per-location last writes (the only state the future depends on).
+//! * a table of failed states, keyed by the scheduled-set bit mask and the
+//!   per-location last writes (the only state the future depends on).
 //!
-//! The scheduling state itself — context preprocessing, successor
-//! generation, state packing and hashing — lives in [`crate::kernel`] and
-//! is shared with the work-stealing engine and the frontier closure; this
-//! module owns only the DFS driving it.
+//! `Dfs` is the one search loop: the sequential engine runs it here with
+//! an exact failed-state memo ([`find_legal_extension`]) or none
+//! ([`for_each_legal_extension`]), and the work-stealing engine
+//! ([`crate::steal`]) runs it per task over salted fingerprints in a
+//! shared set. The scheduling state itself — context preprocessing,
+//! successor generation, state packing and hashing — lives in
+//! [`crate::kernel`] and is shared with the frontier closure.
 //!
 //! Deciding this question is NP-complete in general (it subsumes checking
 //! sequential consistency), but litmus-scale instances are instant.
@@ -80,25 +83,27 @@ pub enum SearchEnd<B> {
     Exhausted,
 }
 
-/// Tuning knobs for the view search, exposed for the ablation
-/// benchmarks (`bench_ablation`): disabling either optimization keeps the
-/// search correct but changes its cost profile.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchOptions {
-    /// Memoize failed `(scheduled set, last writes)` states.
-    pub memoize: bool,
-    /// Prune states in which some unscheduled read can never again be
-    /// scheduled.
-    pub dead_prune: bool,
+/// A table of refuted states that the DFS probes when it enters a node
+/// and fills when it retires a node whose whole subtree it explored.
+/// The search is the same for every engine; only this table varies.
+pub(crate) trait FailedTable {
+    /// `None` if `(placed, last_write)` is a recorded refutation;
+    /// otherwise the key to record it under once refuted.
+    fn probe(&mut self, placed: &BitSet, last_write: &[u32]) -> Option<u64>;
+    /// Record the state `(placed, last_write)`, probed as `key`, as refuted.
+    fn record(&mut self, key: u64, placed: &BitSet, last_write: &[u32]);
 }
 
-impl Default for SearchOptions {
-    fn default() -> Self {
-        SearchOptions {
-            memoize: true,
-            dead_prune: true,
-        }
+/// No table: every state is explored, so a visitor sees each distinct
+/// legal extension exactly once.
+struct NoTable;
+
+impl FailedTable for NoTable {
+    fn probe(&mut self, _: &BitSet, _: &[u32]) -> Option<u64> {
+        Some(0)
     }
+
+    fn record(&mut self, _: u64, _: &BitSet, _: &[u32]) {}
 }
 
 /// Exact (collision-free) memo of failed states for the sequential DFS:
@@ -113,23 +118,19 @@ struct LocalFailed {
     scratch: Vec<u64>,
 }
 
-impl LocalFailed {
-    fn new(ctx: &Ctx<'_>) -> Self {
-        LocalFailed {
-            space: StateSpace::new(ctx.packed_stride()),
-            scratch: Vec::new(),
+impl FailedTable for LocalFailed {
+    fn probe(&mut self, placed: &BitSet, last_write: &[u32]) -> Option<u64> {
+        let hash = state_hash(0, placed, last_write);
+        if self.space.has_bucket(hash) {
+            pack_state(&mut self.scratch, placed, last_write);
+            if self.space.find(hash, &self.scratch).is_some() {
+                return None;
+            }
         }
+        Some(hash)
     }
 
-    fn contains(&mut self, hash: u64, placed: &BitSet, last_write: &[u32]) -> bool {
-        if !self.space.has_bucket(hash) {
-            return false;
-        }
-        pack_state(&mut self.scratch, placed, last_write);
-        self.space.find(hash, &self.scratch).is_some()
-    }
-
-    fn insert(&mut self, hash: u64, placed: &BitSet, last_write: &[u32]) {
+    fn record(&mut self, hash: u64, placed: &BitSet, last_write: &[u32]) {
         pack_state(&mut self.scratch, placed, last_write);
         if self.space.find(hash, &self.scratch).is_none() {
             self.space.insert_new(hash, &self.scratch);
@@ -137,97 +138,202 @@ impl LocalFailed {
     }
 }
 
-/// Search for one legal extension of the problem, charging one unit of
-/// `budget` per search node (the same budget can be shared across
-/// sub-searches, nested enumerations, and — via
-/// [`crate::budget::SharedBudget`] — worker threads).
-pub fn find_legal_extension(p: &ViewProblem<'_>, budget: &Budget) -> SearchOutcome {
-    find_legal_extension_with(p, budget, SearchOptions::default())
+/// One DFS frame: the op placed to enter this state ([`ROOT`] for the
+/// search's starting state), the last write it displaced, the child scan
+/// cursor, and the state's failed-table key. `donated` marks a frame
+/// whose remaining children were handed to other workers
+/// ([`crate::steal`]); such a frame, and so each of its ancestors, is
+/// not fully explored here and must not be recorded as refuted.
+pub(crate) struct Frame {
+    op: u32,
+    saved: u32,
+    pub(crate) cursor: u32,
+    pub(crate) donated: bool,
+    key: u64,
 }
 
-/// [`find_legal_extension`] with explicit [`SearchOptions`].
-pub fn find_legal_extension_with(
-    p: &ViewProblem<'_>,
-    budget: &Budget,
-    opts: SearchOptions,
-) -> SearchOutcome {
-    let ctx = Ctx::new(p);
-    let m = ctx.elems.len();
-    let mut placed = BitSet::new(m);
-    let mut last_write = vec![NO_WRITE; ctx.num_locs];
-    let mut order: Vec<usize> = Vec::with_capacity(m);
-    let mut memo = LocalFailed::new(&ctx);
-    // `memoize == false` really bypasses the failed set: no hash is
-    // computed, no key is built, and the (unallocated, empty) table is
-    // never touched.
-    let failed = if opts.memoize { Some(&mut memo) } else { None };
-    search_rec(
-        &ctx,
-        &mut placed,
-        &mut last_write,
-        &mut order,
-        failed,
-        budget,
-        opts,
-    )
+const ROOT: u32 = u32::MAX;
+
+/// How a node entry ended.
+enum Entry {
+    /// Every op is placed: the order is a legal extension.
+    Complete,
+    /// The budget refused the node's charge.
+    Exhausted,
+    /// The state is dead or a recorded refutation.
+    Pruned,
+    /// The state must be explored; its failed-table key is attached.
+    Open(u64),
 }
 
-/// The core DFS over schedulable operations. `failed` is `Some` iff
-/// failed-state memoization is on; the hash-first probe means a lookup
-/// costs one hash of the live state and (on the rare bucket hit)
-/// reference comparisons — the key is cloned only when a refuted state
-/// is inserted.
-#[allow(clippy::too_many_arguments)]
-fn search_rec(
-    ctx: &Ctx<'_>,
-    placed: &mut BitSet,
-    last_write: &mut Vec<u32>,
-    order: &mut Vec<usize>,
-    mut failed: Option<&mut LocalFailed>,
-    budget: &Budget,
-    opts: SearchOptions,
-) -> SearchOutcome {
-    if order.len() == ctx.elems.len() {
-        return SearchOutcome::Found(order.iter().map(|&l| OpId(ctx.elems[l] as u32)).collect());
-    }
-    if !budget.try_spend() {
-        return SearchOutcome::Exhausted;
-    }
-    if opts.dead_prune && ctx.dead(placed, last_write) {
-        return SearchOutcome::NotFound;
-    }
-    let mut key_hash = 0;
-    if let Some(f) = failed.as_mut() {
-        key_hash = state_hash(0, placed, last_write);
-        if f.contains(key_hash, placed, last_write) {
-            return SearchOutcome::NotFound;
+/// The explicit-stack depth-first search over a [`Ctx`] that every engine
+/// runs. A node is entered the same way everywhere: a complete order is a
+/// find; otherwise one budget node is charged, dead states are pruned,
+/// and the [`FailedTable`] is probed. A node whose children are all
+/// covered is retired into the table.
+pub(crate) struct Dfs<'c, 'a> {
+    pub(crate) ctx: &'c Ctx<'a>,
+    placed: BitSet,
+    last_write: Vec<u32>,
+    /// The local ops placed so far, in order.
+    pub(crate) order: Vec<u32>,
+    pub(crate) stack: Vec<Frame>,
+}
+
+impl<'c, 'a> Dfs<'c, 'a> {
+    /// A search starting from the state reached by placing `prefix`
+    /// (local op indices, each ready when placed) in order.
+    pub(crate) fn new(ctx: &'c Ctx<'a>, prefix: &[u32]) -> Self {
+        let m = ctx.elems.len();
+        let mut placed = BitSet::new(m);
+        let mut last_write = vec![NO_WRITE; ctx.num_locs];
+        for &l in prefix {
+            let i = l as usize;
+            debug_assert!(ctx.preds[i].is_subset(&placed));
+            debug_assert!(ctx.schedulable(i, &last_write));
+            ctx.apply(i, &mut placed, &mut last_write);
         }
-    }
-    let mut cursor = 0;
-    while let Some(i) = ctx.next_ready(placed, last_write, cursor) {
-        cursor = i + 1;
-        let saved = ctx.apply(i, placed, last_write);
-        order.push(i);
-        let sub = search_rec(
+        let mut order = Vec::with_capacity(m);
+        order.extend_from_slice(prefix);
+        Dfs {
             ctx,
             placed,
             last_write,
             order,
-            failed.as_deref_mut(),
-            budget,
-            opts,
-        );
-        order.pop();
-        ctx.undo(i, saved, placed, last_write);
-        match sub {
-            SearchOutcome::NotFound => {}
-            done => return done,
+            stack: Vec::new(),
         }
     }
-    if let Some(f) = failed {
-        f.insert(key_hash, placed, last_write);
+
+    fn enter(&self, table: &mut impl FailedTable, budget: &Budget) -> Entry {
+        if self.order.len() == self.ctx.elems.len() {
+            return Entry::Complete;
+        }
+        if !budget.try_spend() {
+            return Entry::Exhausted;
+        }
+        if self.ctx.dead(&self.placed, &self.last_write) {
+            return Entry::Pruned;
+        }
+        match table.probe(&self.placed, &self.last_write) {
+            Some(key) => Entry::Open(key),
+            None => Entry::Pruned,
+        }
     }
-    SearchOutcome::NotFound
+
+    /// Run the search to the end. `found` sees each complete order (local
+    /// op indices) and may break; the search resumes after it otherwise.
+    /// `between` runs before each frame is advanced or retired and may
+    /// inspect or edit the stack, or break.
+    pub(crate) fn run<B>(
+        &mut self,
+        table: &mut impl FailedTable,
+        budget: &Budget,
+        mut found: impl FnMut(&[u32]) -> ControlFlow<B>,
+        mut between: impl FnMut(&mut Self) -> ControlFlow<B>,
+    ) -> SearchEnd<B> {
+        let key = match self.enter(table, budget) {
+            Entry::Open(key) => key,
+            Entry::Complete => {
+                return match found(&self.order) {
+                    ControlFlow::Continue(()) => SearchEnd::Completed,
+                    ControlFlow::Break(b) => SearchEnd::Broke(b),
+                }
+            }
+            Entry::Exhausted => return SearchEnd::Exhausted,
+            Entry::Pruned => return SearchEnd::Completed,
+        };
+        self.stack.push(Frame {
+            op: ROOT,
+            saved: NO_WRITE,
+            cursor: 0,
+            donated: false,
+            key,
+        });
+        while let Some(top) = self.stack.len().checked_sub(1) {
+            if let ControlFlow::Break(b) = between(self) {
+                return SearchEnd::Broke(b);
+            }
+            let ctx = self.ctx;
+            let mut advanced = false;
+            while let Some(i) = ctx.next_ready(
+                &self.placed,
+                &self.last_write,
+                self.stack[top].cursor as usize,
+            ) {
+                self.stack[top].cursor = i as u32 + 1;
+                let saved = ctx.apply(i, &mut self.placed, &mut self.last_write);
+                self.order.push(i as u32);
+                match self.enter(table, budget) {
+                    Entry::Open(key) => {
+                        self.stack.push(Frame {
+                            op: i as u32,
+                            saved,
+                            cursor: 0,
+                            donated: false,
+                            key,
+                        });
+                        advanced = true;
+                        break;
+                    }
+                    Entry::Complete => {
+                        if let ControlFlow::Break(b) = found(&self.order) {
+                            return SearchEnd::Broke(b);
+                        }
+                    }
+                    Entry::Exhausted => return SearchEnd::Exhausted,
+                    Entry::Pruned => {}
+                }
+                self.order.pop();
+                ctx.undo(i, saved, &mut self.placed, &mut self.last_write);
+            }
+            if advanced {
+                continue;
+            }
+            // Every child of the top frame is covered: retire it.
+            let f = self.stack.pop().expect("non-empty stack");
+            if f.donated {
+                if let Some(parent) = self.stack.last_mut() {
+                    parent.donated = true;
+                }
+            } else {
+                table.record(f.key, &self.placed, &self.last_write);
+            }
+            if f.op != ROOT {
+                self.order.pop();
+                ctx.undo(
+                    f.op as usize,
+                    f.saved,
+                    &mut self.placed,
+                    &mut self.last_write,
+                );
+            }
+        }
+        SearchEnd::Completed
+    }
+}
+
+/// Search for one legal extension of the problem, charging one unit of
+/// `budget` per search node (the same budget can be shared across
+/// sub-searches, nested enumerations, and — via
+/// [`crate::budget::SharedBudget`] — worker threads). Failed states are
+/// memoized exactly.
+pub fn find_legal_extension(p: &ViewProblem<'_>, budget: &Budget) -> SearchOutcome {
+    let ctx = Ctx::new(p);
+    let mut table = LocalFailed {
+        space: StateSpace::new(ctx.packed_stride()),
+        scratch: Vec::new(),
+    };
+    let end = Dfs::new(&ctx, &[]).run(
+        &mut table,
+        budget,
+        |order| ControlFlow::Break(global_order(&ctx, order)),
+        |_| ControlFlow::Continue(()),
+    );
+    match end {
+        SearchEnd::Broke(order) => SearchOutcome::Found(order),
+        SearchEnd::Completed => SearchOutcome::NotFound,
+        SearchEnd::Exhausted => SearchOutcome::Exhausted,
+    }
 }
 
 /// Visit every legal extension of the problem (no failure memoization, so
@@ -238,55 +344,20 @@ pub fn for_each_legal_extension<B>(
     mut visit: impl FnMut(&[OpId]) -> ControlFlow<B>,
 ) -> SearchEnd<B> {
     let ctx = Ctx::new(p);
-    let m = ctx.elems.len();
-    let mut placed = BitSet::new(m);
-    let mut last_write = vec![NO_WRITE; ctx.num_locs];
-    let mut order: Vec<OpId> = Vec::with_capacity(m);
-
-    fn rec<B>(
-        ctx: &Ctx<'_>,
-        placed: &mut BitSet,
-        last_write: &mut Vec<u32>,
-        order: &mut Vec<OpId>,
-        budget: &Budget,
-        visit: &mut impl FnMut(&[OpId]) -> ControlFlow<B>,
-    ) -> SearchEnd<B> {
-        if order.len() == ctx.elems.len() {
-            return match visit(order) {
-                ControlFlow::Continue(()) => SearchEnd::Completed,
-                ControlFlow::Break(b) => SearchEnd::Broke(b),
-            };
-        }
-        if !budget.try_spend() {
-            return SearchEnd::Exhausted;
-        }
-        if ctx.dead(placed, last_write) {
-            return SearchEnd::Completed;
-        }
-        let mut cursor = 0;
-        while let Some(i) = ctx.next_ready(placed, last_write, cursor) {
-            cursor = i + 1;
-            let saved = ctx.apply(i, placed, last_write);
-            order.push(OpId(ctx.elems[i] as u32));
-            let end = rec(ctx, placed, last_write, order, budget, visit);
-            order.pop();
-            ctx.undo(i, saved, placed, last_write);
-            match end {
-                SearchEnd::Completed => {}
-                other => return other,
-            }
-        }
-        SearchEnd::Completed
-    }
-
-    rec(
-        &ctx,
-        &mut placed,
-        &mut last_write,
-        &mut order,
+    Dfs::new(&ctx, &[]).run(
+        &mut NoTable,
         budget,
-        &mut visit,
+        |order| visit(&global_order(&ctx, order)),
+        |_| ControlFlow::Continue(()),
     )
+}
+
+/// Map a local order to global op ids.
+pub(crate) fn global_order(ctx: &Ctx<'_>, order: &[u32]) -> Vec<OpId> {
+    order
+        .iter()
+        .map(|&l| OpId(ctx.elems[l as usize] as u32))
+        .collect()
 }
 
 /// Check that `order` is a legal sequence for the history: every read

@@ -61,9 +61,9 @@ pub mod ckpt;
 pub mod window;
 
 use churn::{Activation, ChurnState, FoldSummary};
-use smc_core::checker::{CheckConfig, Verdict};
+use smc_core::checker::CheckConfig;
 use smc_core::frontier::{AppendReport, FrontierEngine, ViewOp};
-use smc_core::lattice::inclusion_closure;
+use smc_core::lattice::{forced_verdict, inclusion_closure};
 use smc_core::separate::without_op;
 use smc_core::spec::{GlobalOrder, ModelSpec, OperationSet, OwnerOrder};
 use smc_history::litmus::emit_litmus;
@@ -586,16 +586,16 @@ impl Monitor {
         // model undecided here), everything else propagates through the
         // lattice or falls back to a batch re-check.
         let n = self.trace.len();
-        let mut decided: Vec<Option<TriVerdict>> = self
+        let mut decided: Vec<Option<bool>> = self
             .engines
             .iter()
             .map(|engine| match engine {
-                Engine::Identical(e) => e.admitted().map(tri_of),
+                Engine::Identical(e) => e.admitted(),
                 Engine::PerProc {
                     viewers,
                     latched_unknown,
                     ..
-                } => perproc_verdict(viewers, *latched_unknown).map(tri_of),
+                } => perproc_verdict(viewers, *latched_unknown),
                 Engine::Restart => None,
             })
             .collect();
@@ -604,7 +604,7 @@ impl Monitor {
             if decided[i].is_some() {
                 continue;
             }
-            if let Some(v) = self.propagate(i, &decided) {
+            if let Some(v) = forced_verdict(&self.stronger, &decided, i) {
                 decided[i] = Some(v);
                 report.propagated += 1;
                 continue;
@@ -614,14 +614,10 @@ impl Monitor {
                 smc_core::batch::check_parallel(h, &self.models[i], &self.cfg.check, self.cfg.jobs);
             report.rechecks += 1;
             report.recheck_nodes += stats.nodes_spent;
-            decided[i] = Some(match verdict {
-                Verdict::Allowed(_) => TriVerdict::Admitted,
-                Verdict::Disallowed => TriVerdict::Violated,
-                Verdict::Exhausted | Verdict::Unsupported(_) => TriVerdict::Unknown,
-            });
+            decided[i] = verdict.decided();
         }
         for (i, v) in decided.into_iter().enumerate() {
-            let v = v.expect("every model decided");
+            let v = v.map_or(TriVerdict::Unknown, tri_of);
             self.verdicts[i] = v;
             if v == TriVerdict::Violated && self.first_violation[i].is_none() {
                 self.first_violation[i] = Some(n);
@@ -991,23 +987,6 @@ impl Monitor {
         cfg: MonitorConfig,
     ) -> Result<Monitor, String> {
         ckpt::load(bytes, models, cfg)
-    }
-
-    /// A verdict for `i` forced by already-decided models through the
-    /// inclusion lattice, if any.
-    fn propagate(&self, i: usize, decided: &[Option<TriVerdict>]) -> Option<TriVerdict> {
-        for (j, v) in decided.iter().enumerate() {
-            match v {
-                Some(TriVerdict::Admitted) if self.stronger[j][i] => {
-                    return Some(TriVerdict::Admitted)
-                }
-                Some(TriVerdict::Violated) if self.stronger[i][j] => {
-                    return Some(TriVerdict::Violated)
-                }
-                _ => {}
-            }
-        }
-        None
     }
 }
 

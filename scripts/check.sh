@@ -17,6 +17,13 @@ if [ "${1:-}" != "--no-test" ]; then
     echo "==> cargo test -q"
     cargo test -q
 
+    # The repository benchmark is its own package outside the workspace,
+    # so nothing above builds it; an API change that breaks it must fail
+    # here.
+    echo "==> perfbench build + test"
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
     # Every gate below writes its temporary files into one scratch
     # directory, removed on exit.
     tmp=$(mktemp -d)

@@ -301,3 +301,44 @@ fn stealing_tso_matches_sequential_under_salt_aliasing() {
         }
     }
 }
+
+/// Regression: a reads-from enumeration cut short at `max_rf` may have
+/// dropped the one assignment that explains the history, so refuting
+/// every enumerated assignment must report exhaustion at the reads-from
+/// stage, never `Disallowed`. The default config admits this history
+/// under Causal. Both checkers used to read an empty (truncated) list as
+/// "no read is explainable", and `check_parallel`'s single-assignment
+/// path skipped the truncation rule.
+#[test]
+fn truncated_reads_from_enumeration_is_exhausted() {
+    use smc_core::checker::{check_with_stats, EngineKind, Stage};
+    let h = parse_history("p: w(x)1 w(x)5\nq: w(x)5 w(y)1\nr: r(y)1 r(x)5 r(x)1")
+        .expect("fixture parses");
+    let spec = models::causal();
+    let full = CheckConfig {
+        engine: EngineKind::Exhaustive,
+        ..CheckConfig::default()
+    };
+    assert!(check_with_config(&h, &spec, &full).is_allowed());
+    for max_rf in [0, 1] {
+        let cfg = CheckConfig {
+            max_rf,
+            ..full.clone()
+        };
+        for (how, (verdict, stats)) in [
+            ("check_with_stats", check_with_stats(&h, &spec, &cfg)),
+            ("check_parallel j2", check_parallel(&h, &spec, &cfg, 2)),
+        ] {
+            assert!(
+                matches!(verdict, Verdict::Exhausted),
+                "max_rf={max_rf} {how}: {verdict:?}"
+            );
+            assert_eq!(
+                stats.exhausted_stage,
+                Some(Stage::ReadsFrom),
+                "max_rf={max_rf} {how}"
+            );
+            assert!(stats.rf_truncated, "max_rf={max_rf} {how}");
+        }
+    }
+}

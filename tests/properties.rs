@@ -411,18 +411,19 @@ fn labeled_random_runs_sound() {
     }
 }
 
-/// `SearchOptions` are pure tuning knobs: disabling failed-state
-/// memoization (which must then be truly bypassed, not allocated and
-/// ignored) or dead-state pruning changes the search's cost, never its
-/// outcome. Found orders must also be legal under every combination.
+/// Failed-state memoization changes the view search's cost, never its
+/// outcome: the memoized `find_legal_extension` finds an extension
+/// exactly when the memo-free `for_each_legal_extension` visits one, and
+/// every order either returns is legal.
 #[test]
-fn search_options_do_not_change_outcomes() {
+fn failed_state_memo_does_not_change_outcomes() {
     use smc_core::budget::Budget;
     use smc_core::orders::program_order;
     use smc_core::view::{
-        find_legal_extension_with, is_legal_sequence, LegalityMode, SearchOptions, SearchOutcome,
-        ViewProblem,
+        find_legal_extension, for_each_legal_extension, is_legal_sequence, LegalityMode, SearchEnd,
+        SearchOutcome, ViewProblem,
     };
+    use std::ops::ControlFlow;
     for seed in 400..500u64 {
         let h = random_history(&mut SmallRng::seed_from_u64(seed));
         let po = program_order(&h);
@@ -432,39 +433,32 @@ fn search_options_do_not_change_outcomes() {
             constraints: &po,
             legality: LegalityMode::ByValue,
         };
-        let mut found: Option<bool> = None;
-        for memoize in [true, false] {
-            for dead_prune in [true, false] {
-                let budget = Budget::local(1_000_000);
-                let out = find_legal_extension_with(
-                    &p,
-                    &budget,
-                    SearchOptions {
-                        memoize,
-                        dead_prune,
-                    },
+        let memoized = match find_legal_extension(&p, &Budget::local(1_000_000)) {
+            SearchOutcome::Found(order) => {
+                assert!(
+                    is_legal_sequence(&h, &order),
+                    "seed {seed}: illegal order\n{h}"
                 );
-                let this = match &out {
-                    SearchOutcome::Found(order) => {
-                        assert!(
-                            is_legal_sequence(&h, order),
-                            "seed {seed} memoize={memoize} dead_prune={dead_prune}: illegal order\n{h}"
-                        );
-                        true
-                    }
-                    SearchOutcome::NotFound => false,
-                    SearchOutcome::Exhausted => {
-                        panic!("seed {seed}: tiny history exhausted a 1M-node budget")
-                    }
-                };
-                match found {
-                    None => found = Some(this),
-                    Some(prev) => assert_eq!(
-                        prev, this,
-                        "seed {seed} memoize={memoize} dead_prune={dead_prune}: outcome changed\n{h}"
-                    ),
-                }
+                true
             }
-        }
+            SearchOutcome::NotFound => false,
+            SearchOutcome::Exhausted => {
+                panic!("seed {seed}: tiny history exhausted a 1M-node budget")
+            }
+        };
+        let memo_free = match for_each_legal_extension(&p, &Budget::local(1_000_000), |order| {
+            assert!(
+                is_legal_sequence(&h, order),
+                "seed {seed}: illegal order\n{h}"
+            );
+            ControlFlow::Break(())
+        }) {
+            SearchEnd::Broke(()) => true,
+            SearchEnd::Completed => false,
+            SearchEnd::Exhausted => {
+                panic!("seed {seed}: tiny history exhausted a 1M-node budget")
+            }
+        };
+        assert_eq!(memoized, memo_free, "seed {seed}: outcome changed\n{h}");
     }
 }
