@@ -38,7 +38,6 @@ use crate::checker::{
     view_op_sets, CheckConfig, CheckStats, Engine, Stage, Step, Verdict, Witness,
 };
 use crate::constraints::{assemble_global, BaseOrders, Candidates};
-use crate::memo::MemoCache;
 use crate::rf::{enumerate_reads_from, ReadsFrom};
 use crate::spec::ModelSpec;
 use crate::steal::{run_units, SharedFailedSet, StealDriver, Unit};
@@ -203,13 +202,13 @@ pub fn check_parallel(
     if let Some(memo) = &cfg.memo {
         let start = Instant::now();
         let canon = canonicalize(h);
-        if let Some(hit) = memo.lookup(canon.key, spec.param_key()) {
+        if let Some(verdict) = memo.recall(&canon, spec.param_key()) {
             let stats = CheckStats {
                 memo_hit: true,
                 wall: start.elapsed(),
                 ..CheckStats::default()
             };
-            return (MemoCache::rehydrate(&canon, hit), stats);
+            return (verdict, stats);
         }
         let inner = CheckConfig {
             memo: None,
@@ -254,7 +253,8 @@ fn check_parallel_inner(
     if cfg.parallel_cutover > 0 {
         let probe_budget = cfg.parallel_cutover.min(cfg.node_budget);
         let probe = Budget::local(probe_budget);
-        let (verdict, mut stats) = check_with_budget(h, spec, cfg, &probe);
+        // `check_parallel` detaches the memo before it gets here.
+        let (verdict, mut stats) = check_with_budget(h, spec, cfg, &probe, None);
         stats.probe_nodes = probe.spent();
         if !matches!(verdict, Verdict::Exhausted) || probe_budget >= cfg.node_budget {
             // Decided — or the probe already had the full node budget,

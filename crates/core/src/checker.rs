@@ -21,7 +21,7 @@
 //! shared pool by the parallel drivers in [`crate::batch`].
 
 use crate::budget::Budget;
-use crate::canon::canonicalize;
+use crate::canon::{canonicalize, Canon};
 use crate::coherence::{enumerate_coherence, CoherenceOrders};
 use crate::constraints::{
     assemble_global, owner_edges, BaseOrders, Candidates, LabeledCtx, RcError,
@@ -352,31 +352,40 @@ pub fn check_with_config(h: &History, spec: &ModelSpec, cfg: &CheckConfig) -> Ve
 
 /// Check `h` against `spec`, also reporting how much work the check did.
 pub fn check_with_stats(h: &History, spec: &ModelSpec, cfg: &CheckConfig) -> (Verdict, CheckStats) {
+    let start = Instant::now();
     let budget = Budget::local(cfg.node_budget);
-    check_with_budget(h, spec, cfg, &budget)
+    let canon = cfg.memo.as_ref().map(|_| canonicalize(h));
+    let (verdict, mut stats) = check_with_budget(h, spec, cfg, &budget, canon.as_ref());
+    // The check's wall time includes canonicalizing for the memo.
+    stats.wall = start.elapsed();
+    (verdict, stats)
 }
 
-/// [`check_with_stats`] against a caller-supplied budget — the entry point
-/// the batch engine uses to run several checks against one shared pool.
+/// [`check_with_stats`] against a caller-supplied budget and canonical
+/// form — the entry point the batch engine uses to run several checks
+/// against one shared pool, and the lattice sweep uses to canonicalize a
+/// history once for all its models. `canon` is `h`'s canonical form,
+/// given exactly when `cfg.memo` is set.
 pub(crate) fn check_with_budget(
     h: &History,
     spec: &ModelSpec,
     cfg: &CheckConfig,
     budget: &Budget,
+    canon: Option<&Canon>,
 ) -> (Verdict, CheckStats) {
+    debug_assert_eq!(cfg.memo.is_some(), canon.is_some());
     let start = Instant::now();
-    // Memoized path: consult the cache under the canonical history key;
-    // a hit costs one canonicalization and a witness translation, no
-    // search nodes.
-    let canon = cfg.memo.as_ref().map(|memo| (memo, canonicalize(h)));
-    if let Some((memo, canon)) = &canon {
-        if let Some(hit) = memo.lookup(canon.key, spec.param_key()) {
+    // Memoized path: a hit costs one table lookup and a witness
+    // translation, no search nodes.
+    let memo = cfg.memo.as_deref().zip(canon);
+    if let Some((memo, canon)) = memo {
+        if let Some(verdict) = memo.recall(canon, spec.param_key()) {
             let stats = CheckStats {
                 memo_hit: true,
                 wall: start.elapsed(),
                 ..CheckStats::default()
             };
-            return (MemoCache::rehydrate(canon, hit), stats);
+            return (verdict, stats);
         }
     }
     let spent_before = budget.spent();
@@ -393,7 +402,7 @@ pub(crate) fn check_with_budget(
     if !matches!(verdict, Verdict::Exhausted) {
         stats.exhausted_stage = None;
     }
-    if let Some((memo, canon)) = &canon {
+    if let Some((memo, canon)) = memo {
         memo.record(canon, spec.param_key(), &verdict);
     }
     (verdict, stats)

@@ -22,10 +22,13 @@
 //! ```
 
 use crate::batch::par_map;
-use crate::checker::{check_with_config, CheckConfig};
+use crate::budget::Budget;
+use crate::canon::canonicalize;
+use crate::checker::{check_with_budget, check_with_config, CheckConfig};
 use crate::spec::ModelSpec;
 use smc_history::History;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Classification of one history against every model in a list:
 /// `allowed[m]` is `Some(true/false)` if decided, `None` if the budget ran
@@ -93,55 +96,82 @@ pub fn known_inclusions() -> &'static [(&'static str, &'static str)] {
     ]
 }
 
-/// `stronger[i][j]` = admitted by `models[i]` implies admitted by
-/// `models[j]`, per the transitive closure of [`known_inclusions`]
-/// (matched by display name, case-insensitively). Besides the
-/// propagating sweep below, [`crate::separate`] uses this to rule out
-/// witness directions that known inclusions make impossible.
-pub fn inclusion_closure(models: &[ModelSpec]) -> Vec<Vec<bool>> {
-    // Close over every name the edge list mentions, not just the models
-    // provided: SC ⊆ Causal follows from SC ⊆ TSO ⊆ Causal even when TSO
-    // is absent from `models`.
-    let mut names: Vec<String> = models.iter().map(|m| m.name.to_ascii_lowercase()).collect();
-    let intern = |name: &str, names: &mut Vec<String>| -> usize {
-        let lower = name.to_ascii_lowercase();
-        match names.iter().position(|n| *n == lower) {
+/// The transitive closure of [`known_inclusions`] over every name the
+/// edge list mentions, computed once per process: `closed[a][b]` = the
+/// model named `names[a]` is at least as strong as `names[b]`.
+fn closed_inclusions() -> &'static (Vec<&'static str>, Vec<Vec<bool>>) {
+    static CLOSED: OnceLock<(Vec<&'static str>, Vec<Vec<bool>>)> = OnceLock::new();
+    CLOSED.get_or_init(|| {
+        let mut names: Vec<&'static str> = Vec::new();
+        let mut intern = |name: &'static str| match names.iter().position(|&n| n == name) {
             Some(i) => i,
             None => {
-                names.push(lower);
+                names.push(name);
                 names.len() - 1
             }
+        };
+        let edges: Vec<(usize, usize)> = known_inclusions()
+            .iter()
+            .map(|&(s, w)| (intern(s), intern(w)))
+            .collect();
+        let n = names.len();
+        let mut m = vec![vec![false; n]; n];
+        for (a, b) in edges {
+            m[a][b] = true;
         }
-    };
-    let edges: Vec<(usize, usize)> = known_inclusions()
-        .iter()
-        .map(|(s, w)| (intern(s, &mut names), intern(w, &mut names)))
-        .collect();
-    let n = names.len();
-    let mut m = vec![vec![false; n]; n];
-    for (a, b) in edges {
-        m[a][b] = true;
-    }
-    for k in 0..n {
-        let row_k = m[k].clone();
-        for row in m.iter_mut() {
-            if !row[k] {
-                continue;
-            }
-            for (j, &through_k) in row_k.iter().enumerate() {
-                if through_k {
-                    row[j] = true;
+        for k in 0..n {
+            let row_k = m[k].clone();
+            for row in m.iter_mut() {
+                if !row[k] {
+                    continue;
+                }
+                for (j, &through_k) in row_k.iter().enumerate() {
+                    if through_k {
+                        row[j] = true;
+                    }
                 }
             }
         }
-    }
-    // Project back onto the provided models (the first `models.len()`
-    // interned slots, in order).
-    m.truncate(models.len());
-    for row in &mut m {
-        row.truncate(models.len());
-    }
-    m
+        (names, m)
+    })
+}
+
+/// `stronger[i][j]` = admitted by `models[i]` implies admitted by
+/// `models[j]`, per the transitive closure of [`known_inclusions`]
+/// (matched by display name, case-insensitively). The closure runs over
+/// every name the edge list mentions, not just the models provided: SC ⊆
+/// Causal follows from SC ⊆ TSO ⊆ Causal even when TSO is absent from
+/// `models`. A name repeated in `models` takes part only at its first
+/// position. Besides the propagating sweep below, [`crate::separate`]
+/// uses this to rule out witness directions that known inclusions make
+/// impossible.
+pub fn inclusion_closure(models: &[ModelSpec]) -> Vec<Vec<bool>> {
+    let (names, closed) = closed_inclusions();
+    let slots: Vec<Option<usize>> = models
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let repeated = models[..i]
+                .iter()
+                .any(|e| e.name.eq_ignore_ascii_case(&m.name));
+            if repeated {
+                return None;
+            }
+            names.iter().position(|n| n.eq_ignore_ascii_case(&m.name))
+        })
+        .collect();
+    slots
+        .iter()
+        .map(|a| {
+            slots
+                .iter()
+                .map(|b| match (a, b) {
+                    (Some(a), Some(b)) => closed[*a][*b],
+                    _ => false,
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The verdict for model `j` that already-decided verdicts force along
@@ -175,7 +205,8 @@ pub struct PropagationStats {
 /// the stronger — so whole rows of the sweep are skipped. Undecided
 /// verdicts (`None`) never propagate. Histories fan out across `jobs`
 /// worker threads; each check runs under the caller's `cfg` exactly as in
-/// [`classify`].
+/// [`classify`], except that with a memo each history is canonicalized
+/// once for all its models.
 pub fn classify_all_propagating(
     corpus: &[History],
     models: &[ModelSpec],
@@ -187,6 +218,7 @@ pub fn classify_all_propagating(
     let checked = AtomicU64::new(0);
     let propagated = AtomicU64::new(0);
     let classify_one = |h: &History| -> Classification {
+        let canon = cfg.memo.as_ref().map(|_| canonicalize(h));
         let mut allowed: Vec<Option<bool>> = vec![None; n];
         for j in 0..n {
             allowed[j] = match forced_verdict(&stronger, &allowed, j) {
@@ -196,7 +228,10 @@ pub fn classify_all_propagating(
                 }
                 None => {
                     checked.fetch_add(1, Ordering::Relaxed);
-                    check_with_config(h, &models[j], cfg).decided()
+                    let budget = Budget::local(cfg.node_budget);
+                    check_with_budget(h, &models[j], cfg, &budget, canon.as_ref())
+                        .0
+                        .decided()
                 }
             };
         }
@@ -602,5 +637,63 @@ q: r(x)1",
         let r = compare(&corpus, &ms, &CheckConfig::default());
         assert!(r.equivalent_on_corpus(0, 1));
         assert!(!r.strictly_stronger(0, 1));
+    }
+
+    #[test]
+    fn propagating_sweep_runs_the_pinned_checks() {
+        // The counts `smc corpus --exhaustive --stats` reports: each
+        // history is canonicalized once for all its models, and that must
+        // neither add a memo lookup nor drop one.
+        let params = crate::histgen::GenParams {
+            procs: 2,
+            ops_per_proc: 2,
+            locs: 2,
+            values: 1,
+        };
+        let corpus = crate::histgen::all_histories(&params);
+        let cfg = CheckConfig::default().with_memo();
+        let (_, stats) = classify_all_propagating(&corpus, &models::figure5_models(), &cfg, 1);
+        assert_eq!(
+            stats,
+            PropagationStats {
+                checked: 4632,
+                propagated: 1848
+            }
+        );
+        let memo = cfg.memo.as_ref().unwrap().stats();
+        assert_eq!(
+            memo,
+            crate::memo::MemoStats {
+                hits: 3418,
+                misses: 1214,
+                inserts: 1214,
+                evictions: 0
+            }
+        );
+    }
+
+    #[test]
+    fn inclusion_closure_keeps_a_repeated_name_at_its_first_position() {
+        // Names match case-insensitively; a repeat gets no inclusions.
+        let mut tso_lower = models::tso();
+        tso_lower.name = "tso".into();
+        let ms = vec![
+            models::sc(),
+            models::tso(),
+            models::sc(),
+            tso_lower,
+            models::pram(),
+        ];
+        let (f, t) = (false, true);
+        assert_eq!(
+            inclusion_closure(&ms),
+            vec![
+                vec![f, t, f, f, t],
+                vec![f, f, f, f, t],
+                vec![f; 5],
+                vec![f; 5],
+                vec![f; 5],
+            ]
+        );
     }
 }

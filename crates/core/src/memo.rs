@@ -9,9 +9,14 @@
 //! point ([`crate::spec::ModelSpec::param_key`]) — so every member of a
 //! symmetry class is decided once per model.
 //!
-//! * `Allowed` entries store their witness in *canonical* coordinates;
-//!   on a hit the witness is translated through the querying history's
-//!   own permutation maps, so it verifies against that history.
+//! * `Allowed` entries store their witness in *canonical* coordinates,
+//!   shared behind an `Arc`; a hit ([`MemoCache::recall`]) copies the
+//!   pointer under the shard lock and translates the witness through the
+//!   querying history's own permutation maps outside it, so it verifies
+//!   against that history.
+//! * Entries can come from memo files, which are untrusted: an entry
+//!   whose witness does not fit the querying history (an index out of
+//!   range) reads as a miss, and the check's own verdict replaces it.
 //! * `Exhausted` verdicts are never cached: they depend on the budget
 //!   the particular check ran under, not on the question.
 //! * `Unsupported` verdicts are never cached: they are cheap to
@@ -30,7 +35,7 @@ use smc_history::OpId;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const NUM_SHARDS: usize = 16;
 
@@ -47,9 +52,13 @@ pub enum CachedVerdict {
     Disallowed,
 }
 
+/// A stored verdict: the canonical-coordinate witness of an `Allowed`,
+/// or `None` for `Disallowed`.
+type Entry = Option<Arc<Witness>>;
+
 #[derive(Default)]
 struct Shard {
-    map: HashMap<(u128, u64), CachedVerdict>,
+    map: HashMap<(u128, u64), Entry>,
     order: VecDeque<(u128, u64)>,
 }
 
@@ -69,7 +78,7 @@ pub struct MemoCache {
 pub struct MemoStats {
     /// Lookups that found a cached verdict.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Lookups that found nothing, or an entry that did not fit.
     pub misses: u64,
     /// Entries inserted.
     pub inserts: u64,
@@ -92,6 +101,13 @@ impl std::fmt::Debug for MemoCache {
 impl Default for MemoCache {
     fn default() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
+    }
+}
+
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    match shard.lock() {
+        Ok(s) => s,
+        Err(p) => p.into_inner(),
     }
 }
 
@@ -119,35 +135,63 @@ impl MemoCache {
         &self.shards[(mix as usize) % NUM_SHARDS]
     }
 
+    /// The stored entry for `(key, model)`; an `Allowed` witness is
+    /// shared, not copied.
+    fn get(&self, key: HistoryKey, model: u64) -> Option<Entry> {
+        lock(self.shard_of(key, model))
+            .map
+            .get(&(key.0, model))
+            .cloned()
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Look up the cached verdict for `(key, model)`, counting the hit or
     /// miss.
     pub fn lookup(&self, key: HistoryKey, model: u64) -> Option<CachedVerdict> {
-        let shard = match self.shard_of(key, model).lock() {
-            Ok(s) => s,
-            Err(p) => p.into_inner(),
-        };
-        match shard.map.get(&(key.0, model)) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = self.get(key, model);
+        self.count(entry.is_some());
+        entry.map(|e| match e {
+            Some(w) => CachedVerdict::Allowed(Witness::clone(&w)),
+            None => CachedVerdict::Disallowed,
+        })
+    }
+
+    /// The cached verdict for the history `canon` was computed from under
+    /// `model`, with any witness translated into that history's
+    /// coordinates; counts the hit or miss. An entry whose witness does
+    /// not fit the history (see [`Canon::try_witness_from_canon`]) counts
+    /// as a miss: the caller checks, and [`MemoCache::record`] replaces
+    /// the entry.
+    pub fn recall(&self, canon: &Canon, model: u64) -> Option<Verdict> {
+        let verdict = self.get(canon.key, model).and_then(|e| match e {
+            Some(w) => canon
+                .try_witness_from_canon(&w)
+                .map(|w| Verdict::Allowed(Box::new(w))),
+            None => Some(Verdict::Disallowed),
+        });
+        self.count(verdict.is_some());
+        verdict
     }
 
     /// Insert a decided verdict for `(key, model)`, evicting the oldest
     /// entry of the shard if it is at capacity. Re-inserting an existing
     /// key replaces the value in place.
     pub fn insert(&self, key: HistoryKey, model: u64, verdict: CachedVerdict) {
-        let mut shard = match self.shard_of(key, model).lock() {
-            Ok(s) => s,
-            Err(p) => p.into_inner(),
+        let entry = match verdict {
+            CachedVerdict::Allowed(w) => Some(Arc::new(w)),
+            CachedVerdict::Disallowed => None,
         };
+        self.insert_entry(key, model, entry);
+    }
+
+    fn insert_entry(&self, key: HistoryKey, model: u64, entry: Entry) {
+        let mut shard = lock(self.shard_of(key, model));
         let k = (key.0, model);
-        if shard.map.insert(k, verdict).is_none() {
+        if shard.map.insert(k, entry).is_none() {
             shard.order.push_back(k);
             self.inserts.fetch_add(1, Ordering::Relaxed);
             while shard.map.len() > self.shard_capacity {
@@ -165,34 +209,17 @@ impl MemoCache {
     /// any witness into canonical coordinates first.
     pub fn record(&self, canon: &Canon, model: u64, verdict: &Verdict) {
         match verdict {
-            Verdict::Allowed(w) => self.insert(
-                canon.key,
-                model,
-                CachedVerdict::Allowed(canon.witness_to_canon(w)),
-            ),
-            Verdict::Disallowed => self.insert(canon.key, model, CachedVerdict::Disallowed),
+            Verdict::Allowed(w) => {
+                self.insert_entry(canon.key, model, Some(Arc::new(canon.witness_to_canon(w))))
+            }
+            Verdict::Disallowed => self.insert_entry(canon.key, model, None),
             Verdict::Exhausted | Verdict::Unsupported(_) => {}
-        }
-    }
-
-    /// Turn a cached verdict into a [`Verdict`] for the querying history,
-    /// translating the witness out of canonical coordinates.
-    pub fn rehydrate(canon: &Canon, hit: CachedVerdict) -> Verdict {
-        match hit {
-            CachedVerdict::Allowed(w) => Verdict::Allowed(Box::new(canon.witness_from_canon(&w))),
-            CachedVerdict::Disallowed => Verdict::Disallowed,
         }
     }
 
     /// Number of entries currently cached.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| match s.lock() {
-                Ok(s) => s.map.len(),
-                Err(p) => p.into_inner().map.len(),
-            })
-            .sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// `true` if the cache holds no entries.
@@ -217,12 +244,9 @@ impl MemoCache {
     /// later [`MemoCache::load`] into a same-capacity cache evicts the
     /// same entries a live cache would have.
     pub fn save(&self, path: &Path) -> std::io::Result<usize> {
-        let mut entries: Vec<((u128, u64), CachedVerdict)> = Vec::new();
+        let mut entries: Vec<((u128, u64), Entry)> = Vec::new();
         for shard in &self.shards {
-            let shard = match shard.lock() {
-                Ok(s) => s,
-                Err(p) => p.into_inner(),
-            };
+            let shard = lock(shard);
             for k in &shard.order {
                 if let Some(v) = shard.map.get(k) {
                     entries.push((*k, v.clone()));
@@ -251,8 +275,8 @@ impl MemoCache {
             let idx = models.iter().position(|m| m == model).unwrap_or(0);
             write_u32(&mut buf, idx as u32);
             match verdict {
-                CachedVerdict::Disallowed => buf.push(0),
-                CachedVerdict::Allowed(w) => {
+                None => buf.push(0),
+                Some(w) => {
                     buf.push(1);
                     write_witness(&mut buf, w);
                 }
@@ -291,12 +315,12 @@ impl MemoCache {
                 .get(idx)
                 .ok_or_else(|| format!("model index {idx} out of range at byte {pos}"))?;
             let pos = r.pos();
-            let verdict = match r.u8()? {
-                0 => CachedVerdict::Disallowed,
-                1 => CachedVerdict::Allowed(read_witness(&mut r)?),
+            let entry = match r.u8()? {
+                0 => None,
+                1 => Some(Arc::new(read_witness(&mut r)?)),
                 t => return Err(format!("unknown verdict tag {t} at byte {pos}")),
             };
-            self.insert(HistoryKey(key), model, verdict);
+            self.insert_entry(HistoryKey(key), model, entry);
             loaded += 1;
         }
         Ok(loaded)
@@ -570,5 +594,60 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, 2000);
         assert!(!cache.is_empty());
+    }
+
+    /// Write a one-record memo file holding an `Allowed` entry with
+    /// `views` (and no other witness component) for `(key, model)`.
+    fn write_one_record(path: &Path, key: HistoryKey, model: u64, views: &[Vec<u32>]) {
+        let mut buf = MAGIC.to_vec();
+        write_u32(&mut buf, 1);
+        buf.extend_from_slice(&model.to_le_bytes());
+        write_u32(&mut buf, 1);
+        buf.extend_from_slice(&key.0.to_le_bytes());
+        write_u32(&mut buf, 0);
+        buf.push(1);
+        write_u32(&mut buf, views.len() as u32);
+        for view in views {
+            write_u32(&mut buf, view.len() as u32);
+            for &id in view {
+                write_u32(&mut buf, id);
+            }
+        }
+        // No store order, coherence, labeled order or reads-from.
+        buf.extend_from_slice(&[0, 0, 0, 0]);
+        std::fs::write(path, &buf).unwrap();
+    }
+
+    #[test]
+    fn an_entry_that_does_not_fit_the_history_is_a_miss() {
+        use crate::checker::{check_with_config, CheckConfig};
+        let h = smc_history::litmus::parse_history("p: w(x)1\nq: r(x)1").unwrap();
+        let sc = crate::models::sc();
+        let key = crate::canon::canonicalize(&h).key;
+        let dir = std::env::temp_dir().join("smc-memo-misfit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("misfit.smcmemo");
+        // One view for a two-processor history; an op id past the end.
+        for views in [vec![vec![0, 1]], vec![vec![0, 1], vec![0, 65535]]] {
+            write_one_record(&path, key, sc.param_key(), &views);
+            let cfg = CheckConfig::default().with_memo();
+            let memo = cfg.memo.clone().unwrap();
+            assert_eq!(memo.load(&path), Ok(1));
+            match check_with_config(&h, &sc, &cfg) {
+                Verdict::Allowed(w) => crate::verify::verify_witness(&h, &sc, &w)
+                    .unwrap_or_else(|e| panic!("{views:?}: {e}")),
+                other => panic!("{views:?}: expected Allowed, got {other:?}"),
+            }
+            let s = memo.stats();
+            assert_eq!((s.hits, s.misses), (0, 1), "{views:?}");
+            // The check's own verdict replaced the entry, so the parallel
+            // entry point now hits it.
+            match crate::batch::check_parallel(&h, &sc, &cfg, 2).0 {
+                Verdict::Allowed(w) => crate::verify::verify_witness(&h, &sc, &w).unwrap(),
+                other => panic!("{views:?}: expected Allowed, got {other:?}"),
+            }
+            assert_eq!(memo.stats().hits, 1, "{views:?}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

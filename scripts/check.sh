@@ -24,6 +24,21 @@ if [ "${1:-}" != "--no-test" ]; then
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+    # The benchmark checks its own output: the golden sweep, the
+    # saturation cross-check, sweep determinism, and serve payloads
+    # against the offline monitor. It reports a failed check in its last
+    # line, not its exit code, so run each gated workload briefly and
+    # read that line.
+    for workload in check_universe serve_sessions; do
+        echo "==> perfbench --workload $workload (output checks)"
+        last=$(perfbench/target/release/smc-perfbench --workload "$workload" \
+            --seed 1 --seconds 1 --trace 0 | tail -n 1)
+        if ! echo "$last" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,'; then
+            echo "perfbench $workload failed its output checks: $last" >&2
+            exit 1
+        fi
+    done
+
     # Every gate below writes its temporary files into one scratch
     # directory, removed on exit.
     tmp=$(mktemp -d)

@@ -102,9 +102,10 @@ fn canonicalize_is_idempotent() {
     subjects.extend((0..64u64).map(|s| random_history(&mut SmallRng::seed_from_u64(s))));
     for h in &subjects {
         let c1 = canonicalize(h);
-        let c2 = canonicalize(&c1.history);
+        let h1 = c1.history(h);
+        let c2 = canonicalize(&h1);
         assert_eq!(c1.key, c2.key, "key drifted on re-canonicalization\n{h}");
-        assert_eq!(c1.history, c2.history, "form drifted\n{h}");
+        assert_eq!(h1, c2.history(&h1), "form drifted\n{h}");
     }
 }
 
@@ -123,7 +124,11 @@ fn canonical_key_is_permutation_invariant() {
                 c.key, cr.key,
                 "seed {seed}: relabeling changed the key\noriginal:\n{h}\nrenamed:\n{renamed}"
             );
-            assert_eq!(c.history, cr.history, "seed {seed}: canonical forms differ");
+            assert_eq!(
+                c.history(&h),
+                cr.history(&renamed),
+                "seed {seed}: canonical forms differ"
+            );
         }
     }
 }
@@ -145,9 +150,10 @@ fn canonicalization_preserves_verdicts() {
     for seed in 200..240u64 {
         let h = random_history(&mut SmallRng::seed_from_u64(seed));
         let c = canonicalize(&h);
+        let ch = c.history(&h);
         for spec in &specs {
             let orig = check_with_config(&h, spec, &cfg);
-            let canon = check_with_config(&c.history, spec, &cfg);
+            let canon = check_with_config(&ch, spec, &cfg);
             if let (Some(a), Some(b)) = (orig.decided(), canon.decided()) {
                 assert_eq!(
                     a, b,
@@ -156,7 +162,7 @@ fn canonicalization_preserves_verdicts() {
                 );
             }
             if let Verdict::Allowed(w) = &canon {
-                verify_witness(&c.history, spec, w).unwrap_or_else(|e| {
+                verify_witness(&ch, spec, w).unwrap_or_else(|e| {
                     panic!("seed {seed} {}: canonical witness: {e}", spec.name)
                 });
                 let translated = c.witness_from_canon(w);
