@@ -52,7 +52,7 @@
 //! rescued by a write that arrives tomorrow.
 
 use crate::binfmt::{write_i64, write_u32, write_u64, Reader};
-use crate::kernel::{get_u32, hash_words, set_u32, StateSpace};
+use crate::kernel::{get_u32, hash_words, set_u32, Insert, StateSpace};
 use smc_history::{Location, OpKind, ProcId, Value};
 use std::collections::VecDeque;
 
@@ -114,10 +114,11 @@ pub struct SealReport {
 ///
 /// States live in a [`StateSpace`] arena from the shared kernel: one
 /// fixed-stride packed `u64` row per state — the `counts` packed two per
-/// word, then one word per location value — deduplicated exactly via
-/// [`hash_words`] buckets. A scheduling transition copies the source row
-/// into a reusable scratch buffer and edits it in place, so the steady
-/// state allocates nothing per transition.
+/// word, then one word per location value — deduplicated exactly by
+/// [`hash_words`] in one probe per transition. A scheduling transition
+/// copies the source row into a reusable scratch buffer and edits it in
+/// place, and an append reuses the engine's closure queue, so the
+/// steady state allocates nothing per transition.
 pub struct FrontierEngine {
     num_procs: usize,
     max_states: usize,
@@ -131,6 +132,9 @@ pub struct FrontierEngine {
     counts_words: usize,
     /// Successor-row scratch, reused across transitions.
     scratch: Vec<u64>,
+    /// States an append has created but not yet expanded; empty between
+    /// appends, kept only to reuse its allocation.
+    queue: VecDeque<u32>,
     /// `waiting[p][i]` — ids of all states with `counts[p] == i`, the
     /// seeds for `p`'s `i`-th appended operation.
     waiting: Vec<Vec<Vec<u32>>>,
@@ -153,6 +157,7 @@ impl FrontierEngine {
             space: StateSpace::new(counts_words + num_locs),
             counts_words,
             scratch: Vec::new(),
+            queue: VecDeque::new(),
             waiting: vec![vec![Vec::new()]; num_procs],
             num_complete: 0,
             exhausted: false,
@@ -165,8 +170,8 @@ impl FrontierEngine {
         for l in 0..num_locs {
             e.scratch[counts_words + l] = Value::INITIAL.0 as u64;
         }
-        let h = hash_words(0, &e.scratch);
-        e.insert_scratch(h);
+        e.insert_scratch(usize::MAX);
+        e.stats.states += 1;
         e
     }
 
@@ -207,40 +212,33 @@ impl FrontierEngine {
         get_u32(self.space.row(sid), q)
     }
 
-    /// Store the scratch row as a new state and register it everywhere.
-    /// The caller has checked it is not a duplicate. Does not touch the
-    /// lifetime counters — rebuilds (seal, fold, restore) re-register
+    /// Store the scratch row as a state unless an equal one exists (or
+    /// the space already holds `cap` states), and register a new state
+    /// in the waiting lists and the completeness count. Does not touch
+    /// the lifetime counters — rebuilds (seal, fold, restore) re-register
     /// existing states without re-counting them as discoveries.
-    fn insert_scratch_inner(&mut self, hash: u64) -> u32 {
-        let sid = self.space.insert_new(hash, &self.scratch);
-        let mut complete = true;
-        for q in 0..self.num_procs {
-            let c = get_u32(&self.scratch, q);
-            complete &= c as usize == self.seqs[q].len();
-            self.waiting[q][c as usize].push(sid);
+    fn insert_scratch(&mut self, cap: usize) -> Insert {
+        let hash = hash_words(0, &self.scratch);
+        let outcome = self.space.insert(hash, &self.scratch, cap);
+        if let Insert::Added(sid) = outcome {
+            let mut complete = true;
+            for q in 0..self.num_procs {
+                let c = get_u32(&self.scratch, q);
+                complete &= c as usize == self.seqs[q].len();
+                self.waiting[q][c as usize].push(sid);
+            }
+            if complete {
+                self.num_complete += 1;
+            }
         }
-        if complete {
-            self.num_complete += 1;
-        }
-        sid
-    }
-
-    /// [`FrontierEngine::insert_scratch_inner`], counted as a discovery.
-    fn insert_scratch(&mut self, hash: u64) -> u32 {
-        self.stats.states += 1;
-        self.insert_scratch_inner(hash)
+        outcome
     }
 
     /// Try to schedule processor `q`'s next unscheduled view operation
     /// from state `sid`; on success the successor state is created (if
-    /// new) and queued.
-    fn try_schedule(
-        &mut self,
-        sid: u32,
-        q: usize,
-        queue: &mut VecDeque<u32>,
-        report: &mut AppendReport,
-    ) {
+    /// new) and queued. Only a new state past the budget exhausts the
+    /// engine: a transition to a known state is a reuse hit at any size.
+    fn try_schedule(&mut self, sid: u32, q: usize, report: &mut AppendReport) {
         let i = self.count_of(sid, q) as usize;
         let op = self.seqs[q][i];
         let loc = self.counts_words + op.loc.index();
@@ -256,19 +254,18 @@ impl FrontierEngine {
         if op.kind.is_write() {
             self.scratch[loc] = op.value.0 as u64;
         }
-        let hash = hash_words(0, &self.scratch);
-        if self.space.find(hash, &self.scratch).is_some() {
-            report.reuse_hits += 1;
-            self.stats.reuse_hits += 1;
-            return;
+        match self.insert_scratch(self.max_states) {
+            Insert::Present(_) => {
+                report.reuse_hits += 1;
+                self.stats.reuse_hits += 1;
+            }
+            Insert::Added(new_sid) => {
+                self.stats.states += 1;
+                self.queue.push_back(new_sid);
+                report.created += 1;
+            }
+            Insert::Full => self.exhausted = true,
         }
-        if self.space.len() >= self.max_states {
-            self.exhausted = true;
-            return;
-        }
-        let new_sid = self.insert_scratch(hash);
-        queue.push_back(new_sid);
-        report.created += 1;
     }
 
     /// Extend processor `p`'s view sequence by one operation and close
@@ -292,25 +289,27 @@ impl FrontierEngine {
         // complete any more, and every newly complete state is created
         // below.
         self.num_complete = 0;
-        let mut queue: VecDeque<u32> = VecDeque::new();
+        // An append that exhausted the engine left its queue behind.
+        self.queue.clear();
         // Seed: exactly the states that were waiting on p's idx-th
-        // operation. The waiting list cannot grow during this append
-        // (every new state has counts[p] > idx), so the snapshot is
-        // complete.
-        let seeds = self.waiting[p][idx].clone();
-        for sid in seeds {
-            self.try_schedule(sid, p, &mut queue, &mut report);
+        // operation, read in place. The waiting list cannot change
+        // during this append (every new state has counts[p] > idx).
+        let seeds = self.waiting[p][idx].len();
+        for k in 0..seeds {
+            let sid = self.waiting[p][idx][k];
+            self.try_schedule(sid, p, &mut report);
             if self.exhausted {
                 return report;
             }
         }
+        debug_assert_eq!(self.waiting[p][idx].len(), seeds);
         // Close the new states under all arrived operations.
-        while let Some(sid) = queue.pop_front() {
+        while let Some(sid) = self.queue.pop_front() {
             report.expanded += 1;
             self.stats.expanded += 1;
             for q in 0..self.num_procs {
                 if (self.count_of(sid, q) as usize) < self.seqs[q].len() {
-                    self.try_schedule(sid, q, &mut queue, &mut report);
+                    self.try_schedule(sid, q, &mut report);
                     if self.exhausted {
                         return report;
                     }
@@ -392,9 +391,7 @@ impl FrontierEngine {
             for (q, &b) in base.iter().enumerate() {
                 set_u32(&mut self.scratch, q, get_u32(row, q) - b);
             }
-            let hash = hash_words(0, &self.scratch);
-            if self.space.find(hash, &self.scratch).is_none() {
-                self.insert_scratch_inner(hash);
+            if let Insert::Added(_) = self.insert_scratch(usize::MAX) {
                 report.kept += 1;
             }
         }
@@ -422,10 +419,7 @@ impl FrontierEngine {
             self.scratch.clear();
             self.scratch.extend_from_slice(old.row(sid));
             self.scratch[word] = value.0 as u64;
-            let hash = hash_words(0, &self.scratch);
-            if self.space.find(hash, &self.scratch).is_none() {
-                self.insert_scratch_inner(hash);
-            }
+            self.insert_scratch(usize::MAX);
         }
     }
 
@@ -457,9 +451,10 @@ impl FrontierEngine {
     }
 
     /// Rebuild an engine from [`FrontierEngine::save_into`] bytes. The
-    /// dedup buckets, waiting lists and completeness count are derived by
-    /// re-inserting the rows; every declared length and index is
-    /// validated, so corrupt input yields `Err` with a byte offset.
+    /// dedup index, waiting lists and completeness count are derived by
+    /// re-inserting the rows, which gives every state its saved id back.
+    /// Every declared length and index is validated, so corrupt input
+    /// yields `Err` with a byte offset.
     pub fn load_from(r: &mut Reader<'_>) -> Result<FrontierEngine, String> {
         let at = r.pos();
         let num_procs = r.u32()? as usize;
@@ -490,6 +485,7 @@ impl FrontierEngine {
             space: StateSpace::new(counts_words + num_locs),
             counts_words,
             scratch: Vec::new(),
+            queue: VecDeque::new(),
             waiting: Vec::with_capacity(num_procs),
             num_complete: 0,
             exhausted,
@@ -539,11 +535,9 @@ impl FrontierEngine {
                     ));
                 }
             }
-            let hash = hash_words(0, &e.scratch);
-            if e.space.find(hash, &e.scratch).is_some() {
+            if let Insert::Present(_) = e.insert_scratch(usize::MAX) {
                 return Err(format!("duplicate state row at byte {at}"));
             }
-            e.insert_scratch_inner(hash);
         }
         if !exhausted && e.space.is_empty() {
             return Err(format!("engine with no states at byte {}", r.pos()));

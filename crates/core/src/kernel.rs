@@ -18,15 +18,17 @@
 //!   state transitions;
 //! * [`StateSpace`] — a compact, arena-allocated set of visited states:
 //!   fixed-stride rows of packed `u64` words in one flat allocation,
-//!   deduplicated exactly via hash buckets (the hash preselects, the
-//!   packed row comparison decides);
+//!   deduplicated exactly through an open-addressed `(hash, id)` index
+//!   (the hash preselects, the packed row comparison decides), with one
+//!   probe per insert-or-find. Ids follow insertion order whatever the
+//!   index does, so side tables keyed by id, and tables saved and
+//!   rebuilt row by row (frontier checkpoints), see the same ids;
 //! * the packing helpers ([`pack_state`], [`get_u32`], [`set_u32`]) and
 //!   hashes ([`state_hash`], [`hash_words`]) shared by the tables.
 
 use crate::view::{LegalityMode, ViewProblem};
 use smc_history::{OpId, Value};
 use smc_relation::{BitSet, Relation};
-use std::collections::HashMap;
 
 /// Sentinel for "no write to this location has been scheduled yet".
 pub(crate) const NO_WRITE: u32 = u32::MAX;
@@ -272,7 +274,7 @@ pub(crate) fn state_hash(salt: u64, placed: &BitSet, last_write: &[u32]) -> u64 
 /// [`state_hash`]'s sibling over an already-packed row of `u64` words
 /// (same FNV-1a core and finalizer, same never-zero guarantee). Used by
 /// the packed tables, where the row *is* the canonical state. Those
-/// tables compare exact rows, so the salt only spreads buckets.
+/// tables compare exact rows, so the salt only spreads index slots.
 pub fn hash_words(salt: u64, words: &[u64]) -> u64 {
     let mut h = FNV_BASIS ^ salt;
     for &w in words {
@@ -329,11 +331,19 @@ pub(crate) fn pack_state(dst: &mut Vec<u64>, placed: &BitSet, last_write: &[u32]
 ///
 /// Every state is one fixed-stride row of packed `u64` words, stored
 /// back-to-back in a single flat `Vec` — no per-state allocation, no
-/// cloned keys. Deduplication is *exact*: a `HashMap` from 64-bit state
-/// hash to the (almost always singleton) list of row ids with that hash
-/// preselects candidates, and the full row comparison decides. Row ids
-/// are dense `u32`s in insertion order, so callers can attach parallel
-/// per-state side tables (worklists, seed lists) indexed by id.
+/// cloned keys. Row ids are dense `u32`s in insertion order, so callers
+/// can attach parallel per-state side tables (worklists, seed lists)
+/// indexed by id, and a table saved row by row and rebuilt by
+/// re-inserting the rows gets the same ids back.
+///
+/// Deduplication is *exact*: an open-addressed index of `(hash, id)`
+/// slots preselects candidates by the caller's 64-bit state hash, and
+/// the full row comparison decides. The index has a power-of-two slot
+/// count, probes linearly from the hash's low bits, marks an empty slot
+/// with hash `0` (which [`hash_words`] and [`state_hash`] never return),
+/// and doubles before it would become more than half full, so every
+/// probe chain ends at an empty slot. It stores only the hash and the
+/// id, so growing never rehashes or moves a row.
 ///
 /// A `stride` of zero is legal and means every state is the empty row:
 /// the table then deduplicates everything to at most one state.
@@ -341,18 +351,33 @@ pub(crate) fn pack_state(dst: &mut Vec<u64>, placed: &BitSet, last_write: &[u32]
 pub struct StateSpace {
     stride: usize,
     words: Vec<u64>,
-    buckets: HashMap<u64, Vec<u32>>,
+    /// `(hash, id)` per slot, hash `0` for an empty slot. Empty or a
+    /// power of two long, and at most half full.
+    slots: Vec<(u64, u32)>,
     len: usize,
 }
+
+/// What [`StateSpace::insert`] found or did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Insert {
+    /// An equal row was already stored under this id.
+    Present(u32),
+    /// The row was new and is now stored under this id.
+    Added(u32),
+    /// The row was new, but the table already held its cap of rows, so
+    /// nothing was stored.
+    Full,
+}
+
+/// Slot count of an index's first allocation.
+const MIN_SLOTS: usize = 16;
 
 impl StateSpace {
     /// An empty table whose rows are `stride` words wide.
     pub fn new(stride: usize) -> Self {
         StateSpace {
             stride,
-            words: Vec::new(),
-            buckets: HashMap::new(),
-            len: 0,
+            ..StateSpace::default()
         }
     }
 
@@ -380,36 +405,86 @@ impl StateSpace {
     /// Is any state stored under this hash? A cheap pre-test that lets
     /// callers skip packing the probe row on the (common) miss path.
     pub fn has_bucket(&self, hash: u64) -> bool {
-        self.buckets.contains_key(&hash)
+        self.probe(hash, |_| true).is_ok()
     }
 
     /// Id of the state equal to `row`, if present. `hash` must be
-    /// `hash_words(salt, row)` under the caller's fixed salt.
+    /// `hash_words(salt, row)` under the caller's fixed salt (or another
+    /// never-zero function of the row).
     pub fn find(&self, hash: u64, row: &[u64]) -> Option<u32> {
         debug_assert_eq!(row.len(), self.stride);
-        self.buckets
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|&id| self.row(id) == row)
+        self.probe(hash, |id| self.row(id) == row).ok()
     }
 
-    /// Append `row` as a new state and return its id. The caller has
-    /// already established absence via [`StateSpace::find`].
-    pub fn insert_new(&mut self, hash: u64, row: &[u64]) -> u32 {
+    /// Find `row`, or store it as a new state if the table holds fewer
+    /// than `cap` rows, in one walk of its probe chain. `hash` is as for
+    /// [`StateSpace::find`].
+    pub fn insert(&mut self, hash: u64, row: &[u64], cap: usize) -> Insert {
         debug_assert_eq!(row.len(), self.stride);
-        debug_assert!(self.find(hash, row).is_none());
+        assert!(hash != 0, "hash 0 marks an empty index slot");
+        let mut slot = match self.probe(hash, |id| self.row(id) == row) {
+            Ok(id) => return Insert::Present(id),
+            Err(slot) => slot,
+        };
+        if self.len >= cap {
+            return Insert::Full;
+        }
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+            slot = self.vacant_slot(hash);
+        }
         let id = u32::try_from(self.len).expect("state space overflow");
         self.words.extend_from_slice(row);
-        self.buckets.entry(hash).or_default().push(id);
+        self.slots[slot] = (hash, id);
         self.len += 1;
-        id
+        Insert::Added(id)
+    }
+
+    /// Walk `hash`'s probe chain: `Ok` with the id of the first slot
+    /// holding `hash` whose id `accept` takes, else `Err` with the empty
+    /// slot that ends the chain (slot `0` of an unallocated index).
+    #[inline]
+    fn probe(&self, hash: u64, mut accept: impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let (h, id) = self.slots[i];
+            if h == 0 {
+                return Err(i);
+            }
+            if h == hash && accept(id) {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The empty slot at the end of `hash`'s probe chain.
+    fn vacant_slot(&self, hash: u64) -> usize {
+        self.probe(hash, |_| false)
+            .expect_err("a probe that accepts nothing ends at an empty slot")
+    }
+
+    /// Double the index (or allocate its first slots) and re-place every
+    /// `(hash, id)`; rows and ids stay where they are.
+    fn grow(&mut self) {
+        let n = (self.slots.len() * 2).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); n]);
+        for (hash, id) in old {
+            if hash != 0 {
+                let slot = self.vacant_slot(hash);
+                self.slots[slot] = (hash, id);
+            }
+        }
     }
 }
 
 /// Hash salt for [`NogoodStore`] rows, distinct from the scheduling
-/// tables' salts so a no-good row and a scheduling state never share a
-/// bucket by construction.
+/// tables' salts. The store compares exact rows, so the salt only
+/// spreads index slots.
 const NOGOOD_SALT: u64 = 0x6e6f_676f_6f64;
 
 /// A capacity-bounded, deduplicating store of *no-goods*: fixed-stride
@@ -460,15 +535,11 @@ impl NogoodStore {
     /// Insert `row` unless it is already present or the store is at
     /// capacity; `true` means a new row was actually stored.
     pub fn insert(&mut self, row: &[u64]) -> bool {
-        if self.space.len() >= self.cap_rows {
-            return false;
-        }
         let hash = hash_words(NOGOOD_SALT, row);
-        if self.space.find(hash, row).is_some() {
-            return false;
-        }
-        self.space.insert_new(hash, row);
-        true
+        matches!(
+            self.space.insert(hash, row, self.cap_rows),
+            Insert::Added(_)
+        )
     }
 }
 
@@ -520,21 +591,32 @@ mod tests {
         for r in rows {
             let h = hash_words(0, r);
             assert_eq!(s.find(h, r), None);
-            ids.push(s.insert_new(h, r));
+            match s.insert(h, r, usize::MAX) {
+                Insert::Added(id) => ids.push(id),
+                other => panic!("new row not added: {other:?}"),
+            }
         }
         assert_eq!(ids, [0, 1, 2]);
         assert_eq!(s.len(), 3);
         for (id, r) in ids.iter().zip(rows) {
             assert_eq!(s.row(*id), r);
             assert_eq!(s.find(hash_words(0, r), r), Some(*id));
+            assert_eq!(
+                s.insert(hash_words(0, r), r, usize::MAX),
+                Insert::Present(*id)
+            );
         }
         // Colliding hashes still compare rows exactly.
         let a: &[u64] = &[9, 9];
         let b: &[u64] = &[9, 8];
         let h = hash_words(0, a);
-        let id = s.insert_new(h, a);
+        assert_eq!(s.insert(h, a, usize::MAX), Insert::Added(3));
         assert_eq!(s.find(h, b), None);
-        assert_eq!(s.find(h, a), Some(id));
+        assert_eq!(s.find(h, a), Some(3));
+        // At the cap a known row is still found; only a new one is refused.
+        assert_eq!(s.insert(h, a, 4), Insert::Present(3));
+        assert_eq!(s.insert(h, b, 4), Insert::Full);
+        assert_eq!(s.len(), 4);
     }
 
     #[test]
@@ -542,10 +624,77 @@ mod tests {
         let mut s = StateSpace::new(0);
         let h = hash_words(0, &[]);
         assert!(s.is_empty());
+        assert!(!s.has_bucket(h));
         assert_eq!(s.find(h, &[]), None);
-        let id = s.insert_new(h, &[]);
-        assert_eq!(s.find(h, &[]), Some(id));
+        assert_eq!(s.insert(h, &[], usize::MAX), Insert::Added(0));
+        assert_eq!(s.find(h, &[]), Some(0));
+        assert_eq!(s.insert(h, &[], usize::MAX), Insert::Present(0));
         assert_eq!(s.len(), 1);
+    }
+
+    /// Drive a [`StateSpace`] and a reference map through the same seeded
+    /// inserts and lookups. `hash` picks each row's hash, so a constant
+    /// makes every row share one probe chain. Returns the table.
+    fn check_against_reference(
+        stride: usize,
+        rows: usize,
+        seed: u64,
+        hash: impl Fn(&[u64]) -> u64,
+    ) -> StateSpace {
+        use std::collections::HashMap;
+        let mut rng = smc_prng::SmallRng::seed_from_u64(seed);
+        let mut s = StateSpace::new(stride);
+        let mut reference: HashMap<Vec<u64>, u32> = HashMap::new();
+        // Small word values, so draws repeat and inserts also hit.
+        let draw = |rng: &mut smc_prng::SmallRng| -> Vec<u64> {
+            (0..stride).map(|_| rng.gen_range(0..6u64)).collect()
+        };
+        for _ in 0..rows {
+            let row = draw(&mut rng);
+            let h = hash(&row);
+            let want = match reference.get(&row) {
+                Some(&id) => Insert::Present(id),
+                None => {
+                    let id = reference.len() as u32;
+                    reference.insert(row.clone(), id);
+                    Insert::Added(id)
+                }
+            };
+            assert_eq!(s.insert(h, &row, usize::MAX), want, "row {row:?}");
+            assert_eq!(s.len(), reference.len());
+            // A fresh draw, present or not, is found exactly when the
+            // reference has it, and a stored row's hash has a bucket.
+            let probe = draw(&mut rng);
+            let h = hash(&probe);
+            assert_eq!(s.find(h, &probe), reference.get(&probe).copied());
+            assert!(s.has_bucket(h) || !reference.contains_key(&probe));
+        }
+        for (row, &id) in &reference {
+            assert_eq!(s.row(id), row.as_slice());
+            assert_eq!(s.find(hash(row), row), Some(id));
+            assert!(s.has_bucket(hash(row)));
+        }
+        s
+    }
+
+    #[test]
+    fn state_space_matches_a_reference_map() {
+        // Up to 6^4 = 1296 distinct rows: the index doubles many times.
+        let s = check_against_reference(4, 3000, 1, |r| hash_words(0, r));
+        assert!(s.slots.len() >= MIN_SLOTS << 3, "fewer than three growths");
+        // Every row on one probe chain: rows still compare exactly.
+        let s = check_against_reference(3, 400, 2, |_| 0x5eed);
+        assert!(s.len() > MIN_SLOTS << 3);
+        // A one-word key and its own hash family.
+        check_against_reference(1, 200, 3, |r| hash_words(7, r));
+        // Zero stride: every row is the empty row.
+        check_against_reference(0, 50, 4, |r| hash_words(0, r));
+        // A hash with no rows behind it has no bucket.
+        let mut s = StateSpace::new(1);
+        for w in 0..100u64 {
+            s.insert(hash_words(0, &[w]), &[w], usize::MAX);
+        }
+        assert!(!s.has_bucket(hash_words(0, &[1000])));
     }
 
     #[test]

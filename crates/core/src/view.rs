@@ -107,10 +107,10 @@ impl FailedTable for NoTable {
 }
 
 /// Exact (collision-free) memo of failed states for the sequential DFS:
-/// a packed [`StateSpace`] arena bucketed by [`state_hash`], so the hot
+/// a packed [`StateSpace`] arena indexed by [`state_hash`], so the hot
 /// path probes by hash first (computed straight off the live state, no
 /// packing) and packs the `(scheduled set, last writes)` key into the
-/// scratch row only on the rare bucket hit — or when a refuted state is
+/// scratch row only on the rare hash hit — or when a refuted state is
 /// inserted. Unlike a plain `HashSet<(BitSet, Vec<u32>)>`, a lookup
 /// never clones or allocates.
 struct LocalFailed {
@@ -132,9 +132,7 @@ impl FailedTable for LocalFailed {
 
     fn record(&mut self, hash: u64, placed: &BitSet, last_write: &[u32]) {
         pack_state(&mut self.scratch, placed, last_write);
-        if self.space.find(hash, &self.scratch).is_none() {
-            self.space.insert_new(hash, &self.scratch);
-        }
+        self.space.insert(hash, &self.scratch, usize::MAX);
     }
 }
 

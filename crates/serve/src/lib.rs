@@ -47,6 +47,10 @@
 //!   event — a slow session costs bounded memory, never an unbounded
 //!   queue. `QUERY`/`CLOSE` drain synchronously, so a client that
 //!   paces a query every `queue_cap` events can never be refused.
+//! * **Line cap.** A command line may be at most 1 MiB long. A
+//!   connection that sends a longer one gets `ERR line too long` and is
+//!   closed; its sessions stay open, like those of any connection that
+//!   drops.
 //! * **Poisoning.** A malformed event line poisons only its session:
 //!   the parse error is recorded, later events for that session are
 //!   discarded, and `QUERY`/`CLOSE` report `error: <msg>` instead of
@@ -93,6 +97,10 @@ const SHARDS: usize = 16;
 /// Poll interval for the non-blocking acceptor and the connection
 /// readers' timeout, bounding shutdown latency.
 const POLL: Duration = Duration::from_millis(20);
+
+/// Longest command line a connection may send, in bytes without its
+/// newline, which bounds what a connection buffers.
+const MAX_LINE: usize = 1 << 20;
 
 /// Tuning for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -799,6 +807,8 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
     let mut out = std::io::BufWriter::new(write_half);
     let mut stream = stream;
     let mut pending: Vec<u8> = Vec::new();
+    // Bytes of `pending` already searched for a newline.
+    let mut scanned = 0usize;
     let mut buf = [0u8; 16 * 1024];
     'conn: loop {
         if shared.shutdown.load(Ordering::Acquire) {
@@ -820,9 +830,20 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
         };
         pending.extend_from_slice(&buf[..n]);
         let mut start = 0usize;
-        while let Some(nl) = pending[start..].iter().position(|&b| b == b'\n') {
-            let line = &pending[start..start + nl];
-            start += nl + 1;
+        loop {
+            let nl = pending[scanned..].iter().position(|&b| b == b'\n');
+            let end = nl.map_or(pending.len(), |i| scanned + i);
+            if end - start > MAX_LINE {
+                let _ = out.write_all(b"ERR line too long\n");
+                let _ = out.flush();
+                break 'conn;
+            }
+            if nl.is_none() {
+                break;
+            }
+            let line = &pending[start..end];
+            start = end + 1;
+            scanned = start;
             let action = match std::str::from_utf8(line) {
                 Ok(text) => handle_line(&shared, text),
                 Err(_) => Action::Reply("ERR invalid utf-8".into()),
@@ -848,6 +869,7 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
             }
         }
         pending.drain(..start);
+        scanned = pending.len();
     }
     shared.conns.fetch_sub(1, Ordering::Relaxed);
 }
@@ -1186,6 +1208,41 @@ mod tests {
         let stats = roundtrip(&mut r, &mut w, "STATS");
         assert!(stats.contains("resumes=1"), "{stats}");
         std::fs::remove_dir_all(&dir).ok();
+        server.shutdown();
+    }
+
+    #[test]
+    fn overlong_line_closes_its_connection_not_its_sessions() {
+        let server = test_server(1, 1024);
+        let (mut r, mut w) = connect(server.addr());
+        r.get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(roundtrip(&mut r, &mut w, "OPEN s"), "OK s");
+        let t = parse_trace("p w(x)1\nq r(x)1\nq r(x)0\n").unwrap();
+        for line in emit_trace(&t).lines() {
+            writeln!(w, "@s {line}").unwrap();
+        }
+        // One byte past the cap, and no newline: the server answers and
+        // closes instead of buffering on.
+        w.write_all(&vec![b'a'; MAX_LINE + 1]).unwrap();
+        let mut reply = String::new();
+        r.read_line(&mut reply)
+            .expect("reply before the read timeout");
+        assert_eq!(reply, "ERR line too long\n");
+        reply.clear();
+        assert_eq!(r.read_line(&mut reply).expect("EOF, not a timeout"), 0);
+        // The session outlives its connection.
+        let (mut r2, mut w2) = connect(server.addr());
+        let want = offline_payload(
+            &[models::sc(), models::causal()],
+            &ServeConfig::default().monitor,
+            &t,
+        );
+        assert_eq!(
+            roundtrip(&mut r2, &mut w2, "CLOSE s"),
+            format!("CLOSED s {want}")
+        );
         server.shutdown();
     }
 

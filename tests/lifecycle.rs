@@ -17,6 +17,10 @@ use smc_history::{History, HistoryBuilder, Label, OpKind};
 use smc_monitor::{Monitor, MonitorConfig, TriVerdict};
 use smc_prng::SmallRng;
 use smc_programs::corpus::litmus_suite;
+use smc_serve::{verdict_payload, DEFAULT_SESSION_MAX_STATES};
+use smc_sim::sched::run_random;
+use smc_sim::workload::{Access, OpScript};
+use smc_sim::TsoMem;
 
 const PROCS: [&str; 4] = ["p", "q", "r", "s"];
 const LOCS: [&str; 3] = ["x", "y", "z"];
@@ -367,4 +371,130 @@ fn windowed_monitoring_bounds_frontier_memory() {
         peak_windowed * 4 < peak_plain,
         "windowing did not bound memory: windowed peak {peak_windowed}, plain peak {peak_plain}"
     );
+}
+
+/// FNV-1a over a byte string: a short, stable digest of a checkpoint.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A serve-shaped stream: a random program of `ops` accesses per
+/// processor over 2 locations, writes drawing values from `1..=2`, run
+/// on the 3-processor TSO machine and cut to its first 64 events.
+fn tso_session_trace(seed: u64) -> Trace {
+    const PROCS: usize = 3;
+    const LOCS: usize = 2;
+    const EVENTS: usize = 64;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let threads: Vec<Vec<Access>> = (0..PROCS)
+        .map(|_| {
+            (0..EVENTS.div_ceil(PROCS))
+                .map(|_| {
+                    let loc = rng.gen_range(0..LOCS) as u32;
+                    if rng.gen_bool(0.5) {
+                        Access::write(loc, rng.gen_range(1..3i64))
+                    } else {
+                        Access::read(loc)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let out = run_random(
+        TsoMem::new(PROCS, LOCS),
+        OpScript::new(threads, LOCS),
+        seed,
+        1 << 20,
+    );
+    assert!(out.completed, "seed {seed}: run did not drain");
+    let mut cut = Trace::new();
+    for p in out.trace.proc_names() {
+        cut.add_proc(p);
+    }
+    for l in out.trace.loc_names() {
+        cut.add_loc(l);
+    }
+    for ev in &out.trace.events()[..EVENTS] {
+        cut.push(*ev);
+    }
+    cut
+}
+
+/// Pins what the frontier engines do on serve-shaped sessions, where
+/// every engine fills the session state budget: the monitor's work
+/// counters, which models stay event-exact, the verdict payload, and a
+/// digest of the checkpoint (which holds every engine's state rows in
+/// id order). A change to the state table or the frontier closure that
+/// moves the event at which an engine exhausts, or renumbers its
+/// states, changes one of these.
+#[test]
+fn serve_shaped_sessions_pin_the_frontier() {
+    let models = models::lattice_models();
+    let mut totals = [0u64; 6];
+    let mut lines = Vec::new();
+    for seed in 0..16u64 {
+        let t = tso_session_trace(0x5e55_1000 + seed);
+        let cfg = MonitorConfig {
+            max_frontier_states: DEFAULT_SESSION_MAX_STATES,
+            ..MonitorConfig::default()
+        };
+        let mut mon = Monitor::new(models.clone(), cfg);
+        feed_events(&mut mon, &t, 0, t.len());
+        let m = mon.totals();
+        for (sum, x) in totals.iter_mut().zip([
+            m.created,
+            m.expanded,
+            m.reuse_hits,
+            m.rechecks,
+            m.recheck_nodes,
+            m.propagated,
+        ]) {
+            *sum += x;
+        }
+        let exact: String = (0..models.len())
+            .map(|i| if mon.is_event_exact(i) { '1' } else { '0' })
+            .collect();
+        lines.push(format!(
+            "{} exact={exact} ckpt={:016x}",
+            verdict_payload(&mon),
+            fnv1a(&mon.checkpoint_bytes())
+        ));
+    }
+    // A change to the state table or the frontier closure must leave
+    // every pinned value as it is.
+    assert_eq!(
+        totals,
+        [65392, 62321, 80734, 783, 1204666, 6503],
+        "created, expanded, reuse_hits, rechecks, recheck_nodes, propagated"
+    );
+    // Every engine exhausts the budget, so no model is event-exact;
+    // all eight models admit every session but SC, which refutes one.
+    let want_ckpt: [u64; 16] = [
+        0x098f_4978_5d1c_ae98,
+        0x05b2_0982_53c7_433f,
+        0x05b1_30bd_d39a_3c6c,
+        0x8303_735b_876c_5ddb,
+        0x115f_8243_6311_9bc7,
+        0xe9fa_e4ed_20ba_9978,
+        0x6ea9_e4bb_0f55_c7d2,
+        0xe3d2_e335_76e9_0092,
+        0x0dec_6c4b_60ad_4e0c,
+        0x8d50_e2df_fa5f_57c3,
+        0x00a1_6743_cfbd_09f6,
+        0x159b_ea5b_c6d9_761e,
+        0xb779_47e8_2d9e_ddd6,
+        0x1710_29c6_9f33_a0d5,
+        0x8e8a_133b_fd56_6966,
+        0x59ee_9140_e5bd_f51c,
+    ];
+    for (i, (line, ckpt)) in lines.iter().zip(want_ckpt).enumerate() {
+        let sc = if i == 11 { "violated" } else { "admitted" };
+        let want = format!(
+            "64 SC={sc} TSO=admitted PC=admitted PCG=admitted CausalCoherent=admitted \
+             Causal=admitted PRAM=admitted Coherent=admitted exact=00000000 ckpt={ckpt:016x}"
+        );
+        assert_eq!(*line, want, "session {i}");
+    }
 }
