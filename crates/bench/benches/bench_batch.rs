@@ -7,8 +7,8 @@
 //!   plain sequential loop and by [`check_batch`] at increasing worker
 //!   counts (speedup is expected only on multi-core hosts — on one core
 //!   the parallel rows measure the engine's overhead);
-//! * a single hard exhaustive check split across workers by
-//!   [`check_parallel`].
+//! * a single exhaustive check whose independent per-processor view
+//!   searches [`check_parallel`] fans out across workers.
 
 use smc_bench::quickbench::{black_box, Harness};
 use smc_core::batch::{check_batch, check_parallel};
@@ -137,19 +137,18 @@ fn bench_memoized_sweep(harness: &mut Harness) {
     });
 }
 
-/// One SC refutation whose single-rf extension search dominates: the
-/// work-stealing path lets `check_parallel` split that search. The
-/// history is tiny (a handful of search nodes), so under the default
-/// cutover the adaptive probe decides it sequentially and the
-/// `check_parallel_j*` rows should sit within noise of `sequential` —
-/// the `_nocutover` row keeps the old always-fan-out cost (thread spawn
-/// plus shared failed-set setup) measurable for comparison.
+/// One PRAM refutation whose per-processor view searches
+/// `check_parallel` fans out across workers. The search is tiny (13
+/// nodes), so under the default cutover the adaptive probe decides it
+/// sequentially and the `check_parallel_j*` rows should sit within noise
+/// of `sequential`; the `_nocutover` row keeps the always-fan-out cost
+/// (thread spawn plus the shared node pool) measurable for comparison.
 fn bench_split_dfs(harness: &mut Harness) {
     let h = reversed_reads(10, 3);
-    let spec = models::sc();
-    // Exhaustive engine pinned: at 40 SC ops `Auto` would route every row
-    // to the saturation engine, and neither the view search nor the
-    // cutover probe would run.
+    let spec = models::pram();
+    // Exhaustive engine pinned: at 40 PRAM ops `Auto` would route every
+    // row to the saturation engine, and neither the view searches nor
+    // the cutover probe would run.
     let cfg = CheckConfig {
         engine: EngineKind::Exhaustive,
         ..CheckConfig::default()
@@ -158,7 +157,7 @@ fn bench_split_dfs(harness: &mut Harness) {
         parallel_cutover: 0,
         ..cfg.clone()
     };
-    let mut g = harness.group("batch/split_dfs_sc_reversed");
+    let mut g = harness.group("batch/split_dfs_pram_reversed");
     g.bench("sequential", || {
         black_box(check_with_config(&h, &spec, &cfg));
     });
@@ -174,61 +173,10 @@ fn bench_split_dfs(harness: &mut Harness) {
     });
 }
 
-/// Store-buffering with `pad` private writes per processor ahead of the
-/// critical section: SC-refuted, but only at the final reads, so the
-/// `(pad+1)²`-state interleaving diamond of the padding writes must be
-/// covered. Failed-state memoization collapses its exponentially many
-/// paths to quadratic work — provided the memo is *shared*.
-fn padded_sb(pad: i64) -> History {
-    let mut b = HistoryBuilder::new();
-    for v in 1..=pad {
-        b.write("p", "a", v);
-    }
-    b.write("p", "x", 1);
-    b.read("p", "y", 0);
-    for v in 1..=pad {
-        b.write("q", "b", v);
-    }
-    b.write("q", "y", 1);
-    b.read("q", "x", 0);
-    b.build()
-}
-
-/// The deep-funnel refutation: many interleavings converge on the same
-/// `(scheduled, last-writes)` states, so workers with private
-/// failed-state memos would each re-explore the shared diamond; the
-/// work-stealing engine's workers prune through one shared concurrent
-/// failed-state set instead. The stealing row also carries the
-/// scheduler's task and fingerprint overhead, which is why `sequential`
-/// is the floor.
-fn bench_split_dfs_deep_funnel(harness: &mut Harness) {
-    let h = padded_sb(48);
-    let spec = models::sc();
-    // Cutover disabled: this history's ~4.8k nodes would exhaust the
-    // default probe and the parallel row would pay probe + fan-out,
-    // muddying the comparison with the sequential search. Exhaustive
-    // engine pinned: at 100 SC ops `Auto` would route both rows to the
-    // saturation engine and no search would be split at all.
-    let stealing = CheckConfig {
-        parallel_cutover: 0,
-        engine: EngineKind::Exhaustive,
-        ..CheckConfig::default()
-    };
-    let mut g = harness.group("batch/split_dfs_deep_funnel");
-    g.bench("sequential", || {
-        black_box(check_with_config(&h, &spec, &stealing));
-    });
-    g.bench("stealing_j4", || {
-        let (v, stats) = check_parallel(&h, &spec, &stealing, 4);
-        black_box((v, stats.nodes_spent));
-    });
-}
-
 fn main() {
     let mut h = Harness::from_env();
     bench_corpus(&mut h);
     bench_single_check(&mut h);
     bench_memoized_sweep(&mut h);
     bench_split_dfs(&mut h);
-    bench_split_dfs_deep_funnel(&mut h);
 }

@@ -1,11 +1,10 @@
-//! Throughput of the separation-search engine: canonical-class
-//! deduplication vs naive per-history checking.
+//! Throughput of the separation-search engine with canonical-class
+//! deduplication (representative filtering plus the sharded per-class
+//! verdict cache).
 //!
 //! The scanned universe (PC vs PCG over 2×2 ops, 2 locs, 2 values)
-//! contains no separating witness, so neither mode exits early — both
-//! pay for the full scan, and the ratio of their rates is exactly the
-//! value of the symmetry machinery (representative filtering plus the
-//! sharded per-class verdict cache).
+//! contains no separating witness, so the search never exits early and
+//! every row pays for the full scan.
 
 use smc_bench::quickbench::{black_box, Harness};
 use smc_core::checker::CheckConfig;
@@ -22,13 +21,12 @@ fn universe() -> GenParams {
     }
 }
 
-fn scan(naive: bool, jobs: usize) -> u64 {
+fn scan(jobs: usize) -> u64 {
     let mut sep = Separator::new(
         vec![models::pc(), models::pc_goodman()],
         CheckConfig::default(),
         jobs,
     );
-    sep.set_naive(naive);
     let resolved = sep.run_universe(&universe());
     assert_eq!(resolved, 0, "universe unexpectedly separates PC/PCG");
     sep.stats.enumerated
@@ -39,10 +37,7 @@ fn bench_separate_throughput(harness: &mut Harness) {
     let mut g = harness.group(&format!("separate/scan_pc_pcg_{total}_histories"));
     for jobs in [1usize, 4] {
         g.bench(&format!("canonical_dedup_j{jobs}"), || {
-            black_box(scan(false, jobs));
-        });
-        g.bench(&format!("naive_j{jobs}"), || {
-            black_box(scan(true, jobs));
+            black_box(scan(jobs));
         });
     }
 }

@@ -222,8 +222,10 @@ usage:
 
 --jobs N runs checks on N worker threads (default 1; results are
 reported in the same order as sequential checking). With more workers
-than (history, model) pairs, the workers move inside each check: the
-work-stealing scheduler splits the extension search itself.
+than (history, model) pairs, the workers move inside each check and run
+its independent searches side by side: reads-from assignments, TSO
+store orders, or PRAM-like per-processor views. One search is never
+split, so SC, Coherent, PCG and Hybrid checks stay sequential.
 
 --cutover N bounds the sequential probe a parallel check (--jobs > 1)
 runs before spawning workers: if the probe decides within N search
@@ -399,7 +401,8 @@ fn render_stats(stats: &CheckStats) -> String {
         s.push_str(", rf truncated");
     }
     // Cutover decision: `ran_sequential` means the check answered without
-    // spawning workers (jobs 1, or the bounded probe decided). A non-zero
+    // spawning workers (jobs 1, a shape with nothing to fan out, or the
+    // bounded probe decided). A non-zero
     // probe count without it means the probe exhausted and workers were
     // spawned anyway. Plain sequential runs take no cutover decision, so
     // print nothing for them.
@@ -416,17 +419,6 @@ fn render_stats(stats: &CheckStats) -> String {
         s.push_str(&format!(
             ", cutover probe exhausted ({} nodes), fanned out",
             stats.probe_nodes
-        ));
-    }
-    // Failed-set counters only mean something when the work-stealing
-    // scheduler actually ran; the sequential path and the coarse
-    // per-store-order fan-out never touch the set, and printing their
-    // zeros would imply it did.
-    if stats.work_stealing_ran {
-        let fs = stats.failed_set;
-        s.push_str(&format!(
-            ", failed-set {} hits/{} misses/{} inserts/{} evictions",
-            fs.hits, fs.misses, fs.inserts, fs.evictions
         ));
     }
     // The engine line only matters when the saturation backend ran; the
@@ -453,8 +445,9 @@ fn render_stats(stats: &CheckStats) -> String {
 /// Check every (test × model) pair of a suite on `jobs` threads; results
 /// come back indexed test-major, matching the sequential print order.
 /// With more workers than pairs, batch-level fan-out would leave threads
-/// idle, so the workers move *inside* each check instead (the
-/// work-stealing scheduler splits the extension search itself).
+/// idle, so the workers move *inside* each check instead
+/// ([`smc_core::batch::check_parallel`] runs its independent searches
+/// side by side).
 fn check_suite(
     suite: &[LitmusTest],
     model_list: &[ModelSpec],

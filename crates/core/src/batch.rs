@@ -1,5 +1,5 @@
-//! Parallel batch checking: fan (history × model) pairs — or the inner
-//! enumerations of a single check — across a thread pool.
+//! Parallel batch checking: fan (history × model) pairs — or the
+//! independent searches inside a single check — across a thread pool.
 //!
 //! Three entry points, all built on [`crate::budget::SharedBudget`] and
 //! `std::thread::scope` (no external runtime):
@@ -9,17 +9,17 @@
 //!   order regardless of completion order.
 //! * [`check_matrix`] — convenience wrapper: every history against every
 //!   model, history-major.
-//! * [`check_parallel`] — parallelize a *single* check: reads-from
-//!   assignments and (above a unit cap) store orders fan out across
-//!   workers drawing on one shared node pool, and view searches run on
-//!   the work-stealing scheduler ([`crate::steal`]): per processor for
-//!   models with no shared orders, one global search for identical-views
-//!   models, per (store order, processor) for TSO-like ones. The first
-//!   worker to reach a verdict cancels the rest.
+//! * [`check_parallel`] — parallelize a *single* check across the
+//!   searches it already splits into once its shared ingredients are
+//!   fixed: reads-from assignments, TSO store orders, or the
+//!   per-processor views of models with no shared order. Each search is
+//!   one index drawing on one shared node pool, run exactly as the
+//!   sequential checker runs it; the first index that settles the
+//!   question cancels the rest. One search tree is never split.
 //!
 //! Every claim-an-index fan-out here, and the propagating sweep in
 //! [`crate::lattice`], runs on one worker pool, `par_map`; the
-//! work-stealing scheduler and the separation search keep their own.
+//! separation search keeps its own.
 //!
 //! Determinism: `check_batch`/`check_matrix` results are positionally
 //! identical to running [`crate::checker::check_with_stats`] on each pair
@@ -29,7 +29,9 @@
 //! *decide* an instance where the sequential order of exploration
 //! exhausts first, but it never contradicts a sequential `Allowed` or
 //! `Disallowed`, and every `Allowed` carries a witness that
-//! [`crate::verify::verify_witness`] accepts.
+//! [`crate::verify::verify_witness`] accepts. A per-view fan-out returns
+//! the sequential checker's witness itself: each view is the same
+//! deterministic search.
 
 use crate::budget::{Budget, SharedBudget};
 use crate::canon::canonicalize;
@@ -40,19 +42,13 @@ use crate::checker::{
 use crate::constraints::{assemble_global, BaseOrders, Candidates};
 use crate::rf::{enumerate_reads_from, ReadsFrom};
 use crate::spec::ModelSpec;
-use crate::steal::{run_units, SharedFailedSet, StealDriver, Unit};
-use crate::view::LegalityMode;
+use crate::view::{find_legal_extension, LegalityMode, SearchOutcome, ViewProblem};
 use smc_history::{History, OpId};
 use smc_relation::BitSet;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Above this many (store order × processor) units, the work-stealing
-/// TSO fan-out would preprocess too many scheduling contexts up front;
-/// the coarse per-store fan-out takes over.
-const STEAL_UNIT_CAP: usize = 1024;
 
 /// Maximum store orders [`check_parallel`] collects up front when fanning
 /// a TSO-style check across workers; above the cap it falls back to the
@@ -154,30 +150,29 @@ fn views_decouple(spec: &ModelSpec) -> bool {
     !spec.identical_views && !spec.global_write_order && !spec.coherence && spec.labeled.is_none()
 }
 
-/// `true` if [`fan_out`] has a parallel driver for the model's shape.
-/// Coherence and labeled-order enumerations without reads-from (Coherent,
-/// PCG, Hybrid) have none: they are inherently sequential in this engine.
+/// `true` if [`fan_out`] has independent searches to run for the model's
+/// shape. SC's single shared view has none, and neither have coherence
+/// and labeled-order enumerations without reads-from (Coherent, PCG,
+/// Hybrid): they run on the sequential checker.
 fn has_parallel_driver(spec: &ModelSpec) -> bool {
-    spec.needs_reads_from()
-        || views_decouple(spec)
-        || spec.identical_views
-        || spec.global_write_order
+    spec.needs_reads_from() || views_decouple(spec) || spec.global_write_order
 }
 
 /// Run a single check on up to `jobs` threads sharing one pool of
 /// `cfg.node_budget` search nodes.
 ///
-/// Parallelism is chosen by the model's shape: reads-from assignments fan
-/// out across workers (causal, PC, RC — any model that enumerates
-/// explanations); for models with no shared orders (PRAM-like) the
-/// per-processor view searches run concurrently; identical-views models
-/// (SC) run the single global view search on the work-stealing scheduler;
-/// and global-write-order models (TSO) fan the store orders out (up to
-/// `STORE_ORDER_CAP`, beyond which they stream sequentially).
-/// Shapes with no parallel driver (coherence or labeled-order
-/// enumerations without reads-from) run [`check_with_stats`]. All
-/// sub-searches inherit the caller's `CheckConfig` (budget, cutover,
-/// engine) rather than re-deriving defaults.
+/// Parallelism is chosen by the model's shape, and only ever runs
+/// searches that are independent once the shared ingredients are fixed:
+/// reads-from assignments fan out across workers (causal, PC, RC — any
+/// model that enumerates explanations); for models with no shared orders
+/// (PRAM-like) the per-processor view searches run concurrently; and
+/// global-write-order models (TSO) fan the store orders out (up to
+/// `STORE_ORDER_CAP`, beyond which they stream sequentially). Shapes
+/// with nothing independent to split — SC's one shared view, coherence
+/// or labeled-order enumerations without reads-from — run
+/// [`check_with_stats`]. All sub-searches inherit the caller's
+/// `CheckConfig` (budget, cutover, engine) rather than re-deriving
+/// defaults.
 pub fn check_parallel(
     h: &History,
     spec: &ModelSpec,
@@ -187,8 +182,8 @@ pub fn check_parallel(
     // Worker-count sanity: like `check_batch`'s `jobs.min(pairs.len())`
     // clamp above, every fan-out below caps its thread count by the work
     // actually available (reads-from assignments, processors, store
-    // orders, view operations), so an oversubscribed `--jobs` never
-    // spawns workers that only pay pool/cancel setup.
+    // orders), so an oversubscribed `--jobs` never spawns workers that
+    // only pay pool/cancel setup.
     let jobs = jobs.max(1);
     if jobs == 1 {
         // The sequential checker consults the memo itself.
@@ -244,12 +239,11 @@ fn check_parallel_inner(
     }
     // Adaptive sequential cutover: most instances (every litmus-sized
     // one) decide in far fewer nodes than the fixed cost of spawning
-    // workers and zeroing a shared failed-state set is worth, so run a
-    // budget-bounded sequential probe first and fan out only if it
-    // exhausts. The probe explores exactly like `--jobs 1`, so a probe
-    // decision (verdict and witness) is bit-identical to the sequential
-    // checker's; on fall-through the wasted work is bounded by
-    // `cfg.parallel_cutover` nodes.
+    // workers is worth, so run a budget-bounded sequential probe first
+    // and fan out only if it exhausts. The probe explores exactly like
+    // `--jobs 1`, so a probe decision (verdict and witness) is
+    // bit-identical to the sequential checker's; on fall-through the
+    // wasted work is bounded by `cfg.parallel_cutover` nodes.
     if cfg.parallel_cutover > 0 {
         let probe_budget = cfg.parallel_cutover.min(cfg.node_budget);
         let probe = Budget::local(probe_budget);
@@ -273,8 +267,8 @@ fn check_parallel_inner(
     fan_out(h, spec, cfg, jobs, start)
 }
 
-/// The parallel dispatch proper: pick a fan-out strategy from the
-/// model's shape and run it. Reached only for shapes with a parallel
+/// The parallel dispatch proper: pick the independent searches from the
+/// model's shape and run them. Reached only for shapes with a parallel
 /// driver, when the cutover probe is disabled or has exhausted its node
 /// budget.
 fn fan_out(
@@ -301,7 +295,7 @@ fn fan_out(
             return finish(Verdict::Exhausted, st, start);
         }
         (v, st)
-    } else if views_decouple(spec) || spec.identical_views {
+    } else if views_decouple(spec) {
         parallel_views(h, spec, &base, None, cfg, jobs)
     } else {
         // TSO-like, the last shape `has_parallel_driver` admits: collect
@@ -338,9 +332,13 @@ fn parallel_rf(
     jobs: usize,
 ) -> (Verdict, CheckStats) {
     let pool = SharedBudget::new(cfg.node_budget);
-    let runs = fan_steps(rfs.len(), jobs, &pool, |i, budget| {
-        check_with_rf(h, spec, base, Some(&rfs[i]), budget)
-    });
+    let runs = fan_steps(
+        rfs.len(),
+        jobs,
+        &pool,
+        |i, budget| check_with_rf(h, spec, base, Some(&rfs[i]), budget),
+        decides,
+    );
     let mut stats = CheckStats {
         rf_assignments_tried: runs.iter().flatten().count(),
         ..CheckStats::default()
@@ -349,29 +347,36 @@ fn parallel_rf(
     (verdict, stats)
 }
 
-/// Run `check(i, budget)` for every index in `0..n` on up to `jobs`
-/// workers, each index under its own attachment to `pool`. A decided
-/// step (a witness, or the model is out of scope) makes the rest moot,
-/// so it cancels the pool and later indices are skipped (`None`). Each
-/// step comes back with the nodes it charged.
-fn fan_steps(
+/// Run `search(i, budget)` for every index in `0..n` on up to `jobs`
+/// workers, each index under its own attachment to `pool`. A result
+/// that `settles` the whole question makes the rest moot, so it cancels
+/// the pool and later indices are skipped (`None`). Each result comes
+/// back with the nodes it charged.
+fn fan_steps<T: Send>(
     n: usize,
     jobs: usize,
     pool: &Arc<SharedBudget>,
-    check: impl Fn(usize, &Budget) -> Step + Sync,
-) -> Vec<Option<(Step, u64)>> {
+    search: impl Fn(usize, &Budget) -> T + Sync,
+    settles: impl Fn(&T) -> bool + Sync,
+) -> Vec<Option<(T, u64)>> {
     par_map(n, jobs, |i| {
         if pool.is_cancelled() {
             return None;
         }
         let budget = pool.attach();
-        let step = check(i, &budget);
-        if matches!(step, Step::Allowed(_) | Step::Unsupported(_)) {
+        let result = search(i, &budget);
+        if settles(&result) {
             pool.cancel();
         }
         budget.release();
-        Some((step, budget.spent()))
+        Some((result, budget.spent()))
     })
+}
+
+/// Whether one alternative's step decides the whole check: a witness, or
+/// the model is out of scope.
+fn decides(step: &Step) -> bool {
+    matches!(step, Step::Allowed(_) | Step::Unsupported(_))
 }
 
 /// Settle a fan-out from its per-index steps, adding their nodes to
@@ -405,42 +410,12 @@ fn lowest_decided(
     }
 }
 
-/// Driver for independent per-processor view units: the history is
-/// admitted iff *every* unit finds a view, so the run is decided early
-/// either when the last missing view lands or when any unit is refuted.
-struct AllViewsDriver {
-    views: Mutex<Vec<Option<Vec<OpId>>>>,
-    missing: AtomicUsize,
-    refuted: AtomicBool,
-}
-
-impl StealDriver for AllViewsDriver {
-    fn found(&self, unit: usize, order: Vec<OpId>) -> bool {
-        let mut views = lock(&self.views);
-        if views[unit].is_none() {
-            views[unit] = Some(order);
-            return self.missing.fetch_sub(1, Ordering::SeqCst) == 1;
-        }
-        false
-    }
-
-    fn refuted(&self, _unit: usize) -> bool {
-        self.refuted.store(true, Ordering::SeqCst);
-        true
-    }
-
-    fn skip(&self, _unit: usize) -> bool {
-        false
-    }
-}
-
-/// Search the views concurrently once the reads-from assignment (if any)
-/// is fixed, for models whose views share no order beyond it. Each
-/// processor's view is one work-stealing unit, and all of them feed one
-/// task pool; any processor with no legal view refutes the whole history
-/// and cancels the sibling searches. An identical-views (SC-like) model
-/// has one unit, over every operation, whose order is copied to each
-/// processor.
+/// Search the per-processor views concurrently once the reads-from
+/// assignment (if any) is fixed, for models whose views share no order
+/// beyond it. Each processor's view is one index running
+/// [`find_legal_extension`], with its exact failed-state memo, against
+/// the shared node pool. The history is admitted iff every view exists,
+/// so the first refuted view cancels the rest.
 fn parallel_views(
     h: &History,
     spec: &ModelSpec,
@@ -458,49 +433,47 @@ fn parallel_views(
         Ok(g) => g,
         Err(e) => return (Verdict::Unsupported(e), CheckStats::default()),
     };
-    let mut stats = CheckStats::default();
-    if rf.is_some() {
-        stats.rf_assignments_tried = 1;
-    }
+    let mut stats = CheckStats {
+        rf_assignments_tried: usize::from(rf.is_some()),
+        ..CheckStats::default()
+    };
     if !g.is_acyclic() {
         return (Verdict::Disallowed, stats);
     }
 
-    let procs = h.num_procs();
-    let units: Vec<Unit<'_>> = if spec.identical_views {
-        let all = BitSet::full(h.num_ops());
-        vec![Unit::from_parts(h, &all, &g, legality, 1)]
-    } else {
-        let op_sets = view_op_sets(h, spec.delta);
-        (0..procs)
-            .map(|p| {
-                let constraints = proc_constraints(h, spec, base, &g, p);
-                Unit::from_parts(h, &op_sets[p], &constraints, legality, p as u64 + 1)
-            })
-            .collect()
-    };
-    let driver = AllViewsDriver {
-        views: Mutex::new((0..units.len()).map(|_| None).collect()),
-        missing: AtomicUsize::new(units.len()),
-        refuted: AtomicBool::new(false),
-    };
+    let op_sets = view_op_sets(h, spec.delta);
     let pool = SharedBudget::new(cfg.node_budget);
-    let failed = SharedFailedSet::default();
-    let end = run_units(&units, &driver, jobs, &pool, &failed);
-    stats.nodes_spent = end.nodes;
-    stats.work_stealing_ran = true;
-    stats.failed_set = failed.stats();
-    if driver.refuted.load(Ordering::SeqCst) {
-        return (Verdict::Disallowed, stats);
+    let runs = fan_steps(
+        h.num_procs(),
+        jobs,
+        &pool,
+        |p, budget| {
+            let constraints = proc_constraints(h, spec, base, &g, p);
+            let problem = ViewProblem {
+                history: h,
+                ops: op_sets[p].clone(),
+                constraints: &constraints,
+                legality,
+            };
+            find_legal_extension(&problem, budget)
+        },
+        |outcome| *outcome == SearchOutcome::NotFound,
+    );
+    stats.nodes_spent = runs.iter().flatten().map(|r| r.1).sum();
+    // A skipped or cancelled view leaves the run undecided unless some
+    // other view was refuted, which is the only thing that cancels.
+    let mut views = Vec::with_capacity(runs.len());
+    let mut unfinished = false;
+    for run in runs {
+        match run.map(|r| r.0) {
+            Some(SearchOutcome::Found(view)) => views.push(view),
+            Some(SearchOutcome::NotFound) => return (Verdict::Disallowed, stats),
+            Some(SearchOutcome::Exhausted) | None => unfinished = true,
+        }
     }
-    let views = std::mem::take(&mut *lock(&driver.views));
-    if end.exhausted || views.iter().any(Option::is_none) {
+    if unfinished {
         stats.exhausted_stage = Some(Stage::ViewSearch);
         return (Verdict::Exhausted, stats);
-    }
-    let mut views: Vec<Vec<OpId>> = views.into_iter().flatten().collect();
-    if spec.identical_views {
-        views = vec![views.remove(0); procs];
     }
     (
         Verdict::Allowed(Box::new(Witness {
@@ -514,189 +487,9 @@ fn parallel_views(
     )
 }
 
-/// Per-store-order state inside a [`StoreDriver`]: which processor views
-/// have landed, and whether some processor already refuted this order.
-struct StoreSlot {
-    refuted: AtomicBool,
-    missing: AtomicUsize,
-    views: Mutex<Vec<Option<Vec<OpId>>>>,
-}
-
-/// Driver for global-write-order (TSO-like) checks: an OR over store
-/// orders of an AND over processors. Unit `i` is processor `i % procs`
-/// under store order slot `i / procs`. A slot whose every processor finds
-/// a view decides the run (`Allowed`); a refuted unit kills only its own
-/// slot — sibling units of that slot become skippable, and the workers
-/// that were grinding on them steal subtrees from slots still alive.
-struct StoreDriver {
-    procs: usize,
-    slots: Vec<StoreSlot>,
-    /// Slot index of the first store order to complete, `usize::MAX` if
-    /// none has.
-    winner: AtomicUsize,
-}
-
-impl StealDriver for StoreDriver {
-    fn found(&self, unit: usize, order: Vec<OpId>) -> bool {
-        let slot = &self.slots[unit / self.procs];
-        if slot.refuted.load(Ordering::SeqCst) {
-            return false;
-        }
-        let mut views = lock(&slot.views);
-        if views[unit % self.procs].is_none() {
-            views[unit % self.procs] = Some(order);
-            if slot.missing.fetch_sub(1, Ordering::SeqCst) == 1 {
-                let _ = self.winner.compare_exchange(
-                    usize::MAX,
-                    unit / self.procs,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
-                return true;
-            }
-        }
-        false
-    }
-
-    fn refuted(&self, unit: usize) -> bool {
-        self.slots[unit / self.procs]
-            .refuted
-            .store(true, Ordering::SeqCst);
-        false
-    }
-
-    fn skip(&self, unit: usize) -> bool {
-        self.slots[unit / self.procs].refuted.load(Ordering::SeqCst)
-    }
-}
-
-/// Run the collected store orders on the work-stealing scheduler: one
-/// unit per (store order, processor), all feeding one task pool and one
-/// failed-state set, so a worker that finishes its store order steals
-/// extension subtrees from the others instead of idling.
-#[allow(clippy::too_many_arguments)]
-fn steal_store_orders(
-    h: &History,
-    spec: &ModelSpec,
-    base: &BaseOrders,
-    jobs: usize,
-    pool: &Arc<SharedBudget>,
-    stores: &[Vec<OpId>],
-    seed_spent: u64,
-    collect_exhausted: bool,
-) -> (Verdict, CheckStats) {
-    let procs = h.num_procs();
-    let op_sets = view_op_sets(h, spec.delta);
-    let mut stats = CheckStats {
-        nodes_spent: seed_spent,
-        ..CheckStats::default()
-    };
-
-    // Preprocess each store order into per-processor units. A store order
-    // whose assembled global relation is cyclic is refuted without any
-    // search, exactly as the sequential per-order check rejects it early.
-    let mut units: Vec<Unit<'_>> = Vec::new();
-    let mut kept: Vec<usize> = Vec::new();
-    let mut slots: Vec<StoreSlot> = Vec::new();
-    for (si, store) in stores.iter().enumerate() {
-        let cand = Candidates {
-            store_order: Some(store),
-            ..Candidates::default()
-        };
-        let g = match assemble_global(h, spec, base, None, &cand, None) {
-            Ok(g) => g,
-            Err(e) => return (Verdict::Unsupported(e), stats),
-        };
-        if !g.is_acyclic() {
-            continue;
-        }
-        kept.push(si);
-        slots.push(StoreSlot {
-            refuted: AtomicBool::new(false),
-            missing: AtomicUsize::new(procs),
-            views: Mutex::new((0..procs).map(|_| None).collect()),
-        });
-        for (p, ops) in op_sets.iter().enumerate() {
-            let constraints = proc_constraints(h, spec, base, &g, p);
-            let salt = units.len() as u64 + 1;
-            units.push(Unit::from_parts(
-                h,
-                ops,
-                &constraints,
-                LegalityMode::ByValue,
-                salt,
-            ));
-        }
-    }
-
-    // No processors: any store order that survived assembly admits the
-    // history vacuously (no views to find).
-    if procs == 0 {
-        return match kept.first() {
-            Some(&si) => (
-                Verdict::Allowed(Box::new(Witness {
-                    views: Vec::new(),
-                    store_order: Some(stores[si].clone()),
-                    coherence: None,
-                    labeled_order: None,
-                    reads_from: None,
-                })),
-                stats,
-            ),
-            None if collect_exhausted => {
-                stats.exhausted_stage = Some(Stage::StoreOrders);
-                (Verdict::Exhausted, stats)
-            }
-            None => (Verdict::Disallowed, stats),
-        };
-    }
-
-    let driver = StoreDriver {
-        procs,
-        slots,
-        winner: AtomicUsize::new(usize::MAX),
-    };
-    let failed = SharedFailedSet::default();
-    let end = run_units(&units, &driver, jobs, pool, &failed);
-    stats.nodes_spent = seed_spent + end.nodes;
-    stats.work_stealing_ran = true;
-    stats.failed_set = failed.stats();
-
-    let winner = driver.winner.load(Ordering::SeqCst);
-    if winner != usize::MAX {
-        let views = std::mem::take(&mut *lock(&driver.slots[winner].views));
-        let views: Vec<Vec<OpId>> = views.into_iter().flatten().collect();
-        // `winner` is only set once every processor's view landed.
-        debug_assert_eq!(views.len(), procs);
-        if views.len() == procs {
-            return (
-                Verdict::Allowed(Box::new(Witness {
-                    views,
-                    store_order: Some(stores[kept[winner]].clone()),
-                    coherence: None,
-                    labeled_order: None,
-                    reads_from: None,
-                })),
-                stats,
-            );
-        }
-    }
-    if end.exhausted || collect_exhausted {
-        stats.exhausted_stage = Some(if end.exhausted {
-            Stage::ViewSearch
-        } else {
-            Stage::StoreOrders
-        });
-        return (Verdict::Exhausted, stats);
-    }
-    (Verdict::Disallowed, stats)
-}
-
 /// Parallelize a global-write-order (TSO-like) check: collect the store
-/// orders up front (bounded by [`STORE_ORDER_CAP`]), then fan them out.
-/// Every (store order, processor) pair becomes a work-stealing unit
-/// ([`steal_store_orders`]); when that unit grid would exceed
-/// [`STEAL_UNIT_CAP`], each store order is one coarse task instead.
+/// orders up front (bounded by [`STORE_ORDER_CAP`]), then fan them out,
+/// each store order one index running the sequential per-order check.
 /// Returns `None` when the enumeration exceeds the cap, in which case
 /// the caller streams the orders sequentially.
 fn parallel_store_orders(
@@ -732,41 +525,33 @@ fn parallel_store_orders(
         ControlFlow::Continue(())
     });
     seed.release();
-    let seed_spent = seed.spent();
     if over_cap {
         return None;
     }
 
-    if stores.len().saturating_mul(h.num_procs().max(1)) <= STEAL_UNIT_CAP {
-        return Some(steal_store_orders(
-            h,
-            spec,
-            base,
-            jobs,
-            &pool,
-            &stores,
-            seed_spent,
-            collect_exhausted,
-        ));
-    }
-
-    let mut runs = fan_steps(stores.len(), jobs, &pool, |i, budget| {
-        check_with_store_order(
-            h,
-            spec,
-            base,
-            None,
-            LegalityMode::ByValue,
-            &stores[i],
-            budget,
-        )
-    });
+    let mut runs = fan_steps(
+        stores.len(),
+        jobs,
+        &pool,
+        |i, budget| {
+            check_with_store_order(
+                h,
+                spec,
+                base,
+                None,
+                LegalityMode::ByValue,
+                &stores[i],
+                budget,
+            )
+        },
+        decides,
+    );
     if collect_exhausted {
         // The orders never collected count as one more exhausted step.
         runs.push(Some((Step::Exhausted(Stage::StoreOrders), 0)));
     }
     let mut stats = CheckStats {
-        nodes_spent: seed_spent,
+        nodes_spent: seed.spent(),
         ..CheckStats::default()
     };
     let verdict = lowest_decided(runs, Stage::ViewSearch, &mut stats);
@@ -895,47 +680,48 @@ mod tests {
         assert!(memo.stats().hits >= 3);
     }
 
-    /// Store buffering with `pad` private writes per processor ahead of
-    /// the critical section: SC-refuted only at the final reads, after a
-    /// `(pad+1)²`-state diamond of padding interleavings.
-    fn padded_sb(pad: usize) -> History {
-        let p: String = (1..=pad).map(|v| format!(" w(a){v}")).collect();
-        let q: String = (1..=pad).map(|v| format!(" w(b){v}")).collect();
-        parse_history(&format!("p:{p} w(x)1 r(y)0\nq:{q} w(y)1 r(x)0")).unwrap()
-    }
-
     #[test]
-    fn probe_overrun_hands_off_to_work_stealing() {
-        // Exhaustive SC on the pad-48 funnel needs more nodes than the
-        // default probe grants, so the check must fan out to workers.
-        let h = padded_sb(48);
+    fn probe_overrun_hands_off_to_fan_out() {
+        // q's PRAM view must interleave 64 of p's writes with its own 64
+        // before its reads refute it, which takes more nodes than the
+        // default probe grants, so the check fans the views out.
+        let pad = |loc: &str| -> String { (1..=64).map(|v| format!(" w({loc}){v}")).collect() };
+        let h = parse_history(&format!(
+            "p:{} w(x)1 w(y)1\nq:{} r(y)1 r(x)0",
+            pad("a"),
+            pad("b")
+        ))
+        .unwrap();
         let cfg = CheckConfig {
             engine: crate::checker::EngineKind::Exhaustive,
             ..CheckConfig::default()
         };
-        let (v, stats) = check_parallel(&h, &models::sc(), &cfg, 2);
+        let (v, stats) = check_parallel(&h, &models::pram(), &cfg, 2);
         assert!(v.is_disallowed());
         assert!(stats.probe_nodes > 0);
         assert!(stats.nodes_spent > stats.probe_nodes);
         assert!(!stats.ran_sequential);
-        assert!(stats.work_stealing_ran);
     }
 
     #[test]
     fn driverless_shape_runs_sequentially() {
-        // Coherent memory has no parallel driver: whatever the cutover,
-        // the check runs on the sequential checker and says so.
+        // Coherent memory and SC have no independent searches to fan
+        // out: whatever the cutover, the check runs on the sequential
+        // checker and says so.
         let h = parse_history("p: w(x)1 w(x)2\nq: r(x)2 r(x)1").unwrap();
-        for parallel_cutover in [0, 1, 4096] {
-            let cfg = CheckConfig {
-                parallel_cutover,
-                ..CheckConfig::default()
-            };
-            let (v, stats) = check_parallel(&h, &models::coherent(), &cfg, 4);
-            assert!(v.is_disallowed());
-            assert!(stats.ran_sequential, "cutover {parallel_cutover}");
-            assert!(!stats.work_stealing_ran, "cutover {parallel_cutover}");
-            assert_eq!(stats.probe_nodes, 0, "cutover {parallel_cutover}");
+        for spec in [models::coherent(), models::sc()] {
+            for parallel_cutover in [0, 1, 4096] {
+                let cfg = CheckConfig {
+                    parallel_cutover,
+                    ..CheckConfig::default()
+                };
+                let (v, stats) = check_parallel(&h, &spec, &cfg, 4);
+                assert_eq!(v, check_with_config(&h, &spec, &cfg), "{}", spec.name);
+                assert!(v.is_disallowed(), "{}", spec.name);
+                let at = format!("{} cutover {parallel_cutover}", spec.name);
+                assert!(stats.ran_sequential, "{at}");
+                assert_eq!(stats.probe_nodes, 0, "{at}");
+            }
         }
     }
 }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How many nodes an attached budget draws from the shared pool at once.
-const DEFAULT_CHUNK: u64 = 1024;
+const CHUNK: u64 = 1024;
 
 /// A pool of search nodes shared across worker threads, plus an
 /// early-cancel flag.
@@ -38,20 +38,12 @@ impl SharedBudget {
         })
     }
 
-    /// A thread-local [`Budget`] drawing from this pool in chunks.
+    /// A thread-local [`Budget`] drawing from this pool in chunks of
+    /// `CHUNK` nodes.
     pub fn attach(self: &Arc<Self>) -> Budget {
-        self.attach_with_chunk(DEFAULT_CHUNK)
-    }
-
-    /// [`SharedBudget::attach`] with an explicit chunk size. Smaller
-    /// chunks cost more atomic traffic but share the pool more fairly —
-    /// the work-stealing scheduler in [`crate::steal`] runs many
-    /// short-lived tasks per worker and uses a fraction of the default.
-    pub fn attach_with_chunk(self: &Arc<Self>, chunk: u64) -> Budget {
         Budget {
             local: Cell::new(0),
             spent: Cell::new(0),
-            chunk: chunk.max(1),
             shared: Some(Arc::clone(self)),
         }
     }
@@ -102,7 +94,6 @@ impl SharedBudget {
 pub struct Budget {
     local: Cell<u64>,
     spent: Cell<u64>,
-    chunk: u64,
     shared: Option<Arc<SharedBudget>>,
 }
 
@@ -112,7 +103,6 @@ impl Budget {
         Budget {
             local: Cell::new(n),
             spent: Cell::new(0),
-            chunk: DEFAULT_CHUNK,
             shared: None,
         }
     }
@@ -140,7 +130,7 @@ impl Budget {
                 if shared.is_cancelled() {
                     return false;
                 }
-                let got = shared.draw(self.chunk);
+                let got = shared.draw(CHUNK);
                 if got == 0 {
                     return false;
                 }
@@ -230,12 +220,12 @@ mod tests {
 
     #[test]
     fn release_returns_unspent_chunk() {
-        let pool = SharedBudget::new(DEFAULT_CHUNK);
+        let pool = SharedBudget::new(CHUNK);
         let a = pool.attach();
         assert!(a.try_spend()); // draws the whole pool as one chunk
         assert_eq!(pool.remaining(), 0);
         a.release();
-        assert_eq!(pool.remaining(), DEFAULT_CHUNK - 1);
+        assert_eq!(pool.remaining(), CHUNK - 1);
         let b = pool.attach();
         assert!(b.try_spend());
     }

@@ -144,7 +144,7 @@ impl Default for CheckConfig {
             node_budget: 20_000_000,
             memo: None,
             // ~1.2ms of sequential probing at measured search rates — a
-            // few times the thread-spawn + failed-set setup cost it can
+            // few times the thread-spawn + shared-pool setup cost it can
             // save, while the corpus's litmus-sized checks (tens to a few
             // thousand nodes) always decide inside the probe.
             parallel_cutover: 4096,
@@ -241,23 +241,13 @@ pub struct CheckStats {
     /// `true` if the verdict came from the memo table rather than a
     /// search.
     pub memo_hit: bool,
-    /// `true` if the work-stealing scheduler actually ran for this
-    /// check (as opposed to the sequential path or the coarse
-    /// per-store-order fan-out).
-    /// Gates reporting of [`CheckStats::failed_set`]: all-zero counters
-    /// from a real stealing run are still meaningful, while counters
-    /// from a path that never touched the set are not.
-    pub work_stealing_ran: bool,
-    /// Counters of the shared failed-state set, when the check ran under
-    /// the work-stealing scheduler (all zero otherwise).
-    pub failed_set: crate::steal::FailedSetStats,
     /// `true` if [`crate::batch::check_parallel`] answered without
-    /// spawning workers: the `jobs == 1` path, or the adaptive cutover's
-    /// sequential probe deciding within
-    /// [`CheckConfig::parallel_cutover`] nodes. Mirrors the
-    /// [`CheckStats::work_stealing_ran`] gating: `false` from a plain
-    /// sequential entry point ([`check_with_stats`]) or a memo hit means
-    /// "no cutover decision was taken", not "workers ran".
+    /// spawning workers: the `jobs == 1` path, a shape with no
+    /// independent searches to fan out, or the adaptive cutover's
+    /// sequential probe deciding within [`CheckConfig::parallel_cutover`]
+    /// nodes. `false` from a plain sequential entry point
+    /// ([`check_with_stats`]) or a memo hit means "no cutover decision was
+    /// taken", not "workers ran".
     pub ran_sequential: bool,
     /// Search nodes the cutover probe spent before deciding (counted in
     /// [`CheckStats::nodes_spent`] too), or before giving up and fanning

@@ -3,9 +3,8 @@
 //! Two explorers walk the *same* state space — a view's scheduling state
 //! is fully captured by `(scheduled set, last write per location)`:
 //!
-//! * the depth-first view search ([`crate::view`]'s `Dfs`), which both the
-//!   sequential checker and the work-stealing engine ([`crate::steal`])
-//!   run, and
+//! * the depth-first view search ([`crate::view`]'s `Dfs`), which every
+//!   view question runs, and
 //! * the incremental frontier closure ([`crate::frontier`]) that powers
 //!   the streaming monitor.
 //!
@@ -28,23 +27,21 @@
 
 use crate::view::{LegalityMode, ViewProblem};
 use smc_history::{OpId, Value};
-use smc_relation::{BitSet, Relation};
+use smc_relation::BitSet;
 
 /// Sentinel for "no write to this location has been scheduled yet".
 pub(crate) const NO_WRITE: u32 = u32::MAX;
 
 /// Preprocessed per-view scheduling context: local indexing, predecessor
 /// masks copied out of the constraint relation, and read/location
-/// metadata. Everything the DFS or a breadth-first closure needs; the
-/// source `ViewProblem`'s constraint relation may be dropped once the
-/// context is built, which is what lets [`crate::steal`] keep many
-/// contexts alive at once.
+/// metadata: everything the DFS needs. The constraint relation is fully
+/// copied into the predecessor masks.
 pub(crate) struct Ctx<'a> {
     /// Global op index per local index, ascending.
     pub(crate) elems: Vec<usize>,
     h: &'a smc_history::History,
     /// Local predecessor masks.
-    pub(crate) preds: Vec<BitSet>,
+    preds: Vec<BitSet>,
     legality: LegalityMode<'a>,
     /// Local indices of reads, for dead-state scans.
     reads: Vec<usize>,
@@ -53,20 +50,8 @@ pub(crate) struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     pub(crate) fn new(p: &ViewProblem<'a>) -> Self {
-        Ctx::from_parts(p.history, &p.ops, p.constraints, p.legality)
-    }
-
-    /// Build a context directly from the problem's parts. Unlike
-    /// `ViewProblem`, the constraint relation is not tied to `'a`: it is
-    /// fully copied into the predecessor masks, so a caller may build it
-    /// in a short-lived scope (one relation per store order, say).
-    pub(crate) fn from_parts(
-        history: &'a smc_history::History,
-        ops: &BitSet,
-        constraints: &Relation,
-        legality: LegalityMode<'a>,
-    ) -> Self {
-        let elems: Vec<usize> = ops.iter().collect();
+        let history = p.history;
+        let elems: Vec<usize> = p.ops.iter().collect();
         let m = elems.len();
         let mut local_of = vec![usize::MAX; history.num_ops()];
         for (i, &e) in elems.iter().enumerate() {
@@ -74,7 +59,7 @@ impl<'a> Ctx<'a> {
         }
         let mut preds: Vec<BitSet> = (0..m).map(|_| BitSet::new(m)).collect();
         for (i, &e) in elems.iter().enumerate() {
-            for s in constraints.successors(e).iter() {
+            for s in p.constraints.successors(e).iter() {
                 let j = local_of[s];
                 if j != usize::MAX && j != i {
                     preds[j].insert(i);
@@ -88,7 +73,7 @@ impl<'a> Ctx<'a> {
             elems,
             h: history,
             preds,
-            legality,
+            legality: p.legality,
             reads,
             num_locs: history.num_locs(),
         }
@@ -149,7 +134,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// May `local` be scheduled now, given the per-location last writes?
-    pub(crate) fn schedulable(&self, local: usize, last_write: &[u32]) -> bool {
+    fn schedulable(&self, local: usize, last_write: &[u32]) -> bool {
         let o = self.op(local);
         if o.is_write() {
             return true;
@@ -243,25 +228,15 @@ impl<'a> Ctx<'a> {
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// 64-bit fingerprint of a search state `(scheduled set, last writes)`,
-/// salted so states from different search problems sharing one table
-/// never alias. FNV-1a over the bit-set words and last-write vector with
-/// a murmur-style finalizer so both the high bits (shard selection) and
-/// low bits (slot selection) are well mixed. Never returns `0`, which
-/// the concurrent table reserves for empty slots.
-///
-/// A nonzero salt enters as its own finalized FNV round. XORing it into
-/// the basis instead would let it cancel against the first bit-set
-/// word: `(salt 1, {op 1})` and `(salt 2, {op 0})` would collide, and
-/// [`crate::steal::SharedFailedSet`], which stores bare fingerprints,
-/// would prune a live state of one unit with another unit's refutation.
-/// Salt `0` skips the round: the sequential DFS's fingerprints stay plain
-/// FNV-1a over the state words.
-pub(crate) fn state_hash(salt: u64, placed: &BitSet, last_write: &[u32]) -> u64 {
+/// 64-bit fingerprint of a search state `(scheduled set, last writes)`:
+/// FNV-1a over the bit-set words and last-write vector with a
+/// murmur-style finalizer, so both high and low bits are well mixed.
+/// Equal to [`hash_words`] with salt `0` over the bit-set words followed
+/// by one word per last write, but computed straight off the live state.
+/// Never returns `0`, which [`StateSpace`] reserves for empty index
+/// slots.
+pub(crate) fn state_hash(placed: &BitSet, last_write: &[u32]) -> u64 {
     let mut h = FNV_BASIS;
-    if salt != 0 {
-        h = (h ^ finalize(salt)).wrapping_mul(FNV_PRIME);
-    }
     for &w in placed.words() {
         h = (h ^ w).wrapping_mul(FNV_PRIME);
     }
@@ -728,32 +703,30 @@ mod tests {
         let mut p = BitSet::new(4);
         p.insert(1);
         let lw = [NO_WRITE, 0];
-        assert_ne!(state_hash(0, &p, &lw), 0);
-        assert_ne!(state_hash(1, &p, &lw), state_hash(2, &p, &lw));
+        assert_ne!(state_hash(&p, &lw), 0);
     }
 
     #[test]
-    fn salt_cannot_cancel_against_the_scheduled_set() {
-        // Equal last writes, and `1 ^ {op 1} == 2 ^ {op 0}` word-wise:
-        // a salt XORed into the basis makes these two fingerprints equal.
+    fn state_hash_separates_scheduled_sets() {
+        // Equal last writes, scheduled sets one op apart.
         let lw = [NO_WRITE, 3];
         let mut a = BitSet::new(4);
         a.insert(1);
         let mut b = BitSet::new(4);
         b.insert(0);
-        assert_ne!(state_hash(1, &a, &lw), state_hash(2, &b, &lw));
+        assert_ne!(state_hash(&a, &lw), state_hash(&b, &lw));
     }
 
     #[test]
     fn unsalted_state_hash_is_plain_fnv_over_state_words() {
-        // Salt 0 adds no round: hashing the live state equals hashing its
-        // bit-set words followed by one word per last write.
+        // Hashing the live state equals hashing its bit-set words
+        // followed by one word per last write, with salt 0.
         let mut p = BitSet::new(70);
         p.insert(2);
         p.insert(66);
         let lw = [NO_WRITE, 5];
         let mut words = p.words().to_vec();
         words.extend(lw.iter().map(|&w| u64::from(w)));
-        assert_eq!(state_hash(0, &p, &lw), hash_words(0, &words));
+        assert_eq!(state_hash(&p, &lw), hash_words(0, &words));
     }
 }

@@ -20,7 +20,7 @@
 //!   collide).
 //! * [`coherence`] — per-location write orders and their enumeration.
 //! * [`view`] — the legal-extension search for a single view: one
-//!   depth-first search, run by the sequential checker and by `steal`.
+//!   depth-first search, which every checker path runs whole.
 //! * [`kernel`] — the shared state-space kernel under the view search
 //!   and `frontier`: one successor-generation function and a packed,
 //!   arena-allocated visited-state table.
@@ -39,9 +39,8 @@
 //!   an optional shared atomic pool with early cancellation.
 //! * [`batch`] — the parallel engine: [`batch::check_batch`] fans
 //!   (history, model) pairs across a thread pool; [`batch::check_parallel`]
-//!   parallelizes a single check's inner enumerations.
-//! * [`steal`] — the work-stealing frontier scheduler and the shared
-//!   concurrent failed-state set behind `check_parallel`.
+//!   fans a single check's independent searches (reads-from assignments,
+//!   store orders, per-processor views) across the same pool.
 //! * [`canon`] — a canonical normal form for histories under
 //!   processor/location/value renamings, with a 128-bit [`canon::HistoryKey`].
 //! * [`memo`] — a sharded concurrent memo table of decided verdicts keyed
@@ -91,7 +90,6 @@ pub mod rf;
 pub mod saturate;
 pub mod separate;
 pub mod spec;
-pub mod steal;
 pub mod verify;
 pub mod view;
 
@@ -109,4 +107,3 @@ pub use separate::{
     Separator,
 };
 pub use spec::ModelSpec;
-pub use steal::{FailedSetStats, SharedFailedSet};

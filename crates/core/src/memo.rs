@@ -42,16 +42,6 @@ const NUM_SHARDS: usize = 16;
 /// Default total capacity (entries across all shards).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// A cached decided verdict, with any witness kept in canonical
-/// coordinates.
-#[derive(Debug, Clone)]
-pub enum CachedVerdict {
-    /// Admitted; the canonical-coordinate witness is attached.
-    Allowed(Witness),
-    /// Not admitted.
-    Disallowed,
-}
-
 /// A stored verdict: the canonical-coordinate witness of an `Allowed`,
 /// or `None` for `Disallowed`.
 type Entry = Option<Arc<Witness>>;
@@ -149,17 +139,6 @@ impl MemoCache {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Look up the cached verdict for `(key, model)`, counting the hit or
-    /// miss.
-    pub fn lookup(&self, key: HistoryKey, model: u64) -> Option<CachedVerdict> {
-        let entry = self.get(key, model);
-        self.count(entry.is_some());
-        entry.map(|e| match e {
-            Some(w) => CachedVerdict::Allowed(Witness::clone(&w)),
-            None => CachedVerdict::Disallowed,
-        })
-    }
-
     /// The cached verdict for the history `canon` was computed from under
     /// `model`, with any witness translated into that history's
     /// coordinates; counts the hit or miss. An entry whose witness does
@@ -177,17 +156,9 @@ impl MemoCache {
         verdict
     }
 
-    /// Insert a decided verdict for `(key, model)`, evicting the oldest
-    /// entry of the shard if it is at capacity. Re-inserting an existing
-    /// key replaces the value in place.
-    pub fn insert(&self, key: HistoryKey, model: u64, verdict: CachedVerdict) {
-        let entry = match verdict {
-            CachedVerdict::Allowed(w) => Some(Arc::new(w)),
-            CachedVerdict::Disallowed => None,
-        };
-        self.insert_entry(key, model, entry);
-    }
-
+    /// Store `entry` for `(key, model)`, evicting the oldest entry of the
+    /// shard if it is at capacity. Re-inserting an existing key replaces
+    /// the value in place.
     fn insert_entry(&self, key: HistoryKey, model: u64, entry: Entry) {
         let mut shard = lock(self.shard_of(key, model));
         let k = (key.0, model);
@@ -456,22 +427,28 @@ fn read_witness(r: &mut Reader<'_>) -> Result<Witness, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canon::canonicalize;
+    use smc_history::litmus::parse_history;
 
     fn key(n: u128) -> HistoryKey {
         HistoryKey(n)
     }
 
+    /// The canonical form of `p: w(x)1 … w(x)n`: one distinct key per `n`.
+    fn writes(n: usize) -> Canon {
+        let ops: String = (1..=n).map(|v| format!(" w(x){v}")).collect();
+        canonicalize(&parse_history(&format!("p:{ops}")).unwrap())
+    }
+
     #[test]
     fn hit_after_insert() {
         let cache = MemoCache::with_capacity(64);
-        assert!(cache.lookup(key(1), 7).is_none());
-        cache.insert(key(1), 7, CachedVerdict::Disallowed);
-        assert!(matches!(
-            cache.lookup(key(1), 7),
-            Some(CachedVerdict::Disallowed)
-        ));
+        let canon = writes(1);
+        assert!(cache.recall(&canon, 7).is_none());
+        cache.insert_entry(canon.key, 7, None);
+        assert_eq!(cache.recall(&canon, 7), Some(Verdict::Disallowed));
         // Same history, different model: distinct entry.
-        assert!(cache.lookup(key(1), 8).is_none());
+        assert!(cache.recall(&canon, 8).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 2, 1));
     }
@@ -480,7 +457,7 @@ mod tests {
     fn eviction_is_fifo_and_bounded() {
         let cache = MemoCache::with_capacity(NUM_SHARDS); // 1 entry per shard
         for i in 0..1000u64 {
-            cache.insert(key(i as u128), 0, CachedVerdict::Disallowed);
+            cache.insert_entry(key(i as u128), 0, None);
         }
         assert!(cache.len() <= NUM_SHARDS);
         assert!(cache.stats().evictions > 0);
@@ -502,23 +479,21 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.smcmemo");
         let cache = MemoCache::with_capacity(64);
-        cache.insert(key(10), 3, CachedVerdict::Disallowed);
-        cache.insert(key(11), 3, CachedVerdict::Allowed(sample_witness()));
-        cache.insert(key(11), 9, CachedVerdict::Disallowed);
+        cache.insert_entry(key(10), 3, None);
+        cache.insert_entry(key(11), 3, Some(Arc::new(sample_witness())));
+        cache.insert_entry(key(11), 9, None);
         assert_eq!(cache.save(&path).unwrap(), 3);
 
         let fresh = MemoCache::with_capacity(64);
         assert_eq!(fresh.load(&path).unwrap(), 3);
         assert_eq!(fresh.len(), 3);
-        assert!(matches!(
-            fresh.lookup(key(10), 3),
-            Some(CachedVerdict::Disallowed)
-        ));
-        match fresh.lookup(key(11), 3) {
-            Some(CachedVerdict::Allowed(w)) => assert_eq!(w, sample_witness()),
+        assert_eq!(fresh.get(key(10), 3), Some(None));
+        match fresh.get(key(11), 3) {
+            Some(Some(w)) => assert_eq!(*w, sample_witness()),
             other => panic!("expected Allowed, got {other:?}"),
         }
-        assert!(fresh.lookup(key(12), 3).is_none());
+        assert_eq!(fresh.get(key(11), 9), Some(None));
+        assert!(fresh.get(key(12), 3).is_none());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -541,8 +516,8 @@ mod tests {
         // prefix of the records), never panic or over-allocate.
         let good = dir.join("good.smcmemo");
         let cache = MemoCache::with_capacity(64);
-        cache.insert(key(1), 5, CachedVerdict::Allowed(sample_witness()));
-        cache.insert(key(2), 5, CachedVerdict::Disallowed);
+        cache.insert_entry(key(1), 5, Some(Arc::new(sample_witness())));
+        cache.insert_entry(key(2), 5, None);
         cache.save(&good).unwrap();
         let bytes = std::fs::read(&good).unwrap();
         let trunc = dir.join("trunc.smcmemo");
@@ -580,13 +555,15 @@ mod tests {
     #[test]
     fn concurrent_use_is_safe() {
         let cache = MemoCache::with_capacity(1024);
+        let canons: Vec<Canon> = (1..=64).map(writes).collect();
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let cache = &cache;
+                let (cache, canons) = (&cache, &canons);
                 s.spawn(move || {
-                    for i in 0..500u64 {
-                        cache.insert(key((i % 64) as u128), t, CachedVerdict::Disallowed);
-                        let _ = cache.lookup(key((i % 64) as u128), t);
+                    for i in 0..500usize {
+                        let canon = &canons[i % 64];
+                        cache.insert_entry(canon.key, t, None);
+                        let _ = cache.recall(canon, t);
                     }
                 });
             }

@@ -32,9 +32,7 @@
 
 use crate::canon::{canonicalize, HistoryKey};
 use crate::checker::{check_with_config, CheckConfig};
-use crate::histgen::{
-    for_each_history_range, for_each_representative_range, GenParams, RangeStats,
-};
+use crate::histgen::{for_each_representative_range, GenParams, RangeStats};
 use crate::lattice::{forced_verdict, inclusion_closure};
 use crate::spec::ModelSpec;
 use smc_history::{History, HistoryBuilder, Location};
@@ -222,7 +220,6 @@ pub struct Separator {
     stronger: Vec<Vec<bool>>,
     cfg: CheckConfig,
     jobs: usize,
-    naive: bool,
     directions: Vec<Direction>,
     /// Accumulated work counters.
     pub stats: SeparateStats,
@@ -262,19 +259,9 @@ impl Separator {
             stronger,
             cfg,
             jobs: jobs.max(1),
-            naive: false,
             directions,
             stats: SeparateStats::default(),
         }
-    }
-
-    /// Disable the representative filter and the canonical-class verdict
-    /// cache (every history classified from scratch). Exists only so the
-    /// throughput benchmark can measure what symmetry reduction buys;
-    /// results are still correct but enumeration order minimality is then
-    /// over the raw universe.
-    pub fn set_naive(&mut self, naive: bool) {
-        self.naive = naive;
     }
 
     /// The models under comparison, as passed to [`Self::new`].
@@ -356,11 +343,7 @@ impl Separator {
                         &undecided,
                     );
                 };
-                let rs = if self.naive {
-                    for_each_history_range(params, start, end, visit)
-                } else {
-                    for_each_representative_range(params, start, end, visit)
-                };
+                let rs = for_each_representative_range(params, start, end, visit);
                 range_stats
                     .lock()
                     .unwrap_or_else(|p| p.into_inner())
@@ -425,27 +408,22 @@ impl Separator {
         undecided: &AtomicU64,
     ) {
         let n = self.models.len();
-        let key = if self.naive {
-            None
-        } else {
-            Some(canonicalize(h).key)
-        };
-        let mut verdicts: Vec<Option<bool>> = match &key {
-            Some(k) => {
-                let shard = &cache[(k.0 as usize) % CACHE_SHARDS];
-                let g = shard.lock().unwrap_or_else(|p| p.into_inner());
-                match g.get(k) {
-                    Some(v) => {
-                        class_hits.fetch_add(1, Ordering::Relaxed);
-                        v.clone()
-                    }
-                    None => {
-                        classes.fetch_add(1, Ordering::Relaxed);
-                        vec![None; n]
-                    }
-                }
+        let key = canonicalize(h).key;
+        let shard = &cache[(key.0 as usize) % CACHE_SHARDS];
+        let cached = shard
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .get(&key)
+            .cloned();
+        let mut verdicts: Vec<Option<bool>> = match cached {
+            Some(v) => {
+                class_hits.fetch_add(1, Ordering::Relaxed);
+                v
             }
-            None => vec![None; n],
+            None => {
+                classes.fetch_add(1, Ordering::Relaxed);
+                vec![None; n]
+            }
         };
         let mut dirty = false;
         // Lazily decide the verdict for model `j`, propagating along the
@@ -487,14 +465,11 @@ impl Separator {
             }
         }
         if dirty {
-            if let Some(k) = key {
-                let shard = &cache[(k.0 as usize) % CACHE_SHARDS];
-                let mut g = shard.lock().unwrap_or_else(|p| p.into_inner());
-                let entry = g.entry(k).or_insert_with(|| vec![None; n]);
-                for (slot, v) in entry.iter_mut().zip(&verdicts) {
-                    if slot.is_none() {
-                        *slot = *v;
-                    }
+            let mut g = shard.lock().unwrap_or_else(|p| p.into_inner());
+            let entry = g.entry(key).or_insert_with(|| vec![None; n]);
+            for (slot, v) in entry.iter_mut().zip(&verdicts) {
+                if slot.is_none() {
+                    *slot = *v;
                 }
             }
         }

@@ -16,11 +16,11 @@
 //! * a table of failed states, keyed by the scheduled-set bit mask and the
 //!   per-location last writes (the only state the future depends on).
 //!
-//! `Dfs` is the one search loop: the sequential engine runs it here with
-//! an exact failed-state memo ([`find_legal_extension`]) or none
-//! ([`for_each_legal_extension`]), and the work-stealing engine
-//! ([`crate::steal`]) runs it per task over salted fingerprints in a
-//! shared set. The scheduling state itself — context preprocessing,
+//! `Dfs` is the one search loop, run with an exact failed-state memo
+//! ([`find_legal_extension`]) or none ([`for_each_legal_extension`]).
+//! A parallel check runs whole searches side by side
+//! ([`crate::batch::check_parallel`]), never one search split across
+//! threads. The scheduling state itself — context preprocessing,
 //! successor generation, state packing and hashing — lives in
 //! [`crate::kernel`] and is shared with the frontier closure.
 //!
@@ -85,8 +85,8 @@ pub enum SearchEnd<B> {
 
 /// A table of refuted states that the DFS probes when it enters a node
 /// and fills when it retires a node whose whole subtree it explored.
-/// The search is the same for every engine; only this table varies.
-pub(crate) trait FailedTable {
+/// The search is the same for every caller; only this table varies.
+trait FailedTable {
     /// `None` if `(placed, last_write)` is a recorded refutation;
     /// otherwise the key to record it under once refuted.
     fn probe(&mut self, placed: &BitSet, last_write: &[u32]) -> Option<u64>;
@@ -120,7 +120,7 @@ struct LocalFailed {
 
 impl FailedTable for LocalFailed {
     fn probe(&mut self, placed: &BitSet, last_write: &[u32]) -> Option<u64> {
-        let hash = state_hash(0, placed, last_write);
+        let hash = state_hash(placed, last_write);
         if self.space.has_bucket(hash) {
             pack_state(&mut self.scratch, placed, last_write);
             if self.space.find(hash, &self.scratch).is_some() {
@@ -138,15 +138,11 @@ impl FailedTable for LocalFailed {
 
 /// One DFS frame: the op placed to enter this state ([`ROOT`] for the
 /// search's starting state), the last write it displaced, the child scan
-/// cursor, and the state's failed-table key. `donated` marks a frame
-/// whose remaining children were handed to other workers
-/// ([`crate::steal`]); such a frame, and so each of its ancestors, is
-/// not fully explored here and must not be recorded as refuted.
-pub(crate) struct Frame {
+/// cursor, and the state's failed-table key.
+struct Frame {
     op: u32,
     saved: u32,
-    pub(crate) cursor: u32,
-    pub(crate) donated: bool,
+    cursor: u32,
     key: u64,
 }
 
@@ -164,40 +160,29 @@ enum Entry {
     Open(u64),
 }
 
-/// The explicit-stack depth-first search over a [`Ctx`] that every engine
-/// runs. A node is entered the same way everywhere: a complete order is a
-/// find; otherwise one budget node is charged, dead states are pruned,
-/// and the [`FailedTable`] is probed. A node whose children are all
-/// covered is retired into the table.
-pub(crate) struct Dfs<'c, 'a> {
-    pub(crate) ctx: &'c Ctx<'a>,
+/// The explicit-stack depth-first search over a [`Ctx`] that every view
+/// question runs. A node is entered the same way everywhere: a complete
+/// order is a find; otherwise one budget node is charged, dead states are
+/// pruned, and the [`FailedTable`] is probed. A node whose children are
+/// all covered is retired into the table.
+struct Dfs<'c, 'a> {
+    ctx: &'c Ctx<'a>,
     placed: BitSet,
     last_write: Vec<u32>,
     /// The local ops placed so far, in order.
-    pub(crate) order: Vec<u32>,
-    pub(crate) stack: Vec<Frame>,
+    order: Vec<u32>,
+    stack: Vec<Frame>,
 }
 
 impl<'c, 'a> Dfs<'c, 'a> {
-    /// A search starting from the state reached by placing `prefix`
-    /// (local op indices, each ready when placed) in order.
-    pub(crate) fn new(ctx: &'c Ctx<'a>, prefix: &[u32]) -> Self {
+    /// A search from the empty schedule.
+    fn new(ctx: &'c Ctx<'a>) -> Self {
         let m = ctx.elems.len();
-        let mut placed = BitSet::new(m);
-        let mut last_write = vec![NO_WRITE; ctx.num_locs];
-        for &l in prefix {
-            let i = l as usize;
-            debug_assert!(ctx.preds[i].is_subset(&placed));
-            debug_assert!(ctx.schedulable(i, &last_write));
-            ctx.apply(i, &mut placed, &mut last_write);
-        }
-        let mut order = Vec::with_capacity(m);
-        order.extend_from_slice(prefix);
         Dfs {
             ctx,
-            placed,
-            last_write,
-            order,
+            placed: BitSet::new(m),
+            last_write: vec![NO_WRITE; ctx.num_locs],
+            order: Vec::with_capacity(m),
             stack: Vec::new(),
         }
     }
@@ -220,14 +205,11 @@ impl<'c, 'a> Dfs<'c, 'a> {
 
     /// Run the search to the end. `found` sees each complete order (local
     /// op indices) and may break; the search resumes after it otherwise.
-    /// `between` runs before each frame is advanced or retired and may
-    /// inspect or edit the stack, or break.
-    pub(crate) fn run<B>(
+    fn run<B>(
         &mut self,
         table: &mut impl FailedTable,
         budget: &Budget,
         mut found: impl FnMut(&[u32]) -> ControlFlow<B>,
-        mut between: impl FnMut(&mut Self) -> ControlFlow<B>,
     ) -> SearchEnd<B> {
         let key = match self.enter(table, budget) {
             Entry::Open(key) => key,
@@ -244,13 +226,9 @@ impl<'c, 'a> Dfs<'c, 'a> {
             op: ROOT,
             saved: NO_WRITE,
             cursor: 0,
-            donated: false,
             key,
         });
         while let Some(top) = self.stack.len().checked_sub(1) {
-            if let ControlFlow::Break(b) = between(self) {
-                return SearchEnd::Broke(b);
-            }
             let ctx = self.ctx;
             let mut advanced = false;
             while let Some(i) = ctx.next_ready(
@@ -267,7 +245,6 @@ impl<'c, 'a> Dfs<'c, 'a> {
                             op: i as u32,
                             saved,
                             cursor: 0,
-                            donated: false,
                             key,
                         });
                         advanced = true;
@@ -289,13 +266,7 @@ impl<'c, 'a> Dfs<'c, 'a> {
             }
             // Every child of the top frame is covered: retire it.
             let f = self.stack.pop().expect("non-empty stack");
-            if f.donated {
-                if let Some(parent) = self.stack.last_mut() {
-                    parent.donated = true;
-                }
-            } else {
-                table.record(f.key, &self.placed, &self.last_write);
-            }
+            table.record(f.key, &self.placed, &self.last_write);
             if f.op != ROOT {
                 self.order.pop();
                 ctx.undo(
@@ -321,12 +292,9 @@ pub fn find_legal_extension(p: &ViewProblem<'_>, budget: &Budget) -> SearchOutco
         space: StateSpace::new(ctx.packed_stride()),
         scratch: Vec::new(),
     };
-    let end = Dfs::new(&ctx, &[]).run(
-        &mut table,
-        budget,
-        |order| ControlFlow::Break(global_order(&ctx, order)),
-        |_| ControlFlow::Continue(()),
-    );
+    let end = Dfs::new(&ctx).run(&mut table, budget, |order| {
+        ControlFlow::Break(global_order(&ctx, order))
+    });
     match end {
         SearchEnd::Broke(order) => SearchOutcome::Found(order),
         SearchEnd::Completed => SearchOutcome::NotFound,
@@ -342,16 +310,13 @@ pub fn for_each_legal_extension<B>(
     mut visit: impl FnMut(&[OpId]) -> ControlFlow<B>,
 ) -> SearchEnd<B> {
     let ctx = Ctx::new(p);
-    Dfs::new(&ctx, &[]).run(
-        &mut NoTable,
-        budget,
-        |order| visit(&global_order(&ctx, order)),
-        |_| ControlFlow::Continue(()),
-    )
+    Dfs::new(&ctx).run(&mut NoTable, budget, |order| {
+        visit(&global_order(&ctx, order))
+    })
 }
 
 /// Map a local order to global op ids.
-pub(crate) fn global_order(ctx: &Ctx<'_>, order: &[u32]) -> Vec<OpId> {
+fn global_order(ctx: &Ctx<'_>, order: &[u32]) -> Vec<OpId> {
     order
         .iter()
         .map(|&l| OpId(ctx.elems[l as usize] as u32))

@@ -86,12 +86,12 @@ use std::time::Duration;
 
 use smc_core::models;
 use smc_core::spec::ModelSpec;
-use smc_history::trace::{is_session_id, parse_trace_line, split_session_line, Trace};
-use smc_history::{Label, OpKind};
+use smc_history::trace::{is_session_id, parse_trace_line, split_session_line, Lifecycle, Trace};
+use smc_history::{Label, OpKind, ProcId};
 use smc_monitor::{BatchEvent, Monitor, MonitorConfig};
 
 /// Number of shards in the session map. Power of two; sixteen matches
-/// the checker's `MemoCache`/`SharedFailedSet` sharding.
+/// the checker's `MemoCache` sharding.
 const SHARDS: usize = 16;
 
 /// Poll interval for the non-blocking acceptor and the connection
@@ -174,6 +174,8 @@ struct Inbox {
     scratch: Trace,
     /// Events of `scratch` already fed to the monitor.
     fed: usize,
+    /// Lifecycle lines of `scratch` already applied to the monitor.
+    applied_lifecycle: usize,
     /// Procs of `scratch` already declared to the monitor.
     declared_procs: usize,
     /// Locs of `scratch` already declared to the monitor.
@@ -211,6 +213,7 @@ impl Session {
             inbox: Mutex::new(Inbox {
                 scratch: Trace::new(),
                 fed: 0,
+                applied_lifecycle: 0,
                 declared_procs: 0,
                 declared_locs: 0,
                 scheduled: false,
@@ -367,31 +370,49 @@ pub fn offline_payload(models: &[ModelSpec], cfg: &MonitorConfig, t: &Trace) -> 
 
 /// Feed everything pending in the session's inbox to its monitor and
 /// return the monitor guard (still locked, so the caller can read
-/// verdicts of exactly the drained prefix). Safe to race with other
-/// drains: the monitor lock serializes them and `fed` marks events as
-/// taken under the inbox lock.
+/// verdicts of exactly the drained prefix). `join`/`retire` lines apply
+/// at their recorded stream positions, as in [`Monitor::feed_trace`].
+/// Safe to race with other drains: the monitor lock serializes them and
+/// `fed`/`applied_lifecycle` mark lines as taken under the inbox lock.
 fn drain_locked<'a>(s: &'a Session, shared: &Shared) -> MutexGuard<'a, Monitor> {
     let mut mon = s.mon.lock().unwrap();
     loop {
-        // Take the pending slice out under the inbox lock, feed it
+        // Take the pending lines out under the inbox lock, feed them
         // after release: EV keeps appending while the batch feeds.
-        let batch: Vec<(String, OpKind, String, i64, Label)> = {
-            let mut inbox = s.inbox.lock().unwrap();
+        // Lifecycle positions are made relative to the batch.
+        let (batch, lifecycle) = {
+            let mut guard = s.inbox.lock().unwrap();
+            let inbox = &mut *guard;
+            let pending_lc = &inbox.scratch.lifecycle()[inbox.applied_lifecycle..];
             for i in inbox.declared_procs..inbox.scratch.num_procs() {
-                mon.declare_proc(&inbox.scratch.proc_names()[i]);
+                // A name a pending `join` introduces is activated by that
+                // join: declared now, it would take a fresh slot ahead of
+                // an earlier pending `retire` whose slot it should reuse.
+                let p = ProcId(i as u32);
+                if !pending_lc.iter().any(|&(_, l)| l == Lifecycle::Join(p)) {
+                    mon.declare_proc(inbox.scratch.proc_name(p));
+                }
             }
             inbox.declared_procs = inbox.scratch.num_procs();
             for i in inbox.declared_locs..inbox.scratch.num_locs() {
                 mon.declare_loc(&inbox.scratch.loc_names()[i]);
             }
             inbox.declared_locs = inbox.scratch.num_locs();
-            if inbox.fed == inbox.scratch.len() {
+            if inbox.fed == inbox.scratch.len() && pending_lc.is_empty() {
                 inbox.scheduled = false;
                 return mon;
             }
             let from = inbox.fed;
+            let lifecycle: Vec<(usize, Lifecycle, String)> = pending_lc
+                .iter()
+                .map(|&(pos, l)| {
+                    let name = inbox.scratch.proc_name(l.proc()).to_owned();
+                    (pos as usize - from, l, name)
+                })
+                .collect();
+            inbox.applied_lifecycle = inbox.scratch.lifecycle().len();
             inbox.fed = inbox.scratch.len();
-            inbox.scratch.events()[from..]
+            let batch: Vec<(String, OpKind, String, i64, Label)> = inbox.scratch.events()[from..]
                 .iter()
                 .map(|e| {
                     (
@@ -402,13 +423,27 @@ fn drain_locked<'a>(s: &'a Session, shared: &Shared) -> MutexGuard<'a, Monitor> 
                         e.label,
                     )
                 })
-                .collect()
+                .collect();
+            (batch, lifecycle)
         };
         let refs: Vec<BatchEvent<'_>> = batch
             .iter()
             .map(|(p, k, l, v, lab)| (p.as_str(), *k, l.as_str(), *v, *lab))
             .collect();
-        mon.feed_batch(&refs);
+        let mut at = 0;
+        for (pos, l, name) in &lifecycle {
+            if *pos > at {
+                mon.feed_batch(&refs[at..*pos]);
+                at = *pos;
+            }
+            match l {
+                Lifecycle::Join(_) => mon.join(name),
+                Lifecycle::Retire(_) => mon.retire(name),
+            }
+        }
+        if at < refs.len() {
+            mon.feed_batch(&refs[at..]);
+        }
         shared
             .events_fed
             .fetch_add(refs.len() as u64, Ordering::Relaxed);
@@ -1071,6 +1106,57 @@ mod tests {
         assert!(got.starts_with("VERDICT good 1 SC=admitted"), "{got}");
         assert_eq!(roundtrip(&mut r, &mut w, "PING"), "PONG");
         server.shutdown();
+    }
+
+    /// The STATS counter `key=N`.
+    fn stat(line: &str, key: &str) -> u64 {
+        line.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no `{key}` in {line}"))
+    }
+
+    #[test]
+    fn lifecycle_lines_apply_at_their_stream_positions() {
+        // Three processor generations joined and retired over one TSO
+        // stream (`smc trace gen --churn 2`, see the fixture's header).
+        let text = include_str!("../../../tests/fixtures/churn_tso_seed1.trace");
+        let t = parse_trace(text).unwrap();
+        let cfg = ServeConfig::default();
+        let mut offline = Monitor::new(cfg.models.clone(), cfg.monitor.clone());
+        offline.feed_trace(&t);
+        let want = offline.totals();
+        assert!(want.folds > 0, "the fixture must fold a retired slot");
+        let payload = offline_payload(&cfg.models, &cfg.monitor, &t);
+        // No drain workers: the whole stream drains at QUERY, in one
+        // window. Two workers: drains cut it wherever they race it.
+        for workers in [0, 2] {
+            let server = Server::start(ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            let (mut r, mut w) = connect(server.addr());
+            assert_eq!(roundtrip(&mut r, &mut w, "OPEN s"), "OK s");
+            for line in text.lines() {
+                writeln!(w, "@s {line}").unwrap();
+            }
+            let got = roundtrip(&mut r, &mut w, "QUERY s");
+            assert_eq!(got, format!("VERDICT s {payload}"), "workers={workers}");
+            let session = server.shared.session("s").unwrap();
+            assert_eq!(
+                session.mon.lock().unwrap().churn().width(),
+                offline.churn().width(),
+                "workers={workers}: a joiner took a fresh slot instead of a folded one"
+            );
+            let got = roundtrip(&mut r, &mut w, "CLOSE s");
+            assert_eq!(got, format!("CLOSED s {payload}"), "workers={workers}");
+            let stats = roundtrip(&mut r, &mut w, "STATS");
+            assert_eq!(stat(&stats, "joins"), want.joins, "{stats}");
+            assert_eq!(stat(&stats, "retires"), want.retires, "{stats}");
+            assert_eq!(stat(&stats, "folds"), want.folds, "{stats}");
+            server.shutdown();
+        }
     }
 
     #[test]

@@ -44,6 +44,13 @@ if [ "${1:-}" != "--no-test" ]; then
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
 
+    # Print the ns_per_iter of bench row $1 in results file $2, or
+    # nothing if the file has no such row (each gate then fails naming
+    # the missing row).
+    row_ns() {
+        grep -o "\"$1\", \"ns_per_iter\": [0-9]*" "$2" | grep -o '[0-9]*$' || true
+    }
+
     # Start `smc serve` on an ephemeral loopback port, logging to $1, and
     # set serve_pid and serve_addr once it reports its address; if it
     # never does, fail the gate named $2.
@@ -79,7 +86,7 @@ if [ "${1:-}" != "--no-test" ]; then
     # Batch equivalence gate: fanning the exhaustive sweep's histories
     # across 4 workers must classify it bit-identically to the sequential
     # sweep — same golden file. The sweep never enters `check_parallel`;
-    # the work-stealing engine's verdict gate is
+    # the parallel drivers' verdict gate is
     # `schedulers_agree_across_job_counts` in tests/batch_equiv.rs.
     echo "==> smc corpus --exhaustive --jobs 4 (j1 vs j4 equivalence)"
     cargo run -q --release --bin smc -- corpus --exhaustive --jobs 4 --json "$sweep_j4" >/dev/null
@@ -174,18 +181,16 @@ if [ "${1:-}" != "--no-test" ]; then
 
     # Bench drift gate for the parallel small-history pessimization: on a
     # litmus-sized check the adaptive cutover must keep `check_parallel`
-    # at 4 workers within 1.5x of the sequential checker. Before the
-    # cutover, j4 paid thread-spawn plus shared failed-set setup on a
-    # ~3-node search and ran 14-17x slower than sequential.
-    echo "==> bench drift gate (split_dfs_sc_reversed: j4 <= 1.5x sequential)"
+    # at 4 workers within 1.5x of the sequential checker. Without the
+    # probe, j4 pays thread spawn and the shared node pool on a 13-node
+    # PRAM search and runs about 5x slower.
+    echo "==> bench drift gate (split_dfs_pram_reversed: j4 <= 1.5x sequential)"
     bench_json="$tmp/bench.json"
-    cargo bench -q --bench bench_batch -- split_dfs_sc_reversed --json "$bench_json" >/dev/null
-    seq_ns=$(grep -o '"batch/split_dfs_sc_reversed/sequential", "ns_per_iter": [0-9]*' \
-        "$bench_json" | grep -o '[0-9]*$')
-    j4_ns=$(grep -o '"batch/split_dfs_sc_reversed/check_parallel_j4", "ns_per_iter": [0-9]*' \
-        "$bench_json" | grep -o '[0-9]*$')
+    cargo bench -q --bench bench_batch -- split_dfs_pram_reversed --json "$bench_json" >/dev/null
+    seq_ns=$(row_ns batch/split_dfs_pram_reversed/sequential "$bench_json")
+    j4_ns=$(row_ns batch/split_dfs_pram_reversed/check_parallel_j4 "$bench_json")
     if [ -z "$seq_ns" ] || [ -z "$j4_ns" ]; then
-        echo "bench gate: missing split_dfs_sc_reversed rows in $bench_json" >&2
+        echo "bench gate: missing split_dfs_pram_reversed rows in $bench_json" >&2
         exit 1
     fi
     if [ $((j4_ns * 10)) -gt $((seq_ns * 15)) ]; then
@@ -203,10 +208,8 @@ if [ "${1:-}" != "--no-test" ]; then
     echo "==> bench drift gate (TSO_ops_256/saturate <= 1.5x committed baseline)"
     sat_json="$tmp/sat.json"
     cargo bench -q --bench bench_bighist -- TSO_ops_256 --json "$sat_json" >/dev/null
-    sat_base=$(grep -o '"bighist/TSO_ops_256/saturate", "ns_per_iter": [0-9]*' \
-        BENCH_bighist.json | grep -o '[0-9]*$')
-    sat_now=$(grep -o '"bighist/TSO_ops_256/saturate", "ns_per_iter": [0-9]*' \
-        "$sat_json" | grep -o '[0-9]*$')
+    sat_base=$(row_ns bighist/TSO_ops_256/saturate BENCH_bighist.json)
+    sat_now=$(row_ns bighist/TSO_ops_256/saturate "$sat_json")
     if [ -z "$sat_base" ] || [ -z "$sat_now" ]; then
         echo "bench gate: missing bighist/TSO_ops_256/saturate row" >&2
         exit 1
@@ -229,16 +232,11 @@ if [ "${1:-}" != "--no-test" ]; then
     echo "==> bench drift gate (lifecycle: warm restore >= 5x cold replay, linear windows)"
     life_json="$tmp/life.json"
     cargo bench -q --bench bench_lifecycle -- --json "$life_json" >/dev/null
-    cold_ns=$(grep -o '"lifecycle/session_10000_events/cold_replay", "ns_per_iter": [0-9]*' \
-        "$life_json" | grep -o '[0-9]*$')
-    warm_ns=$(grep -o '"lifecycle/session_10000_events/warm_restore", "ns_per_iter": [0-9]*' \
-        "$life_json" | grep -o '[0-9]*$')
-    warm_base=$(grep -o '"lifecycle/session_10000_events/warm_restore", "ns_per_iter": [0-9]*' \
-        BENCH_lifecycle.json | grep -o '[0-9]*$')
-    w5_ns=$(grep -o '"lifecycle/windowed_steady_state/5000_events", "ns_per_iter": [0-9]*' \
-        "$life_json" | grep -o '[0-9]*$')
-    w10_ns=$(grep -o '"lifecycle/windowed_steady_state/10000_events", "ns_per_iter": [0-9]*' \
-        "$life_json" | grep -o '[0-9]*$')
+    cold_ns=$(row_ns lifecycle/session_10000_events/cold_replay "$life_json")
+    warm_ns=$(row_ns lifecycle/session_10000_events/warm_restore "$life_json")
+    warm_base=$(row_ns lifecycle/session_10000_events/warm_restore BENCH_lifecycle.json)
+    w5_ns=$(row_ns lifecycle/windowed_steady_state/5000_events "$life_json")
+    w10_ns=$(row_ns lifecycle/windowed_steady_state/10000_events "$life_json")
     if [ -z "$cold_ns" ] || [ -z "$warm_ns" ] || [ -z "$warm_base" ] || [ -z "$w5_ns" ] || [ -z "$w10_ns" ]; then
         echo "lifecycle bench gate: missing rows in $life_json" >&2
         exit 1

@@ -187,11 +187,13 @@ fn corpus_plus_random(seeds: std::ops::Range<u64>) -> Vec<History> {
 }
 
 /// Every case under SC, TSO, PRAM and causal — the models that exercise
-/// all three parallel drivers: the single shared view (SC), the
+/// every route: the single shared view that stays sequential (SC), the
 /// store-order fan-out (TSO), and the independent per-processor views
 /// (PRAM, causal) — decides through `check_parallel` at jobs 1/2/4/8
 /// exactly like the sequential checker, takes the route the forced
-/// cutover pins, and yields witnesses that verify independently.
+/// cutover pins, and yields witnesses that verify independently. SC and
+/// PRAM return the sequential checker's verdict and witness exactly:
+/// SC never leaves it, and each PRAM view is the same search.
 fn assert_agrees_at_cutover(cases: &[History], cutover: u64) {
     let model_list = [
         models::sc(),
@@ -215,13 +217,21 @@ fn assert_agrees_at_cutover(cases: &[History], cutover: u64) {
                     spec.name
                 );
                 // The forced settings pin the cutover decision: with
-                // the probe disabled only jobs=1 runs sequentially;
-                // with an unbounded probe no check ever fans out.
+                // the probe disabled only jobs=1 runs sequentially, and
+                // SC, which has nothing independent to fan out; with an
+                // unbounded probe no check ever fans out.
                 if cutover == 0 {
-                    assert_eq!(stats.ran_sequential, jobs == 1);
+                    assert_eq!(stats.ran_sequential, jobs == 1 || spec.name == "SC");
                     assert_eq!(stats.probe_nodes, 0);
                 } else {
                     assert!(stats.ran_sequential);
+                }
+                if spec.name == "SC" || spec.name == "PRAM" {
+                    assert_eq!(
+                        par, seq,
+                        "case {ci} {} cutover={cutover} jobs={jobs}: verdict or witness differs\n{h}",
+                        spec.name
+                    );
                 }
                 if let Verdict::Allowed(w) = &par {
                     verify_witness(h, spec, w).unwrap_or_else(|e| {
@@ -252,25 +262,24 @@ fn cutover_extremes_agree_with_sequential() {
     }
 }
 
-/// The work-stealing scheduler matches the sequential checker across
-/// every worker count, on the litmus corpus plus 200 more random
-/// histories. The probe is off (`parallel_cutover: 0`): every
-/// litmus-sized check decides inside the default probe, so only with it
-/// off do the scheduler's drivers actually run. This is the
-/// bit-identical-verdicts gate for the parallel engine.
+/// The parallel drivers match the sequential checker across every worker
+/// count, on the litmus corpus plus 200 more random histories. The probe
+/// is off (`parallel_cutover: 0`): every litmus-sized check decides
+/// inside the default probe, so only with it off do the drivers actually
+/// run. This is the bit-identical-verdicts gate for the parallel engine.
 #[test]
 fn schedulers_agree_across_job_counts() {
     assert_agrees_at_cutover(&corpus_plus_random(1000..1200), 0);
 }
 
-/// Regression: TSO units of different store orders share one op set per
-/// processor, and their fingerprint salts used to cancel against the
-/// scheduled-set bits, so a refutation recorded under one store order
-/// pruned a live state of another and work stealing answered
-/// `Disallowed` for admitted histories. Scheduling is racy, so each
-/// history runs many times at every worker count.
+/// Regression: the views of different TSO store orders share one op set
+/// per processor, and a parallel search that shared refutations across
+/// store orders once pruned a live state of one order with another's
+/// refutation, answering `Disallowed` for admitted histories. Each store
+/// order now runs as its own search. Scheduling is racy, so each history
+/// runs many times at every worker count.
 #[test]
-fn stealing_tso_matches_sequential_under_salt_aliasing() {
+fn tso_fan_out_matches_sequential() {
     let cases = [
         "p: w(x)2 r(x)1 w(x)1\nq: r(x)0 r(y)0 r(x)1\nr: w(x)1",
         "p: w(y)1 w(x)1\nq:\nr: r(y)1 r(x)1 w(x)1",
@@ -287,7 +296,10 @@ fn stealing_tso_matches_sequential_under_salt_aliasing() {
         for jobs in [2usize, 4, 8] {
             for run in 0..50 {
                 let (par, stats) = check_parallel(&h, &spec, &cfg, jobs);
-                assert!(stats.work_stealing_ran, "jobs={jobs}: stealing must run");
+                assert!(
+                    !stats.ran_sequential,
+                    "jobs={jobs}: the store orders must fan out"
+                );
                 assert_eq!(
                     par.decided(),
                     seq,
