@@ -130,7 +130,10 @@ usage:
                                     monitor; malformed lines warn with
                                     their byte offset and are skipped
                                     (counted in --stats/--json); --batch N
-                                    feeds N events per monitor step;
+                                    feeds the monitor once per N events
+                                    (one --stats step per batch;
+                                    restart-mode models settle once per
+                                    batch, final verdicts unchanged);
                                     `join p`/`retire p` lines move
                                     processors in and out of the active
                                     set (retired processors fold into a
@@ -162,14 +165,20 @@ usage:
                                     shorthand), one incremental monitor
                                     per session, bounded per-session
                                     queues (BUSY backpressure), verdicts
-                                    on QUERY; SNAPSHOT/RESUME checkpoint
-                                    a session to a file and resume it
-                                    warm; --evict-dir spills the least
+                                    on QUERY; `join`/`retire` lines count
+                                    against --queue like events;
+                                    --evict-dir spills the least
                                     recently active idle session to disk
                                     instead of refusing OPEN when
                                     --max-sessions is reached (evicted
                                     sessions resume transparently on
-                                    next use); --window N bounds each
+                                    next use), and SNAPSHOT <sid> <name>
+                                    / RESUME <sid> <name> checkpoint a
+                                    session to DIR/<name>.snap and
+                                    resume it warm (names are letters,
+                                    digits, `-`, `_`; without
+                                    --evict-dir both answer ERR);
+                                    --window N bounds each
                                     session's frontier memory; stops on
                                     SHUTDOWN
   smc serve --bench [--sessions N] [--events N] [--conns C]
@@ -1321,19 +1330,17 @@ fn emit_separation_files(
 }
 
 /// Per-stream monitoring state for `smc monitor`: one incremental
-/// monitor plus the cursors tracking how much of its parsed input has
-/// been applied. A plain replay uses one stream; a `@sid`-prefixed
-/// multi-session trace (the `smc serve` wire format) gets one per
-/// session id.
+/// monitor plus the parsed input it has not been fed yet. A plain
+/// replay uses one stream; a `@sid`-prefixed multi-session trace (the
+/// `smc serve` wire format) gets one per session id.
 struct MonitorStream {
     /// Session id for `@sid` streams; `None` for the unprefixed stream.
     label: Option<String>,
     mon: smc_monitor::Monitor,
-    scratch: smc_history::trace::Trace,
+    /// Parsed lines not yet fed: events, lifecycle lines and names.
+    pending: smc_history::trace::Trace,
+    /// Events fed from this run's input.
     fed: usize,
-    declared_procs: usize,
-    declared_locs: usize,
-    applied_lifecycle: usize,
     prev: Vec<smc_monitor::TriVerdict>,
     warnings: usize,
 }
@@ -1344,11 +1351,8 @@ impl MonitorStream {
             label,
             prev: mon.verdicts().to_vec(),
             mon,
-            scratch: smc_history::trace::Trace::new(),
+            pending: smc_history::trace::Trace::new(),
             fed: 0,
-            declared_procs: 0,
-            declared_locs: 0,
-            applied_lifecycle: 0,
             warnings: 0,
         }
     }
@@ -1372,10 +1376,10 @@ impl MonitorStream {
         }
     }
 
-    /// Feed everything parsed but not yet applied: new names are
-    /// declared, `join`/`retire` transitions apply at their recorded
-    /// stream positions, and events go down in `batch`-sized chunks.
-    fn pump(
+    /// Feed the next `batch` pending events — with the lifecycle lines
+    /// and names that came before them — as one monitor step, and
+    /// report it. A step without events reports nothing.
+    fn step(
         &mut self,
         models: &[ModelSpec],
         batch: usize,
@@ -1383,97 +1387,57 @@ impl MonitorStream {
         want_json: bool,
         json_lines: &mut Vec<String>,
     ) {
-        use smc_history::trace::Lifecycle;
-        for p in self.declared_procs..self.scratch.num_procs() {
-            self.mon.declare_proc(&self.scratch.proc_names()[p]);
+        let front = self.pending.split_front(batch);
+        let rep = self.mon.feed_trace(&front);
+        if front.is_empty() {
+            return;
         }
-        self.declared_procs = self.scratch.num_procs();
-        for l in self.declared_locs..self.scratch.num_locs() {
-            self.mon.declare_loc(&self.scratch.loc_names()[l]);
+        let what = match front.events() {
+            [ev] => front.format_event(ev),
+            evs => format!("+{} events", evs.len()),
+        };
+        self.fed += front.len();
+        let tag = self.tag();
+        if show_stats {
+            println!(
+                "{tag}#{} {}: frontier {}, created {}, expanded {}, reuse {}, rechecks {}, recheck-nodes {}, propagated {}",
+                rep.events,
+                what,
+                rep.frontier_states,
+                rep.created,
+                rep.expanded,
+                rep.reuse_hits,
+                rep.rechecks,
+                rep.recheck_nodes,
+                rep.propagated
+            );
         }
-        self.declared_locs = self.scratch.num_locs();
-        loop {
-            let next_lc = self
-                .scratch
-                .lifecycle()
-                .get(self.applied_lifecycle)
-                .copied();
-            // Events run up to the next lifecycle transition (or the
-            // end of the parsed stream), then the transition applies.
-            let limit = next_lc.map_or(self.scratch.len(), |(pos, _)| pos as usize);
-            if self.fed < limit {
-                let take = (limit - self.fed).min(batch);
-                let events: Vec<smc_monitor::BatchEvent<'_>> = self.scratch.events()
-                    [self.fed..self.fed + take]
-                    .iter()
-                    .map(|ev| {
-                        (
-                            self.scratch.proc_name(ev.proc),
-                            ev.kind,
-                            self.scratch.loc_name(ev.loc),
-                            ev.value.0,
-                            ev.label,
-                        )
-                    })
-                    .collect();
-                let rep = self.mon.feed_batch(&events);
-                let what = if take == 1 {
-                    self.scratch.format_event(&self.scratch.events()[self.fed])
-                } else {
-                    format!("+{take} events")
-                };
-                self.fed += take;
-                let tag = self.tag();
-                if show_stats {
-                    println!(
-                        "{tag}#{} {}: frontier {}, created {}, expanded {}, reuse {}, rechecks {}, recheck-nodes {}, propagated {}",
-                        rep.events,
-                        what,
-                        rep.frontier_states,
-                        rep.created,
-                        rep.expanded,
-                        rep.reuse_hits,
-                        rep.rechecks,
-                        rep.recheck_nodes,
-                        rep.propagated
-                    );
-                }
-                for (i, now) in self.mon.verdicts().iter().enumerate() {
-                    if *now != self.prev[i] {
-                        println!(
-                            "{tag}event {}: {} {} -> {}",
-                            rep.events,
-                            models[i].name,
-                            self.prev[i].word(),
-                            now.word()
-                        );
-                        self.prev[i] = *now;
-                    }
-                }
-                if want_json {
-                    json_lines.push(
-                        self.json()
-                            .num("event", rep.events as u64)
-                            .str("op", &what)
-                            .num("frontier_states", rep.frontier_states)
-                            .num("created", rep.created)
-                            .num("expanded", rep.expanded)
-                            .num("reuse_hits", rep.reuse_hits)
-                            .num("rechecks", rep.rechecks)
-                            .num("recheck_nodes", rep.recheck_nodes)
-                            .num("propagated", rep.propagated)
-                            .finish(),
-                    );
-                }
-                continue;
+        for (i, now) in self.mon.verdicts().iter().enumerate() {
+            if *now != self.prev[i] {
+                println!(
+                    "{tag}event {}: {} {} -> {}",
+                    rep.events,
+                    models[i].name,
+                    self.prev[i].word(),
+                    now.word()
+                );
+                self.prev[i] = *now;
             }
-            let Some((_, l)) = next_lc else { break };
-            let name = self.scratch.proc_name(l.proc()).to_owned();
-            match l {
-                Lifecycle::Join(_) => self.mon.join(&name),
-                Lifecycle::Retire(_) => self.mon.retire(&name),
-            }
-            self.applied_lifecycle += 1;
+        }
+        if want_json {
+            json_lines.push(
+                self.json()
+                    .num("event", rep.events as u64)
+                    .str("op", &what)
+                    .num("frontier_states", rep.frontier_states)
+                    .num("created", rep.created)
+                    .num("expanded", rep.expanded)
+                    .num("reuse_hits", rep.reuse_hits)
+                    .num("rechecks", rep.rechecks)
+                    .num("recheck_nodes", rep.recheck_nodes)
+                    .num("propagated", rep.propagated)
+                    .finish(),
+            );
         }
     }
 }
@@ -1495,10 +1459,11 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     let jobs = flags.jobs;
     let show_stats = args.switch("--stats");
     let json_path = args.value("--json");
-    // Feed granularity: --batch N amortizes interning, table growth and
-    // restart-model settling over N events per feed_batch call. Verdict
-    // transitions and per-step stats then report at batch granularity;
-    // final verdicts are identical to per-event feeding.
+    // Feed granularity: --batch N feeds the monitor once per N parsed
+    // events, amortizing interning, table growth and restart-model
+    // settling over the batch. Verdict transitions and per-step stats
+    // then report at batch granularity; final verdicts are identical to
+    // per-event feeding.
     let batch: usize = args.positive("--batch")?.unwrap_or(1);
     if args.switch("--corpus") {
         if !args.operands().is_empty() {
@@ -1557,11 +1522,11 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
         Box::new(std::io::BufReader::new(f))
     };
 
-    // Events are parsed into a scratch trace line by line and fed to
-    // the owning stream's monitor as they arrive; a malformed line
-    // warns (with its byte offset into the stream, and its session id
-    // in a `@sid` multi-session replay) and is skipped, keeping any
-    // events parsed before the offending token.
+    // Lines are parsed into the owning stream's pending trace, which
+    // feeds its monitor whenever `batch` events are pending; a
+    // malformed line warns (with its byte offset into the stream, and
+    // its session id in a `@sid` multi-session replay) and is skipped,
+    // keeping any events parsed before the offending token.
     let want_json = json_path.is_some();
     let mut streams: Vec<MonitorStream> = vec![MonitorStream::new(None, base_mon)];
     let (mut line_no, mut offset) = (0usize, 0usize);
@@ -1598,7 +1563,7 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
             _ => (0, line.as_str(), offset),
         };
         let s = &mut streams[idx];
-        if let Err(e) = parse_trace_line(&mut s.scratch, content, line_no, content_off) {
+        if let Err(e) = parse_trace_line(&mut s.pending, content, line_no, content_off) {
             s.warnings += 1;
             eprintln!("warning: {}skipping malformed trace input: {e}", s.tag());
             if want_json {
@@ -1611,7 +1576,14 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
             }
         }
         offset += line.len() + 1;
-        s.pump(&model_list, batch, show_stats, want_json, &mut json_lines);
+        while s.pending.len() >= batch {
+            s.step(&model_list, batch, show_stats, want_json, &mut json_lines);
+        }
+    }
+    // End of input: whatever is pending goes down as a last step, so
+    // trailing lifecycle lines and headers reach the monitor too.
+    for s in &mut streams {
+        s.step(&model_list, batch, show_stats, want_json, &mut json_lines);
     }
 
     if let Some(p) = checkpoint_file {

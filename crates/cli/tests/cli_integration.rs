@@ -361,16 +361,53 @@ fn monitor_skips_malformed_lines_and_counts_them() {
 
 #[test]
 fn monitor_batch_matches_per_event_verdicts() {
-    let f = write_tmp(
-        "smc_mon_batch.trace",
-        "procs p q\nlocs x y\np w(x)1\np r(y)0\nq w(y)1\nq r(x)0\n",
+    // A 64-event TSO stream whose engines exhaust a 1024-state cap, so
+    // restart-mode rechecks run, and batching has something to amortize.
+    let dir = std::env::temp_dir();
+    let trace = dir.join("smc_mon_batch.trace");
+    let trace = trace.to_str().unwrap();
+    let (ok, _, stderr) = smc(&[
+        "trace", "gen", "--memory", "tso", "--procs", "3", "--locs", "2", "--values", "2",
+        "--events", "64", "--seed", "3", "--out", trace,
+    ]);
+    assert!(ok, "{stderr}");
+    let run = |batch: &str| {
+        let json = dir.join(format!("smc_mon_batch_{batch}.json"));
+        let json = json.to_str().unwrap();
+        let (ok, stdout, stderr) = smc(&[
+            "monitor",
+            trace,
+            "--max-states",
+            "1024",
+            "--batch",
+            batch,
+            "--json",
+            json,
+        ]);
+        (ok, stdout, std::fs::read_to_string(json).expect(&stderr))
+    };
+    let (ok1, per_event, json1) = run("1");
+    let (ok8, batched, json8) = run("8");
+    assert_eq!(ok1, ok8, "{per_event}\n{batched}");
+    // One monitor step per eight events.
+    let steps: Vec<&str> = json8.lines().filter(|l| l.contains("\"op\":")).collect();
+    assert_eq!(steps.len(), 8, "{json8}");
+    assert!(
+        steps.iter().all(|l| l.contains("\"op\":\"+8 events\"")),
+        "{json8}"
     );
-    // The SB trace violates SC, so `smc monitor` exits non-zero by
-    // design — only the verdicts (and the exit codes) must agree
-    // across batch sizes.
-    let (ok1, per_event, _) = smc(&["monitor", &f]);
-    let (ok2, batched, _) = smc(&["monitor", &f, "--batch", "8"]);
-    assert_eq!(ok1, ok2, "{per_event}\n{batched}");
+    // Restart-mode models settle once per step, not once per event.
+    let rechecks = |json: &str| -> u64 {
+        let summary = json.lines().last().unwrap();
+        let tail = summary.split("\"rechecks\":").nth(1).expect(summary);
+        tail.split(',').next().unwrap().parse().unwrap()
+    };
+    assert!(
+        rechecks(&json8) < rechecks(&json1),
+        "{} rechecks batched vs {} per event",
+        rechecks(&json8),
+        rechecks(&json1)
+    );
     // Compare the final verdict table (indented `<model> <verdict>`
     // rows); per-event transition lines may legitimately coalesce
     // under batching.

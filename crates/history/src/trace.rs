@@ -169,6 +169,30 @@ impl Trace {
         &self.lifecycle
     }
 
+    /// Cut off and return the front of the stream: the first `n` events
+    /// (all of them if `n` is past the end) and the lifecycle lines
+    /// recorded at or before position `n`. What stays behind is the rest
+    /// of the stream, its lifecycle positions rebased to the cut. Both
+    /// halves keep the full name tables, so ids mean the same in each.
+    pub fn split_front(&mut self, n: usize) -> Trace {
+        let n = n.min(self.events.len());
+        let cut = self
+            .lifecycle
+            .partition_point(|&(pos, _)| pos as usize <= n);
+        let rest_events = self.events.split_off(n);
+        let rest_lifecycle = self.lifecycle[cut..]
+            .iter()
+            .map(|&(pos, l)| (pos - n as u32, l))
+            .collect();
+        self.lifecycle.truncate(cut);
+        Trace {
+            proc_names: self.proc_names.clone(),
+            loc_names: self.loc_names.clone(),
+            events: std::mem::replace(&mut self.events, rest_events),
+            lifecycle: std::mem::replace(&mut self.lifecycle, rest_lifecycle),
+        }
+    }
+
     /// The events, in arrival order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
@@ -705,6 +729,42 @@ mod tests {
                 .unwrap()
                 .history()
         );
+    }
+
+    #[test]
+    fn split_front_cuts_events_and_lifecycle_at_n() {
+        let text = "procs p q\nlocs x\njoin p\np w(x)1\nq r(x)1\nretire p\nq w(x)2\njoin r\n";
+        let mut rest = parse_trace(text).unwrap();
+        let front = rest.split_front(2);
+        // The first two events, and the lifecycle lines at or before
+        // position 2 — `retire p` sits at exactly 2, so it goes front.
+        assert_eq!(front.len(), 2);
+        assert_eq!(front.events(), &parse_trace(text).unwrap().events()[..2]);
+        assert_eq!(
+            front.lifecycle(),
+            [
+                (0, Lifecycle::Join(ProcId(0))),
+                (2, Lifecycle::Retire(ProcId(0)))
+            ]
+        );
+        // The rest keeps the later event and `join r`, rebased to the
+        // cut: it followed one more event, so it sits at position 1.
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest.format_event(&rest.events()[0]), "q w(x)2");
+        assert_eq!(rest.lifecycle(), [(1, Lifecycle::Join(ProcId(2)))]);
+        // Both halves keep every name, including `r`, which only the
+        // rest uses.
+        for half in [&front, &rest] {
+            assert_eq!(half.proc_names(), ["p", "q", "r"]);
+            assert_eq!(half.loc_names(), ["x"]);
+        }
+        // Cutting past the end takes everything that is left, trailing
+        // lifecycle lines included, and leaves the names behind.
+        let tail = rest.split_front(100);
+        assert_eq!(tail.len(), 1);
+        assert_eq!(tail.lifecycle(), [(1, Lifecycle::Join(ProcId(2)))]);
+        assert!(rest.is_empty() && rest.lifecycle().is_empty());
+        assert_eq!(rest.proc_names(), ["p", "q", "r"]);
     }
 
     #[test]

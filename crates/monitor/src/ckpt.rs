@@ -72,13 +72,20 @@ pub fn save(m: &Monitor) -> Vec<u8> {
     for engine in &m.engines {
         match engine {
             Engine::Restart => buf.push(0),
-            Engine::Identical(e) => {
+            // Tag 1 is a shared view, stored as its one engine; tag 2 a
+            // per-processor view table.
+            Engine::Frontier {
+                views, delta: None, ..
+            } => {
                 buf.push(1);
-                e.save_into(&mut buf);
+                views[0]
+                    .as_ref()
+                    .expect("the shared view is never freed")
+                    .save_into(&mut buf);
             }
-            Engine::PerProc {
-                viewers,
-                delta,
+            Engine::Frontier {
+                views,
+                delta: Some(delta),
                 latched_unknown,
             } => {
                 buf.push(2);
@@ -87,8 +94,8 @@ pub fn save(m: &Monitor) -> Vec<u8> {
                     OperationSet::WritesOnly => 1,
                 });
                 write_u64(&mut buf, *latched_unknown as u64);
-                write_u32(&mut buf, viewers.len() as u32);
-                for v in viewers {
+                write_u32(&mut buf, views.len() as u32);
+                for v in views {
                     match v {
                         None => buf.push(0),
                         Some(e) => {
@@ -241,7 +248,11 @@ fn load_engine(r: &mut Reader<'_>, built_procs: usize) -> Result<Engine, String>
                     e.num_procs()
                 ));
             }
-            Ok(Engine::Identical(e))
+            Ok(Engine::Frontier {
+                views: vec![Some(e)],
+                delta: None,
+                latched_unknown: 0,
+            })
         }
         2 => {
             let dat = r.pos();
@@ -257,10 +268,10 @@ fn load_engine(r: &mut Reader<'_>, built_procs: usize) -> Result<Engine, String>
                     "viewer table at byte {at} has {n} slots, monitor built for {built_procs}"
                 ));
             }
-            let mut viewers = Vec::with_capacity(n);
+            let mut views = Vec::with_capacity(n);
             for _ in 0..n {
                 let vat = r.pos();
-                viewers.push(match r.u8()? {
+                views.push(match r.u8()? {
                     0 => None,
                     1 => {
                         let e = FrontierEngine::load_from(r)?;
@@ -275,9 +286,9 @@ fn load_engine(r: &mut Reader<'_>, built_procs: usize) -> Result<Engine, String>
                     v => return Err(format!("unknown viewer tag {v} at byte {vat}")),
                 });
             }
-            Ok(Engine::PerProc {
-                viewers,
-                delta,
+            Ok(Engine::Frontier {
+                views,
+                delta: Some(delta),
                 latched_unknown,
             })
         }

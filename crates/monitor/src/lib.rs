@@ -122,13 +122,8 @@ impl TriVerdict {
     }
 }
 
-/// One event of a batch, by names: `(processor, kind, location, value,
-/// label)`. The tuple shape keeps call sites free of a builder when
-/// they already hold parsed trace lines.
-pub type BatchEvent<'a> = (&'a str, OpKind, &'a str, i64, Label);
-
 /// Observability counters for one appended event (or one batch — see
-/// [`Monitor::feed_batch`]).
+/// [`Monitor::feed_trace`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StepReport {
     /// Prefix length (events fed so far, including this batch).
@@ -221,18 +216,20 @@ pub struct ViolationReport {
 
 /// How a model's incremental state is maintained.
 pub(crate) enum Engine {
-    /// One shared view over all operations (the SC shape:
-    /// `identical_views`, `δ = AllOps`, program order, by-value reads).
-    Identical(FrontierEngine),
-    /// One engine per processor view (the PRAM shape), indexed by
-    /// engine *slot*; the viewer holding slot `s` sees its own
-    /// operations plus the remote operations `δ` selects. A `None`
-    /// entry is a freed slot (its viewer folded away or never joined).
-    PerProc {
-        /// Per slot, the live viewer engine.
-        viewers: Vec<Option<FrontierEngine>>,
-        /// Remote operations each view includes.
-        delta: OperationSet,
+    /// One frontier engine per view the model demands. With `delta`
+    /// set (the PRAM shape) every processor has its own view, indexed
+    /// by engine *slot*: the viewer holding slot `s` sees its own
+    /// operations plus the remote operations `delta` selects, and a
+    /// `None` entry is a freed slot (its viewer folded away or never
+    /// joined). With `delta: None` (the SC shape: `identical_views`,
+    /// `δ = AllOps`) every view is the same sequence, so `views` holds
+    /// one shared view that takes every event.
+    Frontier {
+        /// The live view engines.
+        views: Vec<Option<FrontierEngine>>,
+        /// Remote operations each per-processor view includes; `None`
+        /// for the one shared view.
+        delta: Option<OperationSet>,
         /// Folded viewers whose verdict was lost to exhaustion; while
         /// nonzero the model can never settle back to `Admitted` on the
         /// engines alone.
@@ -242,10 +239,22 @@ pub(crate) enum Engine {
     Restart,
 }
 
-/// Conjoin the per-viewer admission answers of a `PerProc` engine.
-fn perproc_verdict(viewers: &[Option<FrontierEngine>], latched_unknown: usize) -> Option<bool> {
+/// Does the view in slot `s` take event `ev`? The shared view takes
+/// every event; a processor's own view takes its own events and the
+/// remote ones `delta` selects.
+fn view_takes(delta: Option<OperationSet>, churn: &ChurnState, s: usize, ev: &TraceEvent) -> bool {
+    let Some(delta) = delta else {
+        return true;
+    };
+    churn
+        .proc_of_slot(s)
+        .is_some_and(|v| ev.proc == v || delta == OperationSet::AllOps || ev.kind.is_write())
+}
+
+/// Conjoin the per-view admission answers of a frontier engine.
+fn frontier_verdict(views: &[Option<FrontierEngine>], latched_unknown: usize) -> Option<bool> {
     let mut verdict = Some(true);
-    for e in viewers.iter().flatten() {
+    for e in views.iter().flatten() {
         match e.admitted() {
             Some(true) => {}
             Some(false) => verdict = Some(false),
@@ -274,21 +283,23 @@ fn frontier_shape(spec: &ModelSpec) -> Option<Engine> {
         && !spec.rc_bracketing
         && !spec.fence_bracketing
         && spec.global_order == GlobalOrder::ProgramOrder;
-    if !plain {
+    // Identical views collapse to a single view question only when
+    // every view ranges over the same operation set.
+    if !plain || (spec.identical_views && spec.delta != OperationSet::AllOps) {
         return None;
     }
-    if spec.identical_views {
-        // Identical views collapse to a single view question only when
-        // every view ranges over the same operation set.
-        (spec.delta == OperationSet::AllOps)
-            .then(|| Engine::Identical(FrontierEngine::new(0, 0, 1)))
-    } else {
-        Some(Engine::PerProc {
-            viewers: Vec::new(),
-            delta: spec.delta,
-            latched_unknown: 0,
-        })
-    }
+    let shared = spec.identical_views;
+    Some(Engine::Frontier {
+        // The shared view exists before any table does; the first
+        // `ensure_tables` replaces it at full width.
+        views: if shared {
+            vec![Some(FrontierEngine::new(0, 0, 1))]
+        } else {
+            Vec::new()
+        },
+        delta: (!shared).then_some(spec.delta),
+        latched_unknown: 0,
+    })
 }
 
 /// The streaming monitor: per-model incremental admission state over an
@@ -314,7 +325,7 @@ pub struct Monitor {
     pub(crate) window: Option<WindowState>,
     /// Reused slots whose per-processor viewers await seeding (drained
     /// by [`Monitor::ensure_tables`]).
-    pending_seeds: Vec<(ProcId, u32)>,
+    pending_seeds: Vec<usize>,
 }
 
 impl Monitor {
@@ -410,12 +421,11 @@ impl Monitor {
     /// batching.
     pub fn is_event_exact(&self, model_idx: usize) -> bool {
         match &self.engines[model_idx] {
-            Engine::Identical(e) => !e.is_exhausted(),
-            Engine::PerProc {
-                viewers,
+            Engine::Frontier {
+                views,
                 latched_unknown,
                 ..
-            } => *latched_unknown == 0 && viewers.iter().flatten().all(|e| !e.is_exhausted()),
+            } => *latched_unknown == 0 && views.iter().flatten().all(|e| !e.is_exhausted()),
             Engine::Restart => false,
         }
     }
@@ -455,7 +465,7 @@ impl Monitor {
     fn activate_proc(&mut self, p: ProcId) {
         match self.churn.activate(p) {
             Activation::Already | Activation::Grew(_) => {}
-            Activation::Reused(s) => self.pending_seeds.push((p, s)),
+            Activation::Reused(s) => self.pending_seeds.push(s as usize),
         }
     }
 
@@ -475,12 +485,31 @@ impl Monitor {
         value: i64,
         label: Label,
     ) -> StepReport {
-        self.feed_batch(&[(proc, kind, loc, value, label)])
+        let ev = TraceEvent {
+            proc: self.trace.add_proc(proc),
+            kind,
+            loc: self.trace.add_loc(loc),
+            value: Value(value),
+            label,
+        };
+        self.activate_proc(ev.proc);
+        self.ensure_tables();
+        self.append(&[ev])
     }
 
-    /// Feed a batch of events at once. Semantically this appends every
-    /// event in order; operationally the batch amortizes the per-event
-    /// bookkeeping that [`Monitor::feed`] pays on each call:
+    /// Feed a parsed stream: a whole trace, or the next segment of one
+    /// cut by [`Trace::split_front`]. Names the monitor has not seen
+    /// yet are declared first, except a processor that a `join` of this
+    /// segment introduces: that join activates it at its position, since
+    /// declared up front it would take a fresh slot ahead of an earlier
+    /// `retire` whose slot it should reuse. Each `join`/`retire` then
+    /// applies at its recorded position, and the events between them go
+    /// down as one batch. Returns the aggregated report (`events` is the
+    /// prefix length afterwards).
+    ///
+    /// Semantically a batch appends every event in order; operationally
+    /// it amortizes the per-event bookkeeping that [`Monitor::feed`]
+    /// pays on each call:
     ///
     /// * names are interned and the frontier tables grown **once per
     ///   batch** (at most one rebuild-by-replay, instead of one per
@@ -494,84 +523,93 @@ impl Monitor {
     ///   granularity. Final verdicts are identical to per-event feeding
     ///   — only the granularity of intermediate restart-model verdicts
     ///   differs.
-    ///
-    /// Returns one aggregated report (`events` is the prefix length
-    /// after the batch).
-    pub fn feed_batch(&mut self, events: &[BatchEvent<'_>]) -> StepReport {
-        let mut report = StepReport {
-            events: self.trace.len() + events.len(),
-            ..StepReport::default()
-        };
-        if events.is_empty() {
-            report.frontier_states = self.frontier_states();
-            return report;
+    pub fn feed_trace(&mut self, t: &Trace) -> StepReport {
+        for (i, name) in t.proc_names().iter().enumerate() {
+            let join = Lifecycle::Join(ProcId(i as u32));
+            if !self.trace.proc_names().contains(name)
+                && !t.lifecycle().iter().any(|&(_, l)| l == join)
+            {
+                self.declare_proc(name);
+            }
         }
-        // Intern every name, assign slots, and grow the frontier tables
-        // *before* any event of the batch lands in the trace: a table
-        // rebuild replays only the events already incorporated, so the
-        // appends below never duplicate an event.
-        for &(proc, _, loc, _, _) in events {
-            let p = self.trace.add_proc(proc);
-            self.trace.add_loc(loc);
-            self.activate_proc(p);
+        for name in t.loc_names() {
+            if !self.trace.loc_names().contains(name) {
+                self.declare_loc(name);
+            }
         }
-        self.ensure_tables();
+        let mut report = StepReport::default();
+        let mut from = 0;
+        for &(pos, l) in t.lifecycle() {
+            let pos = pos as usize;
+            report.absorb(self.feed_batch(t, &t.events()[from..pos]));
+            from = pos;
+            match l {
+                Lifecycle::Join(p) => self.join(t.proc_name(p)),
+                Lifecycle::Retire(p) => self.retire(t.proc_name(p)),
+            }
+        }
+        report.absorb(self.feed_batch(t, &t.events()[from..]));
+        report.events = self.trace.len();
+        report.frontier_states = self.frontier_states();
+        report
+    }
 
+    /// Intern a batch of `t`'s events, then grow the tables once and
+    /// append it. Interning comes first because a table rebuild replays
+    /// only the events already incorporated, so the appends never
+    /// duplicate an event. An empty batch does nothing.
+    fn feed_batch(&mut self, t: &Trace, events: &[TraceEvent]) -> StepReport {
+        if events.is_empty() {
+            return StepReport::default();
+        }
+        let batch: Vec<TraceEvent> = events
+            .iter()
+            .map(|e| {
+                let ev = TraceEvent {
+                    proc: self.trace.add_proc(t.proc_name(e.proc)),
+                    loc: self.trace.add_loc(t.loc_name(e.loc)),
+                    ..*e
+                };
+                self.activate_proc(ev.proc);
+                ev
+            })
+            .collect();
+        self.ensure_tables();
+        self.append(&batch)
+    }
+
+    /// Append interned events to the stream and settle every model on
+    /// the new prefix (see [`Monitor::feed_trace`] for the batch
+    /// semantics). Returns the batch's counters.
+    fn append(&mut self, events: &[TraceEvent]) -> StepReport {
+        let mut report = StepReport::default();
         // Phase 1: frontier-mode models consume the batch one event at
         // a time (their per-event cost is what the engine amortizes),
         // keeping per-prefix verdicts and first violations event-exact.
-        for &(proc, kind, loc, value, label) in events {
-            let ev = TraceEvent {
-                proc: self.trace.add_proc(proc),
-                kind,
-                loc: self.trace.add_loc(loc),
-                value: Value(value),
-                label,
-            };
+        for &ev in events {
             self.trace.push(ev);
             let n = self.trace.len();
             let ev_slot = ProcId(self.churn.slot(ev.proc).expect("active proc has a slot"));
             let churn = &self.churn;
             for (i, engine) in self.engines.iter_mut().enumerate() {
-                let verdict = match engine {
-                    Engine::Identical(e) => {
-                        report.absorb_frontier(e.append(ev_slot, view_op(&ev)));
-                        e.admitted()
-                    }
-                    Engine::PerProc {
-                        viewers,
-                        delta,
-                        latched_unknown,
-                    } => {
-                        // Every relevant viewer must see the event, even
-                        // if an earlier view already settled the verdict.
-                        let mut verdict = Some(true);
-                        for (s, v) in viewers.iter_mut().enumerate() {
-                            let Some(e) = v else { continue };
-                            let Some(vp) = churn.proc_of_slot(s) else {
-                                continue;
-                            };
-                            if in_view(&ev, vp, *delta) {
-                                report.absorb_frontier(e.append(ev_slot, view_op(&ev)));
-                            }
-                            match e.admitted() {
-                                Some(true) => {}
-                                Some(false) => verdict = Some(false),
-                                None => {
-                                    if verdict != Some(false) {
-                                        verdict = None;
-                                    }
-                                }
-                            }
-                        }
-                        if *latched_unknown > 0 && verdict == Some(true) {
-                            verdict = None;
-                        }
-                        verdict
-                    }
-                    Engine::Restart => continue,
+                let Engine::Frontier {
+                    views,
+                    delta,
+                    latched_unknown,
+                } = engine
+                else {
+                    continue;
                 };
-                if let Some(adm) = verdict {
+                // Every view taking the event must see it, even if an
+                // earlier view already settled the verdict.
+                for (s, v) in views.iter_mut().enumerate() {
+                    if let Some(e) = v {
+                        if view_takes(*delta, churn, s, &ev) {
+                            report.absorb_frontier(e.append(ev_slot, view_op(&ev)));
+                        }
+                    }
+                }
+                if let Some(adm) = frontier_verdict(views, *latched_unknown) {
                     let v = tri_of(adm);
                     self.verdicts[i] = v;
                     if v == TriVerdict::Violated && self.first_violation[i].is_none() {
@@ -590,12 +628,11 @@ impl Monitor {
             .engines
             .iter()
             .map(|engine| match engine {
-                Engine::Identical(e) => e.admitted(),
-                Engine::PerProc {
-                    viewers,
+                Engine::Frontier {
+                    views,
                     latched_unknown,
                     ..
-                } => perproc_verdict(viewers, *latched_unknown),
+                } => frontier_verdict(views, *latched_unknown),
                 Engine::Restart => None,
             })
             .collect();
@@ -628,6 +665,7 @@ impl Monitor {
         // quiesced.
         self.maybe_seal_window();
         self.try_folds();
+        report.events = n;
         report.frontier_states = self.frontier_states();
         self.totals.created += report.created;
         self.totals.expanded += report.expanded;
@@ -638,69 +676,12 @@ impl Monitor {
         report
     }
 
-    /// Feed a whole trace (declaring its tables first) as one batch;
-    /// returns the aggregated report. A trace carrying lifecycle lines
-    /// is fed in segments, applying each `join`/`retire` at its
-    /// recorded stream position — processors are then *not* declared up
-    /// front, so folded slots stay reusable.
-    pub fn feed_trace(&mut self, t: &Trace) -> StepReport {
-        let to_batch = |e: &TraceEvent| {
-            (
-                t.proc_name(e.proc),
-                e.kind,
-                t.loc_name(e.loc),
-                e.value.0,
-                e.label,
-            )
-        };
-        if t.lifecycle().is_empty() {
-            for p in t.proc_names() {
-                self.declare_proc(p);
-            }
-            for l in t.loc_names() {
-                self.declare_loc(l);
-            }
-            let batch: Vec<BatchEvent<'_>> = t.events().iter().map(to_batch).collect();
-            return self.feed_batch(&batch);
-        }
-        for l in t.loc_names() {
-            self.declare_loc(l);
-        }
-        let events = t.events();
-        let lcs = t.lifecycle();
-        let mut report = StepReport::default();
-        let (mut pos, mut li) = (0usize, 0usize);
-        while pos < events.len() || li < lcs.len() {
-            while li < lcs.len() && lcs[li].0 as usize <= pos {
-                match lcs[li].1 {
-                    Lifecycle::Join(p) => self.join(t.proc_name(p)),
-                    Lifecycle::Retire(p) => self.retire(t.proc_name(p)),
-                }
-                li += 1;
-            }
-            let next = if li < lcs.len() {
-                (lcs[li].0 as usize).min(events.len())
-            } else {
-                events.len()
-            };
-            if next > pos {
-                let batch: Vec<BatchEvent<'_>> = events[pos..next].iter().map(to_batch).collect();
-                report.absorb(self.feed_batch(&batch));
-                pos = next;
-            }
-        }
-        report.events = self.trace.len();
-        report.frontier_states = self.frontier_states();
-        report
-    }
-
     /// Total reachable states across all frontier engines.
     fn frontier_states(&self) -> u64 {
         self.engines
             .iter()
             .map(|engine| match engine {
-                Engine::Identical(e) => e.num_states() as u64,
-                Engine::PerProc { viewers, .. } => viewers
+                Engine::Frontier { views, .. } => views
                     .iter()
                     .flatten()
                     .map(|e| e.num_states() as u64)
@@ -742,59 +723,47 @@ impl Monitor {
     }
 
     /// Rebuild the frontier engines if the slot width or location table
-    /// outgrew what they were built for (replaying the stored events and
-    /// re-applying fold summaries), and seed viewers for reused slots.
+    /// outgrew what they were built for, and seed the viewers of slots
+    /// reused by joiners since the last call (the shared view needs no
+    /// seeding: a folded slot's column is already empty).
     fn ensure_tables(&mut self) {
         let width = self.churn.width().max(self.built_procs);
         let locs = self.trace.num_locs();
-        if width <= self.built_procs && locs <= self.built_locs {
-            self.seed_pending();
+        let grow = width > self.built_procs || locs > self.built_locs;
+        if !grow && self.pending_seeds.is_empty() {
             return;
         }
-        self.pending_seeds.clear();
+        let seeds = std::mem::take(&mut self.pending_seeds);
         self.built_procs = width;
         self.built_locs = locs;
-        let max_states = self.cfg.max_frontier_states;
-        let seals = self.seal_positions();
-        let trace = &self.trace;
-        let churn = &self.churn;
-        let mut rebuild = 0u64;
-        for engine in self.engines.iter_mut() {
-            match engine {
-                Engine::Identical(e) => {
-                    *e = replay_identical(
-                        trace,
-                        churn,
-                        width,
-                        locs,
-                        max_states,
-                        &seals,
-                        &mut rebuild,
-                    );
+        let mut replay = Replay {
+            trace: &self.trace,
+            churn: &self.churn,
+            width,
+            locs,
+            max_states: self.cfg.max_frontier_states,
+            seals: self.seal_positions(),
+            work: 0,
+        };
+        for engine in &mut self.engines {
+            let Engine::Frontier { views, delta, .. } = engine else {
+                continue;
+            };
+            if grow {
+                let slots = if delta.is_some() { width } else { 1 };
+                *views = (0..slots)
+                    .map(|s| {
+                        (delta.is_none() || replay.churn.proc_of_slot(s).is_some())
+                            .then(|| replay.view(*delta, s))
+                    })
+                    .collect();
+            } else if delta.is_some() {
+                for &s in &seeds {
+                    views[s] = Some(replay.view(*delta, s));
                 }
-                Engine::PerProc { viewers, delta, .. } => {
-                    let mut fresh: Vec<Option<FrontierEngine>> = (0..width).map(|_| None).collect();
-                    for (s, slot) in fresh.iter_mut().enumerate() {
-                        if let Some(p) = churn.proc_of_slot(s) {
-                            *slot = Some(seed_viewer(
-                                trace,
-                                churn,
-                                p,
-                                *delta,
-                                width,
-                                locs,
-                                max_states,
-                                &seals,
-                                &mut rebuild,
-                            ));
-                        }
-                    }
-                    *viewers = fresh;
-                }
-                Engine::Restart => {}
             }
         }
-        self.totals.rebuild_work += rebuild;
+        self.totals.rebuild_work += replay.work;
     }
 
     /// Stream positions of every window seal so far, in order — a
@@ -806,40 +775,6 @@ impl Monitor {
             .as_ref()
             .map(|w| w.records().iter().map(|r| r.end).collect())
             .unwrap_or_default()
-    }
-
-    /// Seed per-processor viewers for slots reused by joiners since the
-    /// last call (the `Identical` engine needs nothing: a folded slot's
-    /// column is already empty).
-    fn seed_pending(&mut self) {
-        if self.pending_seeds.is_empty() {
-            return;
-        }
-        let seeds = std::mem::take(&mut self.pending_seeds);
-        let (width, locs) = (self.built_procs, self.built_locs);
-        let max_states = self.cfg.max_frontier_states;
-        let seals = self.seal_positions();
-        let trace = &self.trace;
-        let churn = &self.churn;
-        let mut rebuild = 0u64;
-        for engine in self.engines.iter_mut() {
-            if let Engine::PerProc { viewers, delta, .. } = engine {
-                for &(p, s) in &seeds {
-                    viewers[s as usize] = Some(seed_viewer(
-                        trace,
-                        churn,
-                        p,
-                        *delta,
-                        width,
-                        locs,
-                        max_states,
-                        &seals,
-                        &mut rebuild,
-                    ));
-                }
-            }
-        }
-        self.totals.rebuild_work += rebuild;
     }
 
     /// Fold every pending retiree whose engine columns have quiesced.
@@ -857,70 +792,56 @@ impl Monitor {
         };
         let s = slot as usize;
         // Check first, mutate only if every engine agrees: the retiree's
-        // column must have quiesced everywhere, and its own view (if it
-        // has one) must be settled-admitted — appended remote operations
-        // can only extend an admitted view, never refute it, because a
-        // retired processor issues no further reads.
+        // column must have quiesced in every view, and its own view (if
+        // it has one) must be settled-admitted — appended remote
+        // operations can only extend an admitted view, never refute it,
+        // because a retired processor issues no further reads.
         for engine in &self.engines {
-            match engine {
-                Engine::Identical(e) => {
-                    if !e.is_exhausted() && !e.quiesced(s) {
-                        return false;
-                    }
+            let Engine::Frontier { views, delta, .. } = engine else {
+                continue;
+            };
+            let own = delta.is_some().then_some(s);
+            for (s2, e) in views.iter().enumerate() {
+                let Some(e) = e else { continue };
+                if e.is_exhausted() {
+                    continue;
                 }
-                Engine::PerProc { viewers, .. } => {
-                    for (s2, v) in viewers.iter().enumerate() {
-                        let Some(e) = v else { continue };
-                        if e.is_exhausted() {
-                            continue;
-                        }
-                        if s2 == s {
-                            if e.admitted() != Some(true) {
-                                return false;
-                            }
-                        } else if !e.quiesced(s) {
-                            return false;
-                        }
-                    }
+                let settled = if Some(s2) == own {
+                    e.admitted() == Some(true)
+                } else {
+                    e.quiesced(s)
+                };
+                if !settled {
+                    return false;
                 }
-                Engine::Restart => {}
             }
         }
         let summary = FoldSummary::compute(&self.trace, p);
         for engine in &mut self.engines {
-            match engine {
-                Engine::Identical(e) => {
+            let Engine::Frontier {
+                views,
+                delta,
+                latched_unknown,
+            } = engine
+            else {
+                continue;
+            };
+            let own = delta.is_some().then_some(s);
+            for (s2, v) in views.iter_mut().enumerate() {
+                if Some(s2) == own {
+                    if v.as_ref().is_some_and(FrontierEngine::is_exhausted) {
+                        // The viewer's verdict is lost for good;
+                        // remember that.
+                        *latched_unknown += 1;
+                    }
+                    *v = None;
+                } else if let Some(e) = v {
                     if !e.is_exhausted() {
                         let mut base = vec![0u32; e.num_procs()];
                         base[s] = e.seq_len(s) as u32;
                         e.seal(&base);
                     }
                 }
-                Engine::PerProc {
-                    viewers,
-                    latched_unknown,
-                    ..
-                } => {
-                    for (s2, v) in viewers.iter_mut().enumerate() {
-                        if s2 == s {
-                            if let Some(e) = v {
-                                if e.is_exhausted() {
-                                    // The viewer's verdict is lost for
-                                    // good; remember that.
-                                    *latched_unknown += 1;
-                                }
-                            }
-                            *v = None;
-                        } else if let Some(e) = v {
-                            if !e.is_exhausted() {
-                                let mut base = vec![0u32; e.num_procs()];
-                                base[s] = e.seq_len(s) as u32;
-                                e.seal(&base);
-                            }
-                        }
-                    }
-                }
-                Engine::Restart => {}
             }
         }
         self.churn.apply_fold(p, slot, summary);
@@ -938,14 +859,10 @@ impl Monitor {
         let verdicts = self.verdicts.clone();
         let mut sealed = 0u64;
         for engine in &mut self.engines {
-            match engine {
-                Engine::Identical(e) => sealed += seal_engine(e),
-                Engine::PerProc { viewers, .. } => {
-                    for e in viewers.iter_mut().flatten() {
-                        sealed += seal_engine(e);
-                    }
+            if let Engine::Frontier { views, .. } = engine {
+                for e in views.iter_mut().flatten() {
+                    sealed += seal_engine(e);
                 }
-                Engine::Restart => {}
             }
         }
         let w = self.window.as_mut().expect("window checked above");
@@ -998,102 +915,62 @@ fn view_op(ev: &TraceEvent) -> ViewOp {
     }
 }
 
-/// Does viewing processor `v` include this event, given the remote
-/// operation set `delta`? Own operations always; remote ones per `delta`.
-fn in_view(ev: &TraceEvent, v: ProcId, delta: OperationSet) -> bool {
-    ev.proc == v || delta == OperationSet::AllOps || ev.kind.is_write()
-}
-
-/// Replay the incorporated stream into a fresh shared-view engine. A
-/// folded processor's events are not appended (its column is gone);
-/// instead its writes are force-applied at their original stream
-/// positions, so every later event replays against the same memory
-/// sequence it originally saw. Forcing commits each folded write at its
-/// issue point — the bounded-staleness summarization DESIGN §12
-/// describes — rather than leaving it schedulable. Window seals are
-/// re-applied at their recorded positions (`seals`, ascending): without
-/// them the replay re-explores the unwindowed state space the live
-/// engine sealed away, and a single rebuild can dwarf the whole stream.
-#[allow(clippy::too_many_arguments)]
-fn replay_identical(
-    trace: &Trace,
-    churn: &ChurnState,
+/// Replays the incorporated stream into fresh view engines: a rebuild
+/// after table growth, or the seeding of a reused slot's viewer.
+struct Replay<'a> {
+    trace: &'a Trace,
+    churn: &'a ChurnState,
     width: usize,
     locs: usize,
     max_states: usize,
-    seals: &[usize],
-    rebuild: &mut u64,
-) -> FrontierEngine {
-    let mut e = FrontierEngine::new(width, locs, max_states);
-    let mut rep = AppendReport::default();
-    let mut next_seal = 0usize;
-    for (i, ev) in trace.events().iter().enumerate() {
-        if next_seal < seals.len() && seals[next_seal] == i {
-            seal_engine(&mut e);
-            next_seal += 1;
-        }
-        if (i as u32) < churn.folded_upto(ev.proc) {
-            if ev.kind.is_write() {
-                e.force_write(ev.loc, ev.value);
-            }
-            continue;
-        }
-        let Some(s) = churn.slot(ev.proc) else {
-            continue;
-        };
-        rep.absorb(e.append(ProcId(s), view_op(ev)));
-    }
-    if next_seal < seals.len() && seals[next_seal] == trace.events().len() {
-        seal_engine(&mut e);
-    }
-    *rebuild += rep.created + rep.expanded;
-    e
+    /// Stream positions of every window seal so far, ascending.
+    seals: Vec<usize>,
+    /// Frontier states created + expanded by the replays so far.
+    work: u64,
 }
 
-/// Build viewer `p`'s engine from scratch: every incorporated event
-/// `p`'s view includes, with folded processors' writes force-applied at
-/// their original stream positions and window seals re-applied at their
-/// recorded positions (both as in [`replay_identical`]).
-#[allow(clippy::too_many_arguments)]
-fn seed_viewer(
-    trace: &Trace,
-    churn: &ChurnState,
-    p: ProcId,
-    delta: OperationSet,
-    width: usize,
-    locs: usize,
-    max_states: usize,
-    seals: &[usize],
-    rebuild: &mut u64,
-) -> FrontierEngine {
-    let mut e = FrontierEngine::new(width, locs, max_states);
-    let mut rep = AppendReport::default();
-    let mut next_seal = 0usize;
-    for (i, ev) in trace.events().iter().enumerate() {
-        if next_seal < seals.len() && seals[next_seal] == i {
-            seal_engine(&mut e);
-            next_seal += 1;
-        }
-        if (i as u32) < churn.folded_upto(ev.proc) {
-            // Writes are in every view, so a folded write lands here
-            // regardless of `delta`; folded reads constrain nothing.
-            if ev.kind.is_write() {
-                e.force_write(ev.loc, ev.value);
+impl Replay<'_> {
+    /// A fresh engine for the view in slot `s` (see [`view_takes`]),
+    /// holding every incorporated event the view takes. A folded
+    /// processor's events are not appended (its column is gone);
+    /// instead its writes are force-applied at their original stream
+    /// positions, so every later event replays against the same memory
+    /// sequence it originally saw. Forcing commits each folded write at
+    /// its issue point — the bounded-staleness summarization DESIGN §12
+    /// describes — rather than leaving it schedulable. Window seals are
+    /// re-applied at their recorded positions: without them the replay
+    /// re-explores the unwindowed state space the live engine sealed
+    /// away, and a single rebuild can dwarf the whole stream.
+    fn view(&mut self, delta: Option<OperationSet>, s: usize) -> FrontierEngine {
+        let mut e = FrontierEngine::new(self.width, self.locs, self.max_states);
+        let mut rep = AppendReport::default();
+        let mut next_seal = 0usize;
+        for (i, ev) in self.trace.events().iter().enumerate() {
+            if next_seal < self.seals.len() && self.seals[next_seal] == i {
+                seal_engine(&mut e);
+                next_seal += 1;
             }
-            continue;
+            if (i as u32) < self.churn.folded_upto(ev.proc) {
+                // Writes are in every view, so a folded write lands here
+                // regardless of `delta`; folded reads constrain nothing.
+                if ev.kind.is_write() {
+                    e.force_write(ev.loc, ev.value);
+                }
+                continue;
+            }
+            let Some(slot) = self.churn.slot(ev.proc) else {
+                continue;
+            };
+            if view_takes(delta, self.churn, s, ev) {
+                rep.absorb(e.append(ProcId(slot), view_op(ev)));
+            }
         }
-        let Some(s) = churn.slot(ev.proc) else {
-            continue;
-        };
-        if in_view(ev, p, delta) {
-            rep.absorb(e.append(ProcId(s), view_op(ev)));
+        if next_seal < self.seals.len() && self.seals[next_seal] == self.trace.len() {
+            seal_engine(&mut e);
         }
+        self.work += rep.created + rep.expanded;
+        e
     }
-    if next_seal < seals.len() && seals[next_seal] == trace.events().len() {
-        seal_engine(&mut e);
-    }
-    *rebuild += rep.created + rep.expanded;
-    e
 }
 
 /// Seal `e` at its decided boundary: an admitted engine keeps only its
@@ -1279,10 +1156,10 @@ mod tests {
     }
 
     #[test]
-    fn feed_batch_matches_per_event_feeding() {
-        // Batched feeding must land on the same final verdicts and
-        // first-violation prefixes as one-event-at-a-time feeding, for
-        // every way of cutting the stream into batches.
+    fn feed_trace_segments_match_per_event_feeding() {
+        // Feeding `split_front` segments must land on the same final
+        // verdicts and first-violation prefixes as one-event-at-a-time
+        // feeding, for every way of cutting the stream into batches.
         let traces = [
             "p w(x)1\nq w(y)1\np r(y)0\nq r(x)0\n",
             "p w(d)1\np w(f)1\nq r(f)1\nq r(d)1\n",
@@ -1303,22 +1180,10 @@ mod tests {
                 );
             }
             for batch in [1usize, 2, 3, t.len().max(1)] {
-                let events: Vec<BatchEvent<'_>> = t
-                    .events()
-                    .iter()
-                    .map(|ev| {
-                        (
-                            t.proc_name(ev.proc),
-                            ev.kind,
-                            t.loc_name(ev.loc),
-                            ev.value.0,
-                            ev.label,
-                        )
-                    })
-                    .collect();
+                let mut rest = t.clone();
                 let mut batched = monitor(models::lattice_models());
-                for chunk in events.chunks(batch) {
-                    batched.feed_batch(chunk);
+                while !rest.is_empty() {
+                    batched.feed_trace(&rest.split_front(batch));
                 }
                 assert_eq!(
                     batched.verdicts(),
@@ -1329,10 +1194,7 @@ mod tests {
                 // even inside a batch; fig1's SC refutation at prefix 4
                 // must not be reported as "somewhere in the batch".
                 for (i, first) in by_event.first_violation.iter().enumerate() {
-                    if matches!(
-                        batched.engines[i],
-                        Engine::Identical(_) | Engine::PerProc { .. }
-                    ) {
+                    if matches!(batched.engines[i], Engine::Frontier { .. }) {
                         assert_eq!(batched.first_violation(i), *first, "model {i}");
                     }
                 }
@@ -1424,10 +1286,10 @@ mod tests {
     }
 
     #[test]
-    fn feed_batch_empty_is_a_no_op() {
+    fn feed_trace_empty_segment_is_a_no_op() {
         let mut m = monitor(vec![models::sc()]);
         m.feed("p", OpKind::Write, "x", 1, Label::Ordinary);
-        let rep = m.feed_batch(&[]);
+        let rep = m.feed_trace(&m.trace().clone().split_front(0));
         assert_eq!(rep.events, 1);
         assert_eq!(rep.rechecks, 0);
         assert_eq!(m.verdicts()[0], TriVerdict::Admitted);

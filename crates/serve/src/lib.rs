@@ -12,8 +12,8 @@
 //! @<sid> <trace line>    -> shorthand for EV
 //! QUERY <sid>            -> VERDICT <sid> <events> SC=admitted ...
 //! CLOSE <sid>            -> CLOSED <sid> <events> SC=admitted ...
-//! SNAPSHOT <sid> <path>  -> SNAPSHOTTED <sid> <events> (session stays open)
-//! RESUME <sid> <path>    -> RESUMED <sid> <events> (session resumes warm)
+//! SNAPSHOT <sid> <name>  -> SNAPSHOTTED <sid> <events> (session stays open)
+//! RESUME <sid> <name>    -> RESUMED <sid> <events> (session resumes warm)
 //! PING                   -> PONG
 //! STATS                  -> STATS sessions=.. events=.. ...
 //! SHUTDOWN               -> BYE (server stops)
@@ -36,17 +36,19 @@
 //!   locked shards (the same shape as the checker's `MemoCache`), so
 //!   thousands of concurrent sessions never serialize on one lock.
 //! * **Batched draining.** `EV` only parses the line into the
-//!   session's inbox — a scratch [`Trace`] — and schedules the session
-//!   on a run queue. A fixed pool of `workers` drain threads feeds
-//!   whatever has accumulated to the session's monitor with one
-//!   [`Monitor::feed_batch`] call, so batch size adapts to load: an
+//!   session's inbox — a pending [`Trace`] of the unfed lines — and
+//!   schedules the session on a run queue. A fixed pool of `workers`
+//!   drain threads cuts off whatever has accumulated with
+//!   [`Trace::split_front`] and feeds it to the session's monitor with
+//!   one [`Monitor::feed_trace`] call, so batch size adapts to load: an
 //!   idle server feeds per-event, a saturated one amortizes interning,
 //!   table growth and restart-model settling over hundreds of events.
 //! * **Backpressure.** A session's inbox holds at most `queue_cap`
-//!   unfed events. Past that, `EV` replies `BUSY <sid>` and drops the
-//!   event — a slow session costs bounded memory, never an unbounded
-//!   queue. `QUERY`/`CLOSE` drain synchronously, so a client that
-//!   paces a query every `queue_cap` events can never be refused.
+//!   unfed lines, events and `join`/`retire` lines alike. Past that,
+//!   `EV` replies `BUSY <sid>` and drops the line — a slow session
+//!   costs bounded memory, never an unbounded queue. `QUERY`/`CLOSE`
+//!   drain synchronously, so a client that paces a query every
+//!   `queue_cap` lines can never be refused.
 //! * **Line cap.** A command line may be at most 1 MiB long. A
 //!   connection that sends a longer one gets `ERR line too long` and is
 //!   closed; its sessions stay open, like those of any connection that
@@ -55,13 +57,19 @@
 //!   the parse error is recorded, later events for that session are
 //!   discarded, and `QUERY`/`CLOSE` report `error: <msg>` instead of
 //!   verdicts. The connection — and every other session — stays up.
-//! * **Lifecycle.** `SNAPSHOT` drains a session and writes its
-//!   [`Monitor::checkpoint`] to a file; `RESUME` rebuilds a session
-//!   from one, warm — its verdict stream continues byte-identically.
-//!   With `--evict-dir` set, an `OPEN` that hits `max_sessions`
-//!   checkpoints the least-recently-active idle session to disk and
-//!   evicts it instead of refusing; a later command addressed to an
-//!   evicted session resumes it transparently from the same directory.
+//! * **Lifecycle.** `join`/`retire` lines wait in the inbox with the
+//!   events and apply at their recorded stream positions when the
+//!   drain feeds them. `SNAPSHOT` drains a session and writes its
+//!   [`Monitor::checkpoint`] to `<evict-dir>/<name>.snap`; `RESUME`
+//!   rebuilds a session from such a file, warm — its verdict stream
+//!   continues byte-identically. The client sends a name, not a path
+//!   (1–64 letters, digits, `-` and `_`), and without `--evict-dir`
+//!   both verbs answer `ERR`. With `--evict-dir` set, an `OPEN` that
+//!   hits `max_sessions` also checkpoints the least-recently-active
+//!   idle session to disk and evicts it instead of refusing; a later
+//!   command addressed to an evicted session resumes it transparently
+//!   from the same directory. Every resume reads at most
+//!   `MAX_CHECKPOINT_BYTES` (256 MiB).
 //!
 //! Verdict payloads list one `model=verdict` token per monitored
 //! model, with `,first=N` appended for models whose first refuted
@@ -86,9 +94,8 @@ use std::time::Duration;
 
 use smc_core::models;
 use smc_core::spec::ModelSpec;
-use smc_history::trace::{is_session_id, parse_trace_line, split_session_line, Lifecycle, Trace};
-use smc_history::{Label, OpKind, ProcId};
-use smc_monitor::{BatchEvent, Monitor, MonitorConfig};
+use smc_history::trace::{is_session_id, parse_trace_line, split_session_line, Trace};
+use smc_monitor::{Monitor, MonitorConfig};
 
 /// Number of shards in the session map. Power of two; sixteen matches
 /// the checker's `MemoCache` sharding.
@@ -125,11 +132,13 @@ pub struct ServeConfig {
     /// the template's memo cache, so restart-model re-checks memoize
     /// across sessions.
     pub monitor: MonitorConfig,
-    /// Directory for checkpoint-to-disk eviction. When set, an `OPEN`
-    /// (or transparent resume) that finds the server full evicts the
-    /// least-recently-active idle session to `<dir>/<sid>-<hash>.ckpt`
-    /// instead of refusing, and a command addressed to an evicted
-    /// session resumes it from the same file. `None` disables eviction.
+    /// Directory for checkpoint-to-disk eviction and snapshots. When
+    /// set, an `OPEN` (or transparent resume) that finds the server full
+    /// evicts the least-recently-active idle session to
+    /// `<dir>/<sid>-<hash>.ckpt` instead of refusing, and a command
+    /// addressed to an evicted session resumes it from the same file;
+    /// `SNAPSHOT`/`RESUME` names resolve to `<dir>/<name>.snap`. `None`
+    /// disables eviction and both verbs.
     pub evict_dir: Option<PathBuf>,
 }
 
@@ -165,21 +174,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// Parsed-but-unfed events plus the session's stream bookkeeping.
+/// Parsed-but-unfed lines plus the session's stream bookkeeping.
 /// Guarded by its own lock so `EV` (parse + append) never waits on a
 /// drain in progress; lock order is monitor before inbox.
 struct Inbox {
-    /// Scratch trace the wire lines parse into; `fed..len` is the
-    /// pending queue.
-    scratch: Trace,
-    /// Events of `scratch` already fed to the monitor.
-    fed: usize,
-    /// Lifecycle lines of `scratch` already applied to the monitor.
-    applied_lifecycle: usize,
-    /// Procs of `scratch` already declared to the monitor.
-    declared_procs: usize,
-    /// Locs of `scratch` already declared to the monitor.
-    declared_locs: usize,
+    /// The wire lines parsed but not yet fed: events, lifecycle lines
+    /// and the names they use.
+    pending: Trace,
     /// Session is queued on the run queue or mid-drain.
     scheduled: bool,
     /// First parse error; set once, never cleared.
@@ -211,11 +212,7 @@ impl Session {
     fn with_monitor(mon: Monitor) -> Arc<Session> {
         Arc::new(Session {
             inbox: Mutex::new(Inbox {
-                scratch: Trace::new(),
-                fed: 0,
-                applied_lifecycle: 0,
-                declared_procs: 0,
-                declared_locs: 0,
+                pending: Trace::new(),
                 scheduled: false,
                 poisoned: None,
                 closed: false,
@@ -370,84 +367,39 @@ pub fn offline_payload(models: &[ModelSpec], cfg: &MonitorConfig, t: &Trace) -> 
 
 /// Feed everything pending in the session's inbox to its monitor and
 /// return the monitor guard (still locked, so the caller can read
-/// verdicts of exactly the drained prefix). `join`/`retire` lines apply
-/// at their recorded stream positions, as in [`Monitor::feed_trace`].
-/// Safe to race with other drains: the monitor lock serializes them and
-/// `fed`/`applied_lifecycle` mark lines as taken under the inbox lock.
+/// verdicts of exactly the drained prefix). Safe to race with other
+/// drains: the monitor lock serializes them, and each takes its lines
+/// out of the inbox while holding it.
 fn drain_locked<'a>(s: &'a Session, shared: &Shared) -> MutexGuard<'a, Monitor> {
     let mut mon = s.mon.lock().unwrap();
     loop {
         // Take the pending lines out under the inbox lock, feed them
         // after release: EV keeps appending while the batch feeds.
-        // Lifecycle positions are made relative to the batch.
-        let (batch, lifecycle) = {
-            let mut guard = s.inbox.lock().unwrap();
-            let inbox = &mut *guard;
-            let pending_lc = &inbox.scratch.lifecycle()[inbox.applied_lifecycle..];
-            for i in inbox.declared_procs..inbox.scratch.num_procs() {
-                // A name a pending `join` introduces is activated by that
-                // join: declared now, it would take a fresh slot ahead of
-                // an earlier pending `retire` whose slot it should reuse.
-                let p = ProcId(i as u32);
-                if !pending_lc.iter().any(|&(_, l)| l == Lifecycle::Join(p)) {
-                    mon.declare_proc(inbox.scratch.proc_name(p));
-                }
-            }
-            inbox.declared_procs = inbox.scratch.num_procs();
-            for i in inbox.declared_locs..inbox.scratch.num_locs() {
-                mon.declare_loc(&inbox.scratch.loc_names()[i]);
-            }
-            inbox.declared_locs = inbox.scratch.num_locs();
-            if inbox.fed == inbox.scratch.len() && pending_lc.is_empty() {
+        let front = {
+            let mut inbox = s.inbox.lock().unwrap();
+            let n = inbox.pending.len();
+            let front = inbox.pending.split_front(n);
+            if unfed_lines(&front) == 0 {
                 inbox.scheduled = false;
-                return mon;
             }
-            let from = inbox.fed;
-            let lifecycle: Vec<(usize, Lifecycle, String)> = pending_lc
-                .iter()
-                .map(|&(pos, l)| {
-                    let name = inbox.scratch.proc_name(l.proc()).to_owned();
-                    (pos as usize - from, l, name)
-                })
-                .collect();
-            inbox.applied_lifecycle = inbox.scratch.lifecycle().len();
-            inbox.fed = inbox.scratch.len();
-            let batch: Vec<(String, OpKind, String, i64, Label)> = inbox.scratch.events()[from..]
-                .iter()
-                .map(|e| {
-                    (
-                        inbox.scratch.proc_name(e.proc).to_owned(),
-                        e.kind,
-                        inbox.scratch.loc_name(e.loc).to_owned(),
-                        e.value.0,
-                        e.label,
-                    )
-                })
-                .collect();
-            (batch, lifecycle)
+            front
         };
-        let refs: Vec<BatchEvent<'_>> = batch
-            .iter()
-            .map(|(p, k, l, v, lab)| (p.as_str(), *k, l.as_str(), *v, *lab))
-            .collect();
-        let mut at = 0;
-        for (pos, l, name) in &lifecycle {
-            if *pos > at {
-                mon.feed_batch(&refs[at..*pos]);
-                at = *pos;
-            }
-            match l {
-                Lifecycle::Join(_) => mon.join(name),
-                Lifecycle::Retire(_) => mon.retire(name),
-            }
-        }
-        if at < refs.len() {
-            mon.feed_batch(&refs[at..]);
+        // A segment without events or lifecycle lines may still carry
+        // names a header introduced.
+        mon.feed_trace(&front);
+        if unfed_lines(&front) == 0 {
+            return mon;
         }
         shared
             .events_fed
-            .fetch_add(refs.len() as u64, Ordering::Relaxed);
+            .fetch_add(front.len() as u64, Ordering::Relaxed);
     }
+}
+
+/// Lines of `pending` still to feed — its events and lifecycle lines —
+/// the unit `queue_cap` bounds.
+fn unfed_lines(pending: &Trace) -> usize {
+    pending.len() + pending.lifecycle().len()
 }
 
 /// What a command line asks the connection loop to do.
@@ -458,6 +410,21 @@ enum Action {
     Reply(String),
     /// Write the line, then stop the whole server.
     Shutdown(String),
+}
+
+/// Largest checkpoint file a resume reads: 256 MiB. A checkpoint grows
+/// with its session's stream — the trace at 18 bytes an event, plus 13
+/// bytes an event in each frontier view that takes it — on top of state
+/// rows capped by `--max-states`. A three-processor session of the
+/// eight lattice models measures about 57 bytes an event past a fixed
+/// ~135 KB, so the cap still takes sessions of millions of events,
+/// while one `RESUME` of a huge file, or of one that never ends, costs
+/// at most this much memory.
+const MAX_CHECKPOINT_BYTES: u64 = 256 << 20;
+
+/// Characters a file name built from a client's name may keep.
+fn is_file_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '-' || c == '_'
 }
 
 /// Checkpoint file an evicted session `sid` lives in: the id sanitized
@@ -471,15 +438,37 @@ fn evict_path(dir: &Path, sid: &str) -> PathBuf {
     }
     let safe: String = sid
         .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
+        .map(|c| if is_file_char(c) { c } else { '_' })
         .collect();
     dir.join(format!("{safe}-{h:016x}.ckpt"))
+}
+
+/// The file a `SNAPSHOT`/`RESUME` name stands for:
+/// `<evict-dir>/<name>.snap`. A name is 1–64 letters, digits, `-` and
+/// `_`, so it cannot leave the directory, and the `.snap` suffix keeps
+/// it apart from every eviction file (those end in `.ckpt`). Without an
+/// eviction directory there is nowhere to put one.
+fn snapshot_path(shared: &Shared, name: &str) -> Result<PathBuf, String> {
+    let Some(dir) = shared.cfg.evict_dir.as_deref() else {
+        return Err("snapshots need --evict-dir".into());
+    };
+    if name.is_empty() || name.len() > 64 || !name.chars().all(is_file_char) {
+        return Err("a snapshot name is 1-64 letters, digits, `-` or `_`".into());
+    }
+    Ok(dir.join(format!("{name}.snap")))
+}
+
+/// Read a checkpoint file for a resume, refusing one above `cap` bytes
+/// (callers pass [`MAX_CHECKPOINT_BYTES`]) without reading past it.
+fn read_checkpoint(path: &Path, cap: u64) -> Result<Vec<u8>, String> {
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(cap + 1).read_to_end(&mut bytes))
+        .map_err(|e| e.to_string())?;
+    if bytes.len() as u64 > cap {
+        return Err(format!("checkpoint larger than {cap} bytes"));
+    }
+    Ok(bytes)
 }
 
 /// Reserve one session slot against `max_sessions`, evicting an idle
@@ -515,7 +504,7 @@ fn try_evict(shared: &Shared) -> bool {
                 continue;
             };
             let idle = !inbox.scheduled
-                && inbox.fed == inbox.scratch.len()
+                && unfed_lines(&inbox.pending) == 0
                 && inbox.poisoned.is_none()
                 && !inbox.closed;
             drop(inbox);
@@ -593,7 +582,7 @@ fn find_session(shared: &Shared, sid: &str) -> Option<Arc<Session>> {
     }
     let dir = shared.cfg.evict_dir.as_deref()?;
     let path = evict_path(dir, sid);
-    let bytes = std::fs::read(&path).ok()?;
+    let bytes = read_checkpoint(&path, MAX_CHECKPOINT_BYTES).ok()?;
     match resume_session(shared, sid, &bytes) {
         Ok(_) => {
             let _ = std::fs::remove_file(&path);
@@ -636,7 +625,11 @@ fn cmd_open(shared: &Shared, sid: &str, selector: Option<&str>) -> Action {
     Action::Reply(format!("OK {sid}"))
 }
 
-fn cmd_snapshot(shared: &Shared, sid: &str, path: &str) -> Action {
+fn cmd_snapshot(shared: &Shared, sid: &str, name: &str) -> Action {
+    let path = match snapshot_path(shared, name) {
+        Ok(p) => p,
+        Err(e) => return Action::Reply(format!("ERR snapshot `{name}`: {e}")),
+    };
     let Some(s) = find_session(shared, sid) else {
         return Action::Reply(format!("ERR unknown session `{sid}`"));
     };
@@ -645,22 +638,26 @@ fn cmd_snapshot(shared: &Shared, sid: &str, path: &str) -> Action {
     if let Some(msg) = s.inbox.lock().unwrap().poisoned.clone() {
         return Action::Reply(format!("ERR session `{sid}` poisoned: {msg}"));
     }
-    match smc_core::binfmt::write_file(Path::new(path), &mon.checkpoint_bytes()) {
+    let dir = path.parent().expect("a snapshot lives in the evict dir");
+    match std::fs::create_dir_all(dir)
+        .and_then(|()| smc_core::binfmt::write_file(&path, &mon.checkpoint_bytes()))
+    {
         Ok(()) => {
             shared.snapshots.fetch_add(1, Ordering::Relaxed);
             Action::Reply(format!("SNAPSHOTTED {sid} {}", mon.num_events()))
         }
-        Err(e) => Action::Reply(format!("ERR snapshot `{path}`: {e}")),
+        Err(e) => Action::Reply(format!("ERR snapshot `{name}`: {e}")),
     }
 }
 
-fn cmd_resume(shared: &Shared, sid: &str, path: &str) -> Action {
+fn cmd_resume(shared: &Shared, sid: &str, name: &str) -> Action {
     if !is_session_id(sid) {
         return Action::Reply(format!("ERR invalid session id `{sid}`"));
     }
-    let bytes = match std::fs::read(path) {
+    let read = snapshot_path(shared, name).and_then(|p| read_checkpoint(&p, MAX_CHECKPOINT_BYTES));
+    let bytes = match read {
         Ok(b) => b,
-        Err(e) => return Action::Reply(format!("ERR resume `{path}`: {e}")),
+        Err(e) => return Action::Reply(format!("ERR resume `{name}`: {e}")),
     };
     match resume_session(shared, sid, &bytes) {
         Ok(events) => Action::Reply(format!("RESUMED {sid} {events}")),
@@ -683,19 +680,18 @@ fn cmd_ev(shared: &Arc<Shared>, sid: &str, rest: &str) -> Action {
             // stream so the connection (and its other sessions) go on.
             return Action::Silent;
         }
-        if inbox.scratch.len() - inbox.fed >= shared.cfg.queue_cap {
+        if unfed_lines(&inbox.pending) >= shared.cfg.queue_cap {
             shared.busy.fetch_add(1, Ordering::Relaxed);
             return Action::Reply(format!("BUSY {sid}"));
         }
         inbox.line_no += 1;
         let (line_no, offset) = (inbox.line_no, inbox.offset);
-        if let Err(e) = parse_trace_line(&mut inbox.scratch, rest, line_no, offset) {
+        if let Err(e) = parse_trace_line(&mut inbox.pending, rest, line_no, offset) {
             inbox.poisoned = Some(e.to_string());
             shared.poisoned.fetch_add(1, Ordering::Relaxed);
         }
         inbox.offset += rest.len() + 1;
-        let pending = inbox.scratch.len() - inbox.fed;
-        if pending > 0 && !inbox.scheduled && shared.cfg.workers > 0 {
+        if unfed_lines(&inbox.pending) > 0 && !inbox.scheduled && shared.cfg.workers > 0 {
             inbox.scheduled = true;
             true
         } else {
@@ -793,15 +789,15 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> Action {
         "SNAPSHOT" => {
             let mut it = rest.split_whitespace();
             match (it.next(), it.next(), it.next()) {
-                (Some(sid), Some(path), None) => cmd_snapshot(shared, sid, path),
-                _ => Action::Reply("ERR usage: SNAPSHOT <sid> <path>".into()),
+                (Some(sid), Some(name), None) => cmd_snapshot(shared, sid, name),
+                _ => Action::Reply("ERR usage: SNAPSHOT <sid> <name>".into()),
             }
         }
         "RESUME" => {
             let mut it = rest.split_whitespace();
             match (it.next(), it.next(), it.next()) {
-                (Some(sid), Some(path), None) => cmd_resume(shared, sid, path),
-                _ => Action::Reply("ERR usage: RESUME <sid> <path>".into()),
+                (Some(sid), Some(name), None) => cmd_resume(shared, sid, name),
+                _ => Action::Reply("ERR usage: RESUME <sid> <name>".into()),
             }
         }
         "PING" => Action::Reply("PONG".into()),
@@ -1180,6 +1176,36 @@ mod tests {
     }
 
     #[test]
+    fn lifecycle_lines_count_against_the_queue_cap() {
+        // No drain workers: every line stays pending until QUERY, so the
+        // fifth pending line of any kind finds the inbox full.
+        let server = test_server(0, 4);
+        let (mut r, mut w) = connect(server.addr());
+        // An accepted line gets no reply; fail rather than wait for one.
+        r.get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(roundtrip(&mut r, &mut w, "OPEN s"), "OK s");
+        for i in 0..4 {
+            writeln!(w, "@s join p{i}").unwrap();
+        }
+        assert_eq!(roundtrip(&mut r, &mut w, "@s join p4"), "BUSY s");
+        assert_eq!(roundtrip(&mut r, &mut w, "@s p0 w(x)1"), "BUSY s");
+        // QUERY drains the four joins and frees the inbox.
+        let got = roundtrip(&mut r, &mut w, "QUERY s");
+        assert!(got.starts_with("VERDICT s 0 "), "{got}");
+        let stats = roundtrip(&mut r, &mut w, "STATS");
+        assert_eq!(stat(&stats, "joins"), 4, "{stats}");
+        assert_eq!(stat(&stats, "busy"), 2, "{stats}");
+        writeln!(w, "@s join p4").unwrap();
+        let got = roundtrip(&mut r, &mut w, "QUERY s");
+        assert!(got.starts_with("VERDICT s 0 "), "{got}");
+        let stats = roundtrip(&mut r, &mut w, "STATS");
+        assert_eq!(stat(&stats, "joins"), 5, "{stats}");
+        server.shutdown();
+    }
+
+    #[test]
     fn max_sessions_caps_admission() {
         let server = Server::start(ServeConfig {
             max_sessions: 2,
@@ -1215,22 +1241,33 @@ mod tests {
         server.shutdown();
     }
 
+    /// A test server whose eviction directory — where `SNAPSHOT` and
+    /// `RESUME` names resolve — is `dir`.
+    fn snapshot_server(dir: &Path) -> Server {
+        Server::start(ServeConfig {
+            workers: 2,
+            models: vec![models::sc(), models::causal()],
+            evict_dir: Some(dir.to_path_buf()),
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    }
+
     #[test]
     fn snapshot_and_resume_continue_byte_identically() {
-        let server = test_server(2, 1024);
+        let dir = std::env::temp_dir().join(format!("smc-serve-snap-{}", std::process::id()));
+        let server = snapshot_server(&dir);
         let (mut r, mut w) = connect(server.addr());
         assert_eq!(roundtrip(&mut r, &mut w, "OPEN s1"), "OK s1");
         writeln!(w, "@s1 p w(x)1").unwrap();
         writeln!(w, "@s1 q r(x)1").unwrap();
-        let dir = std::env::temp_dir().join(format!("smc-serve-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s1.ckpt");
-        let got = roundtrip(&mut r, &mut w, &format!("SNAPSHOT s1 {}", path.display()));
+        let got = roundtrip(&mut r, &mut w, "SNAPSHOT s1 snap-1");
         assert_eq!(got, "SNAPSHOTTED s1 2");
+        assert!(dir.join("snap-1.snap").is_file());
         // The snapshot leaves the session open; close it, resume the
         // checkpoint under a new id, and keep streaming.
         assert!(roundtrip(&mut r, &mut w, "CLOSE s1").starts_with("CLOSED s1 2 "));
-        let got = roundtrip(&mut r, &mut w, &format!("RESUME s2 {}", path.display()));
+        let got = roundtrip(&mut r, &mut w, "RESUME s2 snap-1");
         assert_eq!(got, "RESUMED s2 2");
         writeln!(w, "@s2 q r(x)0").unwrap();
         // The resumed stream must report exactly what an uninterrupted
@@ -1249,17 +1286,78 @@ mod tests {
 
     #[test]
     fn resume_rejects_garbage_and_bad_paths() {
-        let server = test_server(1, 1024);
+        let dir = std::env::temp_dir().join(format!("smc-serve-bad-{}", std::process::id()));
+        let server = snapshot_server(&dir);
         let (mut r, mut w) = connect(server.addr());
         let got = roundtrip(&mut r, &mut w, "RESUME s /nonexistent/path.ckpt");
         assert!(got.starts_with("ERR resume"), "{got}");
-        let dir = std::env::temp_dir().join(format!("smc-serve-bad-{}", std::process::id()));
+        let got = roundtrip(&mut r, &mut w, "RESUME s missing");
+        assert!(got.starts_with("ERR resume"), "{got}");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.ckpt");
-        std::fs::write(&path, b"not a checkpoint").unwrap();
-        let got = roundtrip(&mut r, &mut w, &format!("RESUME s {}", path.display()));
+        std::fs::write(dir.join("garbage.snap"), b"not a checkpoint").unwrap();
+        let got = roundtrip(&mut r, &mut w, "RESUME s garbage");
         assert!(got.starts_with("ERR"), "{got}");
+        server.shutdown();
+        // A file past the cap is refused after reading one byte more
+        // than the cap, even one that never ends.
+        let path = dir.join("big.snap");
+        std::fs::write(&path, [0u8; 17]).unwrap();
+        assert_eq!(read_checkpoint(&path, 17).unwrap().len(), 17);
+        let e = read_checkpoint(&path, 16).unwrap_err();
+        assert!(e.contains("larger than 16 bytes"), "{e}");
+        if Path::new("/dev/zero").exists() {
+            let e = read_checkpoint(Path::new("/dev/zero"), 1 << 10).unwrap_err();
+            assert!(e.contains("larger than"), "{e}");
+        }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshot_names_stay_inside_the_evict_dir() {
+        let root = std::env::temp_dir().join(format!("smc-serve-names-{}", std::process::id()));
+        let dir = root.join("ckpt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let server = snapshot_server(&dir);
+        let (mut r, mut w) = connect(server.addr());
+        assert_eq!(roundtrip(&mut r, &mut w, "OPEN s"), "OK s");
+        writeln!(w, "@s p w(x)1").unwrap();
+        let outside = root.join("outside");
+        for name in [
+            "../escape".to_owned(),
+            outside.display().to_string(),
+            "a/b".into(),
+            "evicted.ckpt".into(),
+        ] {
+            let got = roundtrip(&mut r, &mut w, &format!("SNAPSHOT s {name}"));
+            assert!(got.starts_with("ERR snapshot"), "{name}: {got}");
+            let got = roundtrip(&mut r, &mut w, &format!("RESUME t {name}"));
+            assert!(got.starts_with("ERR resume"), "{name}: {got}");
+        }
+        // Nothing was written, inside the directory or out of it.
+        let entries = |d: &Path| -> Vec<String> {
+            std::fs::read_dir(d)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect()
+        };
+        assert_eq!(entries(&root), ["ckpt"]);
+        assert!(entries(&dir).is_empty(), "{:?}", entries(&dir));
+        // A plain name lands inside, under the snapshot suffix.
+        assert_eq!(
+            roundtrip(&mut r, &mut w, "SNAPSHOT s ok_1"),
+            "SNAPSHOTTED s 1"
+        );
+        assert_eq!(entries(&dir), ["ok_1.snap"]);
+        server.shutdown();
+        std::fs::remove_dir_all(&root).ok();
+        // Without an eviction directory both verbs are refused.
+        let server = test_server(1, 1024);
+        let (mut r, mut w) = connect(server.addr());
+        assert_eq!(roundtrip(&mut r, &mut w, "OPEN s"), "OK s");
+        let got = roundtrip(&mut r, &mut w, "SNAPSHOT s ok_1");
+        assert!(got.starts_with("ERR snapshot"), "{got}");
+        let got = roundtrip(&mut r, &mut w, "RESUME t ok_1");
+        assert!(got.starts_with("ERR resume"), "{got}");
         server.shutdown();
     }
 

@@ -53,9 +53,12 @@ if [ "${1:-}" != "--no-test" ]; then
 
     # Start `smc serve` on an ephemeral loopback port, logging to $1, and
     # set serve_pid and serve_addr once it reports its address; if it
-    # never does, fail the gate named $2.
+    # never does, fail the gate named $2. Arguments after $2 go to
+    # `smc serve`. The log exists before the server starts, so polling
+    # it never races the server's own redirect.
     start_server() {
-        ./target/release/smc serve --listen 127.0.0.1:0 >"$1" &
+        : >"$1"
+        ./target/release/smc serve --listen 127.0.0.1:0 "${@:3}" >"$1" &
         serve_pid=$!
         serve_addr=""
         for _ in $(seq 1 100); do
@@ -136,23 +139,32 @@ if [ "${1:-}" != "--no-test" ]; then
     # Session lifecycle smoke: a live session checkpointed over the wire
     # with SNAPSHOT must come back under a new id with RESUME carrying
     # its event count, keep accepting events, and STATS must count both.
+    # Snapshots are names inside the --evict-dir directory: a name that
+    # tries to leave it is refused, and nothing lands outside it.
     echo "==> serve SNAPSHOT/RESUME smoke"
-    start_server "$tmp/life.log" "lifecycle smoke"
+    touch "$tmp/life.start"
+    start_server "$tmp/life.log" "lifecycle smoke" --evict-dir "$tmp/ckpt"
     life_out=$(bash -c '
-        addr=$1; dir=$2
+        addr=$1
         exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
-        printf "OPEN a\n@a p w(x)1\n@a q r(x)1\nSNAPSHOT a %s\nCLOSE a\nRESUME b %s\n@b q r(x)1\nQUERY b\nSTATS\nSHUTDOWN\n" \
-            "$dir/a.ckpt" "$dir/a.ckpt" >&3
+        printf "OPEN a\n@a p w(x)1\n@a q r(x)1\nSNAPSHOT a ../x\nSNAPSHOT a a\nCLOSE a\nRESUME b a\n@b q r(x)1\nQUERY b\nSTATS\nSHUTDOWN\n" >&3
         cat <&3
-    ' smoke "$serve_addr" "$tmp")
+    ' smoke "$serve_addr")
     wait "$serve_pid"
-    for want in "SNAPSHOTTED a 2" "RESUMED b 2" "VERDICT b 3" "snapshots=1" "resumes=1"; do
-        if ! printf '%s\n' "$life_out" | grep -q "$want"; then
+    for want in "SNAPSHOTTED a 2" "RESUMED b 2" "VERDICT b 3" "snapshots=1" "resumes=1" "ERR snapshot \`../x\`"; do
+        if ! printf '%s\n' "$life_out" | grep -qF "$want"; then
             echo "lifecycle smoke: missing \`$want\` in server replies:" >&2
             printf '%s\n' "$life_out" >&2
             exit 1
         fi
     done
+    outside=$(find "$tmp" -newer "$tmp/life.start" ! -path "$tmp" ! -path "$tmp/life.log" \
+        ! -path "$tmp/ckpt" ! -path "$tmp/ckpt/*")
+    if [ -n "$outside" ]; then
+        echo "lifecycle smoke: files written outside $tmp/ckpt:" >&2
+        printf '%s\n' "$outside" >&2
+        exit 1
+    fi
 
     # Serve bench drift gate: the default throughput bench (1024
     # sessions over loopback) must stay within 1.5x of the committed
