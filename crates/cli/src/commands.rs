@@ -81,14 +81,13 @@ macro_rules! with_machine {
 pub const USAGE: &str = "\
 usage:
   smc check <file> [--model NAME] [--jobs N] [--stats]
-            [--memo-file PATH] [--cutover N]
-            [--engine exhaustive|saturate|auto]
+            [--memo-file PATH] [--engine exhaustive|saturate|auto]
                                     check a litmus history or suite;
                                     --memo-file persists decided verdicts
                                     across runs (corrupt or mismatched
                                     files are ignored with a warning)
   smc corpus [--jobs N] [--stats] [--json PATH] [--exhaustive]
-            [--engine-equiv] [--memo-file PATH] [--cutover N]
+            [--engine-equiv] [--memo-file PATH]
             [--engine exhaustive|saturate|auto]
                                     check the embedded litmus corpus
                                     against its recorded expectations;
@@ -100,8 +99,8 @@ usage:
                                     --engine-equiv runs both engines on
                                     every saturate-supporting model and
                                     exits nonzero on any divergence
-  smc matrix <file> [--jobs N] [--stats] [--cutover N]
-            [--memo-file PATH] [--engine exhaustive|saturate|auto]
+  smc matrix <file> [--jobs N] [--stats] [--memo-file PATH]
+            [--engine exhaustive|saturate|auto]
                                     classification matrix for a suite
   smc explore <file> --memory NAME [--check] [--model NAME] [--jobs N]
                                     enumerate every history a machine
@@ -122,7 +121,7 @@ usage:
   smc separate --all [...]          sweep every unlabeled model pair and
                                     report the full witness table
   smc monitor [<file>|-] [--model NAME] [--jobs N] [--stats]
-            [--json PATH] [--max-states N] [--batch N] [--cutover N]
+            [--json PATH] [--max-states N] [--batch N]
             [--memo-file PATH] [--engine exhaustive|saturate|auto]
             [--window N] [--checkpoint-file PATH] [--restore-from PATH]
                                     stream a trace (stdin when `-` or no
@@ -231,15 +230,11 @@ usage:
 
 --jobs N runs checks on N worker threads (default 1; results are
 reported in the same order as sequential checking). With more workers
-than (history, model) pairs, the workers move inside each check and run
-its independent searches side by side: reads-from assignments, TSO
+than (history, model) pairs, the workers move inside each check: a
+check that does not decide within a 4096-node sequential probe runs one
+layer of its enumeration side by side, the reads-from assignments, TSO
 store orders, or PRAM-like per-processor views. One search is never
 split, so SC, Coherent, PCG and Hybrid checks stay sequential.
-
---cutover N bounds the sequential probe a parallel check (--jobs > 1)
-runs before spawning workers: if the probe decides within N search
-nodes the check never pays thread or shared-pool setup (default 4096;
-0 always fans out immediately).
 
 --engine picks the checking backend: `exhaustive` enumerates schedules,
 `saturate` decides by order-constraint propagation (no enumeration; it
@@ -253,7 +248,7 @@ else stays exhaustive.
 memories for --memory: sc tso tso-fwd pram causal pc coherent rcsc rcpc wo hybrid";
 
 /// The flags the checking subcommands share (see [`CheckFlags`]).
-const CHECKING: &str = "--jobs N --cutover N --engine exhaustive|saturate|auto --memo-file PATH";
+const CHECKING: &str = "--jobs N --engine exhaustive|saturate|auto --memo-file PATH";
 
 /// The flags `smc loadgen` and `smc serve --bench` share: the load
 /// generator's, the trace generator's ([`GenSpec`]) and the report's.
@@ -501,9 +496,6 @@ fn engine_flag(args: &Args) -> Result<EngineKind, String> {
 /// cannot drift apart in spelling, defaults or error messages.
 struct CheckFlags<'a> {
     jobs: usize,
-    /// `--cutover N` (default: `CheckConfig`'s probe budget); 0 means
-    /// parallel checks fan out immediately, skipping the sequential probe.
-    cutover: u64,
     engine: EngineKind,
     memo_file: Option<&'a str>,
 }
@@ -512,17 +504,15 @@ impl<'a> CheckFlags<'a> {
     fn parse(args: &Args<'a>) -> Result<Self, String> {
         Ok(CheckFlags {
             jobs: jobs_flag(args)?,
-            cutover: args.num("--cutover", CheckConfig::default().parallel_cutover)?,
             engine: engine_flag(args)?,
             memo_file: args.value("--memo-file"),
         })
     }
 
-    /// `base` with the parsed cutover and engine, and with a memo cache
-    /// when `memo` is set or `--memo-file` names one (loaded from it).
+    /// `base` with the parsed engine, and with a memo cache when `memo`
+    /// is set or `--memo-file` names one (loaded from it).
     fn config(&self, base: CheckConfig, memo: bool) -> CheckConfig {
         let mut cfg = CheckConfig {
-            parallel_cutover: self.cutover,
             engine: self.engine,
             ..base
         };
@@ -778,7 +768,6 @@ fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<Ex
 
     let cfg = |engine| CheckConfig {
         engine,
-        parallel_cutover: flags.cutover,
         ..CheckConfig::default()
     };
     let suite = smc_programs::corpus::litmus_suite();
@@ -1491,13 +1480,17 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     let checkpoint_file = args.value("--checkpoint-file");
     let restore_from = args.value("--restore-from");
     // A restore must resume under the exact configuration the
-    // checkpoint was cut with; `Monitor::restore` rejects mismatched
+    // checkpoint was cut with; `Monitor::restore_bytes` rejects mismatched
     // models, frontier caps and window sizes with a byte-offset error.
     // Limits not picked explicitly on this command line inherit the
     // checkpoint's, so `--restore-from` alone resumes any session.
     let base_mon = match restore_from {
         Some(p) => {
-            let bytes = std::fs::read(p).map_err(|e| format!("cannot read `{p}`: {e}"))?;
+            let bytes = smc_core::binfmt::read_file(
+                std::path::Path::new(p),
+                smc_monitor::ckpt::MAX_CHECKPOINT_BYTES,
+            )
+            .map_err(|e| format!("cannot read `{p}`: {e}"))?;
             let (cap, win) = smc_monitor::ckpt::peek_limits(&bytes)
                 .map_err(|e| format!("monitor: cannot restore `{p}`: {e}"))?;
             if args.value("--max-states").is_none() {
@@ -2406,13 +2399,12 @@ mod tests {
 
     #[test]
     fn check_flags_parse_and_configure() {
-        let line = "--jobs 3 --cutover 7 --engine saturate --memo-file m.bin";
+        let line = "--jobs 3 --engine saturate --memo-file m.bin";
         parsed(line, &[CHECKING], |args| {
             let flags = CheckFlags::parse(args)?;
             assert_eq!(flags.jobs, 3);
             assert_eq!(flags.memo_file, Some("m.bin"));
             let cfg = flags.config(CheckConfig::default(), false);
-            assert_eq!(cfg.parallel_cutover, 7);
             assert_eq!(cfg.engine, EngineKind::Saturate);
             assert!(cfg.memo.is_some());
             Ok(())

@@ -482,7 +482,7 @@ fn unknown_flags_are_rejected_by_name() {
         "smc_unknown_flag.litmus",
         "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n",
     );
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["check", &f, "--engin", "saturate"], "--engin"),
         (&["check", &f, "--job", "4"], "--job"),
         (&["check", &f, "--jobs=4"], "--jobs=4"),
@@ -500,7 +500,8 @@ fn unknown_flags_are_rejected_by_name() {
             ],
             "--bogus",
         ),
-        // `separate` takes no --cutover.
+        // No subcommand takes --cutover.
+        (&["check", &f, "--cutover", "9"], "--cutover"),
         (&["separate", "sc", "tso", "--cutover", "9"], "--cutover"),
     ];
     for (args, flag) in cases {

@@ -9,9 +9,13 @@
 //! * length prefixes validated against the remaining input, so a
 //!   corrupt count can never trigger an oversized allocation;
 //! * loaders return `Err(String)` naming the byte offset of the first
-//!   offending byte — callers warn and continue, they never panic.
+//!   offending byte — callers warn and continue, they never panic;
+//! * files are read through [`read_file`], under a cap each format
+//!   names, so a huge file, or one that never ends, is refused instead
+//!   of read until memory runs out.
 
-use std::io::Write;
+use std::io::{Read, Write};
+use std::path::Path;
 
 /// Append a `u32` in little-endian order.
 pub fn write_u32(buf: &mut Vec<u8>, v: u32) {
@@ -35,9 +39,28 @@ pub fn write_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 /// Write an assembled buffer to `path` in one create-and-write.
-pub fn write_file(path: &std::path::Path, buf: &[u8]) -> std::io::Result<()> {
+pub fn write_file(path: &Path, buf: &[u8]) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(buf)
+}
+
+/// Read a whole file of at most `cap` bytes. A larger one is refused
+/// without reading past the cap: at once when its size says so, or after
+/// `cap + 1` bytes from a file that reports none (a pipe or a device).
+pub fn read_file(path: &Path, cap: u64) -> Result<Vec<u8>, String> {
+    let too_big = || format!("larger than {cap} bytes");
+    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
+    if file.metadata().is_ok_and(|m| m.len() > cap) {
+        return Err(too_big());
+    }
+    let mut bytes = Vec::new();
+    file.take(cap + 1)
+        .read_to_end(&mut bytes)
+        .map_err(|e| e.to_string())?;
+    if bytes.len() as u64 > cap {
+        return Err(too_big());
+    }
+    Ok(bytes)
 }
 
 /// Bounds-checked cursor over untrusted bytes: every read is validated
@@ -161,6 +184,21 @@ mod tests {
         r.u32().unwrap();
         let e = r.u64().unwrap_err();
         assert!(e.contains("at byte 4"), "{e}");
+    }
+
+    #[test]
+    fn read_file_refuses_files_past_the_cap() {
+        let path = std::env::temp_dir().join(format!("smc-binfmt-cap-{}", std::process::id()));
+        std::fs::write(&path, [0u8; 17]).unwrap();
+        assert_eq!(read_file(&path, 17).unwrap().len(), 17);
+        let e = read_file(&path, 16).unwrap_err();
+        assert!(e.contains("larger than 16 bytes"), "{e}");
+        std::fs::remove_file(&path).ok();
+        // A file that never ends is refused after one byte past the cap.
+        if Path::new("/dev/zero").exists() {
+            let e = read_file(Path::new("/dev/zero"), 1 << 10).unwrap_err();
+            assert!(e.contains("larger than 1024 bytes"), "{e}");
+        }
     }
 
     #[test]

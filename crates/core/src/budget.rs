@@ -10,9 +10,10 @@
 //!
 //! A [`SharedBudget`] also carries a cancellation flag. Cancelling makes
 //! every attached budget refuse further spending, which surfaces inside
-//! the search as exhaustion — the parallel drivers in [`crate::batch`] use
-//! this to stop sibling workers early once a verdict is reached, and then
-//! discard the cancelled workers' `Exhausted` results.
+//! the search as exhaustion — a checker layer that fans out its
+//! alternatives ([`crate::batch::check_parallel`]) uses this to stop
+//! sibling workers early once one settles the layer, and then discards
+//! the cancelled workers' `Exhausted` results.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -17,10 +17,15 @@
 //! Every `Allowed` verdict carries a [`Witness`] that
 //! [`crate::verify::verify_witness`] can validate independently of the
 //! search. Every enumeration charges a [`crate::budget::Budget`], so the
-//! whole check runs under one node limit that can also be drawn from a
-//! shared pool by the parallel drivers in [`crate::batch`].
+//! whole check runs under one node limit.
+//!
+//! The same layers serve every job count. With more than one job
+//! ([`crate::batch::check_parallel`]), one layer runs its alternatives
+//! side by side on a shared pool: the reads-from assignments, TSO's
+//! store orders, or the views of a model with no shared order. Every
+//! layer under it runs in order, and with one job every layer does.
 
-use crate::budget::Budget;
+use crate::budget::{Budget, SharedBudget};
 use crate::canon::{canonicalize, Canon};
 use crate::coherence::{enumerate_coherence, CoherenceOrders};
 use crate::constraints::{
@@ -136,6 +141,11 @@ pub(crate) const ENGINE_CUTOVER: usize = 16;
 /// [`ENGINE_CUTOVER`] (BENCH_bighist.json: SC_ops_16 exhaustive beats
 /// saturate 2.7×).
 pub(crate) const ENGINE_CUTOVER_UNSTRUCTURED: usize = 32;
+
+/// Most store orders a fanned-out TSO check collects before checking
+/// them side by side; past the cap, the rest are checked as they are
+/// listed.
+const STORE_ORDER_CAP: usize = 16_384;
 
 impl Default for CheckConfig {
     fn default() -> Self {
@@ -342,26 +352,36 @@ pub fn check_with_config(h: &History, spec: &ModelSpec, cfg: &CheckConfig) -> Ve
 
 /// Check `h` against `spec`, also reporting how much work the check did.
 pub fn check_with_stats(h: &History, spec: &ModelSpec, cfg: &CheckConfig) -> (Verdict, CheckStats) {
+    check_with_jobs(h, spec, cfg, 1)
+}
+
+/// [`check_with_stats`] on `jobs` workers: the body of
+/// [`crate::batch::check_parallel`].
+pub(crate) fn check_with_jobs(
+    h: &History,
+    spec: &ModelSpec,
+    cfg: &CheckConfig,
+    jobs: usize,
+) -> (Verdict, CheckStats) {
     let start = Instant::now();
-    let budget = Budget::local(cfg.node_budget);
     let canon = cfg.memo.as_ref().map(|_| canonicalize(h));
-    let (verdict, mut stats) = check_with_budget(h, spec, cfg, &budget, canon.as_ref());
+    let (verdict, mut stats) = check_with_canon(h, spec, cfg, canon.as_ref(), jobs);
     // The check's wall time includes canonicalizing for the memo.
     stats.wall = start.elapsed();
     (verdict, stats)
 }
 
-/// [`check_with_stats`] against a caller-supplied budget and canonical
-/// form — the entry point the batch engine uses to run several checks
-/// against one shared pool, and the lattice sweep uses to canonicalize a
-/// history once for all its models. `canon` is `h`'s canonical form,
-/// given exactly when `cfg.memo` is set.
-pub(crate) fn check_with_budget(
+/// The one place a check starts: memo recall, the engine, memo record.
+/// `canon` is `h`'s canonical form, given exactly when `cfg.memo` is set
+/// (the lattice sweep canonicalizes a history once for all its models).
+/// Each engine runs under `cfg.node_budget` nodes; with more than one
+/// job the exhaustive engine may fan its layers out ([`exhaustive`]).
+pub(crate) fn check_with_canon(
     h: &History,
     spec: &ModelSpec,
     cfg: &CheckConfig,
-    budget: &Budget,
     canon: Option<&Canon>,
+    jobs: usize,
 ) -> (Verdict, CheckStats) {
     debug_assert_eq!(cfg.memo.is_some(), canon.is_some());
     let start = Instant::now();
@@ -378,16 +398,21 @@ pub(crate) fn check_with_budget(
             return (verdict, stats);
         }
     }
-    let spent_before = budget.spent();
-    let mut stats = CheckStats::default();
+    // With more than one job, a check that never fans out says so.
+    let mut stats = CheckStats {
+        ran_sequential: jobs > 1,
+        ..CheckStats::default()
+    };
     let verdict = match cfg.resolve_engine(h, spec) {
         Engine::Saturate => {
             stats.engine_used = Engine::Saturate;
-            crate::saturate::check_saturate(h, spec, cfg, budget, &mut stats)
+            let budget = Budget::local(cfg.node_budget);
+            let verdict = crate::saturate::check_saturate(h, spec, cfg, &budget, &mut stats);
+            stats.nodes_spent = budget.spent();
+            verdict
         }
-        Engine::Exhaustive => run_check(h, spec, cfg, budget, &mut stats),
+        Engine::Exhaustive => exhaustive(h, spec, cfg, jobs, &mut stats),
     };
-    stats.nodes_spent = budget.spent() - spent_before;
     stats.wall = start.elapsed();
     if !matches!(verdict, Verdict::Exhausted) {
         stats.exhausted_stage = None;
@@ -398,61 +423,224 @@ pub(crate) fn check_with_budget(
     (verdict, stats)
 }
 
+/// Whether some layer of a `spec` check can fan out: the reads-from
+/// assignments, TSO's store orders, or the per-processor views of a
+/// model with no shared order. SC's one shared view never does, nor do
+/// coherence or labeled orders without reads-from (Coherent, PCG,
+/// Hybrid).
+fn fans_out(spec: &ModelSpec) -> bool {
+    spec.needs_reads_from()
+        || spec.global_write_order
+        || !(spec.identical_views || spec.coherence || spec.labeled.is_some())
+}
+
+/// The exhaustive engine on `jobs` workers. One job, or a shape with
+/// nothing to fan out, runs the layers in order under
+/// `cfg.node_budget` nodes. Otherwise a sequential probe of
+/// `cfg.parallel_cutover` nodes runs first, exactly as one job would:
+/// most checks (every litmus-sized one) decide in far fewer nodes than
+/// spawning workers costs. Only when the probe exhausts do the layers
+/// run again, fanned out on one pool of `cfg.node_budget` nodes, and
+/// the probe's nodes count too.
+fn exhaustive(
+    h: &History,
+    spec: &ModelSpec,
+    cfg: &CheckConfig,
+    jobs: usize,
+    stats: &mut CheckStats,
+) -> Verdict {
+    let sequential = |limit: u64, stats: &mut CheckStats| {
+        let budget = Budget::local(limit);
+        let verdict = run_check(h, spec, cfg, &budget, stats, 1);
+        stats.nodes_spent = budget.spent();
+        verdict
+    };
+    if jobs <= 1 || !fans_out(spec) {
+        return sequential(cfg.node_budget, stats);
+    }
+    if cfg.parallel_cutover > 0 {
+        let limit = cfg.parallel_cutover.min(cfg.node_budget);
+        let verdict = sequential(limit, stats);
+        stats.probe_nodes = stats.nodes_spent;
+        // A probe that had the whole node budget leaves a fan-out
+        // nothing more to search.
+        if !matches!(verdict, Verdict::Exhausted) || limit >= cfg.node_budget {
+            return verdict;
+        }
+    }
+    // The fan-out starts its stats afresh, keeping the probe's nodes.
+    let pool = SharedBudget::new(cfg.node_budget);
+    let seed = pool.attach();
+    let probe_nodes = stats.probe_nodes;
+    *stats = CheckStats {
+        probe_nodes,
+        ..CheckStats::default()
+    };
+    let verdict = run_check(h, spec, cfg, &seed, stats, jobs);
+    seed.release();
+    stats.nodes_spent = probe_nodes + cfg.node_budget - pool.remaining();
+    verdict
+}
+
+/// The outermost layer: the reads-from assignments, for models whose
+/// orders mention them. With exactly one assignment the layers under it
+/// may fan out instead.
 fn run_check(
     h: &History,
     spec: &ModelSpec,
     cfg: &CheckConfig,
     budget: &Budget,
     stats: &mut CheckStats,
+    jobs: usize,
 ) -> Verdict {
     if let Err(e) = spec.validate() {
         return Verdict::Unsupported(e);
     }
     let base = BaseOrders::new(h);
-    let mut exhausted: Option<Stage> = None;
-
-    if spec.needs_reads_from() {
+    let step = if spec.needs_reads_from() {
         // No assignment at all means no read is explainable, so no legal
         // views exist — unless the enumeration was cut short.
         let (rfs, truncated) = enumerate_reads_from(h, cfg.max_rf);
         stats.rf_truncated = truncated;
-        for rf in &rfs {
-            stats.rf_assignments_tried += 1;
-            match check_with_rf(h, spec, &base, Some(rf), budget) {
-                Step::Allowed(w) => return Verdict::Allowed(w),
-                Step::Disallowed => {}
-                Step::Exhausted(stage) => {
-                    exhausted = Some(stage);
-                    break;
-                }
-                Step::Unsupported(e) => return Verdict::Unsupported(e),
-            }
-        }
-        if truncated && exhausted.is_none() {
-            exhausted = Some(Stage::ReadsFrom);
+        let (outer, inner) = if rfs.len() == 1 { (1, jobs) } else { (jobs, 1) };
+        let runs = run_alternatives(rfs.len(), outer, budget, |i, budget| {
+            check_with_rf(h, spec, &base, Some(&rfs[i]), budget, inner)
+        });
+        stats.rf_assignments_tried += runs.iter().flatten().count();
+        match first_explanation(runs, Stage::ReadsFrom) {
+            // Refuting every enumerated assignment refutes the history
+            // only if the enumeration was complete.
+            Step::Disallowed if truncated => Step::Exhausted(Stage::ReadsFrom),
+            step => step,
         }
     } else {
-        match check_with_rf(h, spec, &base, None, budget) {
-            Step::Allowed(w) => return Verdict::Allowed(w),
-            Step::Disallowed => {}
-            Step::Exhausted(stage) => exhausted = Some(stage),
-            Step::Unsupported(e) => return Verdict::Unsupported(e),
-        }
-    }
-    match exhausted {
-        Some(stage) => {
+        check_with_rf(h, spec, &base, None, budget, jobs)
+    };
+    match step {
+        Step::Allowed(w) => Verdict::Allowed(w),
+        Step::Disallowed => Verdict::Disallowed,
+        Step::Exhausted(stage) => {
             stats.exhausted_stage = Some(stage);
             Verdict::Exhausted
         }
-        None => Verdict::Disallowed,
+        Step::Unsupported(e) => Verdict::Unsupported(e),
     }
 }
 
-pub(crate) enum Step {
+/// One alternative's outcome within a layer.
+enum Step {
     Allowed(Box<Witness>),
     Disallowed,
     Exhausted(Stage),
     Unsupported(String),
+}
+
+/// An alternative's result as [`run_alternatives`] reads it.
+trait Alternative: Send {
+    /// Whether the next alternative still has to run.
+    fn goes_on(&self) -> bool;
+    /// Whether this result decides the layer whatever the others say.
+    fn settles(&self) -> bool;
+}
+
+/// Reads-from assignments and store orders each explain the history on
+/// their own: a witness or a refusal settles the layer.
+impl Alternative for Step {
+    fn goes_on(&self) -> bool {
+        matches!(self, Step::Disallowed)
+    }
+
+    fn settles(&self) -> bool {
+        matches!(self, Step::Allowed(_) | Step::Unsupported(_))
+    }
+}
+
+/// The per-processor views must all exist: a refuted view settles the
+/// layer.
+impl Alternative for SearchOutcome {
+    fn goes_on(&self) -> bool {
+        matches!(self, SearchOutcome::Found(_))
+    }
+
+    fn settles(&self) -> bool {
+        *self == SearchOutcome::NotFound
+    }
+}
+
+/// Run alternatives `0..n` of one layer. With one job they run in order
+/// on `budget` and stop after the first that does not go on. With more,
+/// they run on [`crate::batch::par_map`], each on its own attachment to
+/// the pool `budget` draws from, and a settling result cancels the pool:
+/// an alternative not yet started is then skipped (`None`).
+fn run_alternatives<T: Alternative>(
+    n: usize,
+    jobs: usize,
+    budget: &Budget,
+    each: impl Fn(usize, &Budget) -> T + Sync,
+) -> Vec<Option<T>> {
+    let Some(pool) = budget.shared().filter(|_| jobs > 1 && n > 1) else {
+        let mut runs = Vec::new();
+        for i in 0..n {
+            let run = each(i, budget);
+            let goes_on = run.goes_on();
+            runs.push(Some(run));
+            if !goes_on {
+                break;
+            }
+        }
+        return runs;
+    };
+    // Hand the caller's unspent chunk back to the workers.
+    budget.release();
+    crate::batch::par_map(n, jobs, |i| {
+        if pool.is_cancelled() {
+            return None;
+        }
+        let own = pool.attach();
+        let run = each(i, &own);
+        if run.settles() {
+            pool.cancel();
+        }
+        own.release();
+        Some(run)
+    })
+}
+
+/// Settle a layer of alternatives that each explain the history on
+/// their own: the lowest-index witness or refusal wins, then the first
+/// exhausted stage, then `unfinished` if an alternative was skipped
+/// (only a settling result skips any, so this is a safeguard:
+/// `Disallowed` would claim an unchecked alternative). Otherwise every
+/// alternative was refuted.
+fn first_explanation(runs: Vec<Option<Step>>, unfinished: Stage) -> Step {
+    let mut exhausted = None;
+    let mut skipped = false;
+    for run in runs {
+        match run {
+            Some(Step::Disallowed) => {}
+            Some(Step::Exhausted(stage)) => exhausted = exhausted.or(Some(stage)),
+            Some(decided) => return decided,
+            None => skipped = true,
+        }
+    }
+    exhausted
+        .or(skipped.then_some(unfinished))
+        .map_or(Step::Disallowed, Step::Exhausted)
+}
+
+/// Settle the per-processor views, which must all exist: a refuted view
+/// refutes the layer, and a view exhausted or skipped leaves it
+/// undecided.
+fn all_views(runs: Vec<Option<SearchOutcome>>) -> Result<Vec<Vec<OpId>>, Step> {
+    if runs.contains(&Some(SearchOutcome::NotFound)) {
+        return Err(Step::Disallowed);
+    }
+    runs.into_iter()
+        .map(|run| match run {
+            Some(SearchOutcome::Found(view)) => Ok(view),
+            _ => Err(Step::Exhausted(Stage::ViewSearch)),
+        })
+        .collect()
 }
 
 /// The operation sets `V_p = H_p ∪ δ_p` for each processor.
@@ -476,12 +664,17 @@ pub fn view_op_sets(h: &History, delta: OperationSet) -> Vec<BitSet> {
         .collect()
 }
 
-pub(crate) fn check_with_rf(
+/// Everything under one reads-from assignment (or none): the shared
+/// orders the model needs, then the views. `jobs` reaches the layer
+/// that may fan out, the store orders or the views of a model with no
+/// shared order; the layers under it run in order.
+fn check_with_rf(
     h: &History,
     spec: &ModelSpec,
     base: &BaseOrders,
     rf: Option<&ReadsFrom>,
     budget: &Budget,
+    jobs: usize,
 ) -> Step {
     let legality = match rf {
         Some(rf) => LegalityMode::ByReadsFrom(rf),
@@ -544,7 +737,9 @@ pub(crate) fn check_with_rf(
         };
     }
 
-    // Layer 2: store orders (TSO).
+    // Layer 2: store orders (TSO). One job checks each order as it is
+    // listed. More collect up to `STORE_ORDER_CAP` orders and fan them
+    // out; past the cap, the rest are checked as they are listed.
     if spec.global_write_order {
         let writes = BitSet::from_iter(
             h.num_ops(),
@@ -553,23 +748,45 @@ pub(crate) fn check_with_rf(
                 .filter(|o| o.is_write())
                 .map(|o| o.id.index()),
         );
+        let check_stores = |stores: &[Vec<OpId>]| {
+            let runs = run_alternatives(stores.len(), jobs, budget, |i, budget| {
+                let cand = Candidates {
+                    store_order: Some(&stores[i]),
+                    ..Default::default()
+                };
+                with_candidates(h, spec, base, rf, legality, &cand, None, budget, 1)
+            });
+            first_explanation(runs, Stage::ViewSearch)
+        };
+        let mut batch = if jobs > 1 { STORE_ORDER_CAP } else { 1 };
+        let mut stores = Vec::new();
         let mut result = Step::Disallowed;
-        let flow = smc_relation::linext::for_each_linear_extension(&base.ppo, &writes, |ext| {
+        let _ = smc_relation::linext::for_each_linear_extension(&base.ppo, &writes, |ext| {
             if !budget.try_spend() {
                 result = Step::Exhausted(Stage::StoreOrders);
                 return ControlFlow::Break(());
             }
-            let store: Vec<OpId> = ext.iter().map(|&i| OpId(i as u32)).collect();
-            match check_with_store_order(h, spec, base, rf, legality, &store, budget) {
+            stores.push(ext.iter().map(|&i| OpId(i as u32)).collect());
+            if stores.len() < batch {
+                return ControlFlow::Continue(());
+            }
+            result = check_stores(&stores);
+            stores.clear();
+            batch = 1;
+            match result {
                 Step::Disallowed => ControlFlow::Continue(()),
-                done => {
-                    result = done;
-                    ControlFlow::Break(())
-                }
+                _ => ControlFlow::Break(()),
             }
         });
-        let _ = flow;
-        return result;
+        if stores.is_empty() {
+            return result;
+        }
+        // Orders listed but not yet checked: fewer than the cap, or the
+        // budget ran out listing more, which ranks after all of them.
+        return match check_stores(&stores) {
+            Step::Disallowed => result,
+            step => step,
+        };
     }
 
     // Layer 3: coherence orders (PC, RC, coherent variants).
@@ -613,9 +830,10 @@ pub(crate) fn check_with_rf(
         return with_labeled_agreement(h, spec, base, rf, legality, None, budget);
     }
 
-    // No shared orders at all (PRAM, causal): straight to the views.
+    // No shared orders at all (PRAM, causal): straight to the views,
+    // which may fan out.
     let cand = Candidates::default();
-    with_candidates(h, spec, base, rf, legality, &cand, None, budget)
+    with_candidates(h, spec, base, rf, legality, &cand, None, budget, jobs)
 }
 
 /// Enumerate the common (agreement-only) orders of the labeled
@@ -647,7 +865,7 @@ fn with_labeled_agreement(
             labeled_order: Some(&t),
             ..Default::default()
         };
-        match with_candidates(h, spec, base, rf, legality, &cand, None, budget) {
+        match with_candidates(h, spec, base, rf, legality, &cand, None, budget, 1) {
             Step::Disallowed => ControlFlow::Continue(()),
             done => {
                 result = match done {
@@ -665,38 +883,6 @@ fn with_labeled_agreement(
     match (result, coh) {
         (r, None) => r,
         (r, Some(coh)) => attach_coherence(r, coh),
-    }
-}
-
-/// Check the per-view searches under one fixed TSO store order. Shared by
-/// the sequential store-order enumeration above and the parallel
-/// store-order fan-out in [`crate::batch`].
-pub(crate) fn check_with_store_order(
-    h: &History,
-    spec: &ModelSpec,
-    base: &BaseOrders,
-    rf: Option<&ReadsFrom>,
-    legality: LegalityMode<'_>,
-    store: &[OpId],
-    budget: &Budget,
-) -> Step {
-    let cand = Candidates {
-        store_order: Some(store),
-        ..Default::default()
-    };
-    attach_store(
-        with_candidates(h, spec, base, rf, legality, &cand, None, budget),
-        store,
-    )
-}
-
-fn attach_store(step: Step, store: &[OpId]) -> Step {
-    match step {
-        Step::Allowed(mut w) => {
-            w.store_order = Some(store.to_vec());
-            Step::Allowed(w)
-        }
-        other => other,
     }
 }
 
@@ -743,7 +929,7 @@ fn with_coherence(
                     labeled_order: Some(&t),
                     ..Default::default()
                 };
-                match with_candidates(h, spec, base, rf, legality, &cand, Some(ctx), budget) {
+                match with_candidates(h, spec, base, rf, legality, &cand, Some(ctx), budget, 1) {
                     Step::Disallowed => ControlFlow::Continue(()),
                     done => ControlFlow::Break((done, t)),
                 }
@@ -769,7 +955,7 @@ fn with_coherence(
                 ..Default::default()
             };
             attach_coherence(
-                with_candidates(h, spec, base, rf, legality, &cand, labeled_ctx, budget),
+                with_candidates(h, spec, base, rf, legality, &cand, labeled_ctx, budget, 1),
                 coh,
             )
         }
@@ -788,7 +974,7 @@ fn attach_coherence(step: Step, coh: &CoherenceOrders) -> Step {
 
 /// Build the constraint relation for processor `p`'s view under the
 /// current candidates: the global relation plus any owner-order edges.
-pub(crate) fn proc_constraints(
+fn proc_constraints(
     h: &History,
     spec: &ModelSpec,
     base: &BaseOrders,
@@ -805,7 +991,7 @@ pub(crate) fn proc_constraints(
 }
 
 /// All shared ingredients fixed: assemble the global constraint relation
-/// and search each processor's view independently.
+/// and search each processor's view independently, on `jobs` workers.
 #[allow(clippy::too_many_arguments)]
 fn with_candidates(
     h: &History,
@@ -816,6 +1002,7 @@ fn with_candidates(
     cand: &Candidates<'_>,
     labeled_ctx: Option<&LabeledCtx>,
     budget: &Budget,
+    jobs: usize,
 ) -> Step {
     let g = match assemble_global(h, spec, base, rf, cand, labeled_ctx) {
         Ok(g) => g,
@@ -826,9 +1013,7 @@ fn with_candidates(
         return Step::Disallowed;
     }
     let op_sets = view_op_sets(h, spec.delta);
-    let mut views = Vec::with_capacity(h.num_procs());
-    #[allow(clippy::needless_range_loop)] // p is also the processor id
-    for p in 0..h.num_procs() {
+    let runs = run_alternatives(h.num_procs(), jobs, budget, |p, budget| {
         let constraints = proc_constraints(h, spec, base, &g, p);
         let problem = ViewProblem {
             history: h,
@@ -836,12 +1021,12 @@ fn with_candidates(
             constraints: &constraints,
             legality,
         };
-        match find_legal_extension(&problem, budget) {
-            SearchOutcome::Found(v) => views.push(v),
-            SearchOutcome::NotFound => return Step::Disallowed,
-            SearchOutcome::Exhausted => return Step::Exhausted(Stage::ViewSearch),
-        }
-    }
+        find_legal_extension(&problem, budget)
+    });
+    let views = match all_views(runs) {
+        Ok(views) => views,
+        Err(step) => return step,
+    };
     Step::Allowed(Box::new(Witness {
         views,
         store_order: cand.store_order.map(<[OpId]>::to_vec),

@@ -22,9 +22,8 @@
 //! ```
 
 use crate::batch::par_map;
-use crate::budget::Budget;
 use crate::canon::canonicalize;
-use crate::checker::{check_with_budget, check_with_config, CheckConfig};
+use crate::checker::{check_with_canon, check_with_config, CheckConfig};
 use crate::spec::ModelSpec;
 use smc_history::History;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -228,8 +227,7 @@ pub fn classify_all_propagating(
                 }
                 None => {
                     checked.fetch_add(1, Ordering::Relaxed);
-                    let budget = Budget::local(cfg.node_budget);
-                    check_with_budget(h, &models[j], cfg, &budget, canon.as_ref())
+                    check_with_canon(h, &models[j], cfg, canon.as_ref(), 1)
                         .0
                         .decided()
                 }

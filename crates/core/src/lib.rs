@@ -37,10 +37,11 @@
 //!   constraint graphs (`--engine {exhaustive,saturate,auto}`).
 //! * [`budget`] — the search-node budget: a thread-local fast path over
 //!   an optional shared atomic pool with early cancellation.
-//! * [`batch`] — the parallel engine: [`batch::check_batch`] fans
+//! * [`batch`] — the parallel entry points: [`batch::check_batch`] fans
 //!   (history, model) pairs across a thread pool; [`batch::check_parallel`]
-//!   fans a single check's independent searches (reads-from assignments,
-//!   store orders, per-processor views) across the same pool.
+//!   is the checker with a job count, one of its layers (reads-from
+//!   assignments, store orders, per-processor views) running its
+//!   alternatives across the same pool.
 //! * [`canon`] — a canonical normal form for histories under
 //!   processor/location/value renamings, with a 128-bit [`canon::HistoryKey`].
 //! * [`memo`] — a sharded concurrent memo table of decided verdicts keyed

@@ -42,6 +42,14 @@ const NUM_SHARDS: usize = 16;
 /// Default total capacity (entries across all shards).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
+/// Largest memo file [`MemoCache::load`] reads: 64 MiB, room for
+/// [`DEFAULT_CAPACITY`] entries of 1 KiB each. An entry on a
+/// litmus-sized history takes about 64 bytes; 1 KiB holds the witness of
+/// four 32-operation views, the most operations the `Auto` engine still
+/// checks exhaustively. A larger file is refused like a corrupt one, so
+/// the check starts cold instead of reading without bound.
+pub const MAX_MEMO_FILE_BYTES: u64 = 64 << 20;
+
 /// A stored verdict: the canonical-coordinate witness of an `Allowed`,
 /// or `None` for `Disallowed`.
 type Entry = Option<Arc<Witness>>;
@@ -261,8 +269,10 @@ impl MemoCache {
     /// of whatever it already holds). Returns the number of entries
     /// loaded, or a description of why the file was rejected — callers
     /// are expected to warn and continue with a cold cache, never panic.
+    /// Files over [`MAX_MEMO_FILE_BYTES`] are rejected unread.
     pub fn load(&self, path: &Path) -> Result<usize, String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let bytes = crate::binfmt::read_file(path, MAX_MEMO_FILE_BYTES)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
         let mut r = Reader::new(&bytes);
         let magic = r.take(MAGIC.len())?;
         if magic != MAGIC {
@@ -495,6 +505,20 @@ mod tests {
         assert_eq!(fresh.get(key(11), 9), Some(None));
         assert!(fresh.get(key(12), 3).is_none());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn oversized_files_are_refused_naming_the_cap() {
+        let path = std::env::temp_dir().join(format!("smc-memo-big-{}", std::process::id()));
+        // A sparse file one byte over the cap: refused by its size alone.
+        let file = std::fs::File::create(&path).unwrap();
+        file.set_len(MAX_MEMO_FILE_BYTES + 1).unwrap();
+        let e = MemoCache::default().load(&path).unwrap_err();
+        assert!(
+            e.contains(&format!("larger than {MAX_MEMO_FILE_BYTES} bytes")),
+            "{e}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -32,6 +32,16 @@ use smc_history::{Label, Location, OpKind, ProcId, Value};
 /// File magic: `SMCCKPT` + format version byte.
 pub const MAGIC: [u8; 8] = *b"SMCCKPT\x01";
 
+/// Largest checkpoint file a resume reads: 256 MiB. A checkpoint grows
+/// with its session's stream — the trace at 18 bytes an event, plus 13
+/// bytes an event in each frontier view that takes it — on top of state
+/// rows capped by `--max-states`. A three-processor session of the
+/// eight lattice models measures about 57 bytes an event past a fixed
+/// ~135 KB, so the cap still takes sessions of millions of events,
+/// while one `RESUME` of a huge file, or of one that never ends, costs
+/// at most this much memory.
+pub const MAX_CHECKPOINT_BYTES: u64 = 256 << 20;
+
 /// Serialize `m` completely; [`load`] inverts this.
 pub fn save(m: &Monitor) -> Vec<u8> {
     let mut buf = Vec::new();

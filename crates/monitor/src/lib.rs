@@ -36,10 +36,10 @@
 //! loop above does not give it, provided by the module family
 //! [`ckpt`] / [`churn`] / [`window`]:
 //!
-//! * **Checkpoint/restore** — [`Monitor::checkpoint`] serializes the
-//!   complete session (interned names, frontier state arenas, verdicts,
-//!   churn and window state) to a versioned binary format;
-//!   [`Monitor::restore`] resumes warm, with byte-identical verdicts
+//! * **Checkpoint/restore** — [`Monitor::checkpoint_bytes`] serializes
+//!   the complete session (interned names, frontier state arenas,
+//!   verdicts, churn and window state) to a versioned binary format;
+//!   [`Monitor::restore_bytes`] resumes warm, with byte-identical verdicts
 //!   thereafter. Corrupt or truncated checkpoints return `Err` naming a
 //!   byte offset; they never panic.
 //! * **Processor churn** — explicit [`Monitor::join`] /
@@ -871,33 +871,18 @@ impl Monitor {
     }
 
     /// Serialize the complete session state — interned names, frontier
-    /// engine arenas, verdicts, churn and window bookkeeping — to `w` in
-    /// the versioned [`ckpt`] binary format.
-    pub fn checkpoint(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        w.write_all(&ckpt::save(self))
-    }
-
-    /// [`Monitor::checkpoint`] into a fresh buffer.
+    /// engine arenas, verdicts, churn and window bookkeeping — in the
+    /// versioned [`ckpt`] binary format.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         ckpt::save(self)
     }
 
-    /// Resume a session from a [`Monitor::checkpoint`] stream. The
-    /// caller supplies the same models (in order) and a compatible
-    /// configuration; mismatches, corruption, and truncation return
-    /// `Err` naming the problem (with a byte offset where one applies).
-    pub fn restore(
-        r: &mut dyn std::io::Read,
-        models: Vec<ModelSpec>,
-        cfg: MonitorConfig,
-    ) -> Result<Monitor, String> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)
-            .map_err(|e| format!("reading checkpoint: {e}"))?;
-        ckpt::load(&bytes, models, cfg)
-    }
-
-    /// [`Monitor::restore`] from an in-memory slice.
+    /// Resume a session from [`Monitor::checkpoint_bytes`] (read a file
+    /// of them with [`smc_core::binfmt::read_file`] under
+    /// [`ckpt::MAX_CHECKPOINT_BYTES`]). The caller supplies the same
+    /// models (in order) and a compatible configuration; mismatches,
+    /// corruption, and truncation return `Err` naming the problem (with
+    /// a byte offset where one applies).
     pub fn restore_bytes(
         bytes: &[u8],
         models: Vec<ModelSpec>,

@@ -60,7 +60,7 @@
 //! * **Lifecycle.** `join`/`retire` lines wait in the inbox with the
 //!   events and apply at their recorded stream positions when the
 //!   drain feeds them. `SNAPSHOT` drains a session and writes its
-//!   [`Monitor::checkpoint`] to `<evict-dir>/<name>.snap`; `RESUME`
+//!   [`Monitor::checkpoint_bytes`] to `<evict-dir>/<name>.snap`; `RESUME`
 //!   rebuilds a session from such a file, warm — its verdict stream
 //!   continues byte-identically. The client sends a name, not a path
 //!   (1–64 letters, digits, `-` and `_`), and without `--evict-dir`
@@ -92,9 +92,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
+use smc_core::binfmt::read_file;
 use smc_core::models;
 use smc_core::spec::ModelSpec;
 use smc_history::trace::{is_session_id, parse_trace_line, split_session_line, Trace};
+use smc_monitor::ckpt::MAX_CHECKPOINT_BYTES;
 use smc_monitor::{Monitor, MonitorConfig};
 
 /// Number of shards in the session map. Power of two; sixteen matches
@@ -412,16 +414,6 @@ enum Action {
     Shutdown(String),
 }
 
-/// Largest checkpoint file a resume reads: 256 MiB. A checkpoint grows
-/// with its session's stream — the trace at 18 bytes an event, plus 13
-/// bytes an event in each frontier view that takes it — on top of state
-/// rows capped by `--max-states`. A three-processor session of the
-/// eight lattice models measures about 57 bytes an event past a fixed
-/// ~135 KB, so the cap still takes sessions of millions of events,
-/// while one `RESUME` of a huge file, or of one that never ends, costs
-/// at most this much memory.
-const MAX_CHECKPOINT_BYTES: u64 = 256 << 20;
-
 /// Characters a file name built from a client's name may keep.
 fn is_file_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '-' || c == '_'
@@ -456,19 +448,6 @@ fn snapshot_path(shared: &Shared, name: &str) -> Result<PathBuf, String> {
         return Err("a snapshot name is 1-64 letters, digits, `-` or `_`".into());
     }
     Ok(dir.join(format!("{name}.snap")))
-}
-
-/// Read a checkpoint file for a resume, refusing one above `cap` bytes
-/// (callers pass [`MAX_CHECKPOINT_BYTES`]) without reading past it.
-fn read_checkpoint(path: &Path, cap: u64) -> Result<Vec<u8>, String> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|f| f.take(cap + 1).read_to_end(&mut bytes))
-        .map_err(|e| e.to_string())?;
-    if bytes.len() as u64 > cap {
-        return Err(format!("checkpoint larger than {cap} bytes"));
-    }
-    Ok(bytes)
 }
 
 /// Reserve one session slot against `max_sessions`, evicting an idle
@@ -582,7 +561,7 @@ fn find_session(shared: &Shared, sid: &str) -> Option<Arc<Session>> {
     }
     let dir = shared.cfg.evict_dir.as_deref()?;
     let path = evict_path(dir, sid);
-    let bytes = read_checkpoint(&path, MAX_CHECKPOINT_BYTES).ok()?;
+    let bytes = read_file(&path, MAX_CHECKPOINT_BYTES).ok()?;
     match resume_session(shared, sid, &bytes) {
         Ok(_) => {
             let _ = std::fs::remove_file(&path);
@@ -654,7 +633,7 @@ fn cmd_resume(shared: &Shared, sid: &str, name: &str) -> Action {
     if !is_session_id(sid) {
         return Action::Reply(format!("ERR invalid session id `{sid}`"));
     }
-    let read = snapshot_path(shared, name).and_then(|p| read_checkpoint(&p, MAX_CHECKPOINT_BYTES));
+    let read = snapshot_path(shared, name).and_then(|p| read_file(&p, MAX_CHECKPOINT_BYTES));
     let bytes = match read {
         Ok(b) => b,
         Err(e) => return Action::Reply(format!("ERR resume `{name}`: {e}")),
@@ -1298,17 +1277,6 @@ mod tests {
         let got = roundtrip(&mut r, &mut w, "RESUME s garbage");
         assert!(got.starts_with("ERR"), "{got}");
         server.shutdown();
-        // A file past the cap is refused after reading one byte more
-        // than the cap, even one that never ends.
-        let path = dir.join("big.snap");
-        std::fs::write(&path, [0u8; 17]).unwrap();
-        assert_eq!(read_checkpoint(&path, 17).unwrap().len(), 17);
-        let e = read_checkpoint(&path, 16).unwrap_err();
-        assert!(e.contains("larger than 16 bytes"), "{e}");
-        if Path::new("/dev/zero").exists() {
-            let e = read_checkpoint(Path::new("/dev/zero"), 1 << 10).unwrap_err();
-            assert!(e.contains("larger than"), "{e}");
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

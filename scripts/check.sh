@@ -25,11 +25,12 @@ if [ "${1:-}" != "--no-test" ]; then
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
     # The benchmark checks its own output: the golden sweep, the
-    # saturation cross-check, sweep determinism, and serve payloads
-    # against the offline monitor. It reports a failed check in its last
-    # line, not its exit code, so run each gated workload briefly and
-    # read that line.
-    for workload in check_universe serve_sessions; do
+    # saturation cross-check, sweep determinism, serve payloads against
+    # the offline monitor, every saturation witness of the big
+    # histories, and the monitor's restart-mode rechecks against batch
+    # checks. It reports a failed check in its last line, not its exit
+    # code, so run each workload briefly and read that line.
+    for workload in check_universe serve_sessions check_bighist monitor_long; do
         echo "==> perfbench --workload $workload (output checks)"
         last=$(perfbench/target/release/smc-perfbench --workload "$workload" \
             --seed 1 --seconds 1 --trace 0 | tail -n 1)
@@ -57,17 +58,20 @@ if [ "${1:-}" != "--no-test" ]; then
     # `smc serve`. The log exists before the server starts, so polling
     # it never races the server's own redirect.
     start_server() {
-        : >"$1"
-        ./target/release/smc serve --listen 127.0.0.1:0 "${@:3}" >"$1" &
+        log=$1
+        gate=$2
+        shift 2
+        : >"$log"
+        ./target/release/smc serve --listen 127.0.0.1:0 "$@" >"$log" &
         serve_pid=$!
         serve_addr=""
         for _ in $(seq 1 100); do
-            serve_addr=$(sed -n 's/^listening on //p' "$1")
+            serve_addr=$(sed -n 's/^listening on //p' "$log")
             [ -n "$serve_addr" ] && break
             sleep 0.1
         done
         if [ -z "$serve_addr" ]; then
-            echo "$2: server never reported its address" >&2
+            echo "$gate: server never reported its address" >&2
             kill "$serve_pid" 2>/dev/null || true
             exit 1
         fi
@@ -89,7 +93,7 @@ if [ "${1:-}" != "--no-test" ]; then
     # Batch equivalence gate: fanning the exhaustive sweep's histories
     # across 4 workers must classify it bit-identically to the sequential
     # sweep — same golden file. The sweep never enters `check_parallel`;
-    # the parallel drivers' verdict gate is
+    # the verdict gate for a check's fanned-out layers is
     # `schedulers_agree_across_job_counts` in tests/batch_equiv.rs.
     echo "==> smc corpus --exhaustive --jobs 4 (j1 vs j4 equivalence)"
     cargo run -q --release --bin smc -- corpus --exhaustive --jobs 4 --json "$sweep_j4" >/dev/null

@@ -186,21 +186,17 @@ fn corpus_plus_random(seeds: std::ops::Range<u64>) -> Vec<History> {
     cases
 }
 
-/// Every case under SC, TSO, PRAM and causal — the models that exercise
-/// every route: the single shared view that stays sequential (SC), the
-/// store-order fan-out (TSO), and the independent per-processor views
-/// (PRAM, causal) — decides through `check_parallel` at jobs 1/2/4/8
-/// exactly like the sequential checker, takes the route the forced
-/// cutover pins, and yields witnesses that verify independently. SC and
-/// PRAM return the sequential checker's verdict and witness exactly:
-/// SC never leaves it, and each PRAM view is the same search.
+/// Every case under every model decides through `check_parallel` at
+/// jobs 1/2/4/8 exactly like the sequential checker, takes the route the
+/// forced cutover pins, and yields witnesses that verify independently.
+/// With the probe off, each model fans out the layer its shape picks:
+/// the reads-from assignments (PC, CausalCoherent, Causal, RC_sc, RC_pc,
+/// WO), TSO's store orders, or PRAM's per-processor views; SC,
+/// Coherent, PCG and Hybrid never fan out. SC and PRAM return the
+/// sequential checker's verdict and witness exactly: SC never leaves
+/// it, and each PRAM view is the same search.
 fn assert_agrees_at_cutover(cases: &[History], cutover: u64) {
-    let model_list = [
-        models::sc(),
-        models::tso(),
-        models::pram(),
-        models::causal(),
-    ];
+    let model_list = models::all_models();
     let cfg = CheckConfig {
         parallel_cutover: cutover,
         ..CheckConfig::default()
@@ -208,6 +204,8 @@ fn assert_agrees_at_cutover(cases: &[History], cutover: u64) {
     for (ci, h) in cases.iter().enumerate() {
         for spec in &model_list {
             let seq = check_with_config(h, spec, &cfg);
+            let sequential_shape =
+                ["SC", "Coherent", "PCG", "Hybrid"].contains(&spec.name.as_str());
             for jobs in [1usize, 2, 4, 8] {
                 let (par, stats) = check_parallel(h, spec, &cfg, jobs);
                 assert_eq!(
@@ -218,10 +216,15 @@ fn assert_agrees_at_cutover(cases: &[History], cutover: u64) {
                 );
                 // The forced settings pin the cutover decision: with
                 // the probe disabled only jobs=1 runs sequentially, and
-                // SC, which has nothing independent to fan out; with an
+                // the shapes with nothing to fan out; with an
                 // unbounded probe no check ever fans out.
                 if cutover == 0 {
-                    assert_eq!(stats.ran_sequential, jobs == 1 || spec.name == "SC");
+                    assert_eq!(
+                        stats.ran_sequential,
+                        jobs == 1 || sequential_shape,
+                        "case {ci} {} jobs={jobs}",
+                        spec.name
+                    );
                     assert_eq!(stats.probe_nodes, 0);
                 } else {
                     assert!(stats.ran_sequential);
@@ -262,11 +265,12 @@ fn cutover_extremes_agree_with_sequential() {
     }
 }
 
-/// The parallel drivers match the sequential checker across every worker
-/// count, on the litmus corpus plus 200 more random histories. The probe
-/// is off (`parallel_cutover: 0`): every litmus-sized check decides
-/// inside the default probe, so only with it off do the drivers actually
-/// run. This is the bit-identical-verdicts gate for the parallel engine.
+/// The fanned-out layers match the sequential checker across every
+/// worker count, on the litmus corpus plus 200 more random histories.
+/// The probe is off (`parallel_cutover: 0`): every litmus-sized check
+/// decides inside the default probe, so only with it off does any layer
+/// fan out. This is the bit-identical-verdicts gate for the parallel
+/// engine.
 #[test]
 fn schedulers_agree_across_job_counts() {
     assert_agrees_at_cutover(&corpus_plus_random(1000..1200), 0);
