@@ -1,5 +1,5 @@
 //! Seeded big-history generators for the saturation-engine benchmarks
-//! and the engine-equivalence tests.
+//! and the engine equivalence tests.
 //!
 //! [`sc_run`] simulates a sequentially consistent memory step by step —
 //! one atomic shared store, random processor interleaving, every write a

@@ -7,7 +7,8 @@ use smc_core::checker::{format_view, CheckConfig, CheckStats, Engine, EngineKind
 use smc_core::memo::MemoStats;
 use smc_core::models;
 use smc_core::spec::ModelSpec;
-use smc_history::litmus::{parse_history, parse_suite, LitmusTest};
+use smc_history::litmus::{parse_history, parse_suite, LitmusTest, MAX_LITMUS_BYTES};
+use smc_history::trace::TraceError;
 use smc_history::{History, Label, ProcId};
 use smc_programs::bakery::bakery;
 use smc_programs::interp::ProgramWorkload;
@@ -87,18 +88,14 @@ usage:
                                     across runs (corrupt or mismatched
                                     files are ignored with a warning)
   smc corpus [--jobs N] [--stats] [--json PATH] [--exhaustive]
-            [--engine-equiv] [--memo-file PATH]
-            [--engine exhaustive|saturate|auto]
+            [--memo-file PATH] [--engine exhaustive|saturate|auto]
                                     check the embedded litmus corpus
                                     against its recorded expectations;
                                     --json writes machine-readable per-case
                                     stats + memo counters; --exhaustive
                                     sweeps the full small-history universe
                                     instead (Figure 5 models, with memoized
-                                    + lattice-propagated verdicts);
-                                    --engine-equiv runs both engines on
-                                    every saturate-supporting model and
-                                    exits nonzero on any divergence
+                                    + lattice-propagated verdicts)
   smc matrix <file> [--jobs N] [--stats] [--memo-file PATH]
             [--engine exhaustive|saturate|auto]
                                     classification matrix for a suite
@@ -150,11 +147,6 @@ usage:
                                     overridden); exits nonzero if
                                     any model's final verdict is
                                     violated
-  smc monitor --corpus [--jobs N] [--json PATH]
-                                    replay every embedded litmus history
-                                    through the monitor event-by-event and
-                                    diff the final verdicts against the
-                                    batch checker (the monitor golden gate)
   smc serve [--listen ADDR] [--workers N] [--max-sessions N]
             [--max-conns N] [--queue N] [--model NAME] [--jobs N]
             [--max-states N] [--window N] [--evict-dir DIR]
@@ -324,8 +316,11 @@ fn print_indented(text: &dyn std::fmt::Display) {
     }
 }
 
+/// Read a litmus file, under [`MAX_LITMUS_BYTES`].
 fn read_file(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+    let bytes = smc_core::binfmt::read_file(std::path::Path::new(path), MAX_LITMUS_BYTES)
+        .map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    String::from_utf8(bytes).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
 /// Parse a file as a suite if it contains `test` blocks, else as a bare
@@ -649,16 +644,13 @@ fn matrix_cell(v: &Verdict) -> &'static str {
     }
 }
 
-const CORPUS_FLAGS: &[&str] = &["--stats --json PATH --exhaustive --engine-equiv", CHECKING];
+const CORPUS_FLAGS: &[&str] = &["--stats --json PATH --exhaustive", CHECKING];
 
 fn cmd_corpus(args: &Args) -> Result<ExitCode, String> {
     let flags = CheckFlags::parse(args)?;
     let jobs = flags.jobs;
     let show_stats = args.switch("--stats");
     let json_path = args.value("--json");
-    if args.switch("--engine-equiv") {
-        return corpus_engine_equiv(&flags, json_path);
-    }
     if args.switch("--exhaustive") {
         return corpus_exhaustive(jobs, show_stats, json_path);
     }
@@ -755,99 +747,6 @@ fn cmd_corpus(args: &Args) -> Result<ExitCode, String> {
         println!("{}", memo_line(&memo_stats));
     }
     Ok(exit_status(failures == 0))
-}
-
-/// `smc corpus --engine-equiv`: the engine drift gate. Every embedded
-/// litmus history is checked by both the exhaustive checker and the
-/// saturation engine on every model that advertises saturate support;
-/// wherever both decide they must agree, saturate must never report
-/// `Unsupported` there, and every saturate `Allowed` witness must pass
-/// the independent verifier. Exits nonzero on any divergence.
-fn corpus_engine_equiv(flags: &CheckFlags, json_path: Option<&str>) -> Result<ExitCode, String> {
-    use smc_core::verify::verify_witness;
-
-    let cfg = |engine| CheckConfig {
-        engine,
-        ..CheckConfig::default()
-    };
-    let suite = smc_programs::corpus::litmus_suite();
-    let model_list = models::saturating_models();
-    let ex = check_suite(
-        &suite,
-        &model_list,
-        &cfg(EngineKind::Exhaustive),
-        flags.jobs,
-    );
-    let sat = check_suite(&suite, &model_list, &cfg(EngineKind::Saturate), flags.jobs);
-
-    let mut pairs = 0usize;
-    let mut divergences = 0usize;
-    let mut json_lines: Vec<String> = Vec::new();
-    for (ti, t) in suite.iter().enumerate() {
-        for (mi, m) in model_list.iter().enumerate() {
-            let e = &ex[ti * model_list.len() + mi];
-            let s = &sat[ti * model_list.len() + mi];
-            pairs += 1;
-            let mut problem: Option<String> = None;
-            if let Verdict::Unsupported(msg) = &s.verdict {
-                problem = Some(format!("saturate refused a supported model: {msg}"));
-            } else if let (Some(a), Some(b)) = (e.verdict.decided(), s.verdict.decided()) {
-                if a != b {
-                    problem = Some(format!(
-                        "exhaustive says {}, saturate says {}",
-                        verdict_word(&e.verdict),
-                        verdict_word(&s.verdict)
-                    ));
-                }
-            }
-            if problem.is_none() {
-                if let Verdict::Allowed(w) = &s.verdict {
-                    if let Err(err) = verify_witness(&t.history, m, w) {
-                        problem = Some(format!("saturate witness rejected: {err}"));
-                    }
-                }
-            }
-            if let Some(msg) = &problem {
-                divergences += 1;
-                println!("DIVERGENCE {}: {}: {msg}", t.name, m.name);
-            }
-            if json_path.is_some() {
-                json_lines.push(
-                    JsonObject::new()
-                        .str("test", &t.name)
-                        .str("model", &m.name)
-                        .str("exhaustive", verdict_word(&e.verdict))
-                        .str("saturate", verdict_word(&s.verdict))
-                        .num("saturation_steps", s.stats.saturation_steps)
-                        .num("saturation_branches", s.stats.saturation_branches)
-                        .num("saturation_wakeups", s.stats.saturation_wakeups)
-                        .num("saturation_conflicts", s.stats.saturation_conflicts)
-                        .num("saturation_learned", s.stats.saturation_learned)
-                        .num("saturation_restarts", s.stats.saturation_restarts)
-                        .bool("diverged", problem.is_some())
-                        .finish(),
-                );
-            }
-        }
-    }
-    println!(
-        "engine-equiv: {} tests × {} saturating models = {} pairs, {} divergence(s){}",
-        suite.len(),
-        model_list.len(),
-        pairs,
-        divergences,
-        jobs_suffix(flags.jobs)
-    );
-    if let Some(path) = json_path {
-        json_lines.push(
-            JsonObject::new()
-                .num("pairs", pairs as u64)
-                .num("divergences", divergences as u64)
-                .finish(),
-        );
-        write_json_lines(path, &json_lines)?;
-    }
-    Ok(exit_status(divergences == 0))
 }
 
 /// `smc corpus --exhaustive`: classify the full universe of small
@@ -1365,6 +1264,20 @@ impl MonitorStream {
         }
     }
 
+    /// Warn that an input line was skipped, and count it.
+    fn skip_line(&mut self, e: &TraceError, want_json: bool, json_lines: &mut Vec<String>) {
+        self.warnings += 1;
+        eprintln!("warning: {}skipping malformed trace input: {e}", self.tag());
+        if want_json {
+            json_lines.push(
+                self.json()
+                    .num("skipped_line", e.line as u64)
+                    .str("error", &e.to_string())
+                    .finish(),
+            );
+        }
+    }
+
     /// Feed the next `batch` pending events — with the lifecycle lines
     /// and names that came before them — as one monitor step, and
     /// report it. A step without events reports nothing.
@@ -1432,7 +1345,7 @@ impl MonitorStream {
 }
 
 const MONITOR_FLAGS: &[&str] = &[
-    "--corpus --model NAME --stats --json PATH --max-states N --batch N --window N \
+    "--model NAME --stats --json PATH --max-states N --batch N --window N \
      --checkpoint-file PATH --restore-from PATH",
     CHECKING,
 ];
@@ -1440,9 +1353,9 @@ const MONITOR_FLAGS: &[&str] = &[
 /// `smc monitor`: stream a trace through the incremental admission
 /// monitor, reporting per-prefix verdicts as events arrive.
 fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
-    use smc_history::trace::{is_session_id, parse_trace_line, split_session_line};
+    use smc_history::trace::{is_session_id, parse_trace_line, split_session_line, MAX_LINE};
     use smc_monitor::{Monitor, MonitorConfig, TriVerdict};
-    use std::io::BufRead;
+    use std::io::{BufRead, Read};
 
     let flags = CheckFlags::parse(args)?;
     let jobs = flags.jobs;
@@ -1454,12 +1367,6 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     // then report at batch granularity; final verdicts are identical to
     // per-event feeding.
     let batch: usize = args.positive("--batch")?.unwrap_or(1);
-    if args.switch("--corpus") {
-        if !args.operands().is_empty() {
-            return Err("monitor: --corpus takes no file argument".into());
-        }
-        return monitor_corpus(jobs, json_path);
-    }
 
     // Lattice order keeps stronger models first, so one frontier
     // verdict propagates to as many weaker models as possible.
@@ -1508,7 +1415,7 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     };
 
     let path = args.operands().first().copied().unwrap_or("-");
-    let reader: Box<dyn BufRead> = if path == "-" {
+    let mut reader: Box<dyn BufRead> = if path == "-" {
         Box::new(std::io::BufReader::new(std::io::stdin()))
     } else {
         let f = std::fs::File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
@@ -1519,17 +1426,47 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     // feeds its monitor whenever `batch` events are pending; a
     // malformed line warns (with its byte offset into the stream, and
     // its session id in a `@sid` multi-session replay) and is skipped,
-    // keeping any events parsed before the offending token.
+    // keeping any events parsed before the offending token. A line is
+    // read up to `MAX_LINE` bytes and its newline, so a longer one is
+    // never buffered whole: it is skipped with a warning too.
     let want_json = json_path.is_some();
     let mut streams: Vec<MonitorStream> = vec![MonitorStream::new(None, base_mon)];
     let (mut line_no, mut offset) = (0usize, 0usize);
     let mut json_lines: Vec<String> = Vec::new();
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("read error on `{path}`: {e}"))?;
+    let mut buf = Vec::new();
+    let read_err = |e: std::io::Error| format!("read error on `{path}`: {e}");
+    loop {
+        buf.clear();
+        let n = (&mut reader)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)
+            .map_err(read_err)?;
+        if n == 0 {
+            break;
+        }
         line_no += 1;
+        let start = offset;
+        offset += n;
+        if buf.len() > MAX_LINE && !buf.ends_with(b"\n") {
+            let e = TraceError {
+                line: line_no,
+                offset: start,
+                message: format!("line longer than {MAX_LINE} bytes"),
+            };
+            streams[0].skip_line(&e, want_json, &mut json_lines);
+            offset += reader.skip_until(b'\n').map_err(read_err)?;
+            continue;
+        }
+        let line = std::str::from_utf8(&buf).map_err(|e| {
+            format!("read error on `{path}`: line {line_no} (byte {start}) is not UTF-8: {e}")
+        })?;
+        // As `BufRead::lines` does: drop a trailing `\n` or `\r\n`.
+        let line = line
+            .strip_suffix('\n')
+            .map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
         // Route `@sid` lines to their session's monitor; everything
         // else belongs to the default (unprefixed) stream.
-        let (idx, content, content_off) = match split_session_line(&line) {
+        let (idx, content, content_off) = match split_session_line(line) {
             Some((sid, rest)) if is_session_id(sid) => {
                 if checkpoint_file.is_some() || restore_from.is_some() {
                     return Err(
@@ -1551,24 +1488,14 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
                 // `rest` slices `line`, so pointer distance is the
                 // prefix width the reported byte offset must skip.
                 let skip = rest.as_ptr() as usize - line.as_ptr() as usize;
-                (idx, rest, offset + skip)
+                (idx, rest, start + skip)
             }
-            _ => (0, line.as_str(), offset),
+            _ => (0, line, start),
         };
         let s = &mut streams[idx];
         if let Err(e) = parse_trace_line(&mut s.pending, content, line_no, content_off) {
-            s.warnings += 1;
-            eprintln!("warning: {}skipping malformed trace input: {e}", s.tag());
-            if want_json {
-                json_lines.push(
-                    s.json()
-                        .num("skipped_line", line_no as u64)
-                        .str("error", &e.to_string())
-                        .finish(),
-                );
-            }
+            s.skip_line(&e, want_json, &mut json_lines);
         }
-        offset += line.len() + 1;
         while s.pending.len() >= batch {
             s.step(&model_list, batch, show_stats, want_json, &mut json_lines);
         }
@@ -1736,86 +1663,6 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     }
     memo_file_save(&memo_cfg, flags.memo_file);
     Ok(exit_status(violated == 0))
-}
-
-/// `smc monitor --corpus`: the monitor golden gate. Every embedded
-/// litmus history is linearized to a trace, replayed event-by-event, and
-/// the final per-model verdicts are diffed against the batch checker.
-fn monitor_corpus(jobs: usize, json_path: Option<&str>) -> Result<ExitCode, String> {
-    use smc_history::trace::Trace;
-    use smc_monitor::{Monitor, MonitorConfig, TriVerdict};
-
-    let suite = smc_programs::corpus::litmus_suite();
-    let model_list = models::all_models();
-    let cfg = CheckConfig::default().with_memo();
-    let mut mismatches = 0usize;
-    let mut rechecks = 0u64;
-    let mut propagated = 0u64;
-    let mut json_lines: Vec<String> = Vec::new();
-    for t in &suite {
-        let trace = Trace::from_history(&t.history);
-        let mut mon = Monitor::new(
-            model_list.clone(),
-            MonitorConfig {
-                jobs,
-                ..MonitorConfig::default()
-            },
-        );
-        mon.feed_trace(&trace);
-        let totals = mon.totals();
-        rechecks += totals.rechecks;
-        propagated += totals.propagated;
-        for (mi, m) in model_list.iter().enumerate() {
-            let (batch, _) = smc_core::batch::check_parallel(&t.history, m, &cfg, jobs);
-            let v = mon.verdicts()[mi];
-            let mon_decided = match v {
-                TriVerdict::Admitted => Some(true),
-                TriVerdict::Violated => Some(false),
-                TriVerdict::Unknown => None,
-            };
-            if mon_decided != batch.decided() {
-                mismatches += 1;
-                println!(
-                    "MISMATCH {}: {} batch={}, monitor={}",
-                    t.name,
-                    m.name,
-                    verdict_word(&batch),
-                    v.word()
-                );
-            }
-            if json_path.is_some() {
-                json_lines.push(
-                    JsonObject::new()
-                        .str("test", &t.name)
-                        .str("model", &m.name)
-                        .str("verdict", v.word())
-                        .finish(),
-                );
-            }
-        }
-    }
-    println!(
-        "monitor corpus: {} tests × {} models replayed, {} mismatch(es) vs batch; rechecks {}, propagated {}{}",
-        suite.len(),
-        model_list.len(),
-        mismatches,
-        rechecks,
-        propagated,
-        jobs_suffix(jobs)
-    );
-    if let Some(path) = json_path {
-        json_lines.push(
-            JsonObject::new()
-                .num("tests", suite.len() as u64)
-                .num("models", model_list.len() as u64)
-                .num("mismatches", mismatches as u64)
-                .num("rechecks", rechecks)
-                .num("propagated", propagated)
-                .finish(),
-        );
-        write_json_lines(path, &json_lines)?;
-    }
-    Ok(exit_status(mismatches == 0))
 }
 
 const SERVE_FLAGS: &[&str] = &[

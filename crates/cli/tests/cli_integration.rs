@@ -360,6 +360,49 @@ fn monitor_skips_malformed_lines_and_counts_them() {
 }
 
 #[test]
+fn monitor_skips_over_long_lines_without_buffering_them() {
+    use smc_history::trace::MAX_LINE;
+    let mut text = "a".repeat(MAX_LINE + 1);
+    text.push_str("\np w(x)1\n");
+    let f = write_tmp("smc_mon_long.trace", &text);
+    let (ok, stdout, stderr) = smc(&["monitor", &f]);
+    assert!(ok, "{stdout}\n{stderr}");
+    assert_eq!(stderr.matches("warning:").count(), 1, "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "line 1 (byte 0): line longer than {MAX_LINE} bytes"
+        )),
+        "{stderr}"
+    );
+    assert!(
+        stdout.contains("1 event(s), 1 malformed line(s) skipped"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn litmus_files_over_the_cap_are_refused() {
+    use smc_history::litmus::MAX_LITMUS_BYTES;
+    let path = std::env::temp_dir().join("smc_huge.litmus");
+    // Sparse: one byte over the cap, without writing it.
+    std::fs::File::create(&path)
+        .and_then(|f| f.set_len(MAX_LITMUS_BYTES + 1))
+        .unwrap();
+    let f = path.to_string_lossy().into_owned();
+    for args in [
+        &["check", &f, "--model", "sc"][..],
+        &["matrix", &f],
+        &["trace", "from", &f],
+    ] {
+        let stderr = smc_usage_error(args);
+        assert!(
+            stderr.contains(&format!("larger than {MAX_LITMUS_BYTES} bytes")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn monitor_batch_matches_per_event_verdicts() {
     // A 64-event TSO stream whose engines exhaust a 1024-state cap, so
     // restart-mode rechecks run, and batching has something to amortize.
@@ -482,7 +525,7 @@ fn unknown_flags_are_rejected_by_name() {
         "smc_unknown_flag.litmus",
         "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n",
     );
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["check", &f, "--engin", "saturate"], "--engin"),
         (&["check", &f, "--job", "4"], "--job"),
         (&["check", &f, "--jobs=4"], "--jobs=4"),
@@ -503,6 +546,10 @@ fn unknown_flags_are_rejected_by_name() {
         // No subcommand takes --cutover.
         (&["check", &f, "--cutover", "9"], "--cutover"),
         (&["separate", "sc", "tso", "--cutover", "9"], "--cutover"),
+        // The engine and monitor equivalence checks are cargo tests
+        // (`tests/engine_equiv.rs`, `tests/monitor_equiv.rs`), not modes.
+        (&["corpus", "--engine-equiv"], "--engine-equiv"),
+        (&["monitor", "--corpus"], "--corpus"),
     ];
     for (args, flag) in cases {
         let stderr = smc_usage_error(args);

@@ -15,14 +15,16 @@
 //!   models with no shared order), on one shared node pool
 //!   ([`crate::budget::SharedBudget`]); see [`crate::checker`].
 //!
-//! Every claim-an-index fan-out (here, in the checker's layers and in
-//! the propagating sweep in [`crate::lattice`]) runs on one worker pool,
-//! `par_map`; the separation search keeps its own.
+//! Every claim-an-index fan-out (here, in the checker's layers, in the
+//! propagating sweep in [`crate::lattice`] and in the separation search
+//! in [`crate::separate`]) runs on one worker pool, `par_map`.
 //!
 //! Determinism: `check_batch`/`check_matrix` results are positionally
 //! identical to running [`crate::checker::check_with_stats`] on each pair
 //! (each pair gets its own budget of `cfg.node_budget` nodes, exactly as
-//! in the sequential case). `check_parallel` returns the lowest-index
+//! in the sequential case). With a memo, the pair of a renaming class
+//! that pays for its search is the one a single job would pick, so the
+//! per-pair counters match too. `check_parallel` returns the lowest-index
 //! decided outcome of the layer it fans out; because its workers share
 //! one node pool it may *decide* an instance where the sequential order
 //! of exploration exhausts first, but it never contradicts a sequential
@@ -31,9 +33,11 @@
 //! the sequential checker's witness itself: each view is the same
 //! deterministic search.
 
+use crate::canon::canonicalize;
 use crate::checker::{check_with_jobs, check_with_stats, CheckConfig, CheckStats, Verdict};
 use crate::spec::ModelSpec;
 use smc_history::History;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -60,12 +64,19 @@ pub struct BatchResult {
 /// `results[i]` always corresponds to `pairs[i]`; each pair is checked
 /// under its own `cfg.node_budget`, so verdicts are identical to calling
 /// [`crate::checker::check_with_config`] on each pair in turn.
+///
+/// With a memo, the workers share it, and which pair of a renaming class
+/// pays for its search would be up to thread timing. So the first pair
+/// of each (canonical key, model) class in input order, the one a single
+/// job pays with, finishes before any later pair of its class starts:
+/// per-pair counters then match one job's wherever that first check
+/// decides.
 pub fn check_batch(
     pairs: &[(&History, &ModelSpec)],
     cfg: &CheckConfig,
     jobs: usize,
 ) -> Vec<BatchResult> {
-    par_map(pairs.len(), jobs, |index| {
+    let check = |index: usize| {
         let (h, m) = pairs[index];
         let (verdict, stats) = check_with_stats(h, m, cfg);
         BatchResult {
@@ -73,7 +84,17 @@ pub fn check_batch(
             verdict,
             stats,
         }
-    })
+    };
+    if cfg.memo.is_none() || jobs <= 1 {
+        return par_map(pairs.len(), jobs, check);
+    }
+    let mut seen = HashSet::new();
+    let (first, rest): (Vec<usize>, Vec<usize>) = (0..pairs.len())
+        .partition(|&i| seen.insert((canonicalize(pairs[i].0).key, pairs[i].1.param_key())));
+    let mut results = par_map(first.len(), jobs, |k| check(first[k]));
+    results.extend(par_map(rest.len(), jobs, |k| check(rest[k])));
+    results.sort_unstable_by_key(|r| r.index);
+    results
 }
 
 /// Map `f` over `0..n` on up to `jobs` scoped worker threads that claim
@@ -271,6 +292,51 @@ mod tests {
             }
         }
         assert!(memo.stats().hits >= 3);
+    }
+
+    #[test]
+    fn memoized_batch_pays_like_one_job() {
+        // Each figure next to a twin with its processors reversed and its
+        // locations renamed: one canonical class. With a shared memo, the
+        // first pair of a class pays for the search and the twin hits,
+        // whatever the job count and the thread timing.
+        let mut histories = Vec::new();
+        for h in figures() {
+            let mut b = smc_history::HistoryBuilder::new();
+            let procs: Vec<_> = h.procs().collect();
+            for ph in procs.into_iter().rev() {
+                let name = h.proc_name(ph.proc);
+                b.add_proc(name);
+                for o in ph.ops {
+                    let loc = format!("t{}", h.loc_name(o.loc));
+                    b.push(name, o.kind, &loc, o.value.0, o.label);
+                }
+            }
+            let twin = b.build();
+            assert_eq!(canonicalize(&h).key, canonicalize(&twin).key);
+            histories.extend([h, twin]);
+        }
+        let models = models::all_models();
+        let pairs: Vec<(&History, &ModelSpec)> = models
+            .iter()
+            .flat_map(|m| histories.iter().map(move |h| (h, m)))
+            .collect();
+        let spent = |jobs| {
+            let cfg = CheckConfig::default().with_memo();
+            check_batch(&pairs, &cfg, jobs)
+                .into_iter()
+                .map(|r| (r.stats.nodes_spent, r.stats.memo_hit))
+                .collect::<Vec<_>>()
+        };
+        let one = spent(1);
+        assert!(one
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .all(|&(nodes, hit)| hit && nodes == 0));
+        for round in 0..20 {
+            assert_eq!(spent(4), one, "round {round}");
+        }
     }
 
     #[test]

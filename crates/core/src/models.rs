@@ -208,7 +208,7 @@ pub fn lattice_models() -> Vec<ModelSpec> {
 
 /// The models the order-constraint saturation engine can decide
 /// ([`crate::saturate::supports`]) — the capability flag the `--engine
-/// auto` routing and the engine-equivalence harness consult.
+/// auto` routing and the engine equivalence tests consult.
 pub fn saturating_models() -> Vec<ModelSpec> {
     all_models()
         .into_iter()

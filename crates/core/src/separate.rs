@@ -16,10 +16,11 @@
 //!   ([`crate::histgen::for_each_representative_range`]), and verdicts
 //!   are cached per [`crate::canon::HistoryKey`] so each
 //!   processor-permutation orbit is classified once;
-//! * **parallel** — workers claim fixed-size index chunks from an atomic
-//!   counter; because each direction keeps the *minimum* witnessing
-//!   index and workers only stop once no open direction can improve, the
-//!   reported witnesses are identical for every job count;
+//! * **parallel** — fixed-size index chunks run on
+//!   [`crate::batch::par_map`]; because each direction keeps the
+//!   *minimum* witnessing index and a chunk is skipped only once no open
+//!   direction can improve in it, the reported witnesses are identical
+//!   for every job count;
 //! * **lattice-aware** — directions along a known inclusion are marked
 //!   [`DirectionStatus::Impossible`] up front, and within one history a
 //!   decided verdict propagates along the inclusion closure (admitted by
@@ -30,9 +31,10 @@
 //! deletion, empty-processor dropping, and value collapsing — see the
 //! function docs) to a local minimum that still separates the pair.
 
+use crate::batch::par_map;
 use crate::canon::{canonicalize, HistoryKey};
-use crate::checker::{check_with_config, CheckConfig};
-use crate::histgen::{for_each_representative_range, GenParams, RangeStats};
+use crate::checker::{check_with_canon, check_with_config, CheckConfig};
+use crate::histgen::{for_each_representative_range, GenParams};
 use crate::lattice::{forced_verdict, inclusion_closure};
 use crate::spec::ModelSpec;
 use smc_history::{History, HistoryBuilder, Location};
@@ -102,6 +104,21 @@ pub struct SeparateStats {
     pub undecided: u64,
     /// Wall time spent scanning universes.
     pub wall: Duration,
+}
+
+impl SeparateStats {
+    /// Accumulate another scan's counters into these.
+    fn merge(&mut self, other: &SeparateStats) {
+        self.enumerated += other.enumerated;
+        self.skipped_form += other.skipped_form;
+        self.skipped_unexplainable += other.skipped_unexplainable;
+        self.classes += other.classes;
+        self.class_hits += other.class_hits;
+        self.checked += other.checked;
+        self.propagated += other.propagated;
+        self.undecided += other.undecided;
+        self.wall += other.wall;
+    }
 }
 
 /// The universes the search may visit, smallest first. The ladder stops
@@ -301,74 +318,33 @@ impl Separator {
         let cache: Vec<VerdictShard> = (0..CACHE_SHARDS)
             .map(|_| Mutex::new(HashMap::new()))
             .collect();
-        let next = AtomicU64::new(0);
-        let range_stats = Mutex::new(RangeStats::default());
-        let classes = AtomicU64::new(0);
-        let class_hits = AtomicU64::new(0);
-        let checked = AtomicU64::new(0);
-        let propagated = AtomicU64::new(0);
-        let undecided = AtomicU64::new(0);
-
-        let worker = || {
-            loop {
-                let start = next.fetch_add(1, Ordering::Relaxed).saturating_mul(CHUNK);
-                if start >= total {
-                    break;
-                }
-                // Every open direction keeps its minimum witnessing index;
-                // once no open direction can improve below this chunk, the
-                // scan is over. Bounds only shrink, so a skipped chunk
-                // could never have improved the final answer — which makes
-                // the reported witnesses independent of the job count.
-                let bound = open
-                    .iter()
-                    .map(|&d| best[d].hint.load(Ordering::Acquire))
-                    .max()
-                    .unwrap_or(0);
-                if start >= bound {
-                    break;
-                }
+        let chunks = par_map(total.div_ceil(CHUNK) as usize, self.jobs, |chunk| {
+            let start = chunk as u64 * CHUNK;
+            let mut counts = SeparateStats::default();
+            // Every open direction keeps its minimum witnessing index; a
+            // chunk at or past all of them cannot improve any, so it
+            // returns at once. Bounds only shrink, so a skipped chunk
+            // could never have improved the final answer, which makes the
+            // reported witnesses independent of the job count.
+            let bound = open
+                .iter()
+                .map(|&d| best[d].hint.load(Ordering::Acquire))
+                .max()
+                .unwrap_or(0);
+            if start < bound {
                 let end = (start + CHUNK).min(total);
-                let visit = |index: u64, h: &History| {
-                    self.classify_candidate(
-                        index,
-                        h,
-                        &open,
-                        &best,
-                        &cache,
-                        &classes,
-                        &class_hits,
-                        &checked,
-                        &propagated,
-                        &undecided,
-                    );
-                };
-                let rs = for_each_representative_range(params, start, end, visit);
-                range_stats
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .merge(&rs);
+                let rs = for_each_representative_range(params, start, end, |index, h| {
+                    self.classify_candidate(index, h, &open, &best, &cache, &mut counts)
+                });
+                counts.enumerated = rs.enumerated;
+                counts.skipped_form = rs.skipped_form;
+                counts.skipped_unexplainable = rs.skipped_unexplainable;
             }
-        };
-        if self.jobs == 1 {
-            worker();
-        } else {
-            std::thread::scope(|s| {
-                for _ in 0..self.jobs {
-                    s.spawn(worker);
-                }
-            });
+            counts
+        });
+        for counts in &chunks {
+            self.stats.merge(counts);
         }
-
-        let rs = range_stats.into_inner().unwrap_or_else(|p| p.into_inner());
-        self.stats.enumerated += rs.enumerated;
-        self.stats.skipped_form += rs.skipped_form;
-        self.stats.skipped_unexplainable += rs.skipped_unexplainable;
-        self.stats.classes += classes.load(Ordering::Relaxed);
-        self.stats.class_hits += class_hits.load(Ordering::Relaxed);
-        self.stats.checked += checked.load(Ordering::Relaxed);
-        self.stats.propagated += propagated.load(Ordering::Relaxed);
-        self.stats.undecided += undecided.load(Ordering::Relaxed);
         self.stats.wall += t0.elapsed();
 
         let mut resolved = 0;
@@ -392,8 +368,7 @@ impl Separator {
 
     /// Classify one candidate history against every direction still able
     /// to improve, consulting and updating the canonical-class verdict
-    /// cache.
-    #[allow(clippy::too_many_arguments)] // internal worker plumbing
+    /// cache, and count the work in `counts`.
     fn classify_candidate(
         &self,
         index: u64,
@@ -401,54 +376,54 @@ impl Separator {
         open: &[usize],
         best: &[BestSlot],
         cache: &[VerdictShard],
-        classes: &AtomicU64,
-        class_hits: &AtomicU64,
-        checked: &AtomicU64,
-        propagated: &AtomicU64,
-        undecided: &AtomicU64,
+        counts: &mut SeparateStats,
     ) {
         let n = self.models.len();
-        let key = canonicalize(h).key;
-        let shard = &cache[(key.0 as usize) % CACHE_SHARDS];
+        let canon = canonicalize(h);
+        let shard = &cache[(canon.key.0 as usize) % CACHE_SHARDS];
         let cached = shard
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
+            .get(&canon.key)
             .cloned();
         let mut verdicts: Vec<Option<bool>> = match cached {
             Some(v) => {
-                class_hits.fetch_add(1, Ordering::Relaxed);
+                counts.class_hits += 1;
                 v
             }
             None => {
-                classes.fetch_add(1, Ordering::Relaxed);
+                counts.classes += 1;
                 vec![None; n]
             }
         };
         let mut dirty = false;
         // Lazily decide the verdict for model `j`, propagating along the
-        // inclusion closure before running the checker.
-        let verdict = |j: usize, verdicts: &mut Vec<Option<bool>>, dirty: &mut bool| {
+        // inclusion closure before running the checker. A memoized check
+        // reuses the candidate's canonical form.
+        let memo_canon = self.cfg.memo.as_ref().map(|_| &canon);
+        let mut verdict = |j: usize| {
             if let Some(v) = verdicts[j] {
                 return Some(v);
             }
-            let v = match forced_verdict(&self.stronger, verdicts, j) {
+            let v = match forced_verdict(&self.stronger, &verdicts, j) {
                 Some(v) => {
-                    propagated.fetch_add(1, Ordering::Relaxed);
+                    counts.propagated += 1;
                     Some(v)
                 }
                 None => {
-                    checked.fetch_add(1, Ordering::Relaxed);
-                    let v = check_with_config(h, &self.models[j], &self.cfg).decided();
+                    counts.checked += 1;
+                    let v = check_with_canon(h, &self.models[j], &self.cfg, memo_canon, 1)
+                        .0
+                        .decided();
                     if v.is_none() {
-                        undecided.fetch_add(1, Ordering::Relaxed);
+                        counts.undecided += 1;
                     }
                     v
                 }
             };
             if v.is_some() {
                 verdicts[j] = v;
-                *dirty = true;
+                dirty = true;
             }
             v
         };
@@ -457,16 +432,13 @@ impl Separator {
                 continue; // cannot improve this direction
             }
             let (a, r) = (self.directions[d].admits, self.directions[d].refutes);
-            if verdict(a, &mut verdicts, &mut dirty) != Some(true) {
-                continue;
-            }
-            if verdict(r, &mut verdicts, &mut dirty) == Some(false) {
+            if verdict(a) == Some(true) && verdict(r) == Some(false) {
                 best[d].record(index, h);
             }
         }
         if dirty {
             let mut g = shard.lock().unwrap_or_else(|p| p.into_inner());
-            let entry = g.entry(key).or_insert_with(|| vec![None; n]);
+            let entry = g.entry(canon.key).or_insert_with(|| vec![None; n]);
             for (slot, v) in entry.iter_mut().zip(&verdicts) {
                 if slot.is_none() {
                     *slot = *v;

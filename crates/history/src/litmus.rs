@@ -27,6 +27,12 @@ use crate::history::History;
 use crate::op::{Label, OpKind};
 use std::fmt;
 
+/// Largest litmus file the tools read: 16 MiB. A 1,024-operation
+/// history takes 8.7 KB in this notation, so the cap holds about 1,900
+/// histories of the largest size any engine is measured on; a larger
+/// file is refused instead of read until allocation fails.
+pub const MAX_LITMUS_BYTES: u64 = 16 << 20;
+
 /// A parse failure, carrying a 1-based line number and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {

@@ -353,6 +353,13 @@ pub fn emit_trace(t: &Trace) -> String {
     t.to_string()
 }
 
+/// Longest trace line a reader takes, in bytes without its newline.
+/// `smc serve` answers a longer command line with an error and closes
+/// the connection; `smc monitor` skips a longer line with a warning.
+/// Neither buffers more than this much of one line. An event line is a
+/// few dozen bytes, so only garbage comes near the cap.
+pub const MAX_LINE: usize = 1 << 20;
+
 /// Words with structural meaning at line start; none may name a
 /// processor (an event for it could not be expressed).
 const RESERVED: [&str; 4] = ["procs", "locs", "join", "retire"];

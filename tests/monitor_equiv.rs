@@ -2,12 +2,14 @@
 //!
 //! Each history is fed to a [`Monitor`] one event at a time; after the
 //! last event the monitor's per-model verdict must match the batch
-//! checker's verdict for every lattice model **whenever the batch
-//! checker decides**. The monitor may legitimately decide via sound
-//! inclusion-lattice propagation where a direct batch check would
-//! exhaust its budget, so batch-undecided pairs are skipped rather than
-//! required to be `Unknown`; the small histories here never hit a budget
-//! in practice, so the skip is a safety valve, not a loophole.
+//! checker's verdict **whenever the batch checker decides**: for all 12
+//! models on the corpus and random histories, and for the lattice models
+//! on the per-prefix and simulator cases. The monitor may legitimately
+//! decide via sound inclusion-lattice propagation where a direct batch
+//! check would exhaust its budget, so batch-undecided pairs are skipped
+//! rather than required to be `Unknown`; the small histories here never
+//! hit a budget in practice, so the skip is a safety valve, not a
+//! loophole.
 
 use smc_core::batch::check_parallel;
 use smc_core::checker::CheckConfig;
@@ -22,7 +24,7 @@ use smc_sim::workload::{Access, OpScript};
 use smc_sim::TsoMem;
 
 fn assert_monitor_matches_batch(h: &History, jobs: usize, ctx: &str) {
-    let models = models::lattice_models();
+    let models = models::all_models();
     let mut mon = Monitor::new(
         models.clone(),
         MonitorConfig {

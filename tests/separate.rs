@@ -141,3 +141,29 @@ fn separation_respects_known_inclusions() {
     // 2x2x2x1 already separates most of the lattice.
     assert!(witnessed >= 20, "only {witnessed} directions witnessed");
 }
+
+#[test]
+fn small_ladder_work_counters_are_pinned() {
+    // One job scans chunks in index order, so the class cache, the
+    // lattice propagation and the checks do a fixed amount of work. These
+    // are the counters `smc separate --all --max-universe small --jobs 1`
+    // prints; a change to the scan, the cache or propagation moves them.
+    let universes = smc_core::separate::ladder("small").unwrap();
+    let sep = separate(
+        models::lattice_models(),
+        &universes,
+        CheckConfig::default().with_memo(),
+        1,
+    );
+    let s = sep.stats;
+    assert_eq!(
+        (
+            s.classes,
+            s.class_hits,
+            s.checked,
+            s.propagated,
+            s.undecided
+        ),
+        (9_525, 17_747, 28_754, 10_014, 0)
+    );
+}
