@@ -114,7 +114,11 @@ usage:
                                     --max-universe is small|medium|large or
                                     an explicit PxOxLxV cap like 3x2x2x2
                                     (default medium); --emit-dir writes
-                                    each witness as a litmus test file
+                                    each witness as a litmus test file;
+                                    witnesses are the same at every
+                                    --jobs N, but above one job the work
+                                    counters (classes, checks,
+                                    propagated) vary with thread timing
   smc separate --all [...]          sweep every unlabeled model pair and
                                     report the full witness table
   smc monitor [<file>|-] [--model NAME] [--jobs N] [--stats]
@@ -172,23 +176,16 @@ usage:
                                     --window N bounds each
                                     session's frontier memory; stops on
                                     SHUTDOWN
-  smc serve --bench [--sessions N] [--events N] [--conns C]
-            [--query-every K] [--memory NAME] [--seed S] [--json PATH]
-            [--procs N] [--locs L] [--values V | --alias-values K]
-                                    start an ephemeral server, drive it
-                                    with the in-tree load generator over
-                                    loopback, diff every final verdict
-                                    against the offline monitor, and
-                                    report sustained events/sec + QUERY
-                                    latency percentiles; --procs, --locs,
-                                    --values and --alias-values shape
-                                    each session's trace as in `trace gen`
   smc loadgen --addr HOST:PORT [--sessions N] [--events N] [--conns C]
             [--query-every K] [--memory NAME] [--seed S] [--verify]
             [--model NAME] [--max-states N] [--shutdown] [--json PATH]
             [--procs N] [--locs L] [--values V | --alias-values K]
                                     drive a running `smc serve` with
-                                    generated multi-session traffic;
+                                    generated multi-session traffic
+                                    (default 1024 sessions of 64 tso
+                                    events over 8 connections, a QUERY
+                                    every 32 events) and report events/sec
+                                    and QUERY latency percentiles;
                                     --verify diffs final verdicts
                                     against the offline monitor (give it
                                     the server's --model and --max-states),
@@ -241,11 +238,6 @@ memories for --memory: sc tso tso-fwd pram causal pc coherent rcsc rcpc wo hybri
 
 /// The flags the checking subcommands share (see [`CheckFlags`]).
 const CHECKING: &str = "--jobs N --engine exhaustive|saturate|auto --memo-file PATH";
-
-/// The flags `smc loadgen` and `smc serve --bench` share: the load
-/// generator's, the trace generator's ([`GenSpec`]) and the report's.
-const TRAFFIC: &str = "--sessions N --events N --conns C --query-every K --memory NAME --seed S \
-     --procs N --locs L --values V --alias-values K --json PATH";
 
 type Command = fn(&Args) -> Result<ExitCode, String>;
 
@@ -1428,7 +1420,8 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     // its session id in a `@sid` multi-session replay) and is skipped,
     // keeping any events parsed before the offending token. A line is
     // read up to `MAX_LINE` bytes and its newline, so a longer one is
-    // never buffered whole: it is skipped with a warning too.
+    // never buffered whole: it is skipped with a warning too, as is a
+    // line that is not UTF-8 (at the offset of its first invalid byte).
     let want_json = json_path.is_some();
     let mut streams: Vec<MonitorStream> = vec![MonitorStream::new(None, base_mon)];
     let (mut line_no, mut offset) = (0usize, 0usize);
@@ -1447,19 +1440,26 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
         line_no += 1;
         let start = offset;
         offset += n;
-        if buf.len() > MAX_LINE && !buf.ends_with(b"\n") {
-            let e = TraceError {
-                line: line_no,
-                offset: start,
-                message: format!("line longer than {MAX_LINE} bytes"),
-            };
-            streams[0].skip_line(&e, want_json, &mut json_lines);
+        // An over-long line, or one that is not UTF-8, cannot be routed
+        // to a session, so the default stream counts it.
+        let read = if buf.len() > MAX_LINE && !buf.ends_with(b"\n") {
             offset += reader.skip_until(b'\n').map_err(read_err)?;
-            continue;
-        }
-        let line = std::str::from_utf8(&buf).map_err(|e| {
-            format!("read error on `{path}`: line {line_no} (byte {start}) is not UTF-8: {e}")
-        })?;
+            Err((0, format!("line longer than {MAX_LINE} bytes")))
+        } else {
+            std::str::from_utf8(&buf).map_err(|e| (e.valid_up_to(), "invalid utf-8".to_owned()))
+        };
+        let line = match read {
+            Ok(line) => line,
+            Err((at, message)) => {
+                let e = TraceError {
+                    line: line_no,
+                    offset: start + at,
+                    message,
+                };
+                streams[0].skip_line(&e, want_json, &mut json_lines);
+                continue;
+            }
+        };
         // As `BufRead::lines` does: drop a trailing `\n` or `\r\n`.
         let line = line
             .strip_suffix('\n')
@@ -1666,12 +1666,13 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
 }
 
 const SERVE_FLAGS: &[&str] = &[
-    "--bench --listen ADDR --workers N --max-sessions N --max-conns N --queue N --model NAME \
-     --jobs N --max-states N --window N --evict-dir DIR",
-    TRAFFIC,
+    "--listen ADDR --workers N --max-sessions N --max-conns N --queue N --model NAME --jobs N \
+     --max-states N --window N --evict-dir DIR",
 ];
 
-fn serve_config(args: &Args) -> Result<smc_serve::ServeConfig, String> {
+/// `smc serve`: run the multi-session streaming admission server until
+/// a client sends `SHUTDOWN`.
+fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     let mut cfg = smc_serve::ServeConfig::default();
     if let Some(a) = args.value("--listen") {
         cfg.addr = a.to_owned();
@@ -1687,20 +1688,6 @@ fn serve_config(args: &Args) -> Result<smc_serve::ServeConfig, String> {
     let window: usize = args.num("--window", 0)?;
     cfg.monitor.window = (window > 0).then_some(window);
     cfg.evict_dir = args.value("--evict-dir").map(std::path::PathBuf::from);
-    Ok(cfg)
-}
-
-/// `smc serve`: run the multi-session streaming admission server until
-/// a client sends `SHUTDOWN`. With `--bench`, instead start an
-/// ephemeral in-process server, drive it with the in-tree load
-/// generator over loopback, verify every session's final verdict
-/// against the offline monitor, and report sustained events/sec plus
-/// query-latency percentiles (machine-readable via `--json`).
-fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
-    let cfg = serve_config(args)?;
-    if args.switch("--bench") {
-        return serve_bench(args, cfg);
-    }
     let server = smc_serve::Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
     println!("listening on {}", server.addr());
     // Scripts wait for this line before connecting; a redirected stdout
@@ -1711,30 +1698,12 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The generated traffic `smc loadgen` and `smc serve --bench` send to
-/// `addr`: the load-generator settings and one trace per session.
-fn traffic(
-    args: &Args,
-    addr: String,
-) -> Result<(smc_serve::loadgen::LoadgenConfig, SessionWork), String> {
-    let sessions = args.positive("--sessions")?.unwrap_or(1024);
-    let cfg = smc_serve::loadgen::LoadgenConfig {
-        addr,
-        conns: args.positive("--conns")?.unwrap_or(8),
-        query_every: args.num("--query-every", 32)?,
-        shutdown: false,
-    };
-    let work = gen_session_work(&GenSpec::parse(args, Some(64))?, sessions)?;
-    Ok((cfg, work))
-}
-
 /// Print a load-generator run's summary line, and write it as JSON to
 /// `--json` if given.
 fn report_traffic(
     args: &Args,
     report: &smc_serve::loadgen::LoadgenReport,
     verified: Option<usize>,
-    memo: Option<MemoStats>,
 ) -> Result<(), String> {
     let human = format!(
         "{} session(s), {} event(s) in {:.2}s: {:.0} events/sec; {} quer{} p50 {}us p99 {}us; {} busy{}",
@@ -1766,11 +1735,6 @@ fn report_traffic(
     if let Some(n) = verified {
         json = json.bool("verified", n == 0).num("mismatches", n as u64);
     }
-    // Cross-session memo traffic (the server's sessions share one
-    // cache, so hits here are verdicts one session proved for another).
-    if let Some(m) = memo {
-        json = json.num("memo_hits", m.hits).num("memo_misses", m.misses);
-    }
     println!("{human}");
     if let Some(path) = args.value("--json") {
         write_json_lines(path, &[json.finish()])?;
@@ -1779,34 +1743,10 @@ fn report_traffic(
     Ok(())
 }
 
-fn serve_bench(args: &Args, mut cfg: smc_serve::ServeConfig) -> Result<ExitCode, String> {
-    let (mut lg, work) = traffic(args, String::new())?;
-    cfg.addr = "127.0.0.1:0".into();
-    cfg.max_sessions = cfg.max_sessions.max(work.len());
-    let model_list = cfg.models.clone();
-    let mon_cfg = cfg.monitor.clone();
-    // The memo cache is shared by Arc; hold a handle so the report can
-    // include the cross-session hit counters after the server stops.
-    let memo = cfg.monitor.check.memo.clone();
-    let server = smc_serve::Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
-    lg.addr = server.addr().to_string();
-    let report = smc_serve::loadgen::run(&lg, &work)?;
-    // Snapshot before `verify`: the offline twin shares the cache Arc,
-    // and its replay traffic must not count as server memo activity.
-    let memo_stats = memo.as_ref().map(|m| m.stats());
-    println!("{}", server.stats_line());
-    let mismatches = smc_serve::loadgen::verify(&work, &report, &model_list, &mon_cfg);
-    server.shutdown();
-    for m in mismatches.iter().take(5) {
-        eprintln!("mismatch: {m}");
-    }
-    report_traffic(args, &report, Some(mismatches.len()), memo_stats)?;
-    Ok(exit_status(mismatches.is_empty()))
-}
-
 const LOADGEN_FLAGS: &[&str] = &[
-    "--addr HOST:PORT --verify --model NAME --max-states N --shutdown",
-    TRAFFIC,
+    "--addr HOST:PORT --verify --model NAME --max-states N --shutdown --json PATH \
+     --sessions N --events N --conns C --query-every K --memory NAME --seed S \
+     --procs N --locs L --values V --alias-values K",
 ];
 
 /// `smc loadgen`: drive a *running* server (see `smc serve`) with
@@ -1817,8 +1757,14 @@ fn cmd_loadgen(args: &Args) -> Result<ExitCode, String> {
     let addr = args
         .value("--addr")
         .ok_or("loadgen: missing --addr HOST:PORT")?;
-    let (mut lg, work) = traffic(args, addr.to_owned())?;
-    lg.shutdown = args.switch("--shutdown");
+    let sessions = args.positive("--sessions")?.unwrap_or(1024);
+    let lg = smc_serve::loadgen::LoadgenConfig {
+        addr: addr.to_owned(),
+        conns: args.positive("--conns")?.unwrap_or(8),
+        query_every: args.num("--query-every", 32)?,
+        shutdown: args.switch("--shutdown"),
+    };
+    let work = gen_session_work(&GenSpec::parse(args, Some(64))?, sessions)?;
     let report = smc_serve::loadgen::run(&lg, &work)?;
     let verified = if args.switch("--verify") {
         // The offline twin assumes the server monitors the same models
@@ -1836,7 +1782,7 @@ fn cmd_loadgen(args: &Args) -> Result<ExitCode, String> {
     } else {
         None
     };
-    report_traffic(args, &report, verified, None)?;
+    report_traffic(args, &report, verified)?;
     Ok(exit_status(verified.unwrap_or(0) == 0))
 }
 
@@ -1896,9 +1842,9 @@ fn trace_from(args: &Args, path: Option<&str>) -> Result<ExitCode, String> {
     write_out(args.value("--out"), &text)
 }
 
-/// Random-trace generation parameters, shared by `smc trace gen`, the
-/// load generator and `smc serve --bench` so every consumer of "random
-/// machine traffic" draws from one seeded well.
+/// Random-trace generation parameters, shared by `smc trace gen` and
+/// `smc loadgen` so every consumer of "random machine traffic" draws
+/// from one seeded well.
 #[derive(Debug, Clone)]
 struct GenSpec {
     memory: String,
@@ -2094,7 +2040,7 @@ type SessionWork = Vec<(String, smc_history::trace::Trace)>;
 
 /// `sessions` independent random traces, one per session id `s0..`,
 /// derived from `spec` with per-session seeds `seed + i`. Shared by
-/// `smc trace gen --sessions`, `smc loadgen` and `smc serve --bench`.
+/// `smc trace gen --sessions` and `smc loadgen`.
 fn gen_session_work(spec: &GenSpec, sessions: usize) -> Result<SessionWork, String> {
     (0..sessions)
         .map(|i| {
@@ -2315,6 +2261,30 @@ mod tests {
         assert!(!usage_for(Some("check")).contains("smc corpus"));
         assert_eq!(usage_for(Some("frobnicate")), USAGE);
         assert_eq!(usage_for(None), USAGE);
+    }
+
+    #[test]
+    fn serve_takes_only_serving_flags() {
+        let flags: Vec<&str> = SERVE_FLAGS
+            .iter()
+            .flat_map(|s| s.split_whitespace())
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        assert_eq!(
+            flags,
+            [
+                "--listen",
+                "--workers",
+                "--max-sessions",
+                "--max-conns",
+                "--queue",
+                "--model",
+                "--jobs",
+                "--max-states",
+                "--window",
+                "--evict-dir"
+            ]
+        );
     }
 
     #[test]

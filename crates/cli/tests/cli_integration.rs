@@ -360,6 +360,30 @@ fn monitor_skips_malformed_lines_and_counts_them() {
 }
 
 #[test]
+fn monitor_skips_lines_that_are_not_utf8() {
+    let path = std::env::temp_dir().join("smc_mon_utf8.trace");
+    std::fs::write(&path, b"p w(x)1\n\xff\nq r(x)1\n").unwrap();
+    let f = path.to_string_lossy().into_owned();
+    let json = std::env::temp_dir().join("smc_mon_utf8.json");
+    let json = json.to_string_lossy().into_owned();
+    let (ok, stdout, stderr) = smc(&["monitor", &f, "--stats", "--json", &json]);
+    assert!(ok, "{stdout}\n{stderr}");
+    assert_eq!(stderr.matches("warning:").count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("line 2 (byte 8): invalid utf-8"),
+        "{stderr}"
+    );
+    assert!(
+        stdout.contains("2 event(s), 1 malformed line(s) skipped"),
+        "{stdout}"
+    );
+    let body = std::fs::read_to_string(&json).unwrap();
+    assert!(body.contains(r#""skipped_line":2"#), "{body}");
+    assert!(body.contains(r#""events":2,"#), "{body}");
+    assert!(body.contains(r#""skipped_lines":1"#), "{body}");
+}
+
+#[test]
 fn monitor_skips_over_long_lines_without_buffering_them() {
     use smc_history::trace::MAX_LINE;
     let mut text = "a".repeat(MAX_LINE + 1);
@@ -465,11 +489,39 @@ fn monitor_batch_matches_per_event_verdicts() {
     assert_eq!(a, b, "{per_event}\n---\n{batched}");
 }
 
+/// Start `smc serve` on a free loopback port, drive it with `smc loadgen
+/// --verify --shutdown` plus `loadgen_args`, and wait for the server to
+/// exit cleanly. Returns loadgen's (success, stdout, stderr).
+fn serve_and_loadgen(loadgen_args: &[&str]) -> (bool, String, String) {
+    use std::io::{BufRead, BufReader, Read};
+    let mut server = Command::new(env!("CARGO_BIN_EXE_smc"))
+        .args(["serve", "--listen", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Keep the pipe open until the server exits: it prints once more
+    // when it stops.
+    let mut server_out = BufReader::new(server.stdout.take().unwrap());
+    let mut first = String::new();
+    server_out.read_line(&mut first).unwrap();
+    let addr = first.trim().strip_prefix("listening on ").expect(&first);
+    let mut args = vec!["loadgen", "--addr", addr, "--verify", "--shutdown"];
+    args.extend_from_slice(loadgen_args);
+    let (ok, stdout, stderr) = smc(&args);
+    if !ok {
+        server.kill().ok();
+    }
+    let status = server.wait().unwrap();
+    let mut rest = String::new();
+    server_out.read_to_string(&mut rest).unwrap();
+    assert!(ok, "{stdout}\n{stderr}");
+    assert!(status.success(), "{rest}");
+    (ok, stdout, stderr)
+}
+
 #[test]
 fn serve_bench_smoke_verifies_verdicts() {
-    let (ok, stdout, stderr) = smc(&[
-        "serve",
-        "--bench",
+    let (_, stdout, _) = serve_and_loadgen(&[
         "--sessions",
         "16",
         "--events",
@@ -483,12 +535,18 @@ fn serve_bench_smoke_verifies_verdicts() {
         "--seed",
         "11",
     ]);
-    assert!(ok, "{stdout}\n{stderr}");
     assert!(
         stdout.contains("all verdicts match offline monitor"),
         "{stdout}"
     );
     assert!(stdout.contains("16 session(s)"), "{stdout}");
+}
+
+#[test]
+fn serve_bench_defaults_to_64_events_per_session() {
+    // No --events: each session carries loadgen's default 64 events.
+    let (_, stdout, _) = serve_and_loadgen(&["--sessions", "4"]);
+    assert!(stdout.contains("4 session(s), 256 event(s)"), "{stdout}");
 }
 
 #[test]
@@ -525,15 +583,16 @@ fn unknown_flags_are_rejected_by_name() {
         "smc_unknown_flag.litmus",
         "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n",
     );
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["check", &f, "--engin", "saturate"], "--engin"),
         (&["check", &f, "--job", "4"], "--job"),
         (&["check", &f, "--jobs=4"], "--jobs=4"),
         (&["trace", "gen", "--sed", "5"], "--sed"),
         (
             &[
-                "serve",
-                "--bench",
+                "loadgen",
+                "--addr",
+                "127.0.0.1:1",
                 "--sessions",
                 "4",
                 "--events",
@@ -543,6 +602,8 @@ fn unknown_flags_are_rejected_by_name() {
             ],
             "--bogus",
         ),
+        // `smc serve` only serves; `smc loadgen` drives and measures it.
+        (&["serve", "--bench"], "--bench"),
         // No subcommand takes --cutover.
         (&["check", &f, "--cutover", "9"], "--cutover"),
         (&["separate", "sc", "tso", "--cutover", "9"], "--cutover"),
@@ -573,11 +634,4 @@ fn value_flags_without_a_value_are_rejected() {
         let stderr = smc_usage_error(args);
         assert!(stderr.contains("requires a value"), "{args:?}: {stderr}");
     }
-}
-
-#[test]
-fn serve_bench_defaults_to_64_events_per_session() {
-    let (ok, stdout, stderr) = smc(&["serve", "--bench", "--sessions", "4"]);
-    assert!(ok, "{stdout}\n{stderr}");
-    assert!(stdout.contains("4 session(s), 256 event(s)"), "{stdout}");
 }

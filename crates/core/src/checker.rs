@@ -64,11 +64,15 @@ pub struct CheckConfig {
     /// before spawning any workers, a bounded sequential probe runs under
     /// a budget of this many search nodes. If the probe decides, the
     /// check is over — litmus-sized instances never pay thread-spawn or
-    /// shared-pool setup, so `--jobs 4` is never slower than `--jobs 1`
-    /// beyond noise. Only when the probe exhausts its budget does the
+    /// shared-pool setup, and cost at `--jobs 4` what they cost at
+    /// `--jobs 1`. Only when the probe exhausts its budget does the
     /// check fan out, and the wasted work is bounded by this threshold
     /// (the Cilk rule: never parallelize below a measured work
-    /// threshold). `0` disables the probe and always fans out.
+    /// threshold). The default, 4096, sits below the crossover: PC
+    /// checks of 4k–16k nodes ran 0.78× as fast at two jobs as at one
+    /// (worst 0.51×), and only histories with many reads-from
+    /// assignments gained past ~12k nodes (README, "Parallel
+    /// checking"). `0` disables the probe and always fans out.
     pub parallel_cutover: u64,
     /// Which checking backend decides: the exhaustive enumerating
     /// search, the order-constraint saturation engine
@@ -126,7 +130,7 @@ impl std::fmt::Display for Engine {
 
 /// The `engine: Auto` size threshold: histories with more than this many
 /// operations route to the saturation engine when the model supports it,
-/// mirroring [`CheckConfig::parallel_cutover`]'s never-pessimize rule —
+/// mirroring [`CheckConfig::parallel_cutover`]'s probe —
 /// litmus-sized checks keep the exhaustive path (and its bit-identical
 /// verdicts/witnesses), big histories get the engine that can actually
 /// decide them. Corpus litmus tests top out around a dozen operations;

@@ -306,38 +306,45 @@ fn load_engine(r: &mut Reader<'_>, built_procs: usize) -> Result<Engine, String>
     }
 }
 
-/// The model names embedded in a checkpoint, without decoding the rest.
-/// Lets a server resolve the right model set before calling [`load`].
-pub fn peek_models(bytes: &[u8]) -> Result<Vec<String>, String> {
-    let mut r = Reader::new(bytes);
+/// The part of a checkpoint every reader needs first: the model names
+/// and parameter keys (each with its byte offset), the frontier cap and
+/// the window size (0 = unwindowed).
+struct Header {
+    models: Vec<(usize, String, u64)>,
+    max_states: usize,
+    window: usize,
+}
+
+/// Check the magic and read the [`Header`], leaving `r` at the trace.
+fn read_header(r: &mut Reader<'_>) -> Result<Header, String> {
     if r.take(MAGIC.len()).ok() != Some(&MAGIC[..]) {
         return Err("not a monitor checkpoint (bad magic at byte 0)".into());
     }
     let n = r.len_prefix(10)?;
-    let mut names = Vec::with_capacity(n);
+    let mut models = Vec::with_capacity(n);
     for _ in 0..n {
-        names.push(r.str()?);
-        r.u64()?;
+        models.push((r.pos(), r.str()?, r.u64()?));
     }
-    Ok(names)
+    Ok(Header {
+        models,
+        max_states: r.u64()? as usize,
+        window: r.u32()? as usize,
+    })
+}
+
+/// The model names embedded in a checkpoint, without decoding the rest.
+/// Lets a server resolve the right model set before calling [`load`].
+pub fn peek_models(bytes: &[u8]) -> Result<Vec<String>, String> {
+    let header = read_header(&mut Reader::new(bytes))?;
+    Ok(header.models.into_iter().map(|(_, name, _)| name).collect())
 }
 
 /// The frontier cap and window size (0 = unwindowed) a checkpoint was
 /// cut with, without loading it. A restore must resume under the same
 /// limits; a caller that did not pick its own can inherit these.
 pub fn peek_limits(bytes: &[u8]) -> Result<(usize, usize), String> {
-    let mut r = Reader::new(bytes);
-    if r.take(MAGIC.len()).ok() != Some(&MAGIC[..]) {
-        return Err("not a monitor checkpoint (bad magic at byte 0)".into());
-    }
-    let n = r.len_prefix(10)?;
-    for _ in 0..n {
-        r.str()?;
-        r.u64()?;
-    }
-    let max_states = r.u64()? as usize;
-    let window = r.u32()? as usize;
-    Ok((max_states, window))
+    let header = read_header(&mut Reader::new(bytes))?;
+    Ok((header.max_states, header.window))
 }
 
 /// Rebuild a [`Monitor`] from [`save`] bytes. `models` and `cfg` must
@@ -346,35 +353,32 @@ pub fn peek_limits(bytes: &[u8]) -> Result<(usize, usize), String> {
 /// mismatch is an error, not a silent reinterpretation.
 pub fn load(bytes: &[u8], models: Vec<ModelSpec>, cfg: MonitorConfig) -> Result<Monitor, String> {
     let mut r = Reader::new(bytes);
-    if r.take(MAGIC.len()).ok() != Some(&MAGIC[..]) {
-        return Err("not a monitor checkpoint (bad magic at byte 0)".into());
-    }
-    let n = r.len_prefix(10)?;
+    let Header {
+        models: saved,
+        max_states,
+        window: win,
+    } = read_header(&mut r)?;
+    let n = saved.len();
     if n != models.len() {
         return Err(format!(
             "checkpoint monitors {n} models, caller supplied {}",
             models.len()
         ));
     }
-    for (i, spec) in models.iter().enumerate() {
-        let at = r.pos();
-        let name = r.str()?;
-        let key = r.u64()?;
-        if name != spec.name || key != spec.param_key() {
+    for (i, (spec, (at, name, key))) in models.iter().zip(&saved).enumerate() {
+        if *name != spec.name || *key != spec.param_key() {
             return Err(format!(
                 "model {i} mismatch at byte {at}: checkpoint has {name:?}, caller supplied {:?}",
                 spec.name
             ));
         }
     }
-    let max_states = r.u64()? as usize;
     if max_states != cfg.max_frontier_states {
         return Err(format!(
             "checkpoint frontier cap {max_states} != configured {}",
             cfg.max_frontier_states
         ));
     }
-    let win = r.u32()? as usize;
     if win != cfg.window.unwrap_or(0) {
         return Err(format!(
             "checkpoint window size {win} != configured {}",

@@ -91,28 +91,20 @@ if [ "${1:-}" != "--no-test" ]; then
         fi
     }
 
-    # Verdict drift gate: the exhaustive small-history sweep must classify
-    # every history exactly as the checked-in golden file records. A diff
-    # here means a checker change altered admitted sets — intended changes
-    # must regenerate tests/golden/exhaustive_verdicts.txt.
-    echo "==> smc corpus --exhaustive (golden verdicts)"
+    # Verdict drift gate: the exhaustive small-history sweep, fanned
+    # across 4 workers, must classify every history exactly as the
+    # checked-in golden file records (perfbench check_universe's output
+    # check above diffs the one-job sweep against the same file). A diff
+    # means a checker change altered admitted sets — intended changes
+    # must regenerate tests/golden/exhaustive_verdicts.txt. The sweep
+    # never enters `check_parallel`; the verdict gate for a check's
+    # fanned-out layers is `schedulers_agree_across_job_counts` in
+    # tests/batch_equiv.rs.
+    echo "==> smc corpus --exhaustive --jobs 4 (golden verdicts)"
     sweep_json="$tmp/sweep.json"
-    sweep_j4="$tmp/sweep_j4.json"
-    cargo run -q --release --bin smc -- corpus --exhaustive --json "$sweep_json" >/dev/null
+    cargo run -q --release --bin smc -- corpus --exhaustive --jobs 4 --json "$sweep_json" >/dev/null
     if ! grep '"verdicts"' "$sweep_json" | diff -u tests/golden/exhaustive_verdicts.txt -; then
         echo "verdict drift against tests/golden/exhaustive_verdicts.txt" >&2
-        exit 1
-    fi
-
-    # Batch equivalence gate: fanning the exhaustive sweep's histories
-    # across 4 workers must classify it bit-identically to the sequential
-    # sweep — same golden file. The sweep never enters `check_parallel`;
-    # the verdict gate for a check's fanned-out layers is
-    # `schedulers_agree_across_job_counts` in tests/batch_equiv.rs.
-    echo "==> smc corpus --exhaustive --jobs 4 (j1 vs j4 equivalence)"
-    cargo run -q --release --bin smc -- corpus --exhaustive --jobs 4 --json "$sweep_j4" >/dev/null
-    if ! grep '"verdicts"' "$sweep_j4" | diff -u tests/golden/exhaustive_verdicts.txt -; then
-        echo "parallel (jobs=4) verdicts drifted from tests/golden/exhaustive_verdicts.txt" >&2
         exit 1
     fi
 
@@ -129,15 +121,28 @@ if [ "${1:-}" != "--no-test" ]; then
         exit 1
     fi
 
-    # Serve smoke gate: boot the real `smc serve` binary, drive it over
-    # loopback with `smc loadgen --verify`, and require every session's
-    # final verdict to match the offline monitor (the loadgen exits
-    # nonzero on any mismatch). --shutdown stops the server afterwards.
-    echo "==> smc serve + loadgen --verify (loopback smoke)"
+    # Serve gate: boot the real `smc serve` binary and drive it over
+    # loopback with `smc loadgen` at its defaults (1024 sessions x 64
+    # TSO events over 8 connections, a QUERY every 32). Every session's
+    # final verdict must match the offline monitor (the loadgen exits
+    # nonzero on any mismatch), and events/sec must stay within 1.5x of
+    # the committed BENCH_serve.json baseline; intended perf changes
+    # must regenerate it. The run's JSON stays in target/ for CI to
+    # upload.
+    echo "==> smc serve + loadgen --verify (events/sec >= baseline/1.5)"
+    serve_json=target/BENCH_serve.json
     start_server "$tmp/serve.log" "serve gate"
-    ./target/release/smc loadgen --addr "$serve_addr" --sessions 64 --events 16 \
-        --conns 4 --query-every 8 --seed 42 --verify --shutdown >/dev/null
+    ./target/release/smc loadgen --addr "$serve_addr" --verify --shutdown \
+        --json "$serve_json" >/dev/null
     wait "$serve_pid"
+    if ! grep -q '"verified":true' "$serve_json"; then
+        echo "serve gate: verdict mismatch against the offline monitor" >&2
+        exit 1
+    fi
+    eps_base=$(grep -o '"events_per_sec":[0-9]*' BENCH_serve.json | grep -o '[0-9]*$' || true)
+    eps_now=$(grep -o '"events_per_sec":[0-9]*' "$serve_json" | grep -o '[0-9]*$' || true)
+    at_most "serve baseline events/sec vs current" "$eps_base" "$eps_now" 15 10 \
+        "server ingest throughput regressed: check batching and the worker pool"
 
     # Session lifecycle smoke: a live session checkpointed over the wire
     # with SNAPSHOT must come back under a new id with RESUME carrying
@@ -168,23 +173,6 @@ if [ "${1:-}" != "--no-test" ]; then
         printf '%s\n' "$outside" >&2
         exit 1
     fi
-
-    # Serve bench drift gate: the default throughput bench (1024
-    # sessions over loopback) must stay within 1.5x of the committed
-    # BENCH_serve.json events/sec baseline, with every verdict verified
-    # against the offline monitor. Intended perf changes must
-    # regenerate BENCH_serve.json.
-    echo "==> bench drift gate (serve --bench events/sec >= baseline/1.5)"
-    serve_json="$tmp/serve.json"
-    ./target/release/smc serve --bench --json "$serve_json" >/dev/null
-    if ! grep -q '"verified":true' "$serve_json"; then
-        echo "serve bench gate: verdict mismatch against the offline monitor" >&2
-        exit 1
-    fi
-    eps_base=$(grep -o '"events_per_sec":[0-9]*' BENCH_serve.json | grep -o '[0-9]*$' || true)
-    eps_now=$(grep -o '"events_per_sec":[0-9]*' "$serve_json" | grep -o '[0-9]*$' || true)
-    at_most "serve baseline events/sec vs current" "$eps_base" "$eps_now" 15 10 \
-        "server ingest throughput regressed: check batching and the worker pool"
 
     # Bench drift gate for the parallel small-history pessimization: on a
     # litmus-sized check the adaptive cutover must keep `check_parallel`
