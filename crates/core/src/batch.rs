@@ -33,13 +33,14 @@
 //! the sequential checker's witness itself: each view is the same
 //! deterministic search.
 
-use crate::canon::canonicalize;
-use crate::checker::{check_with_jobs, check_with_stats, CheckConfig, CheckStats, Verdict};
+use crate::canon::{canonicalize, Canon};
+use crate::checker::{check_with_canon, check_with_jobs, CheckConfig, CheckStats, Plan, Verdict};
 use crate::spec::ModelSpec;
 use smc_history::History;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     match m.lock() {
@@ -65,6 +66,12 @@ pub struct BatchResult {
 /// under its own `cfg.node_budget`, so verdicts are identical to calling
 /// [`crate::checker::check_with_config`] on each pair in turn.
 ///
+/// A run of consecutive pairs on the same history (as [`check_matrix`]
+/// lists them) is one history's share of the batch: with a memo the
+/// history is canonicalized once for the run, and its checks share one
+/// check plan. Every pair's [`CheckStats::wall`] includes its history's
+/// canonicalization.
+///
 /// With a memo, the workers share it, and which pair of a renaming class
 /// pays for its search would be up to thread timing. So the first pair
 /// of each (canonical key, model) class in input order, the one a single
@@ -76,9 +83,30 @@ pub fn check_batch(
     cfg: &CheckConfig,
     jobs: usize,
 ) -> Vec<BatchResult> {
+    let mut run_of = Vec::with_capacity(pairs.len());
+    let mut runs: Vec<Run> = Vec::new();
+    for (i, &(h, _)) in pairs.iter().enumerate() {
+        match runs.last() {
+            Some(run) if std::ptr::eq(pairs[i - 1].0, h) => {
+                run.pending.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => runs.push(Run::new(h, cfg)),
+        }
+        run_of.push(runs.len() - 1);
+    }
     let check = |index: usize| {
-        let (h, m) = pairs[index];
-        let (verdict, stats) = check_with_stats(h, m, cfg);
+        let run = &runs[run_of[index]];
+        let plan = lock(&run.plan)
+            .clone()
+            .expect("a run keeps its plan until its last pair is checked");
+        let canon = run.canon.as_ref();
+        let (verdict, mut stats) =
+            check_with_canon(&plan, pairs[index].1, cfg, canon.map(|c| &c.0), 1);
+        stats.wall += canon.map_or(Duration::ZERO, |c| c.1);
+        drop(plan);
+        if run.pending.fetch_sub(1, Ordering::Relaxed) == 1 {
+            lock(&run.plan).take();
+        }
         BatchResult {
             index,
             verdict,
@@ -89,12 +117,43 @@ pub fn check_batch(
         return par_map(pairs.len(), jobs, check);
     }
     let mut seen = HashSet::new();
-    let (first, rest): (Vec<usize>, Vec<usize>) = (0..pairs.len())
-        .partition(|&i| seen.insert((canonicalize(pairs[i].0).key, pairs[i].1.param_key())));
+    let key = |i: usize| runs[run_of[i]].canon.as_ref().map(|c| c.0.key);
+    let (first, rest): (Vec<usize>, Vec<usize>) =
+        (0..pairs.len()).partition(|&i| seen.insert((key(i), pairs[i].1.param_key())));
     let mut results = par_map(first.len(), jobs, |k| check(first[k]));
     results.extend(par_map(rest.len(), jobs, |k| check(rest[k])));
     results.sort_unstable_by_key(|r| r.index);
     results
+}
+
+/// One history's run of consecutive pairs in a [`check_batch`].
+struct Run<'h> {
+    /// With a memo, the history's canonical form and the time computing
+    /// it took.
+    canon: Option<(Canon, Duration)>,
+    /// The check plan the run's pairs share, dropped with the last of
+    /// them so a long batch holds the plans of the histories in flight
+    /// only.
+    plan: Mutex<Option<Arc<Plan<'h>>>>,
+    /// Pairs of the run not yet checked. Each pair takes its copy of the
+    /// plan under `plan`'s lock before it counts itself off, so the
+    /// count publishes nothing and only picks the pair that drops it.
+    pending: AtomicUsize,
+}
+
+impl<'h> Run<'h> {
+    fn new(h: &'h History, cfg: &CheckConfig) -> Self {
+        let canon = cfg.memo.as_ref().map(|_| {
+            let start = Instant::now();
+            let canon = canonicalize(h);
+            (canon, start.elapsed())
+        });
+        Run {
+            canon,
+            plan: Mutex::new(Some(Arc::new(Plan::new(h, cfg)))),
+            pending: AtomicUsize::new(1),
+        }
+    }
 }
 
 /// Map `f` over `0..n` on up to `jobs` scoped worker threads that claim
@@ -132,7 +191,9 @@ pub(crate) fn par_map<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + S
 }
 
 /// Check every history against every model, history-major: the result for
-/// `(histories[i], models[j])` is at index `i * models.len() + j`.
+/// `(histories[i], models[j])` is at index `i * models.len() + j`. Each
+/// history is canonicalized (with a memo) and planned once for all its
+/// models ([`check_batch`]).
 pub fn check_matrix(
     histories: &[History],
     models: &[ModelSpec],

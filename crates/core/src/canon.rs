@@ -30,7 +30,9 @@
 //! (fewer cache hits), never conflate non-isomorphic histories.
 
 use crate::checker::Witness;
+use crate::kernel::with_scratch;
 use smc_history::{History, Label, Location, OpId, OpKind, Operation, ProcId};
+use std::cell::Cell;
 use std::ops::Range;
 
 /// Maximum candidate processor orders tried when resolving fingerprint
@@ -104,7 +106,9 @@ fn op_tag(kind: OpKind, label: Label) -> u64 {
 /// First-occurrence relabeling of locations and, per relabeled location,
 /// of non-initial values. [`Relabel::reset`] starts a new relabeling and
 /// keeps the tables' storage, so one instance serves every fingerprint and
-/// candidate encoding of a canonicalization.
+/// candidate encoding of a canonicalization, and [`Relabel::resize`]
+/// every history a thread canonicalizes.
+#[derive(Default)]
 struct Relabel {
     /// Original location → relabeled location.
     locs: Vec<Option<u32>>,
@@ -122,6 +126,18 @@ impl Relabel {
             vals: Vec::new(),
             used: 0,
         }
+    }
+
+    /// Start a relabeling of a history with `num_locs` locations.
+    fn resize(&mut self, num_locs: usize) {
+        self.reset();
+        self.locs.resize(num_locs, None);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Option<u32>>() * self.locs.capacity()
+            + std::mem::size_of::<Vec<i64>>() * self.vals.capacity()
+            + self.vals.iter().map(|v| 8 * v.capacity()).sum::<usize>()
     }
 
     fn reset(&mut self) {
@@ -208,30 +224,81 @@ fn next_candidate(order: &mut [usize], groups: &[Range<usize>]) -> bool {
         .any(|g| next_permutation(&mut order[g.clone()]))
 }
 
+/// The temporaries of one canonicalization. Each thread keeps one idle
+/// scratch in [`SCRATCH`] ([`crate::kernel::with_scratch`]), so a sweep
+/// canonicalizes history after history without reallocating them.
+#[derive(Default)]
+struct Scratch {
+    relabel: Relabel,
+    /// Every processor's fingerprint, back to back; processor `p`'s is
+    /// `fingerprints[bounds[p]..bounds[p + 1]]`.
+    fingerprints: Vec<u64>,
+    bounds: Vec<usize>,
+    /// The candidate processor order being encoded.
+    order: Vec<usize>,
+    groups: Vec<Range<usize>>,
+    best_order: Vec<usize>,
+    best: Vec<u64>,
+    candidate: Vec<u64>,
+}
+
+impl Scratch {
+    fn heap_bytes(&self) -> usize {
+        self.relabel.heap_bytes()
+            + 8 * (self.fingerprints.capacity()
+                + self.bounds.capacity()
+                + self.order.capacity()
+                + self.best_order.capacity()
+                + self.best.capacity()
+                + self.candidate.capacity())
+            + std::mem::size_of::<Range<usize>>() * self.groups.capacity()
+    }
+}
+
+thread_local! {
+    /// This thread's idle canonicalization scratch, if it has one.
+    static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
+}
+
 /// Compute the canonical form of `h`.
 pub fn canonicalize(h: &History) -> Canon {
+    with_scratch(&SCRATCH, Scratch::heap_bytes, |s| canonicalize_in(h, s))
+}
+
+fn canonicalize_in(h: &History, s: &mut Scratch) -> Canon {
     let n = h.num_procs();
-    let mut relabel = Relabel::new(h.num_locs());
+    let Scratch {
+        relabel,
+        fingerprints,
+        bounds,
+        order,
+        groups,
+        best_order,
+        best,
+        candidate,
+    } = s;
+    relabel.resize(h.num_locs());
 
     // 1. Fingerprint-sort the processors. A processor's fingerprint is
     //    its operation sequence with locations and values relabeled by
     //    first occurrence *within the processor*: invariant under any
     //    global renaming. The sort is stable, so the base order is
     //    deterministic; ties are resolved by encoding minimization below.
-    let mut fingerprints: Vec<u64> = Vec::with_capacity(3 * h.num_ops());
-    let mut bounds = Vec::with_capacity(n + 1);
+    fingerprints.clear();
+    bounds.clear();
     bounds.push(0);
     for p in 0..n {
         relabel.reset();
-        relabel.encode_proc(h, p, &mut fingerprints);
+        relabel.encode_proc(h, p, fingerprints);
         bounds.push(fingerprints.len());
     }
     let fingerprint = |p: usize| &fingerprints[bounds[p]..bounds[p + 1]];
-    let mut order: Vec<usize> = (0..n).collect();
+    order.clear();
+    order.extend(0..n);
     order.sort_by(|&a, &b| fingerprint(a).cmp(fingerprint(b)));
 
     // 2. Tie groups: maximal runs of equal fingerprints in the base order.
-    let mut groups: Vec<Range<usize>> = Vec::new();
+    groups.clear();
     let mut start = 0;
     for i in 1..=n {
         if i == n || fingerprint(order[i]) != fingerprint(order[start]) {
@@ -245,9 +312,8 @@ pub fn canonicalize(h: &History) -> Canon {
     // 3. Lexicographically least encoding over the candidate orders: the
     //    base order, then (if the groups' permutations number at most
     //    TIE_CAP) every other one. The first least encoding wins.
-    let mut best_order = order.clone();
-    let mut best = Vec::with_capacity(3 * h.num_ops() + n + 1);
-    encode_order(h, &order, &mut relabel, &mut best);
+    best_order.clone_from(order);
+    encode_order(h, order, relabel, best);
     let within_cap = groups
         .iter()
         .flat_map(|g| 2..=g.len())
@@ -256,12 +322,11 @@ pub fn canonicalize(h: &History) -> Canon {
         })
         .is_some();
     if within_cap {
-        let mut candidate = Vec::with_capacity(best.len());
-        while next_candidate(&mut order, &groups) {
-            encode_order(h, &order, &mut relabel, &mut candidate);
+        while next_candidate(order, groups) {
+            encode_order(h, order, relabel, candidate);
             if candidate < best {
-                std::mem::swap(&mut best, &mut candidate);
-                best_order.copy_from_slice(&order);
+                std::mem::swap(best, candidate);
+                best_order.copy_from_slice(order);
             }
         }
     }
@@ -285,7 +350,7 @@ pub fn canonicalize(h: &History) -> Canon {
     }
 
     Canon {
-        key: HistoryKey(fnv128(&best)),
+        key: HistoryKey(fnv128(best)),
         op_to_canon,
         op_from_canon,
         proc_to_canon,

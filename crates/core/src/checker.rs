@@ -19,6 +19,13 @@
 //! search. Every enumeration charges a [`crate::budget::Budget`], so the
 //! whole check runs under one node limit.
 //!
+//! The model-independent setup of a check — the base orders, the
+//! reads-from assignments, the view operation sets — is a history's
+//! [`Plan`], built once per history and shared by every model checked
+//! on it, and every view search runs on per-thread scratch buffers
+//! ([`crate::view`]), so a memo miss in a sweep pays for its search, not
+//! for rebuilding its inputs.
+//!
 //! The same layers serve every job count. With more than one job
 //! ([`crate::batch::check_parallel`]), one layer runs its alternatives
 //! side by side on a shared pool: the reads-from assignments, TSO's
@@ -33,15 +40,16 @@ use crate::constraints::{
 };
 use crate::memo::MemoCache;
 use crate::rf::{enumerate_reads_from, ReadsFrom};
-use crate::spec::{LabeledModel, ModelSpec, OperationSet};
+use crate::spec::{LabeledModel, ModelSpec, OperationSet, OwnerOrder};
 use crate::view::{
     find_legal_extension, for_each_legal_extension, LegalityMode, SearchEnd, SearchOutcome,
     ViewProblem,
 };
 use smc_history::{History, OpId, ProcId};
-use smc_relation::BitSet;
+use smc_relation::{BitSet, Relation};
+use std::borrow::Cow;
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Resource limits for a check.
@@ -369,25 +377,104 @@ pub(crate) fn check_with_jobs(
 ) -> (Verdict, CheckStats) {
     let start = Instant::now();
     let canon = cfg.memo.as_ref().map(|_| canonicalize(h));
-    let (verdict, mut stats) = check_with_canon(h, spec, cfg, canon.as_ref(), jobs);
+    let plan = Plan::new(h, cfg);
+    let (verdict, mut stats) = check_with_canon(&plan, spec, cfg, canon.as_ref(), jobs);
     // The check's wall time includes canonicalizing for the memo.
     stats.wall = start.elapsed();
     (verdict, stats)
 }
 
+/// The model-independent setup of an exhaustive check of one history,
+/// each piece built on first use and then shared by every model checked
+/// against the history: the base orders, the reads-from assignments
+/// (under `cfg.max_rf`), the view operation sets, and the writes TSO's
+/// store orders range over. A sweep makes one plan per history, so its
+/// memo misses build each piece at most once between them, and a
+/// history whose every check hits the memo builds none. The pieces sit
+/// in `OnceLock`s, so a fanned-out check shares the plan across its
+/// workers.
+pub(crate) struct Plan<'h> {
+    h: &'h History,
+    max_rf: usize,
+    base: OnceLock<BaseOrders>,
+    reads_from: OnceLock<(Vec<ReadsFrom>, bool)>,
+    all_ops: OnceLock<BitSet>,
+    /// `view_op_sets` for [`OperationSet::AllOps`] and
+    /// [`OperationSet::WritesOnly`].
+    op_sets: [OnceLock<Vec<BitSet>>; 2],
+    writes: OnceLock<BitSet>,
+}
+
+impl<'h> Plan<'h> {
+    /// An empty plan for checks of `h` under `cfg`; making it costs
+    /// nothing until a check needs a piece.
+    pub(crate) fn new(h: &'h History, cfg: &CheckConfig) -> Self {
+        Plan {
+            h,
+            max_rf: cfg.max_rf,
+            base: OnceLock::new(),
+            reads_from: OnceLock::new(),
+            all_ops: OnceLock::new(),
+            op_sets: [OnceLock::new(), OnceLock::new()],
+            writes: OnceLock::new(),
+        }
+    }
+
+    fn base(&self) -> &BaseOrders {
+        self.base.get_or_init(|| BaseOrders::new(self.h))
+    }
+
+    /// The reads-from assignments, and whether `max_rf` cut them short.
+    fn reads_from(&self) -> (&[ReadsFrom], bool) {
+        let (rfs, truncated) = self
+            .reads_from
+            .get_or_init(|| enumerate_reads_from(self.h, self.max_rf));
+        (rfs, *truncated)
+    }
+
+    /// Every operation: SC's one view.
+    fn all_ops(&self) -> &BitSet {
+        self.all_ops.get_or_init(|| BitSet::full(self.h.num_ops()))
+    }
+
+    fn op_sets(&self, delta: OperationSet) -> &[BitSet] {
+        let slot = match delta {
+            OperationSet::AllOps => 0,
+            OperationSet::WritesOnly => 1,
+        };
+        self.op_sets[slot].get_or_init(|| view_op_sets(self.h, delta))
+    }
+
+    fn writes(&self) -> &BitSet {
+        self.writes.get_or_init(|| {
+            BitSet::from_iter(
+                self.h.num_ops(),
+                self.h
+                    .ops()
+                    .iter()
+                    .filter(|o| o.is_write())
+                    .map(|o| o.id.index()),
+            )
+        })
+    }
+}
+
 /// The one place a check starts: memo recall, the engine, memo record.
-/// `canon` is `h`'s canonical form, given exactly when `cfg.memo` is set
-/// (the lattice sweep canonicalizes a history once for all its models).
+/// `plan` is the history's [`Plan`], and `canon` its canonical form,
+/// given exactly when `cfg.memo` is set (the lattice sweep
+/// canonicalizes a history and makes its plan once for all its models).
 /// Each engine runs under `cfg.node_budget` nodes; with more than one
 /// job the exhaustive engine may fan its layers out ([`exhaustive`]).
 pub(crate) fn check_with_canon(
-    h: &History,
+    plan: &Plan<'_>,
     spec: &ModelSpec,
     cfg: &CheckConfig,
     canon: Option<&Canon>,
     jobs: usize,
 ) -> (Verdict, CheckStats) {
     debug_assert_eq!(cfg.memo.is_some(), canon.is_some());
+    debug_assert_eq!(plan.max_rf, cfg.max_rf);
+    let h = plan.h;
     let start = Instant::now();
     // Memoized path: a hit costs one table lookup and a witness
     // translation, no search nodes.
@@ -415,7 +502,7 @@ pub(crate) fn check_with_canon(
             stats.nodes_spent = budget.spent();
             verdict
         }
-        Engine::Exhaustive => exhaustive(h, spec, cfg, jobs, &mut stats),
+        Engine::Exhaustive => exhaustive(plan, spec, cfg, jobs, &mut stats),
     };
     stats.wall = start.elapsed();
     if !matches!(verdict, Verdict::Exhausted) {
@@ -447,7 +534,7 @@ fn fans_out(spec: &ModelSpec) -> bool {
 /// run again, fanned out on one pool of `cfg.node_budget` nodes, and
 /// the probe's nodes count too.
 fn exhaustive(
-    h: &History,
+    plan: &Plan<'_>,
     spec: &ModelSpec,
     cfg: &CheckConfig,
     jobs: usize,
@@ -455,7 +542,7 @@ fn exhaustive(
 ) -> Verdict {
     let sequential = |limit: u64, stats: &mut CheckStats| {
         let budget = Budget::local(limit);
-        let verdict = run_check(h, spec, cfg, &budget, stats, 1);
+        let verdict = run_check(plan, spec, &budget, stats, 1);
         stats.nodes_spent = budget.spent();
         verdict
     };
@@ -480,7 +567,7 @@ fn exhaustive(
         probe_nodes,
         ..CheckStats::default()
     };
-    let verdict = run_check(h, spec, cfg, &seed, stats, jobs);
+    let verdict = run_check(plan, spec, &seed, stats, jobs);
     seed.release();
     stats.nodes_spent = probe_nodes + cfg.node_budget - pool.remaining();
     verdict
@@ -490,9 +577,8 @@ fn exhaustive(
 /// orders mention them. With exactly one assignment the layers under it
 /// may fan out instead.
 fn run_check(
-    h: &History,
+    plan: &Plan<'_>,
     spec: &ModelSpec,
-    cfg: &CheckConfig,
     budget: &Budget,
     stats: &mut CheckStats,
     jobs: usize,
@@ -500,15 +586,14 @@ fn run_check(
     if let Err(e) = spec.validate() {
         return Verdict::Unsupported(e);
     }
-    let base = BaseOrders::new(h);
     let step = if spec.needs_reads_from() {
         // No assignment at all means no read is explainable, so no legal
         // views exist — unless the enumeration was cut short.
-        let (rfs, truncated) = enumerate_reads_from(h, cfg.max_rf);
+        let (rfs, truncated) = plan.reads_from();
         stats.rf_truncated = truncated;
         let (outer, inner) = if rfs.len() == 1 { (1, jobs) } else { (jobs, 1) };
         let runs = run_alternatives(rfs.len(), outer, budget, |i, budget| {
-            check_with_rf(h, spec, &base, Some(&rfs[i]), budget, inner)
+            check_with_rf(plan, spec, Some(&rfs[i]), budget, inner)
         });
         stats.rf_assignments_tried += runs.iter().flatten().count();
         match first_explanation(runs, Stage::ReadsFrom) {
@@ -518,7 +603,7 @@ fn run_check(
             step => step,
         }
     } else {
-        check_with_rf(h, spec, &base, None, budget, jobs)
+        check_with_rf(plan, spec, None, budget, jobs)
     };
     match step {
         Step::Allowed(w) => Verdict::Allowed(w),
@@ -673,13 +758,13 @@ pub fn view_op_sets(h: &History, delta: OperationSet) -> Vec<BitSet> {
 /// that may fan out, the store orders or the views of a model with no
 /// shared order; the layers under it run in order.
 fn check_with_rf(
-    h: &History,
+    plan: &Plan<'_>,
     spec: &ModelSpec,
-    base: &BaseOrders,
     rf: Option<&ReadsFrom>,
     budget: &Budget,
     jobs: usize,
 ) -> Step {
+    let (h, base) = (plan.h, plan.base());
     let legality = match rf {
         Some(rf) => LegalityMode::ByReadsFrom(rf),
         None => LegalityMode::ByValue,
@@ -724,7 +809,7 @@ fn check_with_rf(
         };
         let problem = ViewProblem {
             history: h,
-            ops: BitSet::full(h.num_ops()),
+            ops: plan.all_ops(),
             constraints: &g,
             legality,
         };
@@ -745,27 +830,20 @@ fn check_with_rf(
     // listed. More collect up to `STORE_ORDER_CAP` orders and fan them
     // out; past the cap, the rest are checked as they are listed.
     if spec.global_write_order {
-        let writes = BitSet::from_iter(
-            h.num_ops(),
-            h.ops()
-                .iter()
-                .filter(|o| o.is_write())
-                .map(|o| o.id.index()),
-        );
         let check_stores = |stores: &[Vec<OpId>]| {
             let runs = run_alternatives(stores.len(), jobs, budget, |i, budget| {
                 let cand = Candidates {
                     store_order: Some(&stores[i]),
                     ..Default::default()
                 };
-                with_candidates(h, spec, base, rf, legality, &cand, None, budget, 1)
+                with_candidates(plan, spec, rf, legality, &cand, None, budget, 1)
             });
             first_explanation(runs, Stage::ViewSearch)
         };
         let mut batch = if jobs > 1 { STORE_ORDER_CAP } else { 1 };
         let mut stores = Vec::new();
         let mut result = Step::Disallowed;
-        let _ = smc_relation::linext::for_each_linear_extension(&base.ppo, &writes, |ext| {
+        let _ = smc_relation::linext::for_each_linear_extension(&base.ppo, plan.writes(), |ext| {
             if !budget.try_spend() {
                 result = Step::Exhausted(Stage::StoreOrders);
                 return ControlFlow::Break(());
@@ -804,16 +882,7 @@ fn check_with_rf(
                 result = Step::Exhausted(Stage::CoherenceOrders);
                 return ControlFlow::Break(());
             }
-            match with_coherence(
-                h,
-                spec,
-                base,
-                rf,
-                legality,
-                coh,
-                labeled_ctx.as_ref(),
-                budget,
-            ) {
+            match with_coherence(plan, spec, rf, legality, coh, labeled_ctx.as_ref(), budget) {
                 Step::Disallowed => ControlFlow::Continue(()),
                 done => {
                     result = done;
@@ -831,27 +900,27 @@ fn check_with_rf(
 
     // Labeled agreement without coherence (hybrid consistency).
     if spec.labeled == Some(LabeledModel::AgreementOnly) {
-        return with_labeled_agreement(h, spec, base, rf, legality, None, budget);
+        return with_labeled_agreement(plan, spec, rf, legality, None, budget);
     }
 
     // No shared orders at all (PRAM, causal): straight to the views,
     // which may fan out.
     let cand = Candidates::default();
-    with_candidates(h, spec, base, rf, legality, &cand, None, budget, jobs)
+    with_candidates(plan, spec, rf, legality, &cand, None, budget, jobs)
 }
 
 /// Enumerate the common (agreement-only) orders of the labeled
 /// operations: linear extensions of program order restricted to labeled
 /// operations, optionally also respecting a fixed coherence order.
 fn with_labeled_agreement(
-    h: &History,
+    plan: &Plan<'_>,
     spec: &ModelSpec,
-    base: &BaseOrders,
     rf: Option<&ReadsFrom>,
     legality: LegalityMode<'_>,
     coh: Option<&CoherenceOrders>,
     budget: &Budget,
 ) -> Step {
+    let (h, base) = (plan.h, plan.base());
     let labeled = BitSet::from_iter(h.num_ops(), h.labeled_ops().map(|o| o.id.index()));
     let mut cons = base.po.clone();
     if let Some(coh) = coh {
@@ -869,7 +938,7 @@ fn with_labeled_agreement(
             labeled_order: Some(&t),
             ..Default::default()
         };
-        match with_candidates(h, spec, base, rf, legality, &cand, None, budget, 1) {
+        match with_candidates(plan, spec, rf, legality, &cand, None, budget, 1) {
             Step::Disallowed => ControlFlow::Continue(()),
             done => {
                 result = match done {
@@ -892,11 +961,9 @@ fn with_labeled_agreement(
 
 /// With a coherence order fixed, handle the optional labeled layer and
 /// descend to the per-view searches.
-#[allow(clippy::too_many_arguments)]
 fn with_coherence(
-    h: &History,
+    plan: &Plan<'_>,
     spec: &ModelSpec,
-    base: &BaseOrders,
     rf: Option<&ReadsFrom>,
     legality: LegalityMode<'_>,
     coh: &CoherenceOrders,
@@ -905,7 +972,7 @@ fn with_coherence(
 ) -> Step {
     match spec.labeled {
         Some(LabeledModel::AgreementOnly) => {
-            with_labeled_agreement(h, spec, base, rf, legality, Some(coh), budget)
+            with_labeled_agreement(plan, spec, rf, legality, Some(coh), budget)
         }
         Some(LabeledModel::SequentiallyConsistent) => {
             let Some(ctx) = labeled_ctx else {
@@ -921,7 +988,7 @@ fn with_coherence(
             cons.union_with(&ctx.project_coherence(coh).as_relation(sub.num_ops()));
             let problem = ViewProblem {
                 history: sub,
-                ops: BitSet::full(sub.num_ops()),
+                ops: &BitSet::full(sub.num_ops()),
                 constraints: &cons,
                 legality: LegalityMode::ByReadsFrom(&ctx.rf_sub),
             };
@@ -933,7 +1000,7 @@ fn with_coherence(
                     labeled_order: Some(&t),
                     ..Default::default()
                 };
-                match with_candidates(h, spec, base, rf, legality, &cand, Some(ctx), budget, 1) {
+                match with_candidates(plan, spec, rf, legality, &cand, Some(ctx), budget, 1) {
                     Step::Disallowed => ControlFlow::Continue(()),
                     done => ControlFlow::Break((done, t)),
                 }
@@ -959,7 +1026,7 @@ fn with_coherence(
                 ..Default::default()
             };
             attach_coherence(
-                with_candidates(h, spec, base, rf, legality, &cand, labeled_ctx, budget, 1),
+                with_candidates(plan, spec, rf, legality, &cand, labeled_ctx, budget, 1),
                 coh,
             )
         }
@@ -976,21 +1043,21 @@ fn attach_coherence(step: Step, coh: &CoherenceOrders) -> Step {
     }
 }
 
-/// Build the constraint relation for processor `p`'s view under the
-/// current candidates: the global relation plus any owner-order edges.
-fn proc_constraints(
-    h: &History,
+/// The constraint relation for processor `p`'s view under the current
+/// candidates: the global relation itself, or a copy plus the owner-only
+/// edges for a model that has them.
+fn proc_constraints<'g>(
+    plan: &Plan<'_>,
     spec: &ModelSpec,
-    base: &BaseOrders,
-    g: &smc_relation::Relation,
+    g: &'g Relation,
     p: usize,
-) -> smc_relation::Relation {
-    if matches!(spec.owner_order, crate::spec::OwnerOrder::None) {
-        g.clone()
+) -> Cow<'g, Relation> {
+    if matches!(spec.owner_order, OwnerOrder::None) {
+        Cow::Borrowed(g)
     } else {
         let mut gp = g.clone();
-        gp.union_with(&owner_edges(h, spec, base, p));
-        gp
+        gp.union_with(&owner_edges(plan.h, spec, plan.base(), p));
+        Cow::Owned(gp)
     }
 }
 
@@ -998,9 +1065,8 @@ fn proc_constraints(
 /// and search each processor's view independently, on `jobs` workers.
 #[allow(clippy::too_many_arguments)]
 fn with_candidates(
-    h: &History,
+    plan: &Plan<'_>,
     spec: &ModelSpec,
-    base: &BaseOrders,
     rf: Option<&ReadsFrom>,
     legality: LegalityMode<'_>,
     cand: &Candidates<'_>,
@@ -1008,7 +1074,8 @@ fn with_candidates(
     budget: &Budget,
     jobs: usize,
 ) -> Step {
-    let g = match assemble_global(h, spec, base, rf, cand, labeled_ctx) {
+    let h = plan.h;
+    let g = match assemble_global(h, spec, plan.base(), rf, cand, labeled_ctx) {
         Ok(g) => g,
         Err(e) => return Step::Unsupported(e),
     };
@@ -1016,12 +1083,12 @@ fn with_candidates(
     if !g.is_acyclic() {
         return Step::Disallowed;
     }
-    let op_sets = view_op_sets(h, spec.delta);
+    let op_sets = plan.op_sets(spec.delta);
     let runs = run_alternatives(h.num_procs(), jobs, budget, |p, budget| {
-        let constraints = proc_constraints(h, spec, base, &g, p);
+        let constraints = proc_constraints(plan, spec, &g, p);
         let problem = ViewProblem {
             history: h,
-            ops: op_sets[p].clone(),
+            ops: &op_sets[p],
             constraints: &constraints,
             legality,
         };

@@ -563,7 +563,7 @@ mod tests {
         let po = program_order(h);
         let p = ViewProblem {
             history: h,
-            ops: BitSet::full(h.num_ops()),
+            ops: &BitSet::full(h.num_ops()),
             constraints: &po,
             legality: LegalityMode::ByValue,
         };

@@ -23,14 +23,65 @@
 //!   index does, so side tables keyed by id, and tables saved and
 //!   rebuilt row by row (frontier checkpoints), see the same ids;
 //! * the packing helpers ([`pack_state`], [`get_u32`], [`set_u32`]) and
-//!   hashes ([`state_hash`], [`hash_words`]) shared by the tables.
+//!   hashes ([`state_hash`], [`hash_words`]) shared by the tables;
+//! * [`with_scratch`] — the per-thread scratch buffers the view search
+//!   and canonicalization reuse from job to job, capped at
+//!   [`RETAIN_BYTES`] per idle scratch.
 
 use crate::view::{LegalityMode, ViewProblem};
 use smc_history::{OpId, Value};
 use smc_relation::BitSet;
+use std::cell::Cell;
+use std::thread::LocalKey;
+
+/// Most heap bytes a thread keeps in one idle scratch: a search or
+/// canonicalization that grew its buffers past this (a big recheck)
+/// drops them when it ends, so a long-lived worker holds no more than
+/// this after its largest job.
+pub(crate) const RETAIN_BYTES: usize = 64 * 1024;
+
+/// Run `f` on the scratch parked in this thread's `slot`, or on a fresh
+/// one if the slot is empty, and park it again afterwards unless it
+/// holds more than [`RETAIN_BYTES`] of heap (as `heap_bytes` counts it).
+/// The slot is empty while `f` runs, so a job nested in `f` (a view
+/// search run from a visitor) gets a scratch of its own.
+pub(crate) fn with_scratch<S: Default, T>(
+    slot: &'static LocalKey<Cell<Option<S>>>,
+    heap_bytes: impl FnOnce(&S) -> usize,
+    f: impl FnOnce(&mut S) -> T,
+) -> T {
+    let mut scratch = slot.try_with(Cell::take).ok().flatten().unwrap_or_default();
+    let out = f(&mut scratch);
+    if heap_bytes(&scratch) <= RETAIN_BYTES {
+        let _ = slot.try_with(|slot| slot.set(Some(scratch)));
+    }
+    out
+}
 
 /// Sentinel for "no write to this location has been scheduled yet".
 pub(crate) const NO_WRITE: u32 = u32::MAX;
+
+/// The buffers a [`Ctx`] is built in. A search scratch keeps one and
+/// refills it for every view problem, so building a context allocates
+/// only when a problem outgrows every earlier one.
+#[derive(Default)]
+pub(crate) struct CtxBufs {
+    elems: Vec<usize>,
+    /// Local index per global op, `usize::MAX` outside the view.
+    local_of: Vec<usize>,
+    preds: Vec<u64>,
+    reads: Vec<usize>,
+}
+
+impl CtxBufs {
+    /// Bytes of heap the buffers hold.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        8 * (self.elems.capacity()
+            + self.local_of.capacity()
+            + self.preds.capacity()
+            + self.reads.capacity())
+    }
+}
 
 /// Preprocessed per-view scheduling context: local indexing, predecessor
 /// masks copied out of the constraint relation, and read/location
@@ -38,41 +89,55 @@ pub(crate) const NO_WRITE: u32 = u32::MAX;
 /// copied into the predecessor masks.
 pub(crate) struct Ctx<'a> {
     /// Global op index per local index, ascending.
-    pub(crate) elems: Vec<usize>,
+    pub(crate) elems: &'a [usize],
     h: &'a smc_history::History,
-    /// Local predecessor masks.
-    preds: Vec<BitSet>,
+    /// Local predecessor masks, `stride` words per local op, flat.
+    preds: &'a [u64],
+    /// Words per predecessor mask: the word count of a bit set over the
+    /// local ops.
+    stride: usize,
     legality: LegalityMode<'a>,
     /// Local indices of reads, for dead-state scans.
-    reads: Vec<usize>,
+    reads: &'a [usize],
     pub(crate) num_locs: usize,
 }
 
 impl<'a> Ctx<'a> {
-    pub(crate) fn new(p: &ViewProblem<'a>) -> Self {
+    /// The context of problem `p`, built in `bufs`.
+    pub(crate) fn new(p: &ViewProblem<'a>, bufs: &'a mut CtxBufs) -> Self {
         let history = p.history;
-        let elems: Vec<usize> = p.ops.iter().collect();
+        let CtxBufs {
+            elems,
+            local_of,
+            preds,
+            reads,
+        } = bufs;
+        elems.clear();
+        elems.extend(p.ops.iter());
         let m = elems.len();
-        let mut local_of = vec![usize::MAX; history.num_ops()];
+        local_of.clear();
+        local_of.resize(history.num_ops(), usize::MAX);
         for (i, &e) in elems.iter().enumerate() {
             local_of[e] = i;
         }
-        let mut preds: Vec<BitSet> = (0..m).map(|_| BitSet::new(m)).collect();
+        let stride = m.div_ceil(64);
+        preds.clear();
+        preds.resize(m * stride, 0);
         for (i, &e) in elems.iter().enumerate() {
             for s in p.constraints.successors(e).iter() {
                 let j = local_of[s];
                 if j != usize::MAX && j != i {
-                    preds[j].insert(i);
+                    preds[j * stride + i / 64] |= 1 << (i % 64);
                 }
             }
         }
-        let reads = (0..m)
-            .filter(|&i| history.ops()[elems[i]].is_read())
-            .collect();
+        reads.clear();
+        reads.extend((0..m).filter(|&i| history.ops()[elems[i]].is_read()));
         Ctx {
             elems,
             h: history,
             preds,
+            stride,
             legality: p.legality,
             reads,
             num_locs: history.num_locs(),
@@ -97,10 +162,15 @@ impl<'a> Ctx<'a> {
         from: usize,
     ) -> Option<usize> {
         (from..self.elems.len()).find(|&i| {
-            !placed.contains(i)
-                && self.preds[i].is_subset(placed)
-                && self.schedulable(i, last_write)
+            !placed.contains(i) && self.preds_placed(i, placed) && self.schedulable(i, last_write)
         })
+    }
+
+    /// Whether every predecessor of `local` is scheduled.
+    #[inline]
+    fn preds_placed(&self, local: usize, placed: &BitSet) -> bool {
+        let mask = &self.preds[local * self.stride..(local + 1) * self.stride];
+        mask.iter().zip(placed.words()).all(|(p, s)| p & !s == 0)
     }
 
     /// Schedule `local` in place. Returns the displaced last-write slot
@@ -157,7 +227,7 @@ impl<'a> Ctx<'a> {
 
     /// `true` if some unscheduled read can never become schedulable.
     pub(crate) fn dead(&self, placed: &BitSet, last_write: &[u32]) -> bool {
-        for &r in &self.reads {
+        for &r in self.reads {
             if placed.contains(r) {
                 continue;
             }
@@ -221,7 +291,7 @@ impl<'a> Ctx<'a> {
     /// Packed-row width (in `u64` words) of one `(scheduled set, last
     /// writes)` state of this context, as produced by [`pack_state`].
     pub(crate) fn packed_stride(&self) -> usize {
-        BitSet::new(self.elems.len()).words().len() + self.num_locs.div_ceil(2)
+        self.stride + self.num_locs.div_ceil(2)
     }
 }
 
@@ -361,6 +431,20 @@ impl StateSpace {
         self.stride
     }
 
+    /// Empty the table and make its rows `stride` words wide, keeping
+    /// its storage for the rows and the index's first slots.
+    pub(crate) fn reset(&mut self, stride: usize) {
+        self.stride = stride;
+        self.words.clear();
+        self.slots.clear();
+        self.len = 0;
+    }
+
+    /// Bytes of heap the table holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        8 * self.words.capacity() + std::mem::size_of::<(u64, u32)>() * self.slots.capacity()
+    }
+
     /// Number of distinct states stored.
     pub fn len(&self) -> usize {
         self.len
@@ -446,7 +530,13 @@ impl StateSpace {
     /// Double the index (or allocate its first slots) and re-place every
     /// `(hash, id)`; rows and ids stay where they are.
     fn grow(&mut self) {
-        let n = (self.slots.len() * 2).max(MIN_SLOTS);
+        if self.slots.is_empty() {
+            // An empty table has nothing to re-place; a reset one reuses
+            // the storage its index kept.
+            self.slots.resize(MIN_SLOTS, (0, 0));
+            return;
+        }
+        let n = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, vec![(0, 0); n]);
         for (hash, id) in old {
             if hash != 0 {

@@ -23,7 +23,7 @@
 
 use crate::batch::par_map;
 use crate::canon::canonicalize;
-use crate::checker::{check_with_canon, check_with_config, CheckConfig};
+use crate::checker::{check_with_canon, check_with_config, CheckConfig, Plan};
 use crate::spec::ModelSpec;
 use smc_history::History;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,32 +145,46 @@ fn closed_inclusions() -> &'static (Vec<&'static str>, Vec<Vec<bool>>) {
 /// uses this to rule out witness directions that known inclusions make
 /// impossible.
 pub fn inclusion_closure(models: &[ModelSpec]) -> Vec<Vec<bool>> {
-    let (names, closed) = closed_inclusions();
-    let slots: Vec<Option<usize>> = models
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let repeated = models[..i]
-                .iter()
-                .any(|e| e.name.eq_ignore_ascii_case(&m.name));
-            if repeated {
-                return None;
-            }
-            names.iter().position(|n| n.eq_ignore_ascii_case(&m.name))
-        })
-        .collect();
-    slots
-        .iter()
-        .map(|a| {
-            slots
-                .iter()
-                .map(|b| match (a, b) {
-                    (Some(a), Some(b)) => closed[*a][*b],
-                    _ => false,
-                })
-                .collect()
-        })
+    let stronger = Stronger::new(models);
+    (0..models.len())
+        .map(|i| (0..models.len()).map(|j| stronger.get(i, j)).collect())
         .collect()
+}
+
+/// [`inclusion_closure`] without the table: each model's slot in the
+/// per-process closure, looked up pair by pair.
+struct Stronger {
+    /// `slots[i]` = `models[i]`'s index among the closure's names, `None`
+    /// for a name the edge list never mentions or a repeated name.
+    slots: Vec<Option<usize>>,
+}
+
+impl Stronger {
+    fn new(models: &[ModelSpec]) -> Self {
+        let names = &closed_inclusions().0;
+        let slots = models
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let repeated = models[..i]
+                    .iter()
+                    .any(|e| e.name.eq_ignore_ascii_case(&m.name));
+                if repeated {
+                    return None;
+                }
+                names.iter().position(|n| n.eq_ignore_ascii_case(&m.name))
+            })
+            .collect();
+        Stronger { slots }
+    }
+
+    /// `inclusion_closure(models)[i][j]`.
+    fn get(&self, i: usize, j: usize) -> bool {
+        match (self.slots[i], self.slots[j]) {
+            (Some(a), Some(b)) => closed_inclusions().1[a][b],
+            _ => false,
+        }
+    }
 }
 
 /// The verdict for model `j` that already-decided verdicts force along
@@ -181,9 +195,18 @@ pub fn inclusion_closure(models: &[ModelSpec]) -> Vec<Vec<bool>> {
 /// no two can disagree, but a monitor verdict computed on a window may
 /// commit to one interpretation.
 pub fn forced_verdict(stronger: &[Vec<bool>], verdicts: &[Option<bool>], j: usize) -> Option<bool> {
+    forced_by(|i, j| stronger[i][j], verdicts, j)
+}
+
+/// [`forced_verdict`] with the closure as a function.
+fn forced_by(
+    stronger: impl Fn(usize, usize) -> bool,
+    verdicts: &[Option<bool>],
+    j: usize,
+) -> Option<bool> {
     verdicts.iter().enumerate().find_map(|(i, v)| match *v {
-        Some(true) if stronger[i][j] => Some(true),
-        Some(false) if stronger[j][i] => Some(false),
+        Some(true) if stronger(i, j) => Some(true),
+        Some(false) if stronger(j, i) => Some(false),
         _ => None,
     })
 }
@@ -204,30 +227,31 @@ pub struct PropagationStats {
 /// the stronger — so whole rows of the sweep are skipped. Undecided
 /// verdicts (`None`) never propagate. Histories fan out across `jobs`
 /// worker threads; each check runs under the caller's `cfg` exactly as in
-/// [`classify`], except that with a memo each history is canonicalized
-/// once for all its models.
+/// [`classify`], except that each history's check plan is made, and with
+/// a memo the history canonicalized, once for all its models.
 pub fn classify_all_propagating(
     corpus: &[History],
     models: &[ModelSpec],
     cfg: &CheckConfig,
     jobs: usize,
 ) -> (Vec<Classification>, PropagationStats) {
-    let stronger = inclusion_closure(models);
+    let stronger = Stronger::new(models);
     let n = models.len();
     let checked = AtomicU64::new(0);
     let propagated = AtomicU64::new(0);
     let classify_one = |h: &History| -> Classification {
         let canon = cfg.memo.as_ref().map(|_| canonicalize(h));
+        let plan = Plan::new(h, cfg);
         let mut allowed: Vec<Option<bool>> = vec![None; n];
         for j in 0..n {
-            allowed[j] = match forced_verdict(&stronger, &allowed, j) {
+            allowed[j] = match forced_by(|i, j| stronger.get(i, j), &allowed, j) {
                 Some(v) => {
                     propagated.fetch_add(1, Ordering::Relaxed);
                     Some(v)
                 }
                 None => {
                     checked.fetch_add(1, Ordering::Relaxed);
-                    check_with_canon(h, &models[j], cfg, canon.as_ref(), 1)
+                    check_with_canon(&plan, &models[j], cfg, canon.as_ref(), 1)
                         .0
                         .decided()
                 }

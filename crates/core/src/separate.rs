@@ -33,7 +33,7 @@
 
 use crate::batch::par_map;
 use crate::canon::{canonicalize, HistoryKey};
-use crate::checker::{check_with_canon, check_with_config, CheckConfig};
+use crate::checker::{check_with_canon, check_with_config, CheckConfig, Plan};
 use crate::histgen::{for_each_representative_range, GenParams};
 use crate::lattice::{forced_verdict, inclusion_closure};
 use crate::spec::ModelSpec;
@@ -401,6 +401,7 @@ impl Separator {
         // inclusion closure before running the checker. A memoized check
         // reuses the candidate's canonical form.
         let memo_canon = self.cfg.memo.as_ref().map(|_| &canon);
+        let plan = Plan::new(h, &self.cfg);
         let mut verdict = |j: usize| {
             if let Some(v) = verdicts[j] {
                 return Some(v);
@@ -412,7 +413,7 @@ impl Separator {
                 }
                 None => {
                     counts.checked += 1;
-                    let v = check_with_canon(h, &self.models[j], &self.cfg, memo_canon, 1)
+                    let v = check_with_canon(&plan, &self.models[j], &self.cfg, memo_canon, 1)
                         .0
                         .decided();
                     if v.is_none() {

@@ -18,6 +18,9 @@
 //!
 //! `Dfs` is the one search loop, run with an exact failed-state memo
 //! ([`find_legal_extension`]) or none ([`for_each_legal_extension`]).
+//! Every search runs on a per-thread scratch: the context's buffers, the
+//! DFS stacks and the failed-state table are cleared, not reallocated,
+//! from one search to the next (see `Scratch`).
 //! A parallel check runs whole searches side by side
 //! ([`crate::batch::check_parallel`]), never one search split across
 //! threads. The scheduling state itself — context preprocessing,
@@ -28,10 +31,11 @@
 //! sequential consistency), but litmus-scale instances are instant.
 
 use crate::budget::Budget;
-use crate::kernel::{pack_state, state_hash, Ctx, StateSpace, NO_WRITE};
+use crate::kernel::{pack_state, state_hash, with_scratch, Ctx, CtxBufs, StateSpace, NO_WRITE};
 use crate::rf::ReadsFrom;
 use smc_history::{History, OpId, Value};
 use smc_relation::{BitSet, Relation};
+use std::cell::Cell;
 use std::ops::ControlFlow;
 
 /// How read legality is judged during the search.
@@ -53,7 +57,7 @@ pub struct ViewProblem<'a> {
     /// The full history the operations come from.
     pub history: &'a History,
     /// Global ids of the operations that form the view (`H_p ∪ δ_p`).
-    pub ops: BitSet,
+    pub ops: &'a BitSet,
     /// Required partial order over global ids; only edges between two
     /// members of `ops` constrain the view.
     pub constraints: &'a Relation,
@@ -113,6 +117,7 @@ impl FailedTable for NoTable {
 /// scratch row only on the rare hash hit — or when a refuted state is
 /// inserted. Unlike a plain `HashSet<(BitSet, Vec<u32>)>`, a lookup
 /// never clones or allocates.
+#[derive(Default)]
 struct LocalFailed {
     space: StateSpace,
     scratch: Vec<u64>,
@@ -164,9 +169,10 @@ enum Entry {
 /// question runs. A node is entered the same way everywhere: a complete
 /// order is a find; otherwise one budget node is charged, dead states are
 /// pruned, and the [`FailedTable`] is probed. A node whose children are
-/// all covered is retired into the table.
-struct Dfs<'c, 'a> {
-    ctx: &'c Ctx<'a>,
+/// all covered is retired into the table. The search state lives in
+/// buffers that [`Dfs::run`] clears, so one `Dfs` serves search after
+/// search.
+struct Dfs {
     placed: BitSet,
     last_write: Vec<u32>,
     /// The local ops placed so far, in order.
@@ -174,27 +180,26 @@ struct Dfs<'c, 'a> {
     stack: Vec<Frame>,
 }
 
-impl<'c, 'a> Dfs<'c, 'a> {
-    /// A search from the empty schedule.
-    fn new(ctx: &'c Ctx<'a>) -> Self {
-        let m = ctx.elems.len();
+impl Default for Dfs {
+    fn default() -> Self {
         Dfs {
-            ctx,
-            placed: BitSet::new(m),
-            last_write: vec![NO_WRITE; ctx.num_locs],
-            order: Vec::with_capacity(m),
+            placed: BitSet::new(0),
+            last_write: Vec::new(),
+            order: Vec::new(),
             stack: Vec::new(),
         }
     }
+}
 
-    fn enter(&self, table: &mut impl FailedTable, budget: &Budget) -> Entry {
-        if self.order.len() == self.ctx.elems.len() {
+impl Dfs {
+    fn enter(&self, ctx: &Ctx<'_>, table: &mut impl FailedTable, budget: &Budget) -> Entry {
+        if self.order.len() == ctx.elems.len() {
             return Entry::Complete;
         }
         if !budget.try_spend() {
             return Entry::Exhausted;
         }
-        if self.ctx.dead(&self.placed, &self.last_write) {
+        if ctx.dead(&self.placed, &self.last_write) {
             return Entry::Pruned;
         }
         match table.probe(&self.placed, &self.last_write) {
@@ -203,15 +208,22 @@ impl<'c, 'a> Dfs<'c, 'a> {
         }
     }
 
-    /// Run the search to the end. `found` sees each complete order (local
-    /// op indices) and may break; the search resumes after it otherwise.
+    /// Run the search over `ctx` from the empty schedule to the end.
+    /// `found` sees each complete order (local op indices) and may break;
+    /// the search resumes after it otherwise.
     fn run<B>(
         &mut self,
+        ctx: &Ctx<'_>,
         table: &mut impl FailedTable,
         budget: &Budget,
         mut found: impl FnMut(&[u32]) -> ControlFlow<B>,
     ) -> SearchEnd<B> {
-        let key = match self.enter(table, budget) {
+        self.placed.reset(ctx.elems.len());
+        self.last_write.clear();
+        self.last_write.resize(ctx.num_locs, NO_WRITE);
+        self.order.clear();
+        self.stack.clear();
+        let key = match self.enter(ctx, table, budget) {
             Entry::Open(key) => key,
             Entry::Complete => {
                 return match found(&self.order) {
@@ -229,7 +241,6 @@ impl<'c, 'a> Dfs<'c, 'a> {
             key,
         });
         while let Some(top) = self.stack.len().checked_sub(1) {
-            let ctx = self.ctx;
             let mut advanced = false;
             while let Some(i) = ctx.next_ready(
                 &self.placed,
@@ -239,7 +250,7 @@ impl<'c, 'a> Dfs<'c, 'a> {
                 self.stack[top].cursor = i as u32 + 1;
                 let saved = ctx.apply(i, &mut self.placed, &mut self.last_write);
                 self.order.push(i as u32);
-                match self.enter(table, budget) {
+                match self.enter(ctx, table, budget) {
                     Entry::Open(key) => {
                         self.stack.push(Frame {
                             op: i as u32,
@@ -279,6 +290,37 @@ impl<'c, 'a> Dfs<'c, 'a> {
         }
         SearchEnd::Completed
     }
+
+    /// Bytes of heap the buffers hold.
+    fn heap_bytes(&self) -> usize {
+        8 * self.placed.words().len()
+            + 4 * (self.last_write.capacity() + self.order.capacity())
+            + std::mem::size_of::<Frame>() * self.stack.capacity()
+    }
+}
+
+/// Everything one view search runs on: the context's buffers, the DFS
+/// state and the failed-state table. Each thread keeps one idle scratch
+/// in [`SCRATCH`] ([`crate::kernel::with_scratch`]).
+#[derive(Default)]
+struct Scratch {
+    ctx: CtxBufs,
+    dfs: Dfs,
+    failed: LocalFailed,
+}
+
+impl Scratch {
+    fn heap_bytes(&self) -> usize {
+        self.ctx.heap_bytes()
+            + self.dfs.heap_bytes()
+            + self.failed.space.heap_bytes()
+            + 8 * self.failed.scratch.capacity()
+    }
+}
+
+thread_local! {
+    /// This thread's idle search scratch, if it has one.
+    static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
 }
 
 /// Search for one legal extension of the problem, charging one unit of
@@ -287,19 +329,18 @@ impl<'c, 'a> Dfs<'c, 'a> {
 /// [`crate::budget::SharedBudget`] — worker threads). Failed states are
 /// memoized exactly.
 pub fn find_legal_extension(p: &ViewProblem<'_>, budget: &Budget) -> SearchOutcome {
-    let ctx = Ctx::new(p);
-    let mut table = LocalFailed {
-        space: StateSpace::new(ctx.packed_stride()),
-        scratch: Vec::new(),
-    };
-    let end = Dfs::new(&ctx).run(&mut table, budget, |order| {
-        ControlFlow::Break(global_order(&ctx, order))
-    });
-    match end {
-        SearchEnd::Broke(order) => SearchOutcome::Found(order),
-        SearchEnd::Completed => SearchOutcome::NotFound,
-        SearchEnd::Exhausted => SearchOutcome::Exhausted,
-    }
+    with_scratch(&SCRATCH, Scratch::heap_bytes, |s| {
+        let ctx = Ctx::new(p, &mut s.ctx);
+        s.failed.space.reset(ctx.packed_stride());
+        let end = s.dfs.run(&ctx, &mut s.failed, budget, |order| {
+            ControlFlow::Break(global_order(&ctx, order))
+        });
+        match end {
+            SearchEnd::Broke(order) => SearchOutcome::Found(order),
+            SearchEnd::Completed => SearchOutcome::NotFound,
+            SearchEnd::Exhausted => SearchOutcome::Exhausted,
+        }
+    })
 }
 
 /// Visit every legal extension of the problem (no failure memoization, so
@@ -309,9 +350,14 @@ pub fn for_each_legal_extension<B>(
     budget: &Budget,
     mut visit: impl FnMut(&[OpId]) -> ControlFlow<B>,
 ) -> SearchEnd<B> {
-    let ctx = Ctx::new(p);
-    Dfs::new(&ctx).run(&mut NoTable, budget, |order| {
-        visit(&global_order(&ctx, order))
+    with_scratch(&SCRATCH, Scratch::heap_bytes, |s| {
+        let ctx = Ctx::new(p, &mut s.ctx);
+        let mut view = Vec::with_capacity(ctx.elems.len());
+        s.dfs.run(&ctx, &mut NoTable, budget, |order| {
+            view.clear();
+            view.extend(order.iter().map(|&l| OpId(ctx.elems[l as usize] as u32)));
+            visit(&view)
+        })
     })
 }
 
@@ -356,7 +402,7 @@ mod tests {
     fn find(h: &History, constraints: &Relation, legality: LegalityMode<'_>) -> SearchOutcome {
         let p = ViewProblem {
             history: h,
-            ops: all_ops(h),
+            ops: &all_ops(h),
             constraints,
             legality,
         };
@@ -396,7 +442,7 @@ mod tests {
         let po = program_order(&h);
         let p = ViewProblem {
             history: &h,
-            ops: all_ops(&h),
+            ops: &all_ops(&h),
             constraints: &po,
             legality: LegalityMode::ByReadsFrom(&rf),
         };
@@ -419,7 +465,7 @@ mod tests {
         let ops = BitSet::from_iter(h.num_ops(), [0usize, 2]);
         let p = ViewProblem {
             history: &h,
-            ops,
+            ops: &ops,
             constraints: &po,
             legality: LegalityMode::ByValue,
         };
@@ -436,7 +482,7 @@ mod tests {
         let po = program_order(&h);
         let p = ViewProblem {
             history: &h,
-            ops: all_ops(&h),
+            ops: &all_ops(&h),
             constraints: &po,
             legality: LegalityMode::ByValue,
         };
@@ -451,7 +497,7 @@ mod tests {
         let cons = Relation::new(h.num_ops());
         let p = ViewProblem {
             history: &h,
-            ops: all_ops(&h),
+            ops: &all_ops(&h),
             constraints: &cons,
             legality: LegalityMode::ByValue,
         };
@@ -473,7 +519,7 @@ mod tests {
         let cons = Relation::new(h.num_ops());
         let p = ViewProblem {
             history: &h,
-            ops: all_ops(&h),
+            ops: &all_ops(&h),
             constraints: &cons,
             legality: LegalityMode::ByValue,
         };
@@ -492,7 +538,7 @@ mod tests {
         let cons = Relation::new(h.num_ops());
         let p = ViewProblem {
             history: &h,
-            ops: all_ops(&h),
+            ops: &all_ops(&h),
             constraints: &cons,
             legality: LegalityMode::ByValue,
         };

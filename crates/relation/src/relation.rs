@@ -119,11 +119,13 @@ impl Relation {
     /// `O(n² · n/64)` words).
     pub fn transitive_closure(&mut self) {
         for k in 0..self.n {
-            // Split borrow: copy row k once per pivot.
-            let row_k = self.rows[k].clone();
-            for i in 0..self.n {
-                if i != k && self.rows[i].contains(k) {
-                    self.rows[i].union_with(&row_k);
+            // The pivot step updates every row but row k, so the other
+            // rows read row k in place instead of a copy.
+            let (before, rest) = self.rows.split_at_mut(k);
+            let (row_k, after) = rest.split_first_mut().expect("k < n");
+            for row in before.iter_mut().chain(after) {
+                if row.contains(k) {
+                    row.union_with(row_k);
                 }
             }
         }
@@ -138,44 +140,44 @@ impl Relation {
 
     /// `true` if the relation (viewed as a digraph) has no directed cycle.
     ///
-    /// Self-loops count as cycles. Uses Kahn's algorithm, `O(n + e)`-ish on
-    /// the bit-matrix representation.
+    /// Self-loops count as cycles. Kahn's algorithm without recording an
+    /// order: `O(n²/64 + e)` on the bit-matrix representation.
     pub fn is_acyclic(&self) -> bool {
-        self.topo_sort().is_some()
+        self.kahn(|_| {}) == self.n
     }
 
     /// A topological order of the universe consistent with the relation, or
     /// `None` if it is cyclic. Ties are broken by ascending index, making
     /// the output deterministic.
     pub fn topo_sort(&self) -> Option<Vec<usize>> {
-        let mut indeg = vec![0usize; self.n];
-        for a in 0..self.n {
-            for b in self.rows[a].iter() {
+        let mut out = Vec::with_capacity(self.n);
+        (self.kahn(|i| out.push(i)) == self.n).then_some(out)
+    }
+
+    /// Kahn's algorithm: hand each element to `emit` once all its
+    /// predecessors have been emitted, always the least such index, and
+    /// return how many were emitted (fewer than `n` iff there is a cycle).
+    fn kahn(&self, mut emit: impl FnMut(usize)) -> usize {
+        let mut indeg = vec![0u32; self.n];
+        for row in &self.rows {
+            for b in row.iter() {
                 indeg[b] += 1;
             }
         }
-        let mut ready: Vec<usize> = (0..self.n).filter(|&i| indeg[i] == 0).collect();
-        // Keep ascending order: treat `ready` as a min-stack by reversing.
-        ready.sort_unstable_by(|a, b| b.cmp(a));
-        let mut out = Vec::with_capacity(self.n);
-        while let Some(i) = ready.pop() {
-            out.push(i);
-            let mut newly = Vec::new();
+        let mut ready = BitSet::from_iter(self.n, (0..self.n).filter(|&i| indeg[i] == 0));
+        let mut emitted = 0;
+        while let Some(i) = ready.first() {
+            ready.remove(i);
+            emit(i);
+            emitted += 1;
             for b in self.rows[i].iter() {
                 indeg[b] -= 1;
                 if indeg[b] == 0 {
-                    newly.push(b);
+                    ready.insert(b);
                 }
             }
-            // Merge while preserving the min-stack invariant.
-            ready.extend(newly);
-            ready.sort_unstable_by(|a, b| b.cmp(a));
         }
-        if out.len() == self.n {
-            Some(out)
-        } else {
-            None
-        }
+        emitted
     }
 
     /// Restrict the relation to the elements of `keep`, reindexing densely

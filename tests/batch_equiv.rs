@@ -358,3 +358,135 @@ fn truncated_reads_from_enumeration_is_exhausted() {
         }
     }
 }
+
+/// FNV-1a over a stream of `u64` tokens.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn push(&mut self, token: u64) {
+        for b in token.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn ops(&mut self, ops: &[smc_history::OpId]) {
+        self.push(ops.len() as u64);
+        for o in ops {
+            self.push(u64::from(o.0));
+        }
+    }
+
+    fn opt_ops(&mut self, ops: Option<&[smc_history::OpId]>) {
+        match ops {
+            None => self.push(0),
+            Some(ops) => {
+                self.push(1);
+                self.ops(ops);
+            }
+        }
+    }
+}
+
+/// The search itself, not only its verdicts, is pinned: over the whole
+/// 2×2×2×1 universe under the lattice models, with no memo, every
+/// exhaustive check's verdict, whole witness (views, store order,
+/// coherence, labeled order, reads-from), search nodes and reads-from
+/// assignments fold into one digest. A refactor of the checker's setup
+/// or scratch buffers must leave every one of them as it is.
+#[test]
+fn exhaustive_search_is_pinned_on_small_universe() {
+    use smc_core::checker::{check_with_stats, EngineKind};
+    use smc_core::histgen::{all_histories, GenParams};
+    let params = GenParams {
+        procs: 2,
+        ops_per_proc: 2,
+        locs: 2,
+        values: 1,
+    };
+    let cfg = CheckConfig {
+        engine: EngineKind::Exhaustive,
+        ..CheckConfig::default()
+    };
+    let model_list = models::lattice_models();
+    let mut d = Digest::new();
+    let mut checks = 0u64;
+    for h in all_histories(&params) {
+        for m in &model_list {
+            let (v, stats) = check_with_stats(&h, m, &cfg);
+            checks += 1;
+            match &v {
+                Verdict::Allowed(w) => {
+                    d.push(0);
+                    d.push(w.views.len() as u64);
+                    for view in &w.views {
+                        d.ops(view);
+                    }
+                    d.opt_ops(w.store_order.as_deref());
+                    match &w.coherence {
+                        None => d.push(0),
+                        Some(coh) => {
+                            d.push(1);
+                            d.push(coh.len() as u64);
+                            for seq in coh {
+                                d.ops(seq);
+                            }
+                        }
+                    }
+                    d.opt_ops(w.labeled_order.as_deref());
+                    match &w.reads_from {
+                        None => d.push(0),
+                        Some(rf) => {
+                            d.push(1);
+                            d.push(rf.len() as u64);
+                            for src in rf {
+                                d.push(src.map_or(0, |s| u64::from(s.0) + 1));
+                            }
+                        }
+                    }
+                }
+                Verdict::Disallowed => d.push(1),
+                Verdict::Exhausted => d.push(2),
+                Verdict::Unsupported(_) => d.push(3),
+            }
+            d.push(stats.nodes_spent);
+            d.push(stats.rf_assignments_tried as u64);
+        }
+    }
+    assert_eq!(checks, 1296 * 8);
+    assert_eq!(
+        d.0, 0x1a07_d983_350e_268c,
+        "search digest moved: {:#018x}",
+        d.0
+    );
+}
+
+/// The counts behind perfbench `check_universe`'s
+/// `core.lattice_propagated_ratio` and `core.memo_hit_ratio`: the
+/// 3×2×2×1 universe under the lattice models, one memo for the sweep.
+#[test]
+fn memoized_sweep_counts_are_pinned() {
+    use smc_core::histgen::{all_histories, GenParams};
+    use smc_core::lattice::{classify_all_propagating, PropagationStats};
+    let params = GenParams {
+        procs: 3,
+        ops_per_proc: 2,
+        locs: 2,
+        values: 1,
+    };
+    let corpus = all_histories(&params);
+    let cfg = CheckConfig::default().with_memo();
+    let (_, stats) = classify_all_propagating(&corpus, &models::lattice_models(), &cfg, 1);
+    assert_eq!(
+        stats,
+        PropagationStats {
+            checked: 230_208,
+            propagated: 143_040,
+        }
+    );
+    let memo = cfg.memo.as_ref().expect("with_memo set").stats();
+    assert_eq!(memo.misses, 20_786, "{memo:?}");
+}

@@ -429,7 +429,7 @@ fn failed_state_memo_does_not_change_outcomes() {
         let po = program_order(&h);
         let p = ViewProblem {
             history: &h,
-            ops: BitSet::full(h.num_ops()),
+            ops: &BitSet::full(h.num_ops()),
             constraints: &po,
             legality: LegalityMode::ByValue,
         };
