@@ -1,6 +1,6 @@
 //! A derived artifact beyond the paper's figures: the *extended* lattice,
-//! placing the models the paper only cites — Goodman's PC [2,9], weak
-//! ordering [1], hybrid consistency [4] — and the Section 7 parameter
+//! placing the models the paper only cites — Goodman's PC \[2,9\], weak
+//! ordering \[1\], hybrid consistency \[4\] — and the Section 7 parameter
 //! combinations alongside the five models of Figure 5.
 
 use smc_core::checker::CheckConfig;

@@ -479,8 +479,8 @@ fn engine_flag(args: &Args) -> Result<EngineKind, String> {
 }
 
 /// The `CHECKING` flags the checking subcommands (`check`, `corpus`,
-/// `matrix`, `monitor`) share, parsed in one place so the commands
-/// cannot drift apart in spelling, defaults or error messages.
+/// `matrix`, `separate`, `monitor`) share, parsed in one place so the
+/// commands cannot drift apart in spelling, defaults or error messages.
 struct CheckFlags<'a> {
     jobs: usize,
     engine: EngineKind,
@@ -988,8 +988,10 @@ fn cmd_bakery(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-const SEPARATE_FLAGS: &[&str] = &["--all --no-minimize --max-universe SPEC --json PATH \
-     --emit-dir DIR --jobs N --engine exhaustive|saturate|auto --memo-file PATH"];
+const SEPARATE_FLAGS: &[&str] = &[
+    "--all --no-minimize --max-universe SPEC --json PATH --emit-dir DIR",
+    CHECKING,
+];
 
 /// `smc separate`: search for model-separation witness histories.
 fn cmd_separate(args: &Args) -> Result<ExitCode, String> {
@@ -1013,20 +1015,14 @@ fn cmd_separate(args: &Args) -> Result<ExitCode, String> {
         }
         vec![ma, mb]
     };
-    let jobs = jobs_flag(args)?;
-    let memo_file = args.value("--memo-file");
+    let flags = CheckFlags::parse(args)?;
     let spec = args.value("--max-universe").unwrap_or("medium");
     let universes = smc_core::separate::ladder(spec).map_err(|e| format!("--max-universe: {e}"))?;
     let json_path = args.value("--json");
-    let cfg = CheckConfig {
-        engine: engine_flag(args)?,
-        ..CheckConfig::default()
-    }
-    .with_memo();
-    memo_file_load(&cfg, memo_file);
+    let cfg = flags.config(CheckConfig::default(), true);
 
     let t0 = std::time::Instant::now();
-    let mut sep = Separator::new(model_list.clone(), cfg.clone(), jobs);
+    let mut sep = Separator::new(model_list.clone(), cfg.clone(), flags.jobs);
     let impossible = sep.directions().len() - sep.open_directions();
     println!(
         "separating {} model(s): {} direction(s) to decide, {} impossible by known inclusions",
@@ -1053,7 +1049,7 @@ fn cmd_separate(args: &Args) -> Result<ExitCode, String> {
     if !args.switch("--no-minimize") {
         sep.minimize_found();
     }
-    memo_file_save(&cfg, memo_file);
+    memo_file_save(&cfg, flags.memo_file);
     let wall = t0.elapsed();
     let last_label = universes.last().map_or_else(String::new, |u| u.label());
 
@@ -1128,7 +1124,7 @@ fn cmd_separate(args: &Args) -> Result<ExitCode, String> {
         st.propagated,
         st.undecided,
         wall,
-        jobs_suffix(jobs)
+        jobs_suffix(flags.jobs)
     );
 
     if let Some(path) = json_path {
@@ -1602,23 +1598,11 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
 
     let mut fed = 0usize;
     let mut warnings = 0usize;
-    let mut totals = smc_monitor::MonitorTotals::default();
+    let mut totals = smc_monitor::StepReport::default();
     for s in &report {
         fed += s.fed;
         warnings += s.warnings;
-        let t = s.mon.totals();
-        totals.created += t.created;
-        totals.expanded += t.expanded;
-        totals.reuse_hits += t.reuse_hits;
-        totals.rebuild_work += t.rebuild_work;
-        totals.rechecks += t.rechecks;
-        totals.recheck_nodes += t.recheck_nodes;
-        totals.propagated += t.propagated;
-        totals.joins += t.joins;
-        totals.retires += t.retires;
-        totals.folds += t.folds;
-        totals.windows_sealed += t.windows_sealed;
-        totals.states_sealed += t.states_sealed;
+        totals.absorb(s.mon.totals());
     }
     println!(
         "\n{fed} event(s), {warnings} malformed line(s) skipped; frontier: {} created, {} expanded, {} reuse ({} rebuild); rechecks {} ({} nodes), propagated {}",
@@ -1918,7 +1902,6 @@ impl GenSpec {
     /// random scheduler; returns the (possibly cut) arrival-order trace
     /// and whether the run drained before the step limit.
     fn generate(&self) -> Result<(smc_history::trace::Trace, bool), String> {
-        use smc_history::trace::Trace;
         use smc_prng::SmallRng;
 
         let (procs, ops, locs, seed) = (self.procs, self.ops, self.locs, self.seed);
@@ -1948,30 +1931,16 @@ impl GenSpec {
         let out = with_machine!(self.memory.as_str(), procs, locs, |mem| run_random(
             mem, script, seed, 200_000
         ))?;
-        let trace = match self.events {
-            Some(n) if out.trace.len() > n => {
-                // One linear pass over the first n events; re-emitting or
-                // re-running per prefix length would be quadratic in n.
-                let mut cut = Trace::new();
-                for p in out.trace.proc_names() {
-                    cut.add_proc(p);
-                }
-                for l in out.trace.loc_names() {
-                    cut.add_loc(l);
-                }
-                for ev in &out.trace.events()[..n] {
-                    cut.push(*ev);
-                }
-                cut
-            }
-            Some(n) if out.trace.len() < n => {
+        let mut trace = out.trace;
+        if let Some(n) = self.events {
+            if trace.len() < n {
                 return Err(format!(
                     "trace gen: machine produced only {} of {n} requested events (step limit)",
-                    out.trace.len()
+                    trace.len()
                 ));
             }
-            _ => out.trace,
-        };
+            trace = trace.split_front(n);
+        }
         Ok((trace, out.completed))
     }
 }

@@ -210,7 +210,7 @@ pub fn check_matrix(
 /// Run a single check on up to `jobs` threads sharing one pool of
 /// `cfg.node_budget` search nodes.
 ///
-/// This is [`check_with_stats`] with a job count. Checks that decide
+/// This is [`crate::checker::check_with_stats`] with a job count. Checks that decide
 /// within `cfg.parallel_cutover` nodes never spawn a worker; otherwise
 /// one layer of the exhaustive check fans out, chosen by the model's
 /// shape: the reads-from assignments (causal, PC, RC — any model that

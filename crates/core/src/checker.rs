@@ -21,7 +21,7 @@
 //!
 //! The model-independent setup of a check — the base orders, the
 //! reads-from assignments, the view operation sets — is a history's
-//! [`Plan`], built once per history and shared by every model checked
+//! `Plan`, built once per history and shared by every model checked
 //! on it, and every view search runs on per-thread scratch buffers
 //! ([`crate::view`]), so a memo miss in a sweep pays for its search, not
 //! for rebuilding its inputs.

@@ -10,10 +10,10 @@
 //!
 //! The kernel centralizes:
 //!
-//! * [`Ctx`] — the preprocessed scheduling context, with
-//!   [`Ctx::next_ready`] as the *single* successor-generation function
+//! * `Ctx` — the preprocessed scheduling context, with
+//!   `Ctx::next_ready` as the *single* successor-generation function
 //!   every engine drives (so a scheduling-rule change lands in all of
-//!   them at once), plus [`Ctx::apply`]/[`Ctx::undo`] for in-place
+//!   them at once), plus `Ctx::apply`/`Ctx::undo` for in-place
 //!   state transitions;
 //! * [`StateSpace`] — a compact, arena-allocated set of visited states:
 //!   fixed-stride rows of packed `u64` words in one flat allocation,
@@ -22,11 +22,11 @@
 //!   probe per insert-or-find. Ids follow insertion order whatever the
 //!   index does, so side tables keyed by id, and tables saved and
 //!   rebuilt row by row (frontier checkpoints), see the same ids;
-//! * the packing helpers ([`pack_state`], [`get_u32`], [`set_u32`]) and
-//!   hashes ([`state_hash`], [`hash_words`]) shared by the tables;
-//! * [`with_scratch`] — the per-thread scratch buffers the view search
+//! * the packing helpers (`pack_state`, [`get_u32`], [`set_u32`]) and
+//!   hashes (`state_hash`, [`hash_words`]) shared by the tables;
+//! * `with_scratch` — the per-thread scratch buffers the view search
 //!   and canonicalization reuse from job to job, capped at
-//!   [`RETAIN_BYTES`] per idle scratch.
+//!   `RETAIN_BYTES` per idle scratch.
 
 use crate::view::{LegalityMode, ViewProblem};
 use smc_history::{OpId, Value};
@@ -316,7 +316,7 @@ pub(crate) fn state_hash(placed: &BitSet, last_write: &[u32]) -> u64 {
     finalize(h)
 }
 
-/// [`state_hash`]'s sibling over an already-packed row of `u64` words
+/// `state_hash`'s sibling over an already-packed row of `u64` words
 /// (same FNV-1a core and finalizer, same never-zero guarantee). Used by
 /// the packed tables, where the row *is* the canonical state. Those
 /// tables compare exact rows, so the salt only spreads index slots.
@@ -385,7 +385,7 @@ pub(crate) fn pack_state(dst: &mut Vec<u64>, placed: &BitSet, last_write: &[u32]
 /// slots preselects candidates by the caller's 64-bit state hash, and
 /// the full row comparison decides. The index has a power-of-two slot
 /// count, probes linearly from the hash's low bits, marks an empty slot
-/// with hash `0` (which [`hash_words`] and [`state_hash`] never return),
+/// with hash `0` (which [`hash_words`] and `state_hash` never return),
 /// and doubles before it would become more than half full, so every
 /// probe chain ends at an empty slot. It stores only the hash and the
 /// id, so growing never rehashes or moves a row.

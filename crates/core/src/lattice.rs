@@ -22,7 +22,7 @@
 //! ```
 
 use crate::batch::par_map;
-use crate::canon::canonicalize;
+use crate::canon::{canonicalize, Canon};
 use crate::checker::{check_with_canon, check_with_config, CheckConfig, Plan};
 use crate::spec::ModelSpec;
 use smc_history::History;
@@ -70,8 +70,8 @@ pub fn classify_all(
 /// `(stronger, weaker)` display-name pairs: every history the stronger
 /// model admits, the weaker model admits too. These are the inclusions of
 /// the paper's Figure 5 (restricted to models registered in
-/// [`crate::models`]); [`classify_all_propagating`] uses their transitive
-/// closure to skip checks whose answer is already forced.
+/// [`crate::models`]); [`Settle`] uses their transitive closure
+/// ([`Stronger`]) to skip checks whose answer is already forced.
 pub fn known_inclusions() -> &'static [(&'static str, &'static str)] {
     &[
         ("SC", "TSO"),
@@ -135,15 +135,8 @@ fn closed_inclusions() -> &'static (Vec<&'static str>, Vec<Vec<bool>>) {
     })
 }
 
-/// `stronger[i][j]` = admitted by `models[i]` implies admitted by
-/// `models[j]`, per the transitive closure of [`known_inclusions`]
-/// (matched by display name, case-insensitively). The closure runs over
-/// every name the edge list mentions, not just the models provided: SC ⊆
-/// Causal follows from SC ⊆ TSO ⊆ Causal even when TSO is absent from
-/// `models`. A name repeated in `models` takes part only at its first
-/// position. Besides the propagating sweep below, [`crate::separate`]
-/// uses this to rule out witness directions that known inclusions make
-/// impossible.
+/// [`Stronger`] as an n×n table: `stronger[i][j]` = admitted by
+/// `models[i]` implies admitted by `models[j]`.
 pub fn inclusion_closure(models: &[ModelSpec]) -> Vec<Vec<bool>> {
     let stronger = Stronger::new(models);
     (0..models.len())
@@ -151,16 +144,25 @@ pub fn inclusion_closure(models: &[ModelSpec]) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// [`inclusion_closure`] without the table: each model's slot in the
-/// per-process closure, looked up pair by pair.
-struct Stronger {
+/// The transitive closure of [`known_inclusions`] over one model list
+/// (matched by display name, case-insensitively): each model's slot in
+/// the per-process closure, looked up pair by pair. The closure runs
+/// over every name the edge list mentions, not just the models
+/// provided: SC ⊆ Causal follows from SC ⊆ TSO ⊆ Causal even when TSO
+/// is absent from the list. A name repeated in the list takes part only
+/// at its first position. [`Settle`] propagates verdicts along it, and
+/// [`crate::separate`] uses it to rule out witness directions that known
+/// inclusions make impossible.
+#[derive(Debug, Clone)]
+pub struct Stronger {
     /// `slots[i]` = `models[i]`'s index among the closure's names, `None`
     /// for a name the edge list never mentions or a repeated name.
     slots: Vec<Option<usize>>,
 }
 
 impl Stronger {
-    fn new(models: &[ModelSpec]) -> Self {
+    /// The closure over `models`.
+    pub fn new(models: &[ModelSpec]) -> Self {
         let names = &closed_inclusions().0;
         let slots = models
             .iter()
@@ -178,37 +180,124 @@ impl Stronger {
         Stronger { slots }
     }
 
-    /// `inclusion_closure(models)[i][j]`.
-    fn get(&self, i: usize, j: usize) -> bool {
+    /// Whether admitted by model `i` implies admitted by model `j`.
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> bool {
         match (self.slots[i], self.slots[j]) {
             (Some(a), Some(b)) => closed_inclusions().1[a][b],
             _ => false,
         }
     }
+
+    /// The verdict for model `j` that already-decided `verdicts` (indexed
+    /// like the model list) force along the closure: admitted by a
+    /// stronger model ⇒ admitted, refuted by a weaker model ⇒ refuted.
+    /// Undecided verdicts (`None`) force nothing. The first decided model
+    /// in list order that forces a verdict wins; with exact verdicts no
+    /// two can disagree, but a monitor verdict computed on a window may
+    /// commit to one interpretation.
+    #[inline]
+    pub fn forced(&self, verdicts: &[Option<bool>], j: usize) -> Option<bool> {
+        verdicts.iter().enumerate().find_map(|(i, v)| match *v {
+            Some(true) if self.get(i, j) => Some(true),
+            Some(false) if self.get(j, i) => Some(false),
+            _ => None,
+        })
+    }
 }
 
-/// The verdict for model `j` that already-decided verdicts force along
-/// the inclusion lattice (`stronger`, as from [`inclusion_closure`]):
-/// admitted by a stronger model ⇒ admitted, refuted by a weaker model ⇒
-/// refuted. Undecided verdicts (`None`) force nothing. The first decided
-/// model in list order that forces a verdict wins; with exact verdicts
-/// no two can disagree, but a monitor verdict computed on a window may
-/// commit to one interpretation.
-pub fn forced_verdict(stronger: &[Vec<bool>], verdicts: &[Option<bool>], j: usize) -> Option<bool> {
-    forced_by(|i, j| stronger[i][j], verdicts, j)
+/// One history's verdict row over a model list, and the one place a
+/// verdict is propagated or checked. [`Settle::decide`] returns a
+/// model's verdict: the row's, if already decided; else the verdict the
+/// row forces ([`Stronger::forced`]); else a check of the history
+/// through the memo and the engine. The history's check plan, and with
+/// a memo its canonical form, are built on the first check and serve
+/// every later one, so a row the lattice decides entirely never builds
+/// either, nor even asks for the history.
+pub struct Settle<'a, F> {
+    stronger: &'a Stronger,
+    models: &'a [ModelSpec],
+    cfg: &'a CheckConfig,
+    jobs: usize,
+    /// Yields the history, on the first check.
+    history: F,
+    /// A canonical form the caller already computed.
+    canon: Option<&'a Canon>,
+    /// The plan and, with a memo and no `canon`, the canonical form.
+    setup: Option<(Plan<'a>, Option<Canon>)>,
+    /// The verdicts so far, indexed like the model list.
+    pub row: Vec<Option<bool>>,
+    /// Verdicts asked of the checker.
+    pub checked: u64,
+    /// Checks that came back undecided (budget or unsupported).
+    pub undecided: u64,
+    /// Verdicts forced along the closure.
+    pub propagated: u64,
+    /// Search nodes the checks spent.
+    pub nodes: u64,
 }
 
-/// [`forced_verdict`] with the closure as a function.
-fn forced_by(
-    stronger: impl Fn(usize, usize) -> bool,
-    verdicts: &[Option<bool>],
-    j: usize,
-) -> Option<bool> {
-    verdicts.iter().enumerate().find_map(|(i, v)| match *v {
-        Some(true) if stronger(i, j) => Some(true),
-        Some(false) if stronger(j, i) => Some(false),
-        _ => None,
-    })
+impl<'a, F: Fn() -> &'a History> Settle<'a, F> {
+    /// A settle of `row` (indexed like `models`; `None` = not yet
+    /// decided), whose checks run under `cfg` on `jobs` workers against
+    /// the history `history` yields.
+    pub fn new(
+        stronger: &'a Stronger,
+        models: &'a [ModelSpec],
+        cfg: &'a CheckConfig,
+        jobs: usize,
+        row: Vec<Option<bool>>,
+        history: F,
+    ) -> Self {
+        Settle {
+            stronger,
+            models,
+            cfg,
+            jobs,
+            history,
+            canon: None,
+            setup: None,
+            row,
+            checked: 0,
+            undecided: 0,
+            propagated: 0,
+            nodes: 0,
+        }
+    }
+
+    /// Reuse `canon`, the history's canonical form, for memoized checks.
+    pub fn with_canon(self, canon: &'a Canon) -> Self {
+        Settle {
+            canon: Some(canon),
+            ..self
+        }
+    }
+
+    /// Model `j`'s verdict, deciding it if the row has none yet. `None`
+    /// only when a check came back undecided; asking again re-checks.
+    pub fn decide(&mut self, j: usize) -> Option<bool> {
+        if self.row[j].is_some() {
+            return self.row[j];
+        }
+        if let Some(v) = self.stronger.forced(&self.row, j) {
+            self.propagated += 1;
+            self.row[j] = Some(v);
+            return Some(v);
+        }
+        let (cfg, given) = (self.cfg, self.canon);
+        let (plan, own) = self.setup.get_or_insert_with(|| {
+            let h = (self.history)();
+            let own = (cfg.memo.is_some() && given.is_none()).then(|| canonicalize(h));
+            (Plan::new(h, cfg), own)
+        });
+        let canon = cfg.memo.as_ref().and(given.or(own.as_ref()));
+        let (verdict, stats) = check_with_canon(plan, &self.models[j], cfg, canon, self.jobs);
+        self.checked += 1;
+        self.nodes += stats.nodes_spent;
+        self.row[j] = verdict.decided();
+        self.undecided += u64::from(self.row[j].is_none());
+        self.row[j]
+    }
 }
 
 /// How much checking a propagating sweep actually did.
@@ -227,8 +316,9 @@ pub struct PropagationStats {
 /// the stronger — so whole rows of the sweep are skipped. Undecided
 /// verdicts (`None`) never propagate. Histories fan out across `jobs`
 /// worker threads; each check runs under the caller's `cfg` exactly as in
-/// [`classify`], except that each history's check plan is made, and with
-/// a memo the history canonicalized, once for all its models.
+/// [`classify`], except that each history is settled by one [`Settle`],
+/// which makes its check plan, and with a memo canonicalizes it, once
+/// for all its models.
 pub fn classify_all_propagating(
     corpus: &[History],
     models: &[ModelSpec],
@@ -240,24 +330,15 @@ pub fn classify_all_propagating(
     let checked = AtomicU64::new(0);
     let propagated = AtomicU64::new(0);
     let classify_one = |h: &History| -> Classification {
-        let canon = cfg.memo.as_ref().map(|_| canonicalize(h));
-        let plan = Plan::new(h, cfg);
-        let mut allowed: Vec<Option<bool>> = vec![None; n];
+        let mut settle = Settle::new(&stronger, models, cfg, 1, vec![None; n], || h);
         for j in 0..n {
-            allowed[j] = match forced_by(|i, j| stronger.get(i, j), &allowed, j) {
-                Some(v) => {
-                    propagated.fetch_add(1, Ordering::Relaxed);
-                    Some(v)
-                }
-                None => {
-                    checked.fetch_add(1, Ordering::Relaxed);
-                    check_with_canon(&plan, &models[j], cfg, canon.as_ref(), 1)
-                        .0
-                        .decided()
-                }
-            };
+            settle.decide(j);
         }
-        Classification { allowed }
+        checked.fetch_add(settle.checked, Ordering::Relaxed);
+        propagated.fetch_add(settle.propagated, Ordering::Relaxed);
+        Classification {
+            allowed: settle.row,
+        }
     };
     let classifications = par_map(corpus.len(), jobs, |i| classify_one(&corpus[i]));
     (
@@ -589,35 +670,23 @@ q: r(x)1",
     fn forced_verdict_follows_inclusions_and_first_decided_wins() {
         // SC ⊆ TSO ⊆ PRAM.
         let ms = vec![models::sc(), models::tso(), models::pram()];
-        let stronger = inclusion_closure(&ms);
+        let stronger = Stronger::new(&ms);
         // Admitted by a stronger model forces admitted, refuted by a
         // weaker one forces refuted; undecided and unrelated force nothing.
-        assert_eq!(
-            forced_verdict(&stronger, &[Some(true), None, None], 2),
-            Some(true)
-        );
-        assert_eq!(
-            forced_verdict(&stronger, &[None, None, Some(false)], 0),
-            Some(false)
-        );
-        assert_eq!(
-            forced_verdict(&stronger, &[Some(false), None, None], 1),
-            None
-        );
-        assert_eq!(
-            forced_verdict(&stronger, &[None, Some(true), None], 0),
-            None
-        );
-        assert_eq!(forced_verdict(&stronger, &[None, None, None], 1), None);
+        assert_eq!(stronger.forced(&[Some(true), None, None], 2), Some(true));
+        assert_eq!(stronger.forced(&[None, None, Some(false)], 0), Some(false));
+        assert_eq!(stronger.forced(&[Some(false), None, None], 1), None);
+        assert_eq!(stronger.forced(&[None, Some(true), None], 0), None);
+        assert_eq!(stronger.forced(&[None, None, None], 1), None);
         // Conflicting forcers: the first decided model in list order wins.
         assert_eq!(
-            forced_verdict(&stronger, &[Some(true), None, Some(false)], 1),
+            stronger.forced(&[Some(true), None, Some(false)], 1),
             Some(true)
         );
         let reversed = vec![models::pram(), models::tso(), models::sc()];
-        let stronger = inclusion_closure(&reversed);
+        let stronger = Stronger::new(&reversed);
         assert_eq!(
-            forced_verdict(&stronger, &[Some(false), None, Some(true)], 1),
+            stronger.forced(&[Some(false), None, Some(true)], 1),
             Some(false)
         );
     }

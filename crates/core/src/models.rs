@@ -127,7 +127,7 @@ pub fn rc_pc() -> ModelSpec {
 }
 
 /// Goodman's processor consistency, as formalized by Ahamad, Bazzi,
-/// John, Kohli & Neiger (the paper's reference [2]): PRAM plus
+/// John, Kohli & Neiger (the paper's reference \[2\]): PRAM plus
 /// coherence. Section 3.3 notes it is distinct from (and incomparable
 /// with) the DASH definition; having both in the registry lets the
 /// lattice harness exhibit the difference.
@@ -140,7 +140,7 @@ pub fn pc_goodman() -> ModelSpec {
 }
 
 /// Weak ordering (Dubois, Scheurich & Briggs — the paper's reference
-/// [1]), expressed in the framework: labeled (synchronization)
+/// \[1\]), expressed in the framework: labeled (synchronization)
 /// operations are sequentially consistent, coherence holds for ordinary
 /// operations, and every ordinary operation is fenced against every
 /// labeled operation of its processor in both directions — strictly
@@ -156,7 +156,7 @@ pub fn weak_ordering() -> ModelSpec {
     }
 }
 
-/// Hybrid consistency (Attiya & Friedman — the paper's reference [4]),
+/// Hybrid consistency (Attiya & Friedman — the paper's reference \[4\]),
 /// approximated in the framework: all processors agree on the relative
 /// order of labeled (strong) operations (without requiring that common
 /// order to be legal by itself), and ordinary (weak) operations are

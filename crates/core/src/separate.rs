@@ -17,15 +17,16 @@
 //!   are cached per [`crate::canon::HistoryKey`] so each
 //!   processor-permutation orbit is classified once;
 //! * **parallel** — fixed-size index chunks run on
-//!   [`crate::batch::par_map`]; because each direction keeps the
+//!   `batch::par_map`; because each direction keeps the
 //!   *minimum* witnessing index and a chunk is skipped only once no open
 //!   direction can improve in it, the reported witnesses are identical
 //!   for every job count;
 //! * **lattice-aware** — directions along a known inclusion are marked
 //!   [`DirectionStatus::Impossible`] up front, and within one history a
-//!   decided verdict propagates along the inclusion closure (admitted by
-//!   a stronger model ⇒ admitted by the weaker; refuted by a weaker ⇒
-//!   refuted by the stronger), so one check serves several pairs.
+//!   [`crate::lattice::Settle`] propagates each decided verdict along the
+//!   inclusion closure (admitted by a stronger model ⇒ admitted by the
+//!   weaker; refuted by a weaker ⇒ refuted by the stronger), so one check
+//!   serves several pairs.
 //!
 //! Found witnesses are shrunk by [`minimize_witness`] (greedy op
 //! deletion, empty-processor dropping, and value collapsing — see the
@@ -33,9 +34,9 @@
 
 use crate::batch::par_map;
 use crate::canon::{canonicalize, HistoryKey};
-use crate::checker::{check_with_canon, check_with_config, CheckConfig, Plan};
+use crate::checker::{check_with_config, CheckConfig};
 use crate::histgen::{for_each_representative_range, GenParams};
-use crate::lattice::{forced_verdict, inclusion_closure};
+use crate::lattice::{Settle, Stronger};
 use crate::spec::ModelSpec;
 use smc_history::{History, HistoryBuilder, Location};
 use std::collections::HashMap;
@@ -234,7 +235,7 @@ impl BestSlot {
 /// feed it universes (smallest first), then read [`Self::directions`].
 pub struct Separator {
     models: Vec<ModelSpec>,
-    stronger: Vec<Vec<bool>>,
+    stronger: Stronger,
     cfg: CheckConfig,
     jobs: usize,
     directions: Vec<Direction>,
@@ -251,15 +252,15 @@ impl Separator {
     /// along the closure of [`crate::lattice::known_inclusions`] start as
     /// [`DirectionStatus::Impossible`]; everything else starts open.
     pub fn new(models: Vec<ModelSpec>, cfg: CheckConfig, jobs: usize) -> Self {
-        let stronger = inclusion_closure(&models);
+        let stronger = Stronger::new(&models);
         let n = models.len();
         let mut directions = Vec::with_capacity(n * (n - 1));
-        for (admits, stronger_row) in stronger.iter().enumerate() {
-            for (refutes, &included) in stronger_row.iter().enumerate() {
+        for admits in 0..n {
+            for refutes in 0..n {
                 if admits == refutes {
                     continue;
                 }
-                let status = if included {
+                let status = if stronger.get(admits, refutes) {
                     DirectionStatus::Impossible
                 } else {
                     DirectionStatus::Open
@@ -386,7 +387,7 @@ impl Separator {
             .unwrap_or_else(|p| p.into_inner())
             .get(&canon.key)
             .cloned();
-        let mut verdicts: Vec<Option<bool>> = match cached {
+        let row = match cached {
             Some(v) => {
                 counts.class_hits += 1;
                 v
@@ -396,51 +397,27 @@ impl Separator {
                 vec![None; n]
             }
         };
-        let mut dirty = false;
-        // Lazily decide the verdict for model `j`, propagating along the
-        // inclusion closure before running the checker. A memoized check
-        // reuses the candidate's canonical form.
-        let memo_canon = self.cfg.memo.as_ref().map(|_| &canon);
-        let plan = Plan::new(h, &self.cfg);
-        let mut verdict = |j: usize| {
-            if let Some(v) = verdicts[j] {
-                return Some(v);
-            }
-            let v = match forced_verdict(&self.stronger, &verdicts, j) {
-                Some(v) => {
-                    counts.propagated += 1;
-                    Some(v)
-                }
-                None => {
-                    counts.checked += 1;
-                    let v = check_with_canon(&plan, &self.models[j], &self.cfg, memo_canon, 1)
-                        .0
-                        .decided();
-                    if v.is_none() {
-                        counts.undecided += 1;
-                    }
-                    v
-                }
-            };
-            if v.is_some() {
-                verdicts[j] = v;
-                dirty = true;
-            }
-            v
-        };
+        // Decide only the models the open directions ask about; a
+        // memoized check reuses the candidate's canonical form.
+        let mut settle =
+            Settle::new(&self.stronger, &self.models, &self.cfg, 1, row, || h).with_canon(&canon);
         for &d in open {
             if best[d].hint.load(Ordering::Acquire) <= index {
                 continue; // cannot improve this direction
             }
             let (a, r) = (self.directions[d].admits, self.directions[d].refutes);
-            if verdict(a) == Some(true) && verdict(r) == Some(false) {
+            if settle.decide(a) == Some(true) && settle.decide(r) == Some(false) {
                 best[d].record(index, h);
             }
         }
-        if dirty {
+        counts.checked += settle.checked;
+        counts.propagated += settle.propagated;
+        counts.undecided += settle.undecided;
+        // Every propagation and every decided check filled a slot.
+        if settle.propagated + settle.checked > settle.undecided {
             let mut g = shard.lock().unwrap_or_else(|p| p.into_inner());
             let entry = g.entry(canon.key).or_insert_with(|| vec![None; n]);
-            for (slot, v) in entry.iter_mut().zip(&verdicts) {
+            for (slot, v) in entry.iter_mut().zip(&settle.row) {
                 if slot.is_none() {
                     *slot = *v;
                 }

@@ -24,7 +24,7 @@
 use crate::{churn::ChurnState, window::WindowState, Engine, Monitor, MonitorConfig, TriVerdict};
 use smc_core::binfmt::{write_i64, write_str, write_u32, write_u64, Reader};
 use smc_core::frontier::FrontierEngine;
-use smc_core::lattice::inclusion_closure;
+use smc_core::lattice::Stronger;
 use smc_core::spec::{ModelSpec, OperationSet};
 use smc_history::trace::{Lifecycle, Trace, TraceEvent};
 use smc_history::{Label, Location, OpKind, ProcId, Value};
@@ -407,7 +407,7 @@ pub fn load(bytes: &[u8], models: Vec<ModelSpec>, cfg: MonitorConfig) -> Result<
     }
     // Struct-literal fields evaluate in source order, matching the
     // order `save` wrote them.
-    let totals = crate::MonitorTotals {
+    let totals = crate::StepReport {
         created: r.u64()?,
         expanded: r.u64()?,
         reuse_hits: r.u64()?,
@@ -436,7 +436,7 @@ pub fn load(bytes: &[u8], models: Vec<ModelSpec>, cfg: MonitorConfig) -> Result<
             r.pos()
         ));
     }
-    let stronger = inclusion_closure(&models);
+    let stronger = Stronger::new(&models);
     Ok(Monitor {
         models,
         stronger,

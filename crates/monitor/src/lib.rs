@@ -14,12 +14,14 @@
 //!   over the whole stream, so the amortized per-event cost stays
 //!   near-flat instead of growing with the prefix.
 //! * For every other model the monitor falls back to re-checking the
-//!   prefix with the batch checker (sharing one [`MemoCache`] across
-//!   appends), but first tries to *propagate* the verdict through the
-//!   known inclusion lattice: if a stronger model already admitted this
-//!   prefix the weaker one must too, and if a weaker model refuted it
-//!   the stronger one must too. With SC at the head of the model list,
-//!   an SC-admitted prefix decides every other lattice model for free.
+//!   prefix with the batch checker (sharing one [`smc_core::MemoCache`]
+//!   across appends), but first tries to *propagate* the verdict through
+//!   the known inclusion lattice: if a stronger model already admitted
+//!   this prefix the weaker one must too, and if a weaker model refuted
+//!   it the stronger one must too. One [`smc_core::lattice::Settle`]
+//!   per batch does both, canonicalizing and planning the prefix once
+//!   for all its re-checks. With SC at the head of the model list, an
+//!   SC-admitted prefix decides every other lattice model for free.
 //!
 //! Admission over prefixes is **not** monotone — a refuted prefix can
 //! heal when a later write arrives — so the monitor keeps reporting
@@ -63,12 +65,13 @@ pub mod window;
 use churn::{Activation, ChurnState, FoldSummary};
 use smc_core::checker::CheckConfig;
 use smc_core::frontier::{AppendReport, FrontierEngine, ViewOp};
-use smc_core::lattice::{forced_verdict, inclusion_closure};
+use smc_core::lattice::{Settle, Stronger};
 use smc_core::separate::without_op;
 use smc_core::spec::{GlobalOrder, ModelSpec, OperationSet, OwnerOrder};
 use smc_history::litmus::emit_litmus;
 use smc_history::trace::{Lifecycle, Trace, TraceEvent};
 use smc_history::{History, Label, OpKind, ProcId, Value};
+use std::cell::OnceCell;
 use window::WindowState;
 
 /// Tuning for a [`Monitor`].
@@ -123,7 +126,9 @@ impl TriVerdict {
 }
 
 /// Observability counters for one appended event (or one batch — see
-/// [`Monitor::feed_trace`]).
+/// [`Monitor::feed_trace`]), or summed over a whole stream
+/// ([`Monitor::totals`]). The counters from `rebuild_work` on are zero
+/// in a per-event report: only the totals fill them in.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StepReport {
     /// Prefix length (events fed so far, including this batch).
@@ -142,35 +147,10 @@ pub struct StepReport {
     pub recheck_nodes: u64,
     /// Verdicts decided by lattice propagation instead of a re-check.
     pub propagated: u64,
-}
-
-impl StepReport {
-    fn absorb_frontier(&mut self, r: AppendReport) {
-        self.created += r.created;
-        self.expanded += r.expanded;
-        self.reuse_hits += r.reuse_hits;
-    }
-}
-
-/// Cumulative [`StepReport`] counters over the whole stream.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorTotals {
-    /// Frontier states discovered.
-    pub created: u64,
-    /// Frontier states expanded.
-    pub expanded: u64,
-    /// Frontier transitions that hit an already-known state.
-    pub reuse_hits: u64,
-    /// Restart-mode re-checks run.
-    pub rechecks: u64,
-    /// Search nodes those re-checks spent.
-    pub recheck_nodes: u64,
-    /// Verdicts decided by lattice propagation.
-    pub propagated: u64,
     /// Frontier states created + expanded by mid-stream table-rebuild
-    /// replays. Tracked apart from `created`/`expanded`/`reuse_hits` so
-    /// the cumulative frontier totals stay comparable to a restart
-    /// baseline instead of double-counting pre-rebuild work.
+    /// replays, tracked apart from `created`/`expanded`/`reuse_hits` so
+    /// those stay comparable to a restart baseline instead of
+    /// double-counting pre-rebuild work.
     pub rebuild_work: u64,
     /// `join` lifecycle events observed.
     pub joins: u64,
@@ -185,6 +165,12 @@ pub struct MonitorTotals {
 }
 
 impl StepReport {
+    fn absorb_frontier(&mut self, r: AppendReport) {
+        self.created += r.created;
+        self.expanded += r.expanded;
+        self.reuse_hits += r.reuse_hits;
+    }
+
     /// Accumulate another report (`events`/`frontier_states` take the
     /// later report's values, counters add).
     pub fn absorb(&mut self, other: StepReport) {
@@ -196,6 +182,12 @@ impl StepReport {
         self.rechecks += other.rechecks;
         self.recheck_nodes += other.recheck_nodes;
         self.propagated += other.propagated;
+        self.rebuild_work += other.rebuild_work;
+        self.joins += other.joins;
+        self.retires += other.retires;
+        self.folds += other.folds;
+        self.windows_sealed += other.windows_sealed;
+        self.states_sealed += other.states_sealed;
     }
 }
 
@@ -306,9 +298,8 @@ fn frontier_shape(spec: &ModelSpec) -> Option<Engine> {
 /// append-only event stream.
 pub struct Monitor {
     pub(crate) models: Vec<ModelSpec>,
-    /// `stronger[i][j]`: admitted by `models[i]` forces admitted by
-    /// `models[j]`.
-    pub(crate) stronger: Vec<Vec<bool>>,
+    /// The inclusion closure over `models`, for lattice propagation.
+    pub(crate) stronger: Stronger,
     pub(crate) cfg: MonitorConfig,
     pub(crate) trace: Trace,
     pub(crate) engines: Vec<Engine>,
@@ -318,7 +309,8 @@ pub struct Monitor {
     pub(crate) built_locs: usize,
     pub(crate) verdicts: Vec<TriVerdict>,
     pub(crate) first_violation: Vec<Option<usize>>,
-    pub(crate) totals: MonitorTotals,
+    /// The running sum of every batch's report, plus `rebuild_work`.
+    pub(crate) totals: StepReport,
     /// Processor ↔ slot bookkeeping (joins, retirements, folds).
     pub(crate) churn: ChurnState,
     /// Window bookkeeping, when [`MonitorConfig::window`] is set.
@@ -333,7 +325,7 @@ impl Monitor {
     /// [`smc_core::models::lattice_models`] does) so lattice propagation
     /// can decide weaker models without re-checking.
     pub fn new(models: Vec<ModelSpec>, cfg: MonitorConfig) -> Self {
-        let stronger = inclusion_closure(&models);
+        let stronger = Stronger::new(&models);
         let engines = models
             .iter()
             .map(|m| frontier_shape(m).unwrap_or(Engine::Restart))
@@ -351,7 +343,7 @@ impl Monitor {
             // The empty history is admitted by every model.
             verdicts: vec![TriVerdict::Admitted; n],
             first_violation: vec![None; n],
-            totals: MonitorTotals::default(),
+            totals: StepReport::default(),
             churn: ChurnState::new(),
             window,
             pending_seeds: Vec::new(),
@@ -373,10 +365,13 @@ impl Monitor {
         &self.verdicts
     }
 
-    /// Cumulative counters (lifecycle counters derive from the churn
-    /// and window state).
-    pub fn totals(&self) -> MonitorTotals {
+    /// Cumulative counters: the sum of every report so far, at the
+    /// current prefix length and frontier size (lifecycle counters
+    /// derive from the churn and window state).
+    pub fn totals(&self) -> StepReport {
         let mut t = self.totals;
+        t.events = self.trace.len();
+        t.frontier_states = self.frontier_states();
         t.joins = self.churn.joins;
         t.retires = self.churn.retires;
         t.folds = self.churn.folds;
@@ -622,9 +617,10 @@ impl Monitor {
         // Phase 2: settle every model on the batch-end prefix — frontier
         // verdicts stand as computed (an exhausted engine leaves its
         // model undecided here), everything else propagates through the
-        // lattice or falls back to a batch re-check.
+        // lattice or falls back to a batch re-check. The prefix history
+        // is built only if some model needs a re-check.
         let n = self.trace.len();
-        let mut decided: Vec<Option<bool>> = self
+        let frontier = self
             .engines
             .iter()
             .map(|engine| match engine {
@@ -636,24 +632,23 @@ impl Monitor {
                 Engine::Restart => None,
             })
             .collect();
-        let mut prefix: Option<History> = None;
+        let prefix = OnceCell::new();
+        let trace = &self.trace;
+        let mut settle = Settle::new(
+            &self.stronger,
+            &self.models,
+            &self.cfg.check,
+            self.cfg.jobs,
+            frontier,
+            || prefix.get_or_init(|| trace.history_of_prefix(n)),
+        );
         for i in 0..self.models.len() {
-            if decided[i].is_some() {
-                continue;
-            }
-            if let Some(v) = forced_verdict(&self.stronger, &decided, i) {
-                decided[i] = Some(v);
-                report.propagated += 1;
-                continue;
-            }
-            let h = prefix.get_or_insert_with(|| self.trace.history_of_prefix(n));
-            let (verdict, stats) =
-                smc_core::batch::check_parallel(h, &self.models[i], &self.cfg.check, self.cfg.jobs);
-            report.rechecks += 1;
-            report.recheck_nodes += stats.nodes_spent;
-            decided[i] = verdict.decided();
+            settle.decide(i);
         }
-        for (i, v) in decided.into_iter().enumerate() {
+        report.rechecks = settle.checked;
+        report.recheck_nodes = settle.nodes;
+        report.propagated = settle.propagated;
+        for (i, v) in settle.row.into_iter().enumerate() {
             let v = v.map_or(TriVerdict::Unknown, tri_of);
             self.verdicts[i] = v;
             if v == TriVerdict::Violated && self.first_violation[i].is_none() {
@@ -667,12 +662,7 @@ impl Monitor {
         self.try_folds();
         report.events = n;
         report.frontier_states = self.frontier_states();
-        self.totals.created += report.created;
-        self.totals.expanded += report.expanded;
-        self.totals.reuse_hits += report.reuse_hits;
-        self.totals.rechecks += report.rechecks;
-        self.totals.recheck_nodes += report.recheck_nodes;
-        self.totals.propagated += report.propagated;
+        self.totals.absorb(report);
         report
     }
 
@@ -1047,6 +1037,37 @@ mod tests {
         // propagated, never re-checked.
         assert_eq!(report.rechecks, 0);
         assert!(report.propagated > 0);
+    }
+
+    #[test]
+    fn settle_rechecks_match_batch_checks_of_the_prefix() {
+        // PC and Causal are incomparable, so neither verdict forces the
+        // other: the batch-end settle re-checks both models on one plan
+        // and one canonical form of the prefix, and must agree with two
+        // independent batch checks of it, node for node.
+        let t = parse_trace("p r(x)1\np w(y)1\nq r(y)1\nq w(x)1\n").unwrap();
+        let ms = vec![models::pc(), models::causal()];
+        let h = t.history_of_prefix(t.len());
+        for jobs in [1, 2] {
+            let cfg = MonitorConfig {
+                jobs,
+                ..MonitorConfig::default()
+            };
+            let mut m = Monitor::new(ms.clone(), cfg);
+            let report = m.feed_trace(&t);
+            let check = MonitorConfig::default().check;
+            let (mut verdicts, mut nodes) = (Vec::new(), 0);
+            for spec in &ms {
+                let (v, stats) = smc_core::batch::check_parallel(&h, spec, &check, jobs);
+                verdicts.push(v.decided().map_or(TriVerdict::Unknown, tri_of));
+                nodes += stats.nodes_spent;
+            }
+            assert_eq!(m.verdicts(), verdicts, "jobs={jobs}");
+            assert_eq!(report.rechecks, 2, "jobs={jobs}");
+            assert_eq!(report.recheck_nodes, nodes, "jobs={jobs}");
+            assert_eq!(report.propagated, 0, "jobs={jobs}");
+            assert!(nodes > 0);
+        }
     }
 
     #[test]

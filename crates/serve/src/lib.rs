@@ -97,7 +97,7 @@ use smc_core::models;
 use smc_core::spec::ModelSpec;
 use smc_history::trace::{is_session_id, parse_trace_line, split_session_line, Trace, MAX_LINE};
 use smc_monitor::ckpt::MAX_CHECKPOINT_BYTES;
-use smc_monitor::{Monitor, MonitorConfig};
+use smc_monitor::{Monitor, MonitorConfig, StepReport};
 
 /// Number of shards in the session map. Power of two; sixteen matches
 /// the checker's `MemoCache` sharding.
@@ -242,12 +242,9 @@ struct Shared {
     snapshots: AtomicU64,
     resumes: AtomicU64,
     evictions: AtomicU64,
-    /// Lifecycle counters of already-closed sessions; live sessions are
-    /// summed on demand by [`Shared::lifecycle_totals`].
-    closed_joins: AtomicU64,
-    closed_retires: AtomicU64,
-    closed_folds: AtomicU64,
-    closed_windows: AtomicU64,
+    /// Monitor counters of already-closed sessions; live sessions are
+    /// summed on demand by [`Shared::totals`].
+    closed: Mutex<StepReport>,
 }
 
 impl Shared {
@@ -273,36 +270,17 @@ impl Shared {
         );
     }
 
-    /// Fold a closing session's lifecycle counters into the totals.
-    fn absorb_closed(&self, mon: &Monitor) {
-        let t = mon.totals();
-        self.closed_joins.fetch_add(t.joins, Ordering::Relaxed);
-        self.closed_retires.fetch_add(t.retires, Ordering::Relaxed);
-        self.closed_folds.fetch_add(t.folds, Ordering::Relaxed);
-        self.closed_windows
-            .fetch_add(t.windows_sealed, Ordering::Relaxed);
-    }
-
-    /// `(joins, retires, folds, windows_sealed)` over closed and live
-    /// sessions. Locks each live monitor briefly.
-    fn lifecycle_totals(&self) -> (u64, u64, u64, u64) {
-        let (mut j, mut r, mut f, mut w) = (
-            self.closed_joins.load(Ordering::Relaxed),
-            self.closed_retires.load(Ordering::Relaxed),
-            self.closed_folds.load(Ordering::Relaxed),
-            self.closed_windows.load(Ordering::Relaxed),
-        );
+    /// Monitor counters over closed and live sessions. Locks each live
+    /// monitor briefly.
+    fn totals(&self) -> StepReport {
+        let mut t = *self.closed.lock().unwrap();
         for shard in &self.shards {
             let sessions: Vec<Arc<Session>> = shard.lock().unwrap().values().cloned().collect();
             for s in sessions {
-                let t = s.mon.lock().unwrap().totals();
-                j += t.joins;
-                r += t.retires;
-                f += t.folds;
-                w += t.windows_sealed;
+                t.absorb(s.mon.lock().unwrap().totals());
             }
         }
-        (j, r, f, w)
+        t
     }
 
     fn stats_line(&self) -> String {
@@ -317,11 +295,11 @@ impl Shared {
                 (s.hits, s.misses)
             })
             .unwrap_or((0, 0));
-        let (joins, retires, folds, windows) = self.lifecycle_totals();
+        let t = self.totals();
         format!(
             "STATS sessions={} peak={} conns={} events={} busy={} poisoned={} queries={} \
              memo_hits={hits} memo_misses={misses} snapshots={} resumes={} evictions={} \
-             joins={joins} retires={retires} folds={folds} windows={windows}",
+             joins={} retires={} folds={} windows={}",
             self.open_sessions.load(Ordering::Relaxed),
             self.peak_sessions.load(Ordering::Relaxed),
             self.conns.load(Ordering::Relaxed),
@@ -332,6 +310,10 @@ impl Shared {
             self.snapshots.load(Ordering::Relaxed),
             self.resumes.load(Ordering::Relaxed),
             self.evictions.load(Ordering::Relaxed),
+            t.joins,
+            t.retires,
+            t.folds,
+            t.windows_sealed,
         )
     }
 }
@@ -715,7 +697,7 @@ fn cmd_close(shared: &Shared, sid: &str) -> Action {
         inbox.closed = true;
         inbox.poisoned.clone()
     };
-    shared.absorb_closed(&mon);
+    shared.closed.lock().unwrap().absorb(mon.totals());
     shared.open_sessions.fetch_sub(1, Ordering::Relaxed);
     let payload = match poisoned {
         Some(msg) => format!("{} error: {msg}", mon.num_events()),
@@ -915,10 +897,7 @@ impl Server {
             snapshots: AtomicU64::new(0),
             resumes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            closed_joins: AtomicU64::new(0),
-            closed_retires: AtomicU64::new(0),
-            closed_folds: AtomicU64::new(0),
-            closed_windows: AtomicU64::new(0),
+            closed: Mutex::new(StepReport::default()),
         });
         let conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));

@@ -88,8 +88,7 @@ fn read_reply(r: &mut BufReader<TcpStream>, busy: &mut u64) -> Result<String, St
             return Err("server closed the connection".into());
         }
         let line = line.trim_end();
-        if let Some(rest) = line.strip_prefix("BUSY ") {
-            let _ = rest;
+        if line.starts_with("BUSY ") {
             *busy += 1;
             continue;
         }
@@ -190,14 +189,6 @@ fn drive_conn(
             },
         ));
     }
-    if cfg.shutdown {
-        writeln!(w, "SHUTDOWN").map_err(|e| e.to_string())?;
-        w.flush().map_err(|e| e.to_string())?;
-        let reply = read_reply(&mut r, &mut res.busy)?;
-        if reply != "BYE" {
-            return Err(format!("SHUTDOWN: unexpected reply `{reply}`"));
-        }
-    }
     Ok(res)
 }
 
@@ -208,8 +199,8 @@ pub fn run(cfg: &LoadgenConfig, work: &[(String, Trace)]) -> Result<LoadgenRepor
         return Err("loadgen: no sessions to drive".into());
     }
     let conns = cfg.conns.clamp(1, work.len());
-    // Only the last connection sends SHUTDOWN (if asked), after every
-    // other connection has closed its sessions.
+    // SHUTDOWN (if asked) goes on a connection of its own, once every
+    // connection has closed its sessions.
     let t0 = Instant::now();
     let results: Vec<Result<ConnResult, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..conns)
@@ -219,9 +210,7 @@ pub fn run(cfg: &LoadgenConfig, work: &[(String, Trace)]) -> Result<LoadgenRepor
                     .enumerate()
                     .filter(|(i, _)| i % conns == c)
                     .collect();
-                let mut cfg = cfg.clone();
-                cfg.shutdown = false;
-                scope.spawn(move || drive_conn(&cfg, &my_work))
+                scope.spawn(move || drive_conn(cfg, &my_work))
             })
             .collect();
         handles

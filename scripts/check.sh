@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Quality gate: formatting + lints + the full test suite.
+# Quality gate: formatting + lints + docs + the full test suite.
 #
 # Usage: scripts/check.sh [--no-test]
-#   --no-test   run only the fast static checks (fmt + clippy)
+#   --no-test   run only the fast static checks (fmt + clippy + rustdoc)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -12,6 +12,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# A doc link to a renamed, removed or private item is an error.
+echo "==> cargo doc --workspace --no-deps (-D warnings)"
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
 
 if [ "${1:-}" != "--no-test" ]; then
     echo "==> cargo test -q"
