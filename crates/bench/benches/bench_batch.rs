@@ -7,12 +7,12 @@
 //!   plain sequential loop and by [`check_batch`] at increasing worker
 //!   counts (speedup is expected only on multi-core hosts — on one core
 //!   the parallel rows measure the engine's overhead);
-//! * a single exhaustive check whose independent per-processor view
-//!   searches [`check_parallel`] fans out across workers.
+//! * the same corpus duplicated under renamings, with and without the
+//!   memo table.
 
 use smc_bench::quickbench::{black_box, Harness};
-use smc_core::batch::{check_batch, check_parallel};
-use smc_core::checker::{check_with_config, CheckConfig, EngineKind};
+use smc_core::batch::check_batch;
+use smc_core::checker::{check_with_config, CheckConfig};
 use smc_core::{models, ModelSpec};
 use smc_history::{History, HistoryBuilder};
 use smc_programs::corpus::litmus_suite;
@@ -50,39 +50,6 @@ fn bench_corpus(harness: &mut Harness) {
             let results = check_batch(&pairs, &cfg, jobs);
             let n = results.iter().filter(|r| r.verdict.is_allowed()).count();
             black_box(n);
-        });
-    }
-}
-
-/// A PRAM refutation that needs exhaustive per-processor view searches:
-/// `p` writes `x` as 1..=k, every other processor claims to read them in
-/// reverse order (violating FIFO delivery of `p`'s writes).
-fn reversed_reads(k: i64, readers: usize) -> History {
-    let mut b = HistoryBuilder::new();
-    for v in 1..=k {
-        b.write("p", "x", v);
-    }
-    for r in 0..readers {
-        let name = format!("q{r}");
-        for v in (1..=k).rev() {
-            b.read(&name, "x", v);
-        }
-    }
-    b.build()
-}
-
-fn bench_single_check(harness: &mut Harness) {
-    let h = reversed_reads(8, 4);
-    let spec = models::pram();
-    let cfg = CheckConfig::default();
-    let mut g = harness.group("batch/single_check_pram_reversed");
-    g.bench("sequential", || {
-        black_box(check_with_config(&h, &spec, &cfg));
-    });
-    for jobs in [2usize, 4] {
-        g.bench(&format!("check_parallel_j{jobs}"), || {
-            let (v, stats) = check_parallel(&h, &spec, &cfg, jobs);
-            black_box((v, stats.nodes_spent));
         });
     }
 }
@@ -137,46 +104,8 @@ fn bench_memoized_sweep(harness: &mut Harness) {
     });
 }
 
-/// One PRAM refutation whose per-processor view searches
-/// `check_parallel` fans out across workers. The search is tiny (13
-/// nodes), so under the default cutover the adaptive probe decides it
-/// sequentially and the `check_parallel_j*` rows should sit within noise
-/// of `sequential`; the `_nocutover` row keeps the always-fan-out cost
-/// (thread spawn plus the shared node pool) measurable for comparison.
-fn bench_split_dfs(harness: &mut Harness) {
-    let h = reversed_reads(10, 3);
-    let spec = models::pram();
-    // Exhaustive engine pinned: at 40 PRAM ops `Auto` would route every
-    // row to the saturation engine, and neither the view searches nor
-    // the cutover probe would run.
-    let cfg = CheckConfig {
-        engine: EngineKind::Exhaustive,
-        ..CheckConfig::default()
-    };
-    let nocutover = CheckConfig {
-        parallel_cutover: 0,
-        ..cfg.clone()
-    };
-    let mut g = harness.group("batch/split_dfs_pram_reversed");
-    g.bench("sequential", || {
-        black_box(check_with_config(&h, &spec, &cfg));
-    });
-    for jobs in [2usize, 4] {
-        g.bench(&format!("check_parallel_j{jobs}"), || {
-            let (v, stats) = check_parallel(&h, &spec, &cfg, jobs);
-            black_box((v, stats.nodes_spent));
-        });
-    }
-    g.bench("check_parallel_j4_nocutover", || {
-        let (v, stats) = check_parallel(&h, &spec, &nocutover, 4);
-        black_box((v, stats.nodes_spent));
-    });
-}
-
 fn main() {
     let mut h = Harness::from_env();
     bench_corpus(&mut h);
-    bench_single_check(&mut h);
     bench_memoized_sweep(&mut h);
-    bench_split_dfs(&mut h);
 }

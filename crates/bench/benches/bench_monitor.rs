@@ -11,8 +11,7 @@
 //! state once over the entire stream.
 
 use smc_bench::quickbench::{black_box, Harness};
-use smc_core::batch::check_parallel;
-use smc_core::checker::CheckConfig;
+use smc_core::checker::{check_with_config, CheckConfig};
 use smc_core::models;
 use smc_history::trace::Trace;
 use smc_history::{Label, OpKind};
@@ -58,9 +57,7 @@ fn scratch(t: &Trace) -> Option<bool> {
     let sc = models::sc();
     let mut last = None;
     for n in 1..=t.len() {
-        last = check_parallel(&t.history_of_prefix(n), &sc, &cfg, 1)
-            .0
-            .decided();
+        last = check_with_config(&t.history_of_prefix(n), &sc, &cfg).decided();
     }
     last
 }

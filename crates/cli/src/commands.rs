@@ -121,7 +121,7 @@ usage:
                                     propagated) vary with thread timing
   smc separate --all [...]          sweep every unlabeled model pair and
                                     report the full witness table
-  smc monitor [<file>|-] [--model NAME] [--jobs N] [--stats]
+  smc monitor [<file>|-] [--model NAME] [--stats]
             [--json PATH] [--max-states N] [--batch N]
             [--memo-file PATH] [--engine exhaustive|saturate|auto]
             [--window N] [--checkpoint-file PATH] [--restore-from PATH]
@@ -152,8 +152,8 @@ usage:
                                     any model's final verdict is
                                     violated
   smc serve [--listen ADDR] [--workers N] [--max-sessions N]
-            [--max-conns N] [--queue N] [--model NAME] [--jobs N]
-            [--max-states N] [--window N] [--evict-dir DIR]
+            [--max-conns N] [--queue N] [--model NAME] [--max-states N]
+            [--window N] [--evict-dir DIR]
                                     run the multi-session streaming
                                     admission server: line-oriented TCP
                                     (OPEN/EV/QUERY/CLOSE, `@sid <event>`
@@ -218,12 +218,9 @@ usage:
   smc models                        list available models and machines
 
 --jobs N runs checks on N worker threads (default 1; results are
-reported in the same order as sequential checking). With more workers
-than (history, model) pairs, the workers move inside each check: a
-check that does not decide within a 4096-node sequential probe runs one
-layer of its enumeration side by side, the reads-from assignments, TSO
-store orders, or PRAM-like per-processor views. One search is never
-split, so SC, Coherent, PCG and Hybrid checks stay sequential.
+reported in the same order as sequential checking). The workers share
+out the histories and (history, model) pairs; each check runs whole on
+one thread, so every verdict is the one a single job gives.
 
 --engine picks the checking backend: `exhaustive` enumerates schedules,
 `saturate` decides by order-constraint propagation (no enumeration; it
@@ -236,8 +233,9 @@ else stays exhaustive.
 
 memories for --memory: sc tso tso-fwd pram causal pc coherent rcsc rcpc wo hybrid";
 
-/// The flags the checking subcommands share (see [`CheckFlags`]).
-const CHECKING: &str = "--jobs N --engine exhaustive|saturate|auto --memo-file PATH";
+/// The flags the checking subcommands share (see [`CheckFlags`]). Those
+/// that spread histories or pairs over threads also take `--jobs N`.
+const CHECKING: &str = "--engine exhaustive|saturate|auto --memo-file PATH";
 
 type Command = fn(&Args) -> Result<ExitCode, String>;
 
@@ -391,27 +389,6 @@ fn render_stats(stats: &CheckStats) -> String {
     if stats.rf_truncated {
         s.push_str(", rf truncated");
     }
-    // Cutover decision: `ran_sequential` means the check answered without
-    // spawning workers (jobs 1, a shape with nothing to fan out, or the
-    // bounded probe decided). A non-zero
-    // probe count without it means the probe exhausted and workers were
-    // spawned anyway. Plain sequential runs take no cutover decision, so
-    // print nothing for them.
-    if stats.ran_sequential {
-        if stats.probe_nodes > 0 {
-            s.push_str(&format!(
-                ", ran sequential (cutover probe: {} nodes)",
-                stats.probe_nodes
-            ));
-        } else {
-            s.push_str(", ran sequential");
-        }
-    } else if stats.probe_nodes > 0 {
-        s.push_str(&format!(
-            ", cutover probe exhausted ({} nodes), fanned out",
-            stats.probe_nodes
-        ));
-    }
     // The engine line only matters when the saturation backend ran; the
     // exhaustive engine is the default and its saturation counters are
     // structurally zero.
@@ -435,10 +412,6 @@ fn render_stats(stats: &CheckStats) -> String {
 
 /// Check every (test × model) pair of a suite on `jobs` threads; results
 /// come back indexed test-major, matching the sequential print order.
-/// With more workers than pairs, batch-level fan-out would leave threads
-/// idle, so the workers move *inside* each check instead
-/// ([`smc_core::batch::check_parallel`] runs its independent searches
-/// side by side).
 fn check_suite(
     suite: &[LitmusTest],
     model_list: &[ModelSpec],
@@ -449,20 +422,6 @@ fn check_suite(
         .iter()
         .flat_map(|t| model_list.iter().map(move |m| (&t.history, m)))
         .collect();
-    if jobs > 1 && pairs.len() < jobs {
-        return pairs
-            .iter()
-            .enumerate()
-            .map(|(index, (h, m))| {
-                let (verdict, stats) = smc_core::batch::check_parallel(h, m, cfg, jobs);
-                BatchResult {
-                    index,
-                    verdict,
-                    stats,
-                }
-            })
-            .collect();
-    }
     check_batch(&pairs, cfg, jobs)
 }
 
@@ -482,7 +441,6 @@ fn engine_flag(args: &Args) -> Result<EngineKind, String> {
 /// `matrix`, `separate`, `monitor`) share, parsed in one place so the
 /// commands cannot drift apart in spelling, defaults or error messages.
 struct CheckFlags<'a> {
-    jobs: usize,
     engine: EngineKind,
     memo_file: Option<&'a str>,
 }
@@ -490,7 +448,6 @@ struct CheckFlags<'a> {
 impl<'a> CheckFlags<'a> {
     fn parse(args: &Args<'a>) -> Result<Self, String> {
         Ok(CheckFlags {
-            jobs: jobs_flag(args)?,
             engine: engine_flag(args)?,
             memo_file: args.value("--memo-file"),
         })
@@ -538,13 +495,13 @@ fn memo_file_save(cfg: &CheckConfig, path: Option<&str>) {
     }
 }
 
-const CHECK_FLAGS: &[&str] = &["--model NAME --stats", CHECKING];
+const CHECK_FLAGS: &[&str] = &["--model NAME --stats --jobs N", CHECKING];
 
 fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     let path = args.operands().first().ok_or("check: missing <file>")?;
     let model_list = resolve_models(args.value("--model"), models::all_models)?;
+    let jobs = jobs_flag(args)?;
     let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
     let show_stats = args.switch("--stats");
     let cfg = flags.config(CheckConfig::default(), false);
     let suite = load(path)?;
@@ -636,11 +593,11 @@ fn matrix_cell(v: &Verdict) -> &'static str {
     }
 }
 
-const CORPUS_FLAGS: &[&str] = &["--stats --json PATH --exhaustive", CHECKING];
+const CORPUS_FLAGS: &[&str] = &["--stats --json PATH --exhaustive --jobs N", CHECKING];
 
 fn cmd_corpus(args: &Args) -> Result<ExitCode, String> {
+    let jobs = jobs_flag(args)?;
     let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
     let show_stats = args.switch("--stats");
     let json_path = args.value("--json");
     if args.switch("--exhaustive") {
@@ -672,8 +629,6 @@ fn cmd_corpus(args: &Args) -> Result<ExitCode, String> {
                         .num("rf_tried", r.stats.rf_assignments_tried as u64)
                         .num("wall_us", r.stats.wall.as_micros() as u64)
                         .bool("memo_hit", r.stats.memo_hit)
-                        .bool("ran_sequential", r.stats.ran_sequential)
-                        .num("probe_nodes", r.stats.probe_nodes)
                         .str("engine", &r.stats.engine_used.to_string())
                         .num("saturation_steps", r.stats.saturation_steps)
                         .num("saturation_branches", r.stats.saturation_branches)
@@ -824,12 +779,12 @@ fn corpus_exhaustive(
     Ok(exit_status(undecided == 0))
 }
 
-const MATRIX_FLAGS: &[&str] = &["--stats", CHECKING];
+const MATRIX_FLAGS: &[&str] = &["--stats --jobs N", CHECKING];
 
 fn cmd_matrix(args: &Args) -> Result<ExitCode, String> {
     let path = args.operands().first().ok_or("matrix: missing <file>")?;
+    let jobs = jobs_flag(args)?;
     let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
     let show_stats = args.switch("--stats");
     let suite = load(path)?;
     let model_list = models::all_models();
@@ -989,7 +944,7 @@ fn cmd_bakery(args: &Args) -> Result<ExitCode, String> {
 }
 
 const SEPARATE_FLAGS: &[&str] = &[
-    "--all --no-minimize --max-universe SPEC --json PATH --emit-dir DIR",
+    "--all --no-minimize --max-universe SPEC --json PATH --emit-dir DIR --jobs N",
     CHECKING,
 ];
 
@@ -1015,6 +970,7 @@ fn cmd_separate(args: &Args) -> Result<ExitCode, String> {
         }
         vec![ma, mb]
     };
+    let jobs = jobs_flag(args)?;
     let flags = CheckFlags::parse(args)?;
     let spec = args.value("--max-universe").unwrap_or("medium");
     let universes = smc_core::separate::ladder(spec).map_err(|e| format!("--max-universe: {e}"))?;
@@ -1022,7 +978,7 @@ fn cmd_separate(args: &Args) -> Result<ExitCode, String> {
     let cfg = flags.config(CheckConfig::default(), true);
 
     let t0 = std::time::Instant::now();
-    let mut sep = Separator::new(model_list.clone(), cfg.clone(), flags.jobs);
+    let mut sep = Separator::new(model_list.clone(), cfg.clone(), jobs);
     let impossible = sep.directions().len() - sep.open_directions();
     println!(
         "separating {} model(s): {} direction(s) to decide, {} impossible by known inclusions",
@@ -1124,7 +1080,7 @@ fn cmd_separate(args: &Args) -> Result<ExitCode, String> {
         st.propagated,
         st.undecided,
         wall,
-        jobs_suffix(flags.jobs)
+        jobs_suffix(jobs)
     );
 
     if let Some(path) = json_path {
@@ -1346,7 +1302,6 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     use std::io::{BufRead, Read};
 
     let flags = CheckFlags::parse(args)?;
-    let jobs = flags.jobs;
     let show_stats = args.switch("--stats");
     let json_path = args.value("--json");
     // Feed granularity: --batch N feeds the monitor once per N parsed
@@ -1359,10 +1314,7 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     // Lattice order keeps stronger models first, so one frontier
     // verdict propagates to as many weaker models as possible.
     let model_list = resolve_models(args.value("--model"), models::lattice_models)?;
-    let mut cfg = MonitorConfig {
-        jobs,
-        ..MonitorConfig::default()
-    };
+    let mut cfg = MonitorConfig::default();
     cfg.max_frontier_states = args.num("--max-states", cfg.max_frontier_states)?;
     // --window N seals the decided prefix every N events, bounding
     // frontier memory (0 = unwindowed, the default).
@@ -1650,7 +1602,7 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
 }
 
 const SERVE_FLAGS: &[&str] = &[
-    "--listen ADDR --workers N --max-sessions N --max-conns N --queue N --model NAME --jobs N \
+    "--listen ADDR --workers N --max-sessions N --max-conns N --queue N --model NAME \
      --max-states N --window N --evict-dir DIR",
 ];
 
@@ -1667,7 +1619,6 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     cfg.queue_cap = args.positive("--queue")?.unwrap_or(cfg.queue_cap);
     // Lattice order, so frontier verdicts propagate maximally.
     cfg.models = resolve_models(args.value("--model"), models::lattice_models)?;
-    cfg.monitor.jobs = jobs_flag(args)?;
     cfg.monitor.max_frontier_states = args.num("--max-states", cfg.monitor.max_frontier_states)?;
     let window: usize = args.num("--window", 0)?;
     cfg.monitor.window = (window > 0).then_some(window);
@@ -2162,9 +2113,9 @@ mod tests {
     #[test]
     fn check_flags_parse_and_configure() {
         let line = "--jobs 3 --engine saturate --memo-file m.bin";
-        parsed(line, &[CHECKING], |args| {
+        parsed(line, CHECK_FLAGS, |args| {
+            assert_eq!(jobs_flag(args)?, 3);
             let flags = CheckFlags::parse(args)?;
-            assert_eq!(flags.jobs, 3);
             assert_eq!(flags.memo_file, Some("m.bin"));
             let cfg = flags.config(CheckConfig::default(), false);
             assert_eq!(cfg.engine, EngineKind::Saturate);
@@ -2173,9 +2124,9 @@ mod tests {
         })
         .unwrap();
         // Defaults when no flags are given.
-        parsed("", &[CHECKING], |args| {
+        parsed("", CHECK_FLAGS, |args| {
+            assert_eq!(jobs_flag(args)?, 1);
             let flags = CheckFlags::parse(args)?;
-            assert_eq!(flags.jobs, 1);
             assert_eq!(flags.engine, EngineKind::Auto);
             assert!(flags.memo_file.is_none());
             Ok(())
@@ -2248,7 +2199,6 @@ mod tests {
                 "--max-conns",
                 "--queue",
                 "--model",
-                "--jobs",
                 "--max-states",
                 "--window",
                 "--evict-dir"

@@ -583,7 +583,7 @@ fn unknown_flags_are_rejected_by_name() {
         "smc_unknown_flag.litmus",
         "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n",
     );
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["check", &f, "--engin", "saturate"], "--engin"),
         (&["check", &f, "--job", "4"], "--job"),
         (&["check", &f, "--jobs=4"], "--jobs=4"),
@@ -611,6 +611,10 @@ fn unknown_flags_are_rejected_by_name() {
         // (`tests/engine_equiv.rs`, `tests/monitor_equiv.rs`), not modes.
         (&["corpus", "--engine-equiv"], "--engine-equiv"),
         (&["monitor", "--corpus"], "--corpus"),
+        // A check runs on one thread: `--jobs` spreads histories and
+        // pairs, which a monitor or a server session never has.
+        (&["monitor", "--jobs", "2"], "--jobs"),
+        (&["serve", "--jobs", "2"], "--jobs"),
     ];
     for (args, flag) in cases {
         let stderr = smc_usage_error(args);
@@ -622,6 +626,29 @@ fn unknown_flags_are_rejected_by_name() {
         assert!(stderr.contains(&format!("smc {}", args[0])), "{stderr}");
         assert!(!stderr.contains("smc models"), "{stderr}");
     }
+}
+
+/// One check runs on one thread, whatever `--jobs` says: on a one-test
+/// file (fewer pairs than jobs), `--stats` prints what one job prints,
+/// apart from the wall time.
+#[test]
+fn check_stats_are_the_same_at_every_job_count() {
+    let f = write_tmp("smc_one_test.litmus", "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n");
+    let run = |jobs: &str| {
+        let (ok, stdout, stderr) = smc(&["check", &f, "--model", "pc", "--stats", "--jobs", jobs]);
+        assert!(ok, "{stderr}");
+        // The wall time is the third field of the stats line.
+        stdout
+            .lines()
+            .map(|line| match line.split_once(" rf assignment(s), ") {
+                Some((head, tail)) => format!("{head}{}", tail.split_once(',').map_or("", |t| t.1)),
+                None => line.to_owned(),
+            })
+            .collect::<Vec<_>>()
+    };
+    let one = run("1");
+    assert!(one.iter().any(|l| l.contains("nodes")), "{one:?}");
+    assert_eq!(run("4"), one);
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Parallel batch checking: fan (history × model) pairs — or the
-//! alternatives inside a single check — across a thread pool.
+//! Parallel batch checking: fan (history × model) pairs across a thread
+//! pool.
 //!
-//! Three entry points, all on `std::thread::scope` (no external
+//! Two entry points, both on `std::thread::scope` (no external
 //! runtime):
 //!
 //! * [`check_batch`] — check many independent (history, model) pairs;
@@ -9,13 +9,10 @@
 //!   order regardless of completion order.
 //! * [`check_matrix`] — convenience wrapper: every history against every
 //!   model, history-major.
-//! * [`check_parallel`] — the sequential checker with a job count: one
-//!   layer of the check runs its alternatives side by side (reads-from
-//!   assignments, TSO store orders, or the per-processor views of
-//!   models with no shared order), on one shared node pool
-//!   ([`crate::budget::SharedBudget`]); see [`crate::checker`].
 //!
-//! Every claim-an-index fan-out (here, in the checker's layers, in the
+//! A job count spreads histories and pairs, never the layers of one
+//! check: each check runs on one thread under its own budget
+//! ([`crate::checker`]). Every claim-an-index fan-out (here, in the
 //! propagating sweep in [`crate::lattice`] and in the separation search
 //! in [`crate::separate`]) runs on one worker pool, `par_map`.
 //!
@@ -24,17 +21,10 @@
 //! (each pair gets its own budget of `cfg.node_budget` nodes, exactly as
 //! in the sequential case). With a memo, the pair of a renaming class
 //! that pays for its search is the one a single job would pick, so the
-//! per-pair counters match too. `check_parallel` returns the lowest-index
-//! decided outcome of the layer it fans out; because its workers share
-//! one node pool it may *decide* an instance where the sequential order
-//! of exploration exhausts first, but it never contradicts a sequential
-//! `Allowed` or `Disallowed`, and every `Allowed` carries a witness that
-//! [`crate::verify::verify_witness`] accepts. A per-view fan-out returns
-//! the sequential checker's witness itself: each view is the same
-//! deterministic search.
+//! per-pair counters match too.
 
 use crate::canon::{canonicalize, Canon};
-use crate::checker::{check_with_canon, check_with_jobs, CheckConfig, CheckStats, Plan, Verdict};
+use crate::checker::{check_with_canon, CheckConfig, CheckStats, Plan, Verdict};
 use crate::spec::ModelSpec;
 use smc_history::History;
 use std::collections::HashSet;
@@ -101,7 +91,7 @@ pub fn check_batch(
             .expect("a run keeps its plan until its last pair is checked");
         let canon = run.canon.as_ref();
         let (verdict, mut stats) =
-            check_with_canon(&plan, pairs[index].1, cfg, canon.map(|c| &c.0), 1);
+            check_with_canon(&plan, pairs[index].1, cfg, canon.map(|c| &c.0));
         stats.wall += canon.map_or(Duration::ZERO, |c| c.1);
         drop(plan);
         if run.pending.fetch_sub(1, Ordering::Relaxed) == 1 {
@@ -207,32 +197,6 @@ pub fn check_matrix(
     check_batch(&pairs, cfg, jobs)
 }
 
-/// Run a single check on up to `jobs` threads sharing one pool of
-/// `cfg.node_budget` search nodes.
-///
-/// This is [`crate::checker::check_with_stats`] with a job count. Checks that decide
-/// within `cfg.parallel_cutover` nodes never spawn a worker; otherwise
-/// one layer of the exhaustive check fans out, chosen by the model's
-/// shape: the reads-from assignments (causal, PC, RC — any model that
-/// enumerates explanations; with exactly one assignment, the layers
-/// under it instead), TSO's store orders, or the per-processor views of
-/// models with no shared order (PRAM-like). SC's one shared view, and
-/// coherence or labeled orders without reads-from, run sequentially,
-/// as does the saturation engine.
-pub fn check_parallel(
-    h: &History,
-    spec: &ModelSpec,
-    cfg: &CheckConfig,
-    jobs: usize,
-) -> (Verdict, CheckStats) {
-    let (verdict, mut stats) = check_with_jobs(h, spec, cfg, jobs.max(1));
-    if jobs <= 1 {
-        // One job takes no cutover decision, but it does run sequentially.
-        stats.ran_sequential = !stats.memo_hit;
-    }
-    (verdict, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,76 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_single_check_agrees() {
-        let cfg = CheckConfig::default();
-        for h in figures() {
-            for m in models::all_models() {
-                let seq = check_with_config(&h, &m, &cfg);
-                let (par, stats) = check_parallel(&h, &m, &cfg, 4);
-                if let (Some(a), Some(b)) = (seq.decided(), par.decided()) {
-                    assert_eq!(a, b, "{} disagrees", m.name);
-                }
-                if let Verdict::Allowed(w) = &par {
-                    verify_witness(&h, &m, w).expect("parallel witness verifies");
-                    assert!(stats.nodes_spent > 0 || h.num_ops() == 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_views_refute_pram_violation() {
-        // PRAM forbids reordering one processor's writes in another's view.
-        let h = parse_history("p: w(x)1 w(y)1\nq: r(y)1 r(x)0").unwrap();
-        let cfg = CheckConfig::default();
-        let (v, _) = check_parallel(&h, &models::pram(), &cfg, 4);
-        assert!(v.is_disallowed());
-        assert!(check_with_config(&h, &models::pram(), &cfg).is_disallowed());
-    }
-
-    #[test]
-    fn split_dfs_agrees_with_sequential_on_sc_and_tso() {
-        let cfg = CheckConfig::default();
-        for h in figures() {
-            for m in [models::sc(), models::tso()] {
-                let seq = check_with_config(&h, &m, &cfg);
-                for jobs in [2, 4] {
-                    let (par, _) = check_parallel(&h, &m, &cfg, jobs);
-                    assert_eq!(
-                        par.decided(),
-                        seq.decided(),
-                        "{} at jobs={jobs} disagrees",
-                        m.name
-                    );
-                    if let Verdict::Allowed(w) = &par {
-                        verify_witness(&h, &m, w).expect("split witness verifies");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn memoized_parallel_hits_across_renamings() {
-        // The same history under a processor/location/value renaming must
-        // hit the cache and still return a verifying witness.
-        let a = parse_history("p: w(x)1\nq: r(x)1 w(y)1\nr: r(y)1 r(x)0").unwrap();
-        let b = parse_history("u: w(c)7\nv: r(c)7 w(d)3\nw: r(d)3 r(c)0").unwrap();
-        let cfg = CheckConfig::default().with_memo();
-        let memo = cfg.memo.clone().unwrap();
-        for m in [models::causal(), models::sc(), models::tso()] {
-            let (va, _) = check_parallel(&a, &m, &cfg, 4);
-            let (vb, sb) = check_parallel(&b, &m, &cfg, 4);
-            assert_eq!(va.decided(), vb.decided(), "{} memo disagrees", m.name);
-            assert!(sb.memo_hit, "{} second check missed the memo", m.name);
-            if let Verdict::Allowed(w) = &vb {
-                verify_witness(&b, &m, w).expect("rehydrated witness verifies");
-            }
-        }
-        assert!(memo.stats().hits >= 3);
-    }
-
-    #[test]
     fn memoized_batch_pays_like_one_job() {
         // Each figure next to a twin with its processors reversed and its
         // locations renamed: one canonical class. With a shared memo, the
@@ -397,51 +291,6 @@ mod tests {
             .all(|&(nodes, hit)| hit && nodes == 0));
         for round in 0..20 {
             assert_eq!(spent(4), one, "round {round}");
-        }
-    }
-
-    #[test]
-    fn probe_overrun_hands_off_to_fan_out() {
-        // q's PRAM view must interleave 64 of p's writes with its own 64
-        // before its reads refute it, which takes more nodes than the
-        // default probe grants, so the check fans the views out.
-        let pad = |loc: &str| -> String { (1..=64).map(|v| format!(" w({loc}){v}")).collect() };
-        let h = parse_history(&format!(
-            "p:{} w(x)1 w(y)1\nq:{} r(y)1 r(x)0",
-            pad("a"),
-            pad("b")
-        ))
-        .unwrap();
-        let cfg = CheckConfig {
-            engine: crate::checker::EngineKind::Exhaustive,
-            ..CheckConfig::default()
-        };
-        let (v, stats) = check_parallel(&h, &models::pram(), &cfg, 2);
-        assert!(v.is_disallowed());
-        assert!(stats.probe_nodes > 0);
-        assert!(stats.nodes_spent > stats.probe_nodes);
-        assert!(!stats.ran_sequential);
-    }
-
-    #[test]
-    fn driverless_shape_runs_sequentially() {
-        // Coherent memory and SC have no independent searches to fan
-        // out: whatever the cutover, the check runs on the sequential
-        // checker and says so.
-        let h = parse_history("p: w(x)1 w(x)2\nq: r(x)2 r(x)1").unwrap();
-        for spec in [models::coherent(), models::sc()] {
-            for parallel_cutover in [0, 1, 4096] {
-                let cfg = CheckConfig {
-                    parallel_cutover,
-                    ..CheckConfig::default()
-                };
-                let (v, stats) = check_parallel(&h, &spec, &cfg, 4);
-                assert_eq!(v, check_with_config(&h, &spec, &cfg), "{}", spec.name);
-                assert!(v.is_disallowed(), "{}", spec.name);
-                let at = format!("{} cutover {parallel_cutover}", spec.name);
-                assert!(stats.ran_sequential, "{at}");
-                assert_eq!(stats.probe_nodes, 0, "{at}");
-            }
         }
     }
 }

@@ -26,13 +26,12 @@
 //! ([`crate::view`]), so a memo miss in a sweep pays for its search, not
 //! for rebuilding its inputs.
 //!
-//! The same layers serve every job count. With more than one job
-//! ([`crate::batch::check_parallel`]), one layer runs its alternatives
-//! side by side on a shared pool: the reads-from assignments, TSO's
-//! store orders, or the views of a model with no shared order. Every
-//! layer under it runs in order, and with one job every layer does.
+//! A check runs on one thread: each layer tries its alternatives in
+//! order, on the check's one budget, and stops at the first that
+//! settles it. Parallelism lives a level up, across histories and
+//! (history, model) pairs ([`crate::batch`]).
 
-use crate::budget::{Budget, SharedBudget};
+use crate::budget::Budget;
 use crate::canon::{canonicalize, Canon};
 use crate::coherence::{enumerate_coherence, CoherenceOrders};
 use crate::constraints::{
@@ -68,20 +67,6 @@ pub struct CheckConfig {
     /// witness, which verifies but need not be the same witness the
     /// search would find.
     pub memo: Option<Arc<MemoCache>>,
-    /// Adaptive-cutover threshold for [`crate::batch::check_parallel`]:
-    /// before spawning any workers, a bounded sequential probe runs under
-    /// a budget of this many search nodes. If the probe decides, the
-    /// check is over — litmus-sized instances never pay thread-spawn or
-    /// shared-pool setup, and cost at `--jobs 4` what they cost at
-    /// `--jobs 1`. Only when the probe exhausts its budget does the
-    /// check fan out, and the wasted work is bounded by this threshold
-    /// (the Cilk rule: never parallelize below a measured work
-    /// threshold). The default, 4096, sits below the crossover: PC
-    /// checks of 4k–16k nodes ran 0.78× as fast at two jobs as at one
-    /// (worst 0.51×), and only histories with many reads-from
-    /// assignments gained past ~12k nodes (README, "Parallel
-    /// checking"). `0` disables the probe and always fans out.
-    pub parallel_cutover: u64,
     /// Which checking backend decides: the exhaustive enumerating
     /// search, the order-constraint saturation engine
     /// ([`crate::saturate`]), or an automatic choice by model support
@@ -138,12 +123,11 @@ impl std::fmt::Display for Engine {
 
 /// The `engine: Auto` size threshold: histories with more than this many
 /// operations route to the saturation engine when the model supports it,
-/// mirroring [`CheckConfig::parallel_cutover`]'s probe —
-/// litmus-sized checks keep the exhaustive path (and its bit-identical
-/// verdicts/witnesses), big histories get the engine that can actually
-/// decide them. Corpus litmus tests top out around a dozen operations;
-/// above that the exhaustive enumerations start losing to the
-/// polynomial-per-decision saturation engine.
+/// so litmus-sized checks keep the exhaustive path (and its bit-identical
+/// verdicts/witnesses), and big histories get the engine that can
+/// actually decide them. Corpus litmus tests top out around a dozen
+/// operations; above that the exhaustive enumerations start losing to
+/// the polynomial-per-decision saturation engine.
 pub(crate) const ENGINE_CUTOVER: usize = 16;
 
 /// The `engine: Auto` size threshold for models with *no* shared write
@@ -154,22 +138,12 @@ pub(crate) const ENGINE_CUTOVER: usize = 16;
 /// saturate 2.7×).
 pub(crate) const ENGINE_CUTOVER_UNSTRUCTURED: usize = 32;
 
-/// Most store orders a fanned-out TSO check collects before checking
-/// them side by side; past the cap, the rest are checked as they are
-/// listed.
-const STORE_ORDER_CAP: usize = 16_384;
-
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             max_rf: 4096,
             node_budget: 20_000_000,
             memo: None,
-            // ~1.2ms of sequential probing at measured search rates — a
-            // few times the thread-spawn + shared-pool setup cost it can
-            // save, while the corpus's litmus-sized checks (tens to a few
-            // thousand nodes) always decide inside the probe.
-            parallel_cutover: 4096,
             engine: EngineKind::Auto,
             saturate_learning: true,
             // Conservative Luby unit: long enough that litmus-sized
@@ -263,18 +237,6 @@ pub struct CheckStats {
     /// `true` if the verdict came from the memo table rather than a
     /// search.
     pub memo_hit: bool,
-    /// `true` if [`crate::batch::check_parallel`] answered without
-    /// spawning workers: the `jobs == 1` path, a shape with no
-    /// independent searches to fan out, or the adaptive cutover's
-    /// sequential probe deciding within [`CheckConfig::parallel_cutover`]
-    /// nodes. `false` from a plain sequential entry point
-    /// ([`check_with_stats`]) or a memo hit means "no cutover decision was
-    /// taken", not "workers ran".
-    pub ran_sequential: bool,
-    /// Search nodes the cutover probe spent before deciding (counted in
-    /// [`CheckStats::nodes_spent`] too), or before giving up and fanning
-    /// out. Zero when no probe ran.
-    pub probe_nodes: u64,
     /// The backend that produced the verdict. Stays at the default
     /// ([`Engine::Exhaustive`]) on a memo hit, where no engine ran —
     /// [`CheckStats::memo_hit`] disambiguates.
@@ -364,21 +326,10 @@ pub fn check_with_config(h: &History, spec: &ModelSpec, cfg: &CheckConfig) -> Ve
 
 /// Check `h` against `spec`, also reporting how much work the check did.
 pub fn check_with_stats(h: &History, spec: &ModelSpec, cfg: &CheckConfig) -> (Verdict, CheckStats) {
-    check_with_jobs(h, spec, cfg, 1)
-}
-
-/// [`check_with_stats`] on `jobs` workers: the body of
-/// [`crate::batch::check_parallel`].
-pub(crate) fn check_with_jobs(
-    h: &History,
-    spec: &ModelSpec,
-    cfg: &CheckConfig,
-    jobs: usize,
-) -> (Verdict, CheckStats) {
     let start = Instant::now();
     let canon = cfg.memo.as_ref().map(|_| canonicalize(h));
     let plan = Plan::new(h, cfg);
-    let (verdict, mut stats) = check_with_canon(&plan, spec, cfg, canon.as_ref(), jobs);
+    let (verdict, mut stats) = check_with_canon(&plan, spec, cfg, canon.as_ref());
     // The check's wall time includes canonicalizing for the memo.
     stats.wall = start.elapsed();
     (verdict, stats)
@@ -391,8 +342,8 @@ pub(crate) fn check_with_jobs(
 /// store orders range over. A sweep makes one plan per history, so its
 /// memo misses build each piece at most once between them, and a
 /// history whose every check hits the memo builds none. The pieces sit
-/// in `OnceLock`s, so a fanned-out check shares the plan across its
-/// workers.
+/// in `OnceLock`s, so [`crate::batch::check_batch`]'s workers can share
+/// the plan of a history whose pairs they split between them.
 pub(crate) struct Plan<'h> {
     h: &'h History,
     max_rf: usize,
@@ -463,14 +414,12 @@ impl<'h> Plan<'h> {
 /// `plan` is the history's [`Plan`], and `canon` its canonical form,
 /// given exactly when `cfg.memo` is set (the lattice sweep
 /// canonicalizes a history and makes its plan once for all its models).
-/// Each engine runs under `cfg.node_budget` nodes; with more than one
-/// job the exhaustive engine may fan its layers out ([`exhaustive`]).
+/// Either engine runs under one budget of `cfg.node_budget` nodes.
 pub(crate) fn check_with_canon(
     plan: &Plan<'_>,
     spec: &ModelSpec,
     cfg: &CheckConfig,
     canon: Option<&Canon>,
-    jobs: usize,
 ) -> (Verdict, CheckStats) {
     debug_assert_eq!(cfg.memo.is_some(), canon.is_some());
     debug_assert_eq!(plan.max_rf, cfg.max_rf);
@@ -489,21 +438,16 @@ pub(crate) fn check_with_canon(
             return (verdict, stats);
         }
     }
-    // With more than one job, a check that never fans out says so.
-    let mut stats = CheckStats {
-        ran_sequential: jobs > 1,
-        ..CheckStats::default()
-    };
+    let mut stats = CheckStats::default();
+    let budget = Budget::local(cfg.node_budget);
     let verdict = match cfg.resolve_engine(h, spec) {
         Engine::Saturate => {
             stats.engine_used = Engine::Saturate;
-            let budget = Budget::local(cfg.node_budget);
-            let verdict = crate::saturate::check_saturate(h, spec, cfg, &budget, &mut stats);
-            stats.nodes_spent = budget.spent();
-            verdict
+            crate::saturate::check_saturate(h, spec, cfg, &budget, &mut stats)
         }
-        Engine::Exhaustive => exhaustive(plan, spec, cfg, jobs, &mut stats),
+        Engine::Exhaustive => run_check(plan, spec, &budget, &mut stats),
     };
+    stats.nodes_spent = budget.spent();
     stats.wall = start.elapsed();
     if !matches!(verdict, Verdict::Exhausted) {
         stats.exhausted_stage = None;
@@ -514,74 +458,13 @@ pub(crate) fn check_with_canon(
     (verdict, stats)
 }
 
-/// Whether some layer of a `spec` check can fan out: the reads-from
-/// assignments, TSO's store orders, or the per-processor views of a
-/// model with no shared order. SC's one shared view never does, nor do
-/// coherence or labeled orders without reads-from (Coherent, PCG,
-/// Hybrid).
-fn fans_out(spec: &ModelSpec) -> bool {
-    spec.needs_reads_from()
-        || spec.global_write_order
-        || !(spec.identical_views || spec.coherence || spec.labeled.is_some())
-}
-
-/// The exhaustive engine on `jobs` workers. One job, or a shape with
-/// nothing to fan out, runs the layers in order under
-/// `cfg.node_budget` nodes. Otherwise a sequential probe of
-/// `cfg.parallel_cutover` nodes runs first, exactly as one job would:
-/// most checks (every litmus-sized one) decide in far fewer nodes than
-/// spawning workers costs. Only when the probe exhausts do the layers
-/// run again, fanned out on one pool of `cfg.node_budget` nodes, and
-/// the probe's nodes count too.
-fn exhaustive(
-    plan: &Plan<'_>,
-    spec: &ModelSpec,
-    cfg: &CheckConfig,
-    jobs: usize,
-    stats: &mut CheckStats,
-) -> Verdict {
-    let sequential = |limit: u64, stats: &mut CheckStats| {
-        let budget = Budget::local(limit);
-        let verdict = run_check(plan, spec, &budget, stats, 1);
-        stats.nodes_spent = budget.spent();
-        verdict
-    };
-    if jobs <= 1 || !fans_out(spec) {
-        return sequential(cfg.node_budget, stats);
-    }
-    if cfg.parallel_cutover > 0 {
-        let limit = cfg.parallel_cutover.min(cfg.node_budget);
-        let verdict = sequential(limit, stats);
-        stats.probe_nodes = stats.nodes_spent;
-        // A probe that had the whole node budget leaves a fan-out
-        // nothing more to search.
-        if !matches!(verdict, Verdict::Exhausted) || limit >= cfg.node_budget {
-            return verdict;
-        }
-    }
-    // The fan-out starts its stats afresh, keeping the probe's nodes.
-    let pool = SharedBudget::new(cfg.node_budget);
-    let seed = pool.attach();
-    let probe_nodes = stats.probe_nodes;
-    *stats = CheckStats {
-        probe_nodes,
-        ..CheckStats::default()
-    };
-    let verdict = run_check(plan, spec, &seed, stats, jobs);
-    seed.release();
-    stats.nodes_spent = probe_nodes + cfg.node_budget - pool.remaining();
-    verdict
-}
-
 /// The outermost layer: the reads-from assignments, for models whose
-/// orders mention them. With exactly one assignment the layers under it
-/// may fan out instead.
+/// orders mention them, tried in order until one explains the history.
 fn run_check(
     plan: &Plan<'_>,
     spec: &ModelSpec,
     budget: &Budget,
     stats: &mut CheckStats,
-    jobs: usize,
 ) -> Verdict {
     if let Err(e) = spec.validate() {
         return Verdict::Unsupported(e);
@@ -591,19 +474,22 @@ fn run_check(
         // views exist — unless the enumeration was cut short.
         let (rfs, truncated) = plan.reads_from();
         stats.rf_truncated = truncated;
-        let (outer, inner) = if rfs.len() == 1 { (1, jobs) } else { (jobs, 1) };
-        let runs = run_alternatives(rfs.len(), outer, budget, |i, budget| {
-            check_with_rf(plan, spec, Some(&rfs[i]), budget, inner)
-        });
-        stats.rf_assignments_tried += runs.iter().flatten().count();
-        match first_explanation(runs, Stage::ReadsFrom) {
+        let mut step = Step::Disallowed;
+        for rf in rfs {
+            stats.rf_assignments_tried += 1;
+            step = check_with_rf(plan, spec, Some(rf), budget);
+            if !matches!(step, Step::Disallowed) {
+                break;
+            }
+        }
+        match step {
             // Refuting every enumerated assignment refutes the history
             // only if the enumeration was complete.
             Step::Disallowed if truncated => Step::Exhausted(Stage::ReadsFrom),
             step => step,
         }
     } else {
-        check_with_rf(plan, spec, None, budget, jobs)
+        check_with_rf(plan, spec, None, budget)
     };
     match step {
         Step::Allowed(w) => Verdict::Allowed(w),
@@ -616,120 +502,13 @@ fn run_check(
     }
 }
 
-/// One alternative's outcome within a layer.
+/// One alternative's outcome within a layer. Every layer but the views
+/// tries its alternatives until one is not `Disallowed`.
 enum Step {
     Allowed(Box<Witness>),
     Disallowed,
     Exhausted(Stage),
     Unsupported(String),
-}
-
-/// An alternative's result as [`run_alternatives`] reads it.
-trait Alternative: Send {
-    /// Whether the next alternative still has to run.
-    fn goes_on(&self) -> bool;
-    /// Whether this result decides the layer whatever the others say.
-    fn settles(&self) -> bool;
-}
-
-/// Reads-from assignments and store orders each explain the history on
-/// their own: a witness or a refusal settles the layer.
-impl Alternative for Step {
-    fn goes_on(&self) -> bool {
-        matches!(self, Step::Disallowed)
-    }
-
-    fn settles(&self) -> bool {
-        matches!(self, Step::Allowed(_) | Step::Unsupported(_))
-    }
-}
-
-/// The per-processor views must all exist: a refuted view settles the
-/// layer.
-impl Alternative for SearchOutcome {
-    fn goes_on(&self) -> bool {
-        matches!(self, SearchOutcome::Found(_))
-    }
-
-    fn settles(&self) -> bool {
-        *self == SearchOutcome::NotFound
-    }
-}
-
-/// Run alternatives `0..n` of one layer. With one job they run in order
-/// on `budget` and stop after the first that does not go on. With more,
-/// they run on [`crate::batch::par_map`], each on its own attachment to
-/// the pool `budget` draws from, and a settling result cancels the pool:
-/// an alternative not yet started is then skipped (`None`).
-fn run_alternatives<T: Alternative>(
-    n: usize,
-    jobs: usize,
-    budget: &Budget,
-    each: impl Fn(usize, &Budget) -> T + Sync,
-) -> Vec<Option<T>> {
-    let Some(pool) = budget.shared().filter(|_| jobs > 1 && n > 1) else {
-        let mut runs = Vec::new();
-        for i in 0..n {
-            let run = each(i, budget);
-            let goes_on = run.goes_on();
-            runs.push(Some(run));
-            if !goes_on {
-                break;
-            }
-        }
-        return runs;
-    };
-    // Hand the caller's unspent chunk back to the workers.
-    budget.release();
-    crate::batch::par_map(n, jobs, |i| {
-        if pool.is_cancelled() {
-            return None;
-        }
-        let own = pool.attach();
-        let run = each(i, &own);
-        if run.settles() {
-            pool.cancel();
-        }
-        own.release();
-        Some(run)
-    })
-}
-
-/// Settle a layer of alternatives that each explain the history on
-/// their own: the lowest-index witness or refusal wins, then the first
-/// exhausted stage, then `unfinished` if an alternative was skipped
-/// (only a settling result skips any, so this is a safeguard:
-/// `Disallowed` would claim an unchecked alternative). Otherwise every
-/// alternative was refuted.
-fn first_explanation(runs: Vec<Option<Step>>, unfinished: Stage) -> Step {
-    let mut exhausted = None;
-    let mut skipped = false;
-    for run in runs {
-        match run {
-            Some(Step::Disallowed) => {}
-            Some(Step::Exhausted(stage)) => exhausted = exhausted.or(Some(stage)),
-            Some(decided) => return decided,
-            None => skipped = true,
-        }
-    }
-    exhausted
-        .or(skipped.then_some(unfinished))
-        .map_or(Step::Disallowed, Step::Exhausted)
-}
-
-/// Settle the per-processor views, which must all exist: a refuted view
-/// refutes the layer, and a view exhausted or skipped leaves it
-/// undecided.
-fn all_views(runs: Vec<Option<SearchOutcome>>) -> Result<Vec<Vec<OpId>>, Step> {
-    if runs.contains(&Some(SearchOutcome::NotFound)) {
-        return Err(Step::Disallowed);
-    }
-    runs.into_iter()
-        .map(|run| match run {
-            Some(SearchOutcome::Found(view)) => Ok(view),
-            _ => Err(Step::Exhausted(Stage::ViewSearch)),
-        })
-        .collect()
 }
 
 /// The operation sets `V_p = H_p ∪ δ_p` for each processor.
@@ -754,15 +533,12 @@ pub fn view_op_sets(h: &History, delta: OperationSet) -> Vec<BitSet> {
 }
 
 /// Everything under one reads-from assignment (or none): the shared
-/// orders the model needs, then the views. `jobs` reaches the layer
-/// that may fan out, the store orders or the views of a model with no
-/// shared order; the layers under it run in order.
+/// orders the model needs, then the views.
 fn check_with_rf(
     plan: &Plan<'_>,
     spec: &ModelSpec,
     rf: Option<&ReadsFrom>,
     budget: &Budget,
-    jobs: usize,
 ) -> Step {
     let (h, base) = (plan.h, plan.base());
     let legality = match rf {
@@ -826,49 +602,28 @@ fn check_with_rf(
         };
     }
 
-    // Layer 2: store orders (TSO). One job checks each order as it is
-    // listed. More collect up to `STORE_ORDER_CAP` orders and fan them
-    // out; past the cap, the rest are checked as they are listed.
+    // Layer 2: store orders (TSO), each checked as it is listed.
     if spec.global_write_order {
-        let check_stores = |stores: &[Vec<OpId>]| {
-            let runs = run_alternatives(stores.len(), jobs, budget, |i, budget| {
-                let cand = Candidates {
-                    store_order: Some(&stores[i]),
-                    ..Default::default()
-                };
-                with_candidates(plan, spec, rf, legality, &cand, None, budget, 1)
-            });
-            first_explanation(runs, Stage::ViewSearch)
-        };
-        let mut batch = if jobs > 1 { STORE_ORDER_CAP } else { 1 };
-        let mut stores = Vec::new();
         let mut result = Step::Disallowed;
         let _ = smc_relation::linext::for_each_linear_extension(&base.ppo, plan.writes(), |ext| {
             if !budget.try_spend() {
                 result = Step::Exhausted(Stage::StoreOrders);
                 return ControlFlow::Break(());
             }
-            stores.push(ext.iter().map(|&i| OpId(i as u32)).collect());
-            if stores.len() < batch {
-                return ControlFlow::Continue(());
-            }
-            result = check_stores(&stores);
-            stores.clear();
-            batch = 1;
-            match result {
+            let stores: Vec<OpId> = ext.iter().map(|&i| OpId(i as u32)).collect();
+            let cand = Candidates {
+                store_order: Some(&stores),
+                ..Default::default()
+            };
+            match with_candidates(plan, spec, rf, legality, &cand, None, budget) {
                 Step::Disallowed => ControlFlow::Continue(()),
-                _ => ControlFlow::Break(()),
+                done => {
+                    result = done;
+                    ControlFlow::Break(())
+                }
             }
         });
-        if stores.is_empty() {
-            return result;
-        }
-        // Orders listed but not yet checked: fewer than the cap, or the
-        // budget ran out listing more, which ranks after all of them.
-        return match check_stores(&stores) {
-            Step::Disallowed => result,
-            step => step,
-        };
+        return result;
     }
 
     // Layer 3: coherence orders (PC, RC, coherent variants).
@@ -903,10 +658,9 @@ fn check_with_rf(
         return with_labeled_agreement(plan, spec, rf, legality, None, budget);
     }
 
-    // No shared orders at all (PRAM, causal): straight to the views,
-    // which may fan out.
+    // No shared orders at all (PRAM, causal): straight to the views.
     let cand = Candidates::default();
-    with_candidates(plan, spec, rf, legality, &cand, None, budget, jobs)
+    with_candidates(plan, spec, rf, legality, &cand, None, budget)
 }
 
 /// Enumerate the common (agreement-only) orders of the labeled
@@ -938,7 +692,7 @@ fn with_labeled_agreement(
             labeled_order: Some(&t),
             ..Default::default()
         };
-        match with_candidates(plan, spec, rf, legality, &cand, None, budget, 1) {
+        match with_candidates(plan, spec, rf, legality, &cand, None, budget) {
             Step::Disallowed => ControlFlow::Continue(()),
             done => {
                 result = match done {
@@ -1000,7 +754,7 @@ fn with_coherence(
                     labeled_order: Some(&t),
                     ..Default::default()
                 };
-                match with_candidates(plan, spec, rf, legality, &cand, Some(ctx), budget, 1) {
+                match with_candidates(plan, spec, rf, legality, &cand, Some(ctx), budget) {
                     Step::Disallowed => ControlFlow::Continue(()),
                     done => ControlFlow::Break((done, t)),
                 }
@@ -1026,7 +780,7 @@ fn with_coherence(
                 ..Default::default()
             };
             attach_coherence(
-                with_candidates(plan, spec, rf, legality, &cand, labeled_ctx, budget, 1),
+                with_candidates(plan, spec, rf, legality, &cand, labeled_ctx, budget),
                 coh,
             )
         }
@@ -1062,8 +816,8 @@ fn proc_constraints<'g>(
 }
 
 /// All shared ingredients fixed: assemble the global constraint relation
-/// and search each processor's view independently, on `jobs` workers.
-#[allow(clippy::too_many_arguments)]
+/// and search each processor's view in turn. Every view must exist, so
+/// the first refuted or exhausted one settles the layer.
 fn with_candidates(
     plan: &Plan<'_>,
     spec: &ModelSpec,
@@ -1072,7 +826,6 @@ fn with_candidates(
     cand: &Candidates<'_>,
     labeled_ctx: Option<&LabeledCtx>,
     budget: &Budget,
-    jobs: usize,
 ) -> Step {
     let h = plan.h;
     let g = match assemble_global(h, spec, plan.base(), rf, cand, labeled_ctx) {
@@ -1083,21 +836,21 @@ fn with_candidates(
     if !g.is_acyclic() {
         return Step::Disallowed;
     }
-    let op_sets = plan.op_sets(spec.delta);
-    let runs = run_alternatives(h.num_procs(), jobs, budget, |p, budget| {
+    let mut views = Vec::with_capacity(h.num_procs());
+    for (p, ops) in plan.op_sets(spec.delta).iter().enumerate() {
         let constraints = proc_constraints(plan, spec, &g, p);
         let problem = ViewProblem {
             history: h,
-            ops: &op_sets[p],
+            ops,
             constraints: &constraints,
             legality,
         };
-        find_legal_extension(&problem, budget)
-    });
-    let views = match all_views(runs) {
-        Ok(views) => views,
-        Err(step) => return step,
-    };
+        match find_legal_extension(&problem, budget) {
+            SearchOutcome::Found(view) => views.push(view),
+            SearchOutcome::NotFound => return Step::Disallowed,
+            SearchOutcome::Exhausted => return Step::Exhausted(Stage::ViewSearch),
+        }
+    }
     Step::Allowed(Box::new(Witness {
         views,
         store_order: cand.store_order.map(<[OpId]>::to_vec),
@@ -1233,6 +986,33 @@ mod tests {
         assert_eq!(Verdict::Disallowed.decided(), Some(false));
         assert_eq!(Verdict::Exhausted.decided(), None);
         assert!(!Verdict::Unsupported("x".into()).is_allowed());
+    }
+
+    #[test]
+    fn pram_views_refute_reordered_writes() {
+        // PRAM forbids reordering one processor's writes in another's view.
+        let h = parse_history("p: w(x)1 w(y)1\nq: r(y)1 r(x)0").unwrap();
+        assert!(check(&h, &models::pram()).is_disallowed());
+    }
+
+    #[test]
+    fn memoized_checks_hit_across_renamings() {
+        // The same history under a processor/location/value renaming must
+        // hit the cache and still return a verifying witness.
+        let a = parse_history("p: w(x)1\nq: r(x)1 w(y)1\nr: r(y)1 r(x)0").unwrap();
+        let b = parse_history("u: w(c)7\nv: r(c)7 w(d)3\nw: r(d)3 r(c)0").unwrap();
+        let cfg = CheckConfig::default().with_memo();
+        let memo = cfg.memo.clone().unwrap();
+        for m in [models::causal(), models::sc(), models::tso()] {
+            let (va, _) = check_with_stats(&a, &m, &cfg);
+            let (vb, sb) = check_with_stats(&b, &m, &cfg);
+            assert_eq!(va.decided(), vb.decided(), "{} memo disagrees", m.name);
+            assert!(sb.memo_hit, "{} second check missed the memo", m.name);
+            if let Verdict::Allowed(w) = &vb {
+                crate::verify::verify_witness(&b, &m, w).expect("rehydrated witness verifies");
+            }
+        }
+        assert!(memo.stats().hits >= 3);
     }
 
     #[test]

@@ -218,7 +218,6 @@ pub struct Settle<'a, F> {
     stronger: &'a Stronger,
     models: &'a [ModelSpec],
     cfg: &'a CheckConfig,
-    jobs: usize,
     /// Yields the history, on the first check.
     history: F,
     /// A canonical form the caller already computed.
@@ -239,13 +238,12 @@ pub struct Settle<'a, F> {
 
 impl<'a, F: Fn() -> &'a History> Settle<'a, F> {
     /// A settle of `row` (indexed like `models`; `None` = not yet
-    /// decided), whose checks run under `cfg` on `jobs` workers against
-    /// the history `history` yields.
+    /// decided), whose checks run under `cfg` against the history
+    /// `history` yields.
     pub fn new(
         stronger: &'a Stronger,
         models: &'a [ModelSpec],
         cfg: &'a CheckConfig,
-        jobs: usize,
         row: Vec<Option<bool>>,
         history: F,
     ) -> Self {
@@ -253,7 +251,6 @@ impl<'a, F: Fn() -> &'a History> Settle<'a, F> {
             stronger,
             models,
             cfg,
-            jobs,
             history,
             canon: None,
             setup: None,
@@ -291,7 +288,7 @@ impl<'a, F: Fn() -> &'a History> Settle<'a, F> {
             (Plan::new(h, cfg), own)
         });
         let canon = cfg.memo.as_ref().and(given.or(own.as_ref()));
-        let (verdict, stats) = check_with_canon(plan, &self.models[j], cfg, canon, self.jobs);
+        let (verdict, stats) = check_with_canon(plan, &self.models[j], cfg, canon);
         self.checked += 1;
         self.nodes += stats.nodes_spent;
         self.row[j] = verdict.decided();
@@ -330,7 +327,7 @@ pub fn classify_all_propagating(
     let checked = AtomicU64::new(0);
     let propagated = AtomicU64::new(0);
     let classify_one = |h: &History| -> Classification {
-        let mut settle = Settle::new(&stronger, models, cfg, 1, vec![None; n], || h);
+        let mut settle = Settle::new(&stronger, models, cfg, vec![None; n], || h);
         for j in 0..n {
             settle.decide(j);
         }

@@ -35,13 +35,10 @@
 //!   backend that never enumerates schedules, deciding 100–1000-op
 //!   histories by incremental closure + cycle detection over per-view
 //!   constraint graphs (`--engine {exhaustive,saturate,auto}`).
-//! * [`budget`] — the search-node budget: a thread-local fast path over
-//!   an optional shared atomic pool with early cancellation.
+//! * [`budget`] — the search-node budget: one counter per check.
 //! * [`batch`] — the parallel entry points: [`batch::check_batch`] fans
-//!   (history, model) pairs across a thread pool; [`batch::check_parallel`]
-//!   is the checker with a job count, one of its layers (reads-from
-//!   assignments, store orders, per-processor views) running its
-//!   alternatives across the same pool.
+//!   (history, model) pairs across a thread pool, each check running on
+//!   one thread.
 //! * [`canon`] — a canonical normal form for histories under
 //!   processor/location/value renamings, with a 128-bit [`canon::HistoryKey`].
 //! * [`memo`] — a sharded concurrent memo table of decided verdicts keyed
@@ -94,8 +91,8 @@ pub mod spec;
 pub mod verify;
 pub mod view;
 
-pub use batch::{check_batch, check_matrix, check_parallel, BatchResult};
-pub use budget::{Budget, SharedBudget};
+pub use batch::{check_batch, check_matrix, BatchResult};
+pub use budget::Budget;
 pub use canon::{canonicalize, Canon, HistoryKey};
 pub use checker::{
     check, check_with_config, check_with_stats, CheckConfig, CheckStats, Engine, EngineKind, Stage,

@@ -641,9 +641,9 @@ mod tests {
             }
             let s = memo.stats();
             assert_eq!((s.hits, s.misses), (0, 1), "{views:?}");
-            // The check's own verdict replaced the entry, so the parallel
-            // entry point now hits it.
-            match crate::batch::check_parallel(&h, &sc, &cfg, 2).0 {
+            // The check's own verdict replaced the entry, so a second
+            // check now hits it.
+            match check_with_config(&h, &sc, &cfg) {
                 Verdict::Allowed(w) => crate::verify::verify_witness(&h, &sc, &w).unwrap(),
                 other => panic!("{views:?}: expected Allowed, got {other:?}"),
             }

@@ -400,7 +400,7 @@ impl Separator {
         // Decide only the models the open directions ask about; a
         // memoized check reuses the candidate's canonical form.
         let mut settle =
-            Settle::new(&self.stronger, &self.models, &self.cfg, 1, row, || h).with_canon(&canon);
+            Settle::new(&self.stronger, &self.models, &self.cfg, row, || h).with_canon(&canon);
         for &d in open {
             if best[d].hint.load(Ordering::Acquire) <= index {
                 continue; // cannot improve this direction
@@ -522,12 +522,25 @@ fn with_value_replaced(h: &History, loc: Location, from: i64, to: i64) -> Histor
     b.build()
 }
 
+/// Delete operations from `h` while `keeps` holds: repeatedly remove the
+/// lowest-id operation whose removal keeps the property, restarting
+/// after each removal. The result is op-deletion-minimal — no single
+/// remaining operation can be deleted without losing the property.
+pub fn delete_ops_while(h: History, keeps: impl Fn(&History) -> bool) -> History {
+    let mut cur = h;
+    while let Some(smaller) = (0..cur.num_ops()).map(|i| without_op(&cur, i)).find(&keeps) {
+        cur = smaller;
+    }
+    cur
+}
+
 /// Shrink a separating history to a local minimum that still separates
-/// the pair: repeatedly (1) delete the lowest-id operation whose removal
-/// preserves separation, (2) drop processors left without operations, and
-/// (3) collapse a value at some location onto a smaller one (reads may
-/// collapse onto the initial value 0). Deterministic: candidates are
-/// tried in a fixed order and the first improvement restarts the loop.
+/// the pair: repeatedly (1) delete operations while the pair stays
+/// separated ([`delete_ops_while`]), (2) drop processors left without
+/// operations, and (3) collapse a value at some location onto a smaller
+/// one (reads may collapse onto the initial value 0). Deterministic:
+/// candidates are tried in a fixed order and the first improvement
+/// restarts the loop.
 ///
 /// The result is op-deletion-minimal — no single remaining operation can
 /// be deleted without losing the separation.
@@ -540,23 +553,13 @@ pub fn minimize_witness(
     debug_assert!(separates(h, admits, refutes, cfg));
     let mut cur = h.clone();
     loop {
-        let mut improved = false;
-        for i in 0..cur.num_ops() {
-            let cand = without_op(&cur, i);
-            if separates(&cand, admits, refutes, cfg) {
-                cur = cand;
-                improved = true;
-                break;
-            }
-        }
-        if improved {
-            continue;
-        }
+        cur = delete_ops_while(cur, |cand| separates(cand, admits, refutes, cfg));
         let cand = without_empty_procs(&cur);
         if cand.num_procs() < cur.num_procs() && separates(&cand, admits, refutes, cfg) {
             cur = cand;
             continue;
         }
+        let mut improved = false;
         'collapse: for l in 0..cur.num_locs() {
             let loc = Location(l as u32);
             let mut vals: Vec<i64> = cur

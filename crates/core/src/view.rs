@@ -21,11 +21,11 @@
 //! Every search runs on a per-thread scratch: the context's buffers, the
 //! DFS stacks and the failed-state table are cleared, not reallocated,
 //! from one search to the next (see `Scratch`).
-//! A parallel check runs whole searches side by side
-//! ([`crate::batch::check_parallel`]), never one search split across
-//! threads. The scheduling state itself — context preprocessing,
-//! successor generation, state packing and hashing — lives in
-//! [`crate::kernel`] and is shared with the frontier closure.
+//! A search runs whole on the thread of its check; parallel callers
+//! spread whole checks ([`crate::batch`]). The scheduling state itself —
+//! context preprocessing, successor generation, state packing and
+//! hashing — lives in [`crate::kernel`] and is shared with the frontier
+//! closure.
 //!
 //! Deciding this question is NP-complete in general (it subsumes checking
 //! sequential consistency), but litmus-scale instances are instant.
@@ -324,10 +324,9 @@ thread_local! {
 }
 
 /// Search for one legal extension of the problem, charging one unit of
-/// `budget` per search node (the same budget can be shared across
-/// sub-searches, nested enumerations, and — via
-/// [`crate::budget::SharedBudget`] — worker threads). Failed states are
-/// memoized exactly.
+/// `budget` per search node (the same budget is shared across a check's
+/// sub-searches and nested enumerations). Failed states are memoized
+/// exactly.
 pub fn find_legal_extension(p: &ViewProblem<'_>, budget: &Budget) -> SearchOutcome {
     with_scratch(&SCRATCH, Scratch::heap_bytes, |s| {
         let ctx = Ctx::new(p, &mut s.ctx);

@@ -28,9 +28,9 @@
 //! per-prefix verdicts rather than latching the first refutation. It
 //! does *record* the first refuted prefix per model, and
 //! [`Monitor::violation_report`] shrinks that prefix to an op-deletion
-//! minimal counterexample (greedy [`smc_core::separate::without_op`]
-//! descent, the same move the separation minimizer uses) rendered in
-//! litmus notation.
+//! minimal counterexample (the separation minimizer's greedy op-deletion
+//! descent, [`smc_core::separate::delete_ops_while`]) rendered in litmus
+//! notation.
 //!
 //! # Session lifecycle
 //!
@@ -63,10 +63,10 @@ pub mod ckpt;
 pub mod window;
 
 use churn::{Activation, ChurnState, FoldSummary};
-use smc_core::checker::CheckConfig;
+use smc_core::checker::{check_with_config, CheckConfig};
 use smc_core::frontier::{AppendReport, FrontierEngine, ViewOp};
 use smc_core::lattice::{Settle, Stronger};
-use smc_core::separate::without_op;
+use smc_core::separate::delete_ops_while;
 use smc_core::spec::{GlobalOrder, ModelSpec, OperationSet, OwnerOrder};
 use smc_history::litmus::emit_litmus;
 use smc_history::trace::{Lifecycle, Trace, TraceEvent};
@@ -80,8 +80,6 @@ pub struct MonitorConfig {
     /// Configuration for restart-mode re-checks. A shared memo cache is
     /// attached by [`MonitorConfig::default`].
     pub check: CheckConfig,
-    /// Worker threads for restart-mode re-checks (1 = sequential).
-    pub jobs: usize,
     /// Reachable-state cap per frontier engine; past it the engine
     /// stops deciding and the model falls back to lattice propagation
     /// or a per-event batch re-check.
@@ -96,7 +94,6 @@ impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
             check: CheckConfig::default().with_memo(),
-            jobs: 1,
             max_frontier_states: 1 << 20,
             window: None,
         }
@@ -638,7 +635,6 @@ impl Monitor {
             &self.stronger,
             &self.models,
             &self.cfg.check,
-            self.cfg.jobs,
             frontier,
             || prefix.get_or_init(|| trace.history_of_prefix(n)),
         );
@@ -688,21 +684,9 @@ impl Monitor {
         let prefix_len = self.first_violation[model_idx]?;
         let spec = &self.models[model_idx];
         let prefix = self.trace.history_of_prefix(prefix_len);
-        let refuted = |h: &History| {
-            smc_core::batch::check_parallel(h, spec, &self.cfg.check, self.cfg.jobs)
-                .0
-                .is_disallowed()
-        };
-        let mut minimized = prefix.clone();
-        loop {
-            let better = (0..minimized.num_ops())
-                .map(|idx| without_op(&minimized, idx))
-                .find(|smaller| refuted(smaller));
-            match better {
-                Some(smaller) => minimized = smaller,
-                None => break,
-            }
-        }
+        let minimized = delete_ops_while(prefix.clone(), |h| {
+            check_with_config(h, spec, &self.cfg.check).is_disallowed()
+        });
         Some(ViolationReport {
             model: spec.name.clone(),
             prefix_len,
@@ -1048,26 +1032,20 @@ mod tests {
         let t = parse_trace("p r(x)1\np w(y)1\nq r(y)1\nq w(x)1\n").unwrap();
         let ms = vec![models::pc(), models::causal()];
         let h = t.history_of_prefix(t.len());
-        for jobs in [1, 2] {
-            let cfg = MonitorConfig {
-                jobs,
-                ..MonitorConfig::default()
-            };
-            let mut m = Monitor::new(ms.clone(), cfg);
-            let report = m.feed_trace(&t);
-            let check = MonitorConfig::default().check;
-            let (mut verdicts, mut nodes) = (Vec::new(), 0);
-            for spec in &ms {
-                let (v, stats) = smc_core::batch::check_parallel(&h, spec, &check, jobs);
-                verdicts.push(v.decided().map_or(TriVerdict::Unknown, tri_of));
-                nodes += stats.nodes_spent;
-            }
-            assert_eq!(m.verdicts(), verdicts, "jobs={jobs}");
-            assert_eq!(report.rechecks, 2, "jobs={jobs}");
-            assert_eq!(report.recheck_nodes, nodes, "jobs={jobs}");
-            assert_eq!(report.propagated, 0, "jobs={jobs}");
-            assert!(nodes > 0);
+        let mut m = Monitor::new(ms.clone(), MonitorConfig::default());
+        let report = m.feed_trace(&t);
+        let check = MonitorConfig::default().check;
+        let (mut verdicts, mut nodes) = (Vec::new(), 0);
+        for spec in &ms {
+            let (v, stats) = smc_core::checker::check_with_stats(&h, spec, &check);
+            verdicts.push(v.decided().map_or(TriVerdict::Unknown, tri_of));
+            nodes += stats.nodes_spent;
         }
+        assert_eq!(m.verdicts(), verdicts);
+        assert_eq!(report.rechecks, 2);
+        assert_eq!(report.recheck_nodes, nodes);
+        assert_eq!(report.propagated, 0);
+        assert!(nodes > 0);
     }
 
     #[test]

@@ -100,10 +100,8 @@ if [ "${1:-}" != "--no-test" ]; then
     # checked-in golden file records (perfbench check_universe's output
     # check above diffs the one-job sweep against the same file). A diff
     # means a checker change altered admitted sets — intended changes
-    # must regenerate tests/golden/exhaustive_verdicts.txt. The sweep
-    # never enters `check_parallel`; the verdict gate for a check's
-    # fanned-out layers is `schedulers_agree_across_job_counts` in
-    # tests/batch_equiv.rs.
+    # must regenerate tests/golden/exhaustive_verdicts.txt. The workers
+    # share out histories; each check runs on one thread.
     echo "==> smc corpus --exhaustive --jobs 4 (golden verdicts)"
     sweep_json="$tmp/sweep.json"
     cargo run -q --release --bin smc -- corpus --exhaustive --jobs 4 --json "$sweep_json" >/dev/null
@@ -177,19 +175,6 @@ if [ "${1:-}" != "--no-test" ]; then
         printf '%s\n' "$outside" >&2
         exit 1
     fi
-
-    # Bench drift gate for the parallel small-history pessimization: on a
-    # litmus-sized check the adaptive cutover must keep `check_parallel`
-    # at 4 workers within 1.5x of the sequential checker. Without the
-    # probe, j4 pays thread spawn and the shared node pool on a 13-node
-    # PRAM search and runs about 5x slower.
-    echo "==> bench drift gate (split_dfs_pram_reversed: j4 <= 1.5x sequential)"
-    bench_json="$tmp/bench.json"
-    cargo bench -q --bench bench_batch -- split_dfs_pram_reversed --json "$bench_json" >/dev/null
-    at_most "check_parallel_j4 vs sequential" \
-        "$(row_ns batch/split_dfs_pram_reversed/check_parallel_j4 "$bench_json")" \
-        "$(row_ns batch/split_dfs_pram_reversed/sequential "$bench_json")" 15 10 \
-        "the parallel small-history pessimization is back: check the cutover probe"
 
     # Saturation bench drift gate: the conflict-driven solver must keep
     # `bighist/TSO_ops_256/saturate` within 1.5x of the committed

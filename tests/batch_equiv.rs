@@ -2,14 +2,16 @@
 //!
 //! Properties, over random histories and the embedded litmus corpus:
 //!
-//! * wherever both the sequential check and a parallel check *decide*
-//!   (Allowed/Disallowed), they agree;
-//! * every `Allowed` the parallel engine produces carries a witness that
-//!   the independent verifier accepts;
 //! * `check_batch` results are positionally identical to checking each
-//!   pair sequentially, for any worker count.
+//!   pair sequentially, for any worker count;
+//! * every `Allowed` a batch produces carries a witness that the
+//!   independent verifier accepts.
+//!
+//! The file also pins the exhaustive search itself: its witnesses and
+//! node counts, the memoized sweep's counts, and how a check behaves
+//! under every node budget below the one it needs.
 
-use smc_core::batch::{check_batch, check_matrix, check_parallel};
+use smc_core::batch::{check_batch, check_matrix};
 use smc_core::checker::{check_with_config, CheckConfig, Verdict};
 use smc_core::models;
 use smc_core::verify::verify_witness;
@@ -38,37 +40,6 @@ fn random_history(rng: &mut SmallRng) -> History {
         }
     }
     b.build()
-}
-
-/// Sequential `check` and `check_parallel` agree on every decided verdict,
-/// and parallel witnesses verify independently.
-#[test]
-fn parallel_check_agrees_with_sequential() {
-    let cfg = CheckConfig::default();
-    for case in 0..64u64 {
-        let h = random_history(&mut SmallRng::seed_from_u64(case));
-        for spec in models::all_models() {
-            let seq = check_with_config(&h, &spec, &cfg);
-            for jobs in [2usize, 4] {
-                let (par, _stats) = check_parallel(&h, &spec, &cfg, jobs);
-                if let (Some(a), Some(b)) = (seq.decided(), par.decided()) {
-                    assert_eq!(
-                        a, b,
-                        "case {case} {} jobs={jobs}: sequential {seq:?} vs parallel {par:?}\n{h}",
-                        spec.name
-                    );
-                }
-                if let Verdict::Allowed(w) = &par {
-                    verify_witness(&h, &spec, w).unwrap_or_else(|e| {
-                        panic!(
-                            "case {case} {} jobs={jobs}: bad parallel witness: {e}\n{h}",
-                            spec.name
-                        )
-                    });
-                }
-            }
-        }
-    }
 }
 
 /// `check_batch` is positionally identical to the sequential per-pair
@@ -179,152 +150,12 @@ fn corpus_verdicts_identical_across_job_counts() {
     }
 }
 
-/// The litmus corpus plus one random history per seed.
-fn corpus_plus_random(seeds: std::ops::Range<u64>) -> Vec<History> {
-    let mut cases: Vec<History> = litmus_suite().iter().map(|t| t.history.clone()).collect();
-    cases.extend(seeds.map(|seed| random_history(&mut SmallRng::seed_from_u64(seed))));
-    cases
-}
-
-/// Every case under every model decides through `check_parallel` at
-/// jobs 1/2/4/8 exactly like the sequential checker, takes the route the
-/// forced cutover pins, and yields witnesses that verify independently.
-/// With the probe off, each model fans out the layer its shape picks:
-/// the reads-from assignments (PC, CausalCoherent, Causal, RC_sc, RC_pc,
-/// WO), TSO's store orders, or PRAM's per-processor views; SC,
-/// Coherent, PCG and Hybrid never fan out. SC and PRAM return the
-/// sequential checker's verdict and witness exactly: SC never leaves
-/// it, and each PRAM view is the same search.
-fn assert_agrees_at_cutover(cases: &[History], cutover: u64) {
-    let model_list = models::all_models();
-    let cfg = CheckConfig {
-        parallel_cutover: cutover,
-        ..CheckConfig::default()
-    };
-    for (ci, h) in cases.iter().enumerate() {
-        for spec in &model_list {
-            let seq = check_with_config(h, spec, &cfg);
-            let sequential_shape =
-                ["SC", "Coherent", "PCG", "Hybrid"].contains(&spec.name.as_str());
-            for jobs in [1usize, 2, 4, 8] {
-                let (par, stats) = check_parallel(h, spec, &cfg, jobs);
-                assert_eq!(
-                    par.decided(),
-                    seq.decided(),
-                    "case {ci} {} cutover={cutover} jobs={jobs}: {seq:?} vs {par:?}\n{h}",
-                    spec.name
-                );
-                // The forced settings pin the cutover decision: with
-                // the probe disabled only jobs=1 runs sequentially, and
-                // the shapes with nothing to fan out; with an
-                // unbounded probe no check ever fans out.
-                if cutover == 0 {
-                    assert_eq!(
-                        stats.ran_sequential,
-                        jobs == 1 || sequential_shape,
-                        "case {ci} {} jobs={jobs}",
-                        spec.name
-                    );
-                    assert_eq!(stats.probe_nodes, 0);
-                } else {
-                    assert!(stats.ran_sequential);
-                }
-                if spec.name == "SC" || spec.name == "PRAM" {
-                    assert_eq!(
-                        par, seq,
-                        "case {ci} {} cutover={cutover} jobs={jobs}: verdict or witness differs\n{h}",
-                        spec.name
-                    );
-                }
-                if let Verdict::Allowed(w) = &par {
-                    verify_witness(h, spec, w).unwrap_or_else(|e| {
-                        panic!(
-                            "case {ci} {} cutover={cutover} jobs={jobs}: bad witness: {e}\n{h}",
-                            spec.name
-                        )
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Verdicts are independent of the adaptive cutover decision: with the
-/// probe forced off (`parallel_cutover: 0`, every parallel check fans
-/// out immediately) and forced always-on (`u64::MAX`, every parallel
-/// check is answered by the sequential probe), `check_parallel` decides
-/// exactly like the sequential checker at every worker count, and its
-/// witnesses verify independently. Together the two forced settings
-/// straddle the default cutover from both sides, so the adaptive path
-/// can never change an answer — only where it is computed.
-#[test]
-fn cutover_extremes_agree_with_sequential() {
-    let cases = corpus_plus_random(2000..2200);
-    for cutover in [0u64, u64::MAX] {
-        assert_agrees_at_cutover(&cases, cutover);
-    }
-}
-
-/// The fanned-out layers match the sequential checker across every
-/// worker count, on the litmus corpus plus 200 more random histories.
-/// The probe is off (`parallel_cutover: 0`): every litmus-sized check
-/// decides inside the default probe, so only with it off does any layer
-/// fan out. This is the bit-identical-verdicts gate for the parallel
-/// engine.
-#[test]
-fn schedulers_agree_across_job_counts() {
-    assert_agrees_at_cutover(&corpus_plus_random(1000..1200), 0);
-}
-
-/// Regression: the views of different TSO store orders share one op set
-/// per processor, and a parallel search that shared refutations across
-/// store orders once pruned a live state of one order with another's
-/// refutation, answering `Disallowed` for admitted histories. Each store
-/// order now runs as its own search. Scheduling is racy, so each history
-/// runs many times at every worker count.
-#[test]
-fn tso_fan_out_matches_sequential() {
-    let cases = [
-        "p: w(x)2 r(x)1 w(x)1\nq: r(x)0 r(y)0 r(x)1\nr: w(x)1",
-        "p: w(y)1 w(x)1\nq:\nr: r(y)1 r(x)1 w(x)1",
-    ];
-    let spec = models::tso();
-    let cfg = CheckConfig {
-        parallel_cutover: 0,
-        ..CheckConfig::default()
-    };
-    for src in cases {
-        let h = parse_history(src).expect("fixture parses");
-        let seq = check_with_config(&h, &spec, &cfg).decided();
-        assert!(seq.is_some(), "sequential check must decide:\n{h}");
-        for jobs in [2usize, 4, 8] {
-            for run in 0..50 {
-                let (par, stats) = check_parallel(&h, &spec, &cfg, jobs);
-                assert!(
-                    !stats.ran_sequential,
-                    "jobs={jobs}: the store orders must fan out"
-                );
-                assert_eq!(
-                    par.decided(),
-                    seq,
-                    "jobs={jobs} run {run}: {par:?} vs sequential\n{h}"
-                );
-                if let Verdict::Allowed(w) = &par {
-                    verify_witness(&h, &spec, w)
-                        .unwrap_or_else(|e| panic!("jobs={jobs} run {run}: bad witness: {e}\n{h}"));
-                }
-            }
-        }
-    }
-}
-
 /// Regression: a reads-from enumeration cut short at `max_rf` may have
 /// dropped the one assignment that explains the history, so refuting
 /// every enumerated assignment must report exhaustion at the reads-from
 /// stage, never `Disallowed`. The default config admits this history
-/// under Causal. Both checkers used to read an empty (truncated) list as
-/// "no read is explainable", and `check_parallel`'s single-assignment
-/// path skipped the truncation rule.
+/// under Causal. The checker used to read an empty (truncated) list as
+/// "no read is explainable".
 #[test]
 fn truncated_reads_from_enumeration_is_exhausted() {
     use smc_core::checker::{check_with_stats, EngineKind, Stage};
@@ -341,22 +172,77 @@ fn truncated_reads_from_enumeration_is_exhausted() {
             max_rf,
             ..full.clone()
         };
-        for (how, (verdict, stats)) in [
-            ("check_with_stats", check_with_stats(&h, &spec, &cfg)),
-            ("check_parallel j2", check_parallel(&h, &spec, &cfg, 2)),
-        ] {
+        let (verdict, stats) = check_with_stats(&h, &spec, &cfg);
+        assert!(
+            matches!(verdict, Verdict::Exhausted),
+            "max_rf={max_rf}: {verdict:?}"
+        );
+        assert_eq!(
+            stats.exhausted_stage,
+            Some(Stage::ReadsFrom),
+            "max_rf={max_rf}"
+        );
+        assert!(stats.rf_truncated, "max_rf={max_rf}");
+    }
+}
+
+/// Budget soundness: a smaller node budget may leave a check undecided,
+/// never flip it. For every litmus-corpus history under every model
+/// (exhaustive engine, no memo), with N the nodes the check spends under
+/// the default budget, budgets 0, 1, 2, 4, … below N and N − 1 either
+/// exhaust, naming the stage, or return the unbudgeted verdict; budget
+/// N returns the unbudgeted verdict and witness, spending exactly N.
+/// With no budget at all, a TSO check stops listing its first store
+/// order.
+#[test]
+fn smaller_node_budgets_only_exhaust() {
+    use smc_core::checker::{check_with_stats, EngineKind, Stage};
+    let full = CheckConfig {
+        engine: EngineKind::Exhaustive,
+        ..CheckConfig::default()
+    };
+    let mut stepped = 0u64;
+    for t in litmus_suite() {
+        let h = &t.history;
+        for spec in models::all_models() {
+            let (verdict, stats) = check_with_stats(h, &spec, &full);
             assert!(
-                matches!(verdict, Verdict::Exhausted),
-                "max_rf={max_rf} {how}: {verdict:?}"
+                !matches!(verdict, Verdict::Exhausted),
+                "{} {}: the default budget must decide",
+                t.name,
+                spec.name
             );
-            assert_eq!(
-                stats.exhausted_stage,
-                Some(Stage::ReadsFrom),
-                "max_rf={max_rf} {how}"
-            );
-            assert!(stats.rf_truncated, "max_rf={max_rf} {how}");
+            let need = stats.nodes_spent;
+            let mut budgets: Vec<u64> =
+                std::iter::successors(Some(0u64), |&b| Some((2 * b).max(1)))
+                    .take_while(|&b| b < need)
+                    .collect();
+            budgets.extend([need.saturating_sub(1), need]);
+            budgets.dedup();
+            for node_budget in budgets {
+                let cfg = CheckConfig {
+                    node_budget,
+                    ..full.clone()
+                };
+                let (v, st) = check_with_stats(h, &spec, &cfg);
+                let at = format!("{} {} budget {node_budget} of {need}", t.name, spec.name);
+                stepped += 1;
+                if node_budget == need {
+                    assert_eq!(v, verdict, "{at}");
+                    assert_eq!(st.nodes_spent, need, "{at}");
+                    continue;
+                }
+                match v {
+                    Verdict::Exhausted => assert!(st.exhausted_stage.is_some(), "{at}"),
+                    v => assert_eq!(v, verdict, "{at}"),
+                }
+                if node_budget == 0 && spec.name == "TSO" {
+                    assert_eq!(st.exhausted_stage, Some(Stage::StoreOrders), "{at}");
+                }
+            }
         }
     }
+    assert!(stepped > 1000, "{stepped} budgeted checks");
 }
 
 /// FNV-1a over a stream of `u64` tokens.

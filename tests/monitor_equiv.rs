@@ -11,8 +11,7 @@
 //! hit a budget in practice, so the skip is a safety valve, not a
 //! loophole.
 
-use smc_core::batch::check_parallel;
-use smc_core::checker::CheckConfig;
+use smc_core::checker::{check_with_config, CheckConfig};
 use smc_core::models;
 use smc_history::trace::Trace;
 use smc_history::{History, HistoryBuilder};
@@ -23,13 +22,12 @@ use smc_sim::sched::run_random;
 use smc_sim::workload::{Access, OpScript};
 use smc_sim::TsoMem;
 
-fn assert_monitor_matches_batch(h: &History, jobs: usize, ctx: &str) {
+fn assert_monitor_matches_batch(h: &History, ctx: &str) {
     let models = models::all_models();
     let mut mon = Monitor::new(
         models.clone(),
         MonitorConfig {
             check: CheckConfig::default().with_memo(),
-            jobs,
             ..MonitorConfig::default()
         },
     );
@@ -37,7 +35,7 @@ fn assert_monitor_matches_batch(h: &History, jobs: usize, ctx: &str) {
     // A fresh memo for the batch side, so neither run warms the other.
     let batch_cfg = CheckConfig::default().with_memo();
     for (i, spec) in models.iter().enumerate() {
-        let batch = check_parallel(h, spec, &batch_cfg, jobs).0.decided();
+        let batch = check_with_config(h, spec, &batch_cfg).decided();
         let Some(batch_admits) = batch else { continue };
         let expected = if batch_admits {
             TriVerdict::Admitted
@@ -47,31 +45,17 @@ fn assert_monitor_matches_batch(h: &History, jobs: usize, ctx: &str) {
         assert_eq!(
             mon.verdicts()[i],
             expected,
-            "{ctx}: monitor disagrees with batch on {} (jobs {jobs})\n{h}",
+            "{ctx}: monitor disagrees with batch on {}\n{h}",
             spec.name
         );
     }
 }
 
-fn corpus_agrees(jobs: usize) {
-    for t in litmus_suite() {
-        assert_monitor_matches_batch(&t.history, jobs, t.name.as_str());
-    }
-}
-
 #[test]
 fn corpus_agrees_sequential() {
-    corpus_agrees(1);
-}
-
-#[test]
-fn corpus_agrees_two_jobs() {
-    corpus_agrees(2);
-}
-
-#[test]
-fn corpus_agrees_four_jobs() {
-    corpus_agrees(4);
+    for t in litmus_suite() {
+        assert_monitor_matches_batch(&t.history, t.name.as_str());
+    }
 }
 
 const PROCS: [&str; 4] = ["p", "q", "r", "s"];
@@ -99,8 +83,7 @@ fn random_history(rng: &mut SmallRng) -> History {
 fn random_histories_agree() {
     for case in 0..200u64 {
         let h = random_history(&mut SmallRng::seed_from_u64(0x117_u64.wrapping_add(case)));
-        let jobs = [1, 2, 4][case as usize % 3];
-        assert_monitor_matches_batch(&h, jobs, &format!("case {case}"));
+        assert_monitor_matches_batch(&h, &format!("case {case}"));
     }
 }
 
@@ -128,7 +111,7 @@ fn headerless_event_by_event_agrees_per_prefix() {
             );
             let prefix = mon.trace().history_of_prefix(n + 1);
             for (i, spec) in models.iter().enumerate() {
-                let Some(batch_admits) = check_parallel(&prefix, spec, &cfg, 1).0.decided() else {
+                let Some(batch_admits) = check_with_config(&prefix, spec, &cfg).decided() else {
                     continue;
                 };
                 let expected = if batch_admits {
@@ -177,9 +160,7 @@ fn simulator_traces_agree() {
         mon.feed_trace(&out.trace);
         let batch_cfg = CheckConfig::default().with_memo();
         for (i, spec) in models.iter().enumerate() {
-            let Some(batch_admits) = check_parallel(&out.history, spec, &batch_cfg, 1)
-                .0
-                .decided()
+            let Some(batch_admits) = check_with_config(&out.history, spec, &batch_cfg).decided()
             else {
                 continue;
             };
