@@ -103,8 +103,8 @@ fn bench_restore_vs_replay(harness: &mut Harness) {
             .all(|v| *v == TriVerdict::Admitted));
     });
     g.bench("warm_restore", || {
-        let mut mon = Monitor::restore_bytes(&blob, model_list.clone(), config())
-            .expect("checkpoint must restore");
+        let mut mon =
+            Monitor::restore_bytes(&blob, config().check).expect("checkpoint must restore");
         feed_all(&mut mon, &t, EVENTS - TAIL);
         assert!(black_box(&mon)
             .verdicts()

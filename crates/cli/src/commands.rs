@@ -146,10 +146,11 @@ usage:
                                     --checkpoint-file saves the monitor
                                     state at end of input and
                                     --restore-from resumes warm from
-                                    such a file (same models required;
-                                    cap and window are inherited unless
-                                    overridden); exits nonzero if
-                                    any model's final verdict is
+                                    such a file, under the models,
+                                    --max-states and --window it was
+                                    cut with (a flag that contradicts
+                                    the file is refused); exits nonzero
+                                    if any model's final verdict is
                                     violated
   smc serve [--listen ADDR] [--workers N] [--max-sessions N]
             [--max-conns N] [--queue N] [--model NAME] [--max-states N]
@@ -170,9 +171,11 @@ usage:
                                     next use), and SNAPSHOT <sid> <name>
                                     / RESUME <sid> <name> checkpoint a
                                     session to DIR/<name>.snap and
-                                    resume it warm (names are letters,
-                                    digits, `-`, `_`; without
-                                    --evict-dir both answer ERR);
+                                    resume it warm, under the models,
+                                    cap and window the file names
+                                    (names are letters, digits, `-`,
+                                    `_`; without --evict-dir both
+                                    answer ERR);
                                     --window N bounds each
                                     session's frontier memory; stops on
                                     SHUTDOWN
@@ -601,7 +604,7 @@ fn cmd_corpus(args: &Args) -> Result<ExitCode, String> {
     let show_stats = args.switch("--stats");
     let json_path = args.value("--json");
     if args.switch("--exhaustive") {
-        return corpus_exhaustive(jobs, show_stats, json_path);
+        return corpus_exhaustive(&flags, jobs, show_stats, json_path);
     }
     // Decided verdicts are renaming-invariant, so the memo is safe here:
     // expectations compare only allowed/forbidden, never the witness.
@@ -702,6 +705,7 @@ fn cmd_corpus(args: &Args) -> Result<ExitCode, String> {
 /// JSON line per history carries the verdict row, so a checked-in golden
 /// file can detect verdict drift between revisions.
 fn corpus_exhaustive(
+    flags: &CheckFlags,
     jobs: usize,
     show_stats: bool,
     json_path: Option<&str>,
@@ -714,10 +718,11 @@ fn corpus_exhaustive(
     };
     let corpus = smc_core::histgen::all_histories(&params);
     let model_list = models::figure5_models();
-    let cfg = CheckConfig::default().with_memo();
+    let cfg = flags.config(CheckConfig::default(), true);
     let memo = cfg.memo.clone().expect("with_memo attaches a cache");
     let (classifications, prop) =
         smc_core::lattice::classify_all_propagating(&corpus, &model_list, &cfg, jobs);
+    memo_file_save(&cfg, flags.memo_file);
 
     let mut undecided = 0usize;
     let mut json_lines: Vec<String> = Vec::new();
@@ -1294,6 +1299,47 @@ const MONITOR_FLAGS: &[&str] = &[
     CHECKING,
 ];
 
+/// Refuse a restored session that an explicit `--model`, `--max-states`
+/// or `--window` contradicts: the checkpoint decides all three, and a
+/// flag that says otherwise is a mistake, not an override.
+fn restore_agrees(
+    mon: &smc_monitor::Monitor,
+    args: &Args,
+    model_list: &[ModelSpec],
+    cfg: &smc_monitor::MonitorConfig,
+) -> Result<(), String> {
+    let names = |list: &[ModelSpec]| {
+        list.iter()
+            .map(|m| m.name.as_str())
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let keys = |list: &[ModelSpec]| -> Vec<u64> { list.iter().map(ModelSpec::param_key).collect() };
+    let saved = mon.config();
+    if args.value("--model").is_some() && keys(mon.models()) != keys(model_list) {
+        return Err(format!(
+            "checkpoint models {} != configured {}",
+            names(mon.models()),
+            names(model_list)
+        ));
+    }
+    if args.value("--max-states").is_some() && saved.max_frontier_states != cfg.max_frontier_states
+    {
+        return Err(format!(
+            "checkpoint frontier cap {} != configured {}",
+            saved.max_frontier_states, cfg.max_frontier_states
+        ));
+    }
+    if args.value("--window").is_some() && saved.window != cfg.window {
+        return Err(format!(
+            "checkpoint window size {} != configured {}",
+            saved.window.unwrap_or(0),
+            cfg.window.unwrap_or(0)
+        ));
+    }
+    Ok(())
+}
+
 /// `smc monitor`: stream a trace through the incremental admission
 /// monitor, reporting per-prefix verdicts as events arrive.
 fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
@@ -1326,11 +1372,9 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     let memo_cfg = cfg.check.clone();
     let checkpoint_file = args.value("--checkpoint-file");
     let restore_from = args.value("--restore-from");
-    // A restore must resume under the exact configuration the
-    // checkpoint was cut with; `Monitor::restore_bytes` rejects mismatched
-    // models, frontier caps and window sizes with a byte-offset error.
-    // Limits not picked explicitly on this command line inherit the
-    // checkpoint's, so `--restore-from` alone resumes any session.
+    // A restored session keeps the models, frontier cap and window its
+    // checkpoint names, so `--restore-from` alone resumes any session;
+    // a flag given here that contradicts the checkpoint is refused.
     let base_mon = match restore_from {
         Some(p) => {
             let bytes = smc_core::binfmt::read_file(
@@ -1338,21 +1382,15 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
                 smc_monitor::ckpt::MAX_CHECKPOINT_BYTES,
             )
             .map_err(|e| format!("cannot read `{p}`: {e}"))?;
-            let (cap, win) = smc_monitor::ckpt::peek_limits(&bytes)
-                .map_err(|e| format!("monitor: cannot restore `{p}`: {e}"))?;
-            if args.value("--max-states").is_none() {
-                cfg.max_frontier_states = cap;
-            }
-            if args.value("--window").is_none() {
-                cfg.window = (win > 0).then_some(win);
-            }
-            let mon = Monitor::restore_bytes(&bytes, model_list.clone(), cfg.clone())
+            let mon = Monitor::restore_bytes(&bytes, cfg.check.clone())
+                .and_then(|mon| restore_agrees(&mon, args, &model_list, &cfg).map(|()| mon))
                 .map_err(|e| format!("monitor: cannot restore `{p}`: {e}"))?;
             eprintln!("restored {} event(s) from {p}", mon.num_events());
             mon
         }
-        None => Monitor::new(model_list.clone(), cfg.clone()),
+        None => Monitor::new(model_list, cfg.clone()),
     };
+    let model_list = base_mon.models().to_vec();
 
     let path = args.operands().first().copied().unwrap_or("-");
     let mut reader: Box<dyn BufRead> = if path == "-" {

@@ -111,14 +111,16 @@ fn bad_usage_is_reported() {
 
 #[test]
 fn matrix_runs_on_the_shipped_corpus() {
-    // The repository ships litmus/paper.litmus (regenerated by the
-    // export_corpus binary); the matrix over it must succeed.
+    // litmus/paper.litmus is the corpus `smc_programs::corpus` builds
+    // in, so the matrix over it covers every test, the Section 7
+    // separations included.
     let root = env!("CARGO_MANIFEST_DIR");
     let path = format!("{root}/../../litmus/paper.litmus");
     if std::path::Path::new(&path).exists() {
         let (ok, stdout, _) = smc(&["matrix", &path]);
         assert!(ok);
         assert!(stdout.contains("bakery_s5"));
+        assert!(stdout.contains("pcg_vs_pc"), "{stdout}");
     }
 }
 
@@ -341,6 +343,72 @@ fn monitor_restore_inherits_checkpoint_limits() {
     let (ok, _, err) = smc(&["monitor", &more, "--restore-from", &ckpt, "--window", "5"]);
     assert!(!ok);
     assert!(err.contains("window size 2 != configured 5"), "{err}");
+}
+
+#[test]
+fn monitor_restore_needs_no_repeated_flags() {
+    let (head, tail) = ("p w(x)1\nq r(x)1\np w(y)1\nq r(y)0\n", "q r(x)2\np w(x)2\n");
+    let first = write_tmp("smc_ckpt_flags_head.trace", head);
+    let rest = write_tmp("smc_ckpt_flags_tail.trace", tail);
+    let whole = write_tmp("smc_ckpt_flags_whole.trace", &format!("{head}{tail}"));
+    let tmp = |name: &str| {
+        std::env::temp_dir()
+            .join(name)
+            .to_string_lossy()
+            .into_owned()
+    };
+    let (cut, resumed, straight) = (
+        tmp("smc_flags.cut"),
+        tmp("smc_flags.res"),
+        tmp("smc_flags.all"),
+    );
+    let cut_with = ["--model", "tso", "--max-states", "64", "--window", "4"];
+    let monitor = |input: &str, flags: &[&str]| smc(&[&["monitor", input], flags].concat());
+    let (ok, out, err) = monitor(
+        &first,
+        &[&cut_with[..], &["--checkpoint-file", &cut]].concat(),
+    );
+    assert!(ok, "{out}\n{err}");
+    // The checkpoint alone names the model, frontier cap and window.
+    let (ok, out, err) = monitor(
+        &rest,
+        &["--restore-from", &cut, "--checkpoint-file", &resumed],
+    );
+    assert!(ok, "{out}\n{err}");
+    assert!(err.contains("restored 4 event(s)"), "{err}");
+    assert!(out.contains("TSO") && !out.contains("PRAM"), "{out}");
+    assert!(out.contains("windows: 1 sealed"), "{out}");
+    let all = [&cut_with[..], &["--checkpoint-file", &straight]].concat();
+    let (ok, out, err) = monitor(&whole, &all);
+    assert!(ok, "{out}\n{err}");
+    let read = |p: &str| std::fs::read(p).unwrap();
+    assert!(
+        read(&resumed) == read(&straight),
+        "resumed and uninterrupted runs differ"
+    );
+    // A flag that contradicts the checkpoint is refused.
+    for (flag, value, want) in [
+        ("--model", "sc", "checkpoint models TSO != configured SC"),
+        ("--max-states", "65", "frontier cap 64 != configured 65"),
+    ] {
+        let (ok, _, err) = monitor(&rest, &["--restore-from", &cut, flag, value]);
+        assert!(!ok && err.contains(want), "{err}");
+    }
+}
+
+#[test]
+fn corpus_exhaustive_reads_and_writes_the_memo_file() {
+    let memo = std::env::temp_dir().join(format!("smc_exhaustive_{}.smcmemo", std::process::id()));
+    let _ = std::fs::remove_file(&memo);
+    let memo = memo.to_string_lossy().into_owned();
+    let (ok, out, err) = smc(&["corpus", "--exhaustive", "--memo-file", &memo]);
+    assert!(ok, "{out}\n{err}");
+    assert!(err.contains("memo: saved"), "{err}");
+    assert!(std::path::Path::new(&memo).is_file());
+    let (ok, out, err) = smc(&["corpus", "--exhaustive", "--memo-file", &memo]);
+    assert!(ok, "{out}\n{err}");
+    assert!(err.contains("memo: loaded"), "{err}");
+    std::fs::remove_file(&memo).ok();
 }
 
 #[test]

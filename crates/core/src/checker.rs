@@ -429,7 +429,7 @@ pub(crate) fn check_with_canon(
     // translation, no search nodes.
     let memo = cfg.memo.as_deref().zip(canon);
     if let Some((memo, canon)) = memo {
-        if let Some(verdict) = memo.recall(canon, spec.param_key()) {
+        if let Some(verdict) = memo.recall(canon, h, spec) {
             let stats = CheckStats {
                 memo_hit: true,
                 wall: start.elapsed(),

@@ -14,9 +14,17 @@
 //!   pointer under the shard lock and translates the witness through the
 //!   querying history's own permutation maps outside it, so it verifies
 //!   against that history.
-//! * Entries can come from memo files, which are untrusted: an entry
-//!   whose witness does not fit the querying history (an index out of
-//!   range) reads as a miss, and the check's own verdict replaces it.
+//! * Entries can come from memo files, which are untrusted. The first
+//!   time a file's `Allowed` entry is recalled, its witness is
+//!   translated into the querying history's coordinates and re-checked
+//!   with [`crate::verify::verify_witness`] against that history and
+//!   model; from then on it is trusted like an entry the checker
+//!   recorded (every history with its key is a renaming of the one it
+//!   verified on). A witness that does not fit the history (an index
+//!   out of range) or does not verify reads as a miss, and the check's
+//!   own verdict replaces the entry. A file's `Disallowed` entries are
+//!   taken on trust, as every refutation the checker prints is until
+//!   refutations carry checkable certificates.
 //! * `Exhausted` verdicts are never cached: they depend on the budget
 //!   the particular check ran under, not on the question.
 //! * `Unsupported` verdicts are never cached: they are cheap to
@@ -31,7 +39,8 @@
 use crate::binfmt::{write_u32, Reader};
 use crate::canon::{Canon, HistoryKey};
 use crate::checker::{Verdict, Witness};
-use smc_history::OpId;
+use crate::spec::ModelSpec;
+use smc_history::{History, OpId};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,9 +59,15 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 /// the check starts cold instead of reading without bound.
 pub const MAX_MEMO_FILE_BYTES: u64 = 64 << 20;
 
-/// A stored verdict: the canonical-coordinate witness of an `Allowed`,
-/// or `None` for `Disallowed`.
-type Entry = Option<Arc<Witness>>;
+/// A stored verdict; an `Allowed` keeps its witness in canonical
+/// coordinates.
+#[derive(Clone, Debug, PartialEq)]
+enum Entry {
+    Disallowed,
+    Allowed(Arc<Witness>),
+    /// An `Allowed` read from a memo file, not yet verified.
+    Unverified(Arc<Witness>),
+}
 
 #[derive(Default)]
 struct Shard {
@@ -147,18 +162,26 @@ impl MemoCache {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The cached verdict for the history `canon` was computed from under
-    /// `model`, with any witness translated into that history's
-    /// coordinates; counts the hit or miss. An entry whose witness does
-    /// not fit the history (see [`Canon::try_witness_from_canon`]) counts
-    /// as a miss: the caller checks, and [`MemoCache::record`] replaces
-    /// the entry.
-    pub fn recall(&self, canon: &Canon, model: u64) -> Option<Verdict> {
+    /// The cached verdict for `h` (whose canonical form is `canon`) under
+    /// `spec`, with any witness translated into `h`'s coordinates; counts
+    /// the hit or miss. An entry whose witness does not fit `h` (see
+    /// [`Canon::try_witness_from_canon`]), or a file's entry whose
+    /// witness does not verify against `h` and `spec`, counts as a miss:
+    /// the caller checks, and [`MemoCache::record`] replaces the entry.
+    pub fn recall(&self, canon: &Canon, h: &History, spec: &ModelSpec) -> Option<Verdict> {
+        let model = spec.param_key();
         let verdict = self.get(canon.key, model).and_then(|e| match e {
-            Some(w) => canon
+            Entry::Disallowed => Some(Verdict::Disallowed),
+            Entry::Allowed(w) => canon
                 .try_witness_from_canon(&w)
                 .map(|w| Verdict::Allowed(Box::new(w))),
-            None => Some(Verdict::Disallowed),
+            Entry::Unverified(w) => {
+                let own = canon
+                    .try_witness_from_canon(&w)
+                    .filter(|own| crate::verify::verify_witness(h, spec, own).is_ok())?;
+                self.insert_entry(canon.key, model, Entry::Allowed(w));
+                Some(Verdict::Allowed(Box::new(own)))
+            }
         });
         self.count(verdict.is_some());
         verdict
@@ -188,10 +211,12 @@ impl MemoCache {
     /// any witness into canonical coordinates first.
     pub fn record(&self, canon: &Canon, model: u64, verdict: &Verdict) {
         match verdict {
-            Verdict::Allowed(w) => {
-                self.insert_entry(canon.key, model, Some(Arc::new(canon.witness_to_canon(w))))
-            }
-            Verdict::Disallowed => self.insert_entry(canon.key, model, None),
+            Verdict::Allowed(w) => self.insert_entry(
+                canon.key,
+                model,
+                Entry::Allowed(Arc::new(canon.witness_to_canon(w))),
+            ),
+            Verdict::Disallowed => self.insert_entry(canon.key, model, Entry::Disallowed),
             Verdict::Exhausted | Verdict::Unsupported(_) => {}
         }
     }
@@ -254,8 +279,8 @@ impl MemoCache {
             let idx = models.iter().position(|m| m == model).unwrap_or(0);
             write_u32(&mut buf, idx as u32);
             match verdict {
-                None => buf.push(0),
-                Some(w) => {
+                Entry::Disallowed => buf.push(0),
+                Entry::Allowed(w) | Entry::Unverified(w) => {
                     buf.push(1);
                     write_witness(&mut buf, w);
                 }
@@ -297,8 +322,8 @@ impl MemoCache {
                 .ok_or_else(|| format!("model index {idx} out of range at byte {pos}"))?;
             let pos = r.pos();
             let entry = match r.u8()? {
-                0 => None,
-                1 => Some(Arc::new(read_witness(&mut r)?)),
+                0 => Entry::Disallowed,
+                1 => Entry::Unverified(Arc::new(read_witness(&mut r)?)),
                 t => return Err(format!("unknown verdict tag {t} at byte {pos}")),
             };
             self.insert_entry(HistoryKey(key), model, entry);
@@ -444,21 +469,25 @@ mod tests {
         HistoryKey(n)
     }
 
-    /// The canonical form of `p: w(x)1 … w(x)n`: one distinct key per `n`.
-    fn writes(n: usize) -> Canon {
+    /// `p: w(x)1 … w(x)n` and its canonical form: one distinct key per
+    /// `n`.
+    fn writes(n: usize) -> (History, Canon) {
         let ops: String = (1..=n).map(|v| format!(" w(x){v}")).collect();
-        canonicalize(&parse_history(&format!("p:{ops}")).unwrap())
+        let h = parse_history(&format!("p:{ops}")).unwrap();
+        let canon = canonicalize(&h);
+        (h, canon)
     }
 
     #[test]
     fn hit_after_insert() {
         let cache = MemoCache::with_capacity(64);
-        let canon = writes(1);
-        assert!(cache.recall(&canon, 7).is_none());
-        cache.insert_entry(canon.key, 7, None);
-        assert_eq!(cache.recall(&canon, 7), Some(Verdict::Disallowed));
+        let (h, canon) = writes(1);
+        let (sc, tso) = (crate::models::sc(), crate::models::tso());
+        assert!(cache.recall(&canon, &h, &sc).is_none());
+        cache.insert_entry(canon.key, sc.param_key(), Entry::Disallowed);
+        assert_eq!(cache.recall(&canon, &h, &sc), Some(Verdict::Disallowed));
         // Same history, different model: distinct entry.
-        assert!(cache.recall(&canon, 8).is_none());
+        assert!(cache.recall(&canon, &h, &tso).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 2, 1));
     }
@@ -467,7 +496,7 @@ mod tests {
     fn eviction_is_fifo_and_bounded() {
         let cache = MemoCache::with_capacity(NUM_SHARDS); // 1 entry per shard
         for i in 0..1000u64 {
-            cache.insert_entry(key(i as u128), 0, None);
+            cache.insert_entry(key(i as u128), 0, Entry::Disallowed);
         }
         assert!(cache.len() <= NUM_SHARDS);
         assert!(cache.stats().evictions > 0);
@@ -489,20 +518,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.smcmemo");
         let cache = MemoCache::with_capacity(64);
-        cache.insert_entry(key(10), 3, None);
-        cache.insert_entry(key(11), 3, Some(Arc::new(sample_witness())));
-        cache.insert_entry(key(11), 9, None);
+        cache.insert_entry(key(10), 3, Entry::Disallowed);
+        let w = Arc::new(sample_witness());
+        cache.insert_entry(key(11), 3, Entry::Allowed(w.clone()));
+        cache.insert_entry(key(11), 9, Entry::Disallowed);
         assert_eq!(cache.save(&path).unwrap(), 3);
 
         let fresh = MemoCache::with_capacity(64);
         assert_eq!(fresh.load(&path).unwrap(), 3);
         assert_eq!(fresh.len(), 3);
-        assert_eq!(fresh.get(key(10), 3), Some(None));
-        match fresh.get(key(11), 3) {
-            Some(Some(w)) => assert_eq!(*w, sample_witness()),
-            other => panic!("expected Allowed, got {other:?}"),
-        }
-        assert_eq!(fresh.get(key(11), 9), Some(None));
+        assert_eq!(fresh.get(key(10), 3), Some(Entry::Disallowed));
+        // A file's `Allowed` waits to be verified on first use.
+        assert_eq!(fresh.get(key(11), 3), Some(Entry::Unverified(w)));
+        assert_eq!(fresh.get(key(11), 9), Some(Entry::Disallowed));
         assert!(fresh.get(key(12), 3).is_none());
         std::fs::remove_file(&path).unwrap();
     }
@@ -540,8 +568,8 @@ mod tests {
         // prefix of the records), never panic or over-allocate.
         let good = dir.join("good.smcmemo");
         let cache = MemoCache::with_capacity(64);
-        cache.insert_entry(key(1), 5, Some(Arc::new(sample_witness())));
-        cache.insert_entry(key(2), 5, None);
+        cache.insert_entry(key(1), 5, Entry::Allowed(Arc::new(sample_witness())));
+        cache.insert_entry(key(2), 5, Entry::Disallowed);
         cache.save(&good).unwrap();
         let bytes = std::fs::read(&good).unwrap();
         let trunc = dir.join("trunc.smcmemo");
@@ -579,15 +607,16 @@ mod tests {
     #[test]
     fn concurrent_use_is_safe() {
         let cache = MemoCache::with_capacity(1024);
-        let canons: Vec<Canon> = (1..=64).map(writes).collect();
+        let histories: Vec<(History, Canon)> = (1..=64).map(writes).collect();
+        let specs = crate::models::lattice_models();
         std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let (cache, canons) = (&cache, &canons);
+            for spec in &specs[..4] {
+                let (cache, histories) = (&cache, &histories);
                 s.spawn(move || {
                     for i in 0..500usize {
-                        let canon = &canons[i % 64];
-                        cache.insert_entry(canon.key, t, None);
-                        let _ = cache.recall(canon, t);
+                        let (h, canon) = &histories[i % 64];
+                        cache.insert_entry(canon.key, spec.param_key(), Entry::Disallowed);
+                        let _ = cache.recall(canon, h, spec);
                     }
                 });
             }
@@ -650,5 +679,48 @@ mod tests {
             assert_eq!(memo.stats().hits, 1, "{views:?}");
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_file_entry_is_verified_before_it_is_used() {
+        use crate::checker::{check_with_stats, CheckConfig};
+        let fig1 = parse_history("p: w(x)1 r(y)0\nq: w(y)1 r(x)0").unwrap();
+        let (sc, tso) = (crate::models::sc(), crate::models::tso());
+        let dir = std::env::temp_dir().join(format!("smc-memo-verify-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("forged.smcmemo");
+        // SC refutes Figure 1, so this view fits the history but is not
+        // a legal SC view.
+        let key = canonicalize(&fig1).key;
+        write_one_record(
+            &path,
+            key,
+            sc.param_key(),
+            &[vec![0, 1, 2, 3], vec![0, 1, 2, 3]],
+        );
+        let cfg = CheckConfig::default().with_memo();
+        let memo = cfg.memo.clone().unwrap();
+        assert_eq!(memo.load(&path), Ok(1));
+        let (verdict, stats) = check_with_stats(&fig1, &sc, &cfg);
+        assert_eq!(verdict, Verdict::Disallowed);
+        assert!(!stats.memo_hit);
+        assert_eq!((memo.stats().hits, memo.stats().misses), (0, 1));
+        // The check's verdict replaced the forged entry.
+        assert_eq!(memo.get(key, sc.param_key()), Some(Entry::Disallowed));
+
+        // A file entry the checker wrote verifies, and hits.
+        let cfg = CheckConfig::default().with_memo();
+        let allowed = check_with_stats(&fig1, &tso, &cfg).0;
+        cfg.memo.as_ref().unwrap().save(&path).unwrap();
+        let cfg = CheckConfig::default().with_memo();
+        let memo = cfg.memo.clone().unwrap();
+        assert_eq!(memo.load(&path), Ok(1));
+        for _ in 0..2 {
+            let (verdict, stats) = check_with_stats(&fig1, &tso, &cfg);
+            assert!(stats.memo_hit);
+            assert_eq!(verdict, allowed);
+        }
+        assert_eq!((memo.stats().hits, memo.stats().misses), (2, 0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

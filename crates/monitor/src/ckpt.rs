@@ -12,10 +12,12 @@
 //!
 //! * a **magic + version** prefix (`SMCCKPT\x01`) rejects files that
 //!   are not checkpoints at all;
-//! * the **model list and tuning** are embedded (name + parameter key
-//!   per model, frontier cap, window size) and must match what the
-//!   caller passes to [`load`] — a checkpoint taken under one model set
-//!   must not silently resume under another;
+//! * the **model list and limits** are embedded (name + parameter key
+//!   per model, frontier cap, window size), and [`load`] resumes under
+//!   exactly those: each name must resolve through
+//!   [`smc_core::models::by_name`] to a model with the stored parameter
+//!   key, so a checkpoint cannot resume under models it was not cut
+//!   with, and its caller need not name them again;
 //! * every length and index is validated against the bytes remaining
 //!   and the tables already decoded, under the [`smc_core::binfmt`]
 //!   contract: corrupt or truncated input returns `Err` naming a byte
@@ -23,8 +25,10 @@
 
 use crate::{churn::ChurnState, window::WindowState, Engine, Monitor, MonitorConfig, TriVerdict};
 use smc_core::binfmt::{write_i64, write_str, write_u32, write_u64, Reader};
+use smc_core::checker::CheckConfig;
 use smc_core::frontier::FrontierEngine;
 use smc_core::lattice::Stronger;
+use smc_core::models;
 use smc_core::spec::{ModelSpec, OperationSet};
 use smc_history::trace::{Lifecycle, Trace, TraceEvent};
 use smc_history::{Label, Location, OpKind, ProcId, Value};
@@ -306,91 +310,48 @@ fn load_engine(r: &mut Reader<'_>, built_procs: usize) -> Result<Engine, String>
     }
 }
 
-/// The part of a checkpoint every reader needs first: the model names
-/// and parameter keys (each with its byte offset), the frontier cap and
-/// the window size (0 = unwindowed).
-struct Header {
-    models: Vec<(usize, String, u64)>,
-    max_states: usize,
-    window: usize,
+/// Read one model of the header: its name, resolved through
+/// [`models::by_name`], and the parameter key the resolved model must
+/// have.
+fn read_model(r: &mut Reader<'_>) -> Result<ModelSpec, String> {
+    let at = r.pos();
+    let name = r.str()?;
+    let key = r.u64()?;
+    match models::by_name(&name) {
+        Some(spec) if spec.param_key() == key => Ok(spec),
+        Some(_) => Err(format!(
+            "model {name:?} at byte {at} has parameter key {key:#x}, not the registered model's"
+        )),
+        None => Err(format!("unknown model {name:?} at byte {at}")),
+    }
 }
 
-/// Check the magic and read the [`Header`], leaving `r` at the trace.
-fn read_header(r: &mut Reader<'_>) -> Result<Header, String> {
+/// Rebuild a [`Monitor`] from [`save`] bytes, under the models, frontier
+/// cap and window size the checkpoint names. `check` supplies what a
+/// checkpoint does not hold: the engine and the memo cache of the
+/// restart-mode re-checks.
+pub fn load(bytes: &[u8], check: CheckConfig) -> Result<Monitor, String> {
+    let mut r = Reader::new(bytes);
     if r.take(MAGIC.len()).ok() != Some(&MAGIC[..]) {
         return Err("not a monitor checkpoint (bad magic at byte 0)".into());
     }
     let n = r.len_prefix(10)?;
     let mut models = Vec::with_capacity(n);
     for _ in 0..n {
-        models.push((r.pos(), r.str()?, r.u64()?));
+        models.push(read_model(&mut r)?);
     }
-    Ok(Header {
-        models,
-        max_states: r.u64()? as usize,
-        window: r.u32()? as usize,
-    })
-}
-
-/// The model names embedded in a checkpoint, without decoding the rest.
-/// Lets a server resolve the right model set before calling [`load`].
-pub fn peek_models(bytes: &[u8]) -> Result<Vec<String>, String> {
-    let header = read_header(&mut Reader::new(bytes))?;
-    Ok(header.models.into_iter().map(|(_, name, _)| name).collect())
-}
-
-/// The frontier cap and window size (0 = unwindowed) a checkpoint was
-/// cut with, without loading it. A restore must resume under the same
-/// limits; a caller that did not pick its own can inherit these.
-pub fn peek_limits(bytes: &[u8]) -> Result<(usize, usize), String> {
-    let header = read_header(&mut Reader::new(bytes))?;
-    Ok((header.max_states, header.window))
-}
-
-/// Rebuild a [`Monitor`] from [`save`] bytes. `models` and `cfg` must
-/// match the checkpointed session (same models in the same order, same
-/// frontier cap and window size); the embedded copies are checked and a
-/// mismatch is an error, not a silent reinterpretation.
-pub fn load(bytes: &[u8], models: Vec<ModelSpec>, cfg: MonitorConfig) -> Result<Monitor, String> {
-    let mut r = Reader::new(bytes);
-    let Header {
-        models: saved,
-        max_states,
-        window: win,
-    } = read_header(&mut r)?;
-    let n = saved.len();
-    if n != models.len() {
-        return Err(format!(
-            "checkpoint monitors {n} models, caller supplied {}",
-            models.len()
-        ));
-    }
-    for (i, (spec, (at, name, key))) in models.iter().zip(&saved).enumerate() {
-        if *name != spec.name || *key != spec.param_key() {
-            return Err(format!(
-                "model {i} mismatch at byte {at}: checkpoint has {name:?}, caller supplied {:?}",
-                spec.name
-            ));
-        }
-    }
-    if max_states != cfg.max_frontier_states {
-        return Err(format!(
-            "checkpoint frontier cap {max_states} != configured {}",
-            cfg.max_frontier_states
-        ));
-    }
-    if win != cfg.window.unwrap_or(0) {
-        return Err(format!(
-            "checkpoint window size {win} != configured {}",
-            cfg.window.unwrap_or(0)
-        ));
-    }
+    // Struct-literal fields evaluate in source order, matching the
+    // order `save` wrote them.
+    let cfg = MonitorConfig {
+        check,
+        max_frontier_states: r.u64()? as usize,
+        window: Some(r.u32()? as usize).filter(|&w| w != 0),
+    };
     let trace = load_trace(&mut r)?;
     let churn = ChurnState::load_from(&mut r, trace.num_procs(), trace.num_locs())?;
-    let window = if win != 0 {
-        Some(WindowState::load_from(&mut r, models.len())?)
-    } else {
-        None
+    let window = match cfg.window {
+        Some(_) => Some(WindowState::load_from(&mut r, n)?),
+        None => None,
     };
     let mut verdicts = Vec::with_capacity(n);
     let mut first_violation = Vec::with_capacity(n);
@@ -479,9 +440,7 @@ mod tests {
     fn checkpoint_round_trips_bytes_and_state() {
         let m = fed_monitor("p w(x)1\nq w(y)1\np r(y)0\nq r(x)0\n");
         let bytes = m.checkpoint_bytes();
-        let back =
-            Monitor::restore_bytes(&bytes, models::lattice_models(), MonitorConfig::default())
-                .unwrap();
+        let back = Monitor::restore_bytes(&bytes, CheckConfig::default()).unwrap();
         assert_eq!(back.verdicts(), m.verdicts());
         assert_eq!(back.num_events(), m.num_events());
         assert_eq!(back.totals(), m.totals());
@@ -507,12 +466,7 @@ mod tests {
             );
             if i == 2 {
                 let bytes = warm.checkpoint_bytes();
-                warm = Monitor::restore_bytes(
-                    &bytes,
-                    models::lattice_models(),
-                    MonitorConfig::default(),
-                )
-                .unwrap();
+                warm = Monitor::restore_bytes(&bytes, CheckConfig::default()).unwrap();
             }
             warm.feed(
                 t.proc_name(ev.proc),
@@ -533,58 +487,39 @@ mod tests {
         for cut in 0..bytes.len() {
             let e = err_of(Monitor::restore_bytes(
                 &bytes[..cut],
-                models::lattice_models(),
-                MonitorConfig::default(),
+                CheckConfig::default(),
             ));
             assert!(!e.is_empty(), "cut {cut}");
         }
         // Garbage magic.
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        let e = err_of(Monitor::restore_bytes(
-            &bad,
-            models::lattice_models(),
-            MonitorConfig::default(),
-        ));
+        let e = err_of(Monitor::restore_bytes(&bad, CheckConfig::default()));
         assert!(e.contains("bad magic"), "{e}");
         // Trailing garbage.
         let mut long = bytes.clone();
         long.push(0);
-        let e = err_of(Monitor::restore_bytes(
-            &long,
-            models::lattice_models(),
-            MonitorConfig::default(),
-        ));
+        let e = err_of(Monitor::restore_bytes(&long, CheckConfig::default()));
         assert!(e.contains("trailing"), "{e}");
     }
 
     #[test]
-    fn model_and_config_mismatches_are_rejected() {
-        let m = fed_monitor("p w(x)1\n");
-        let bytes = m.checkpoint_bytes();
-        let e = err_of(Monitor::restore_bytes(
-            &bytes,
-            vec![models::sc()],
-            MonitorConfig::default(),
-        ));
-        assert!(e.contains("models"), "{e}");
-        let e = err_of(Monitor::restore_bytes(
-            &bytes,
-            models::lattice_models(),
-            MonitorConfig {
-                max_frontier_states: 7,
-                ..MonitorConfig::default()
-            },
-        ));
-        assert!(e.contains("frontier cap"), "{e}");
-        let e = err_of(Monitor::restore_bytes(
-            &bytes,
-            models::lattice_models(),
-            MonitorConfig {
-                window: Some(64),
-                ..MonitorConfig::default()
-            },
-        ));
-        assert!(e.contains("window"), "{e}");
+    fn unregistered_models_are_rejected_with_an_offset() {
+        let bytes = Monitor::new(vec![models::sc()], MonitorConfig::default()).checkpoint_bytes();
+        // Magic, model count, then the first model: its name's length,
+        // the name, and its parameter key.
+        let name_at = MAGIC.len() + 4;
+        assert_eq!(&bytes[name_at + 4..name_at + 6], b"SC");
+        let mut unknown = bytes.clone();
+        unknown[name_at + 4..name_at + 6].copy_from_slice(b"XY");
+        let e = err_of(Monitor::restore_bytes(&unknown, CheckConfig::default()));
+        assert_eq!(e, format!("unknown model \"XY\" at byte {name_at}"));
+        // A registered name whose parameters are not the registered
+        // model's.
+        let mut rekeyed = bytes;
+        rekeyed[name_at + 6] ^= 1;
+        let e = err_of(Monitor::restore_bytes(&rekeyed, CheckConfig::default()));
+        assert!(e.contains(&format!("\"SC\" at byte {name_at}")), "{e}");
+        assert!(e.contains("parameter key"), "{e}");
     }
 }

@@ -352,6 +352,12 @@ impl Monitor {
         &self.models
     }
 
+    /// The configuration the session runs under. A restored session's
+    /// frontier cap and window are the checkpoint's.
+    pub fn config(&self) -> &MonitorConfig {
+        &self.cfg
+    }
+
     /// Everything fed so far, as a trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -491,8 +497,9 @@ impl Monitor {
 
     /// Feed a parsed stream: a whole trace, or the next segment of one
     /// cut by [`Trace::split_front`]. Names the monitor has not seen
-    /// yet are declared first, except a processor that a `join` of this
-    /// segment introduces: that join activates it at its position, since
+    /// yet are interned first and the tables grown for all of them at
+    /// once, except a processor that a `join` of this segment
+    /// introduces: that join activates it at its position, since
     /// declared up front it would take a fresh slot ahead of an earlier
     /// `retire` whose slot it should reuse. Each `join`/`retire` then
     /// applies at its recorded position, and the events between them go
@@ -521,14 +528,14 @@ impl Monitor {
             if !self.trace.proc_names().contains(name)
                 && !t.lifecycle().iter().any(|&(_, l)| l == join)
             {
-                self.declare_proc(name);
+                let p = self.trace.add_proc(name);
+                self.activate_proc(p);
             }
         }
         for name in t.loc_names() {
-            if !self.trace.loc_names().contains(name) {
-                self.declare_loc(name);
-            }
+            self.trace.add_loc(name);
         }
+        self.ensure_tables();
         let mut report = StepReport::default();
         let mut from = 0;
         for &(pos, l) in t.lifecycle() {
@@ -853,16 +860,14 @@ impl Monitor {
 
     /// Resume a session from [`Monitor::checkpoint_bytes`] (read a file
     /// of them with [`smc_core::binfmt::read_file`] under
-    /// [`ckpt::MAX_CHECKPOINT_BYTES`]). The caller supplies the same
-    /// models (in order) and a compatible configuration; mismatches,
-    /// corruption, and truncation return `Err` naming the problem (with
-    /// a byte offset where one applies).
-    pub fn restore_bytes(
-        bytes: &[u8],
-        models: Vec<ModelSpec>,
-        cfg: MonitorConfig,
-    ) -> Result<Monitor, String> {
-        ckpt::load(bytes, models, cfg)
+    /// [`ckpt::MAX_CHECKPOINT_BYTES`]). The session keeps the models,
+    /// frontier cap and window size the checkpoint names; `check` gives
+    /// what a checkpoint does not hold, the engine and memo cache of
+    /// restart-mode re-checks. A model that does not resolve,
+    /// corruption and truncation return `Err` naming the problem and a
+    /// byte offset.
+    pub fn restore_bytes(bytes: &[u8], check: CheckConfig) -> Result<Monitor, String> {
+        ckpt::load(bytes, check)
     }
 }
 
@@ -1137,6 +1142,24 @@ mod tests {
         assert_eq!(h.expanded, step_expanded);
         assert_eq!(declared.totals().rebuild_work, 0);
         assert!(h.rebuild_work > 0, "mid-stream growth should rebuild");
+    }
+
+    #[test]
+    fn a_segment_grows_the_tables_once() {
+        // The rebuild work of a segment after a header-first prefix.
+        let rebuild = |segment: &str| {
+            let mut m = monitor(vec![models::sc(), models::pram()]);
+            let prefix = "procs p\nlocs x\np w(x)1\np w(x)2\np r(x)2\n";
+            m.feed_trace(&parse_trace(prefix).unwrap());
+            assert_eq!(m.totals().rebuild_work, 0);
+            m.feed_trace(&parse_trace(segment).unwrap());
+            m.totals().rebuild_work
+        };
+        // A new processor alone costs one replay of the prefix...
+        let one = rebuild("q w(x)3\n");
+        assert!(one > 0);
+        // ...and so do a new processor and a new location together.
+        assert_eq!(rebuild("q w(y)1\n"), one);
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! The litmus-test corpus: the paper's figures plus classic shapes, each
 //! annotated with the expected verdict per memory model.
 //!
+//! The text is `litmus/paper.litmus`, built in: the file the CLI reads
+//! and the suite the tests check are one copy.
+//!
 //! Expectations use the checker's model names (`SC`, `TSO`, `PC`, `PRAM`,
 //! `Causal`, `Coherent`, `CausalCoherent`, `RCsc`, `RCpc`); tests omit
 //! models for which the verdict is uninteresting. The corpus is consumed
@@ -11,230 +14,7 @@ use smc_history::litmus::{parse_suite, LitmusTest};
 
 /// The corpus source, in the litmus suite format of
 /// [`smc_history::litmus`].
-pub const SUITE_TEXT: &str = r#"
-# ---- The paper's worked examples --------------------------------------
-
-test fig1 "store buffering: allowed by TSO, not by SC (paper Fig. 1)" {
-    p: w(x)1 r(y)0
-    q: w(y)1 r(x)0
-} expect { SC: no, TSO: yes, PC: yes, PRAM: yes, Causal: yes,
-           Coherent: yes, CausalCoherent: yes, PCG: yes, Hybrid: yes }
-
-test fig2 "allowed by PC, not by TSO (paper Fig. 2)" {
-    p: w(x)1
-    q: r(x)1 w(y)1
-    r: r(y)1 r(x)0
-} expect { SC: no, TSO: no, PC: yes, PRAM: yes, Causal: no,
-           Coherent: yes, CausalCoherent: no, PCG: yes }
-
-test fig3 "allowed by PRAM, not by TSO (paper Fig. 3)" {
-    p: w(x)1 r(x)1 r(x)2
-    q: w(x)2 r(x)2 r(x)1
-} expect { SC: no, TSO: no, PC: no, PRAM: yes, Causal: yes,
-           Coherent: no, CausalCoherent: no, PCG: no, Hybrid: yes }
-
-test fig4 "allowed by causal, not by TSO (paper Fig. 4)" {
-    p: w(x)1 w(y)1
-    q: r(y)1 w(z)1 r(x)2
-    r: w(x)2 r(x)1 r(z)1 r(y)1
-} expect { SC: no, TSO: no, PC: no, PRAM: yes, Causal: yes,
-           Coherent: yes, CausalCoherent: no, PCG: no }
-
-# ---- Classic shapes ----------------------------------------------------
-
-test mp_stale "message passing with a stale data read" {
-    p: w(d)1 w(f)1
-    q: r(f)1 r(d)0
-} expect { SC: no, TSO: no, PC: no, PRAM: no, Causal: no,
-           Coherent: yes, CausalCoherent: no, RCsc: yes, RCpc: yes,
-           PCG: no, Hybrid: yes, WO: yes }
-
-test mp_fresh "message passing done right" {
-    p: w(d)1 w(f)1
-    q: r(f)1 r(d)1
-} expect { SC: yes, TSO: yes, PC: yes, PRAM: yes, Causal: yes,
-           Coherent: yes, CausalCoherent: yes, RCsc: yes, RCpc: yes,
-           PCG: yes, Hybrid: yes, WO: yes }
-
-test sb_fwd "store buffering with own-write reads: paper-TSO forbids (no forwarding in ppo)" {
-    p: w(x)1 r(x)1 r(y)0
-    q: w(y)1 r(y)1 r(x)0
-} expect { SC: no, TSO: no, PC: yes, PRAM: yes, Causal: yes,
-           Coherent: yes, PCG: yes }
-
-test iriw "independent reads of independent writes" {
-    p: w(x)1
-    q: w(y)1
-    r: r(x)1 r(y)0
-    s: r(y)1 r(x)0
-} expect { SC: no, TSO: no, PC: yes, PRAM: yes, Causal: yes,
-           Coherent: yes, CausalCoherent: yes, PCG: yes, Hybrid: yes }
-
-test corr "two readers disagree on the order of two writes" {
-    p: w(x)1
-    q: w(x)2
-    r: r(x)1 r(x)2
-    s: r(x)2 r(x)1
-} expect { SC: no, TSO: no, PC: no, PRAM: yes, Causal: yes,
-           Coherent: no, CausalCoherent: no, PCG: no, Hybrid: yes }
-
-# PC's ordering (sem = ppo ∪ rwb ∪ rrb) does NOT include the plain
-# writes-before edge, so the paper's PC admits the load-buffering cycle:
-# each view can place the remote write before the local read. Causal
-# memory's wb edge makes the cycle visible and forbids it; TSO's store
-# order does too.
-test lb "load buffering: reads of values written later in program order" {
-    p: r(x)1 w(y)1
-    q: r(y)1 w(x)1
-} expect { SC: no, TSO: no, PC: yes, PRAM: yes, Causal: no,
-           Coherent: yes, CausalCoherent: no, PCG: yes, Hybrid: yes }
-
-# A write-read-causality chain through a second writer of the SAME
-# location: coherence pins w(x)1 before w(x)2 (the second writer read 1
-# first), so the observer reading 2-then-1 is forbidden by every
-# coherent model AND by causal memory (w1 →co w2); only PRAM and hybrid,
-# blind to cross-processor write order, admit it.
-test wrc_coherence "second writer read the first value; observer sees them reversed" {
-    p: w(x)1
-    q: r(x)1 w(x)2
-    r: r(x)2 r(x)1
-} expect { SC: no, TSO: no, PC: no, PCG: no, Coherent: no,
-           Causal: no, CausalCoherent: no, PRAM: yes, Hybrid: yes }
-
-# Each processor reads the OTHER's write before issuing its own: a
-# coherence cycle (each view must place its own write after the other's)
-# and a causal cycle (wb + po). PRAM's independent views shrug.
-test corw2 "mutual read-then-overwrite of one location" {
-    p: r(x)2 w(x)1
-    q: r(x)1 w(x)2
-} expect { SC: no, TSO: no, PC: no, PCG: no, Coherent: no,
-           Causal: no, CausalCoherent: no, PRAM: yes, Hybrid: yes }
-
-test coww "same-processor same-location writes stay ordered everywhere" {
-    p: w(x)1 w(x)2
-    q: r(x)2 r(x)1
-} expect { SC: no, TSO: no, PC: no, PRAM: no, Causal: no, Coherent: no,
-           PCG: no, CausalCoherent: no, Hybrid: yes, RCsc: no, RCpc: no }
-
-# ---- Section 7: the new combination models --------------------------------
-# Verdicts below were harvested by exhaustive search over small history
-# universes (smc-core's histgen) followed by running the checker itself;
-# each test pins a separation the combination models introduce.
-
-# Goodman's PC keeps the full program order but drops DASH PC's
-# semi-causal edges. Here q's program order pins the x-coherence order to
-# 2-then-1; DASH's rwb edge w(x)2 -> r(x)1 then drags w(y)1 behind both
-# x-writes in r's view, where r(x)0 has nowhere legal left. PCG has no
-# such edge: r may order w(y)1 r(y)1 r(x)0 before either x-write.
-test pcg_vs_pc "Goodman's PC admits what DASH's PC refutes (Section 3.3)" {
-    p: r(x)1 w(y)1
-    q: w(x)2 w(x)1
-    r: r(y)1 r(x)0
-} expect { SC: no, TSO: no, PC: no, PCG: yes, CausalCoherent: no,
-           Causal: no, PRAM: yes, Coherent: yes, RCsc: yes, RCpc: yes,
-           WO: yes, Hybrid: yes }
-
-# PRAM alone admits this history, coherent-only memory alone admits it,
-# yet their Section 7 combination (PCG) refutes it: coherence forces
-# p's w(y)1 before q's w(y)1 in every view, and then r's full program
-# order (r(y)1 before r(x)0 before the x-write that po-precedes p's
-# w(y)1) closes a cycle. The combination is strictly stronger than the
-# intersection of its parts.
-test pcg_strict "PCG refutes what PRAM and coherence each admit" {
-    p: w(x)1 w(y)1
-    q: r(y)1 w(y)1
-    r: r(y)1 r(x)0
-} expect { SC: no, TSO: no, PC: no, PCG: no, CausalCoherent: no,
-           Causal: no, PRAM: yes, Coherent: yes, RCsc: yes, RCpc: yes,
-           WO: yes, Hybrid: yes }
-
-# The same phenomenon for causal+coherent: causal memory admits it,
-# coherent memory admits it (TSO and even DASH PC do too), but the
-# combined model refutes it. Reading y=2 then y=1 needs the coherence
-# order w(y)2 before w(y)1; causality then routes r's w(y)1 after p's
-# w(x)1, and r's own r(x)0 has no legal slot.
-test cc_strict "CausalCoherent refutes what causal and coherence each admit" {
-    p: w(x)1 w(y)2
-    q: r(y)2 r(y)1
-    r: w(y)1 r(x)0
-} expect { SC: no, TSO: yes, PC: yes, PCG: no, CausalCoherent: no,
-           Causal: yes, PRAM: yes, Coherent: yes, RCsc: yes, RCpc: yes,
-           WO: yes, Hybrid: yes }
-
-# Each processor reads the value the OTHER will write, then writes it: a
-# future-read exchange. Every model with a mutual-consistency condition
-# on writes (coherence or a store order) refutes it; PRAM admits it, and
-# hybrid consistency — whose only cross-view condition is agreement on
-# LABELED operations, absent here — admits it too.
-test hybrid_uncoherent "mutual future reads: only PRAM-like views admit" {
-    p: r(x)1 w(x)1
-    q: r(x)1 w(x)1
-} expect { SC: no, TSO: no, PC: no, PCG: no, CausalCoherent: no,
-           Causal: no, PRAM: yes, Coherent: no, RCsc: no, RCpc: no,
-           WO: no, Hybrid: yes }
-
-# corr with every operation labeled. Unlabeled memory models treat this
-# exactly like corr (causal memory and PRAM admit it), but hybrid's
-# agreement condition on labeled operations now bites: c and d observe
-# the two labeled writes in opposite orders, so there is no common
-# relative order and hybrid refutes — as do all the SC/PC-labeled
-# bracketing models.
-test corr_labeled "labeled readers disagree on labeled write order" {
-    a: wl(s)1
-    b: wl(s)2
-    c: rl(s)1 rl(s)2
-    d: rl(s)2 rl(s)1
-} expect { SC: no, TSO: no, PC: no, PCG: no, CausalCoherent: no,
-           Causal: yes, PRAM: yes, Coherent: no, RCsc: no, RCpc: no,
-           WO: no, Hybrid: no }
-
-# ---- Release consistency (paper Section 3.4 / Section 5) ---------------
-
-test rc_mp_stale "labeled handshake with a stale read: bracketing forbids" {
-    q: w(d)1 wl(s)1
-    p: rl(s)1 r(d)0
-} expect { RCsc: no, RCpc: no, SC: no, WO: no, Hybrid: no }
-
-test rc_mp_fresh "labeled handshake reading fresh data" {
-    q: w(d)1 wl(s)1
-    p: rl(s)1 r(d)1
-} expect { RCsc: yes, RCpc: yes, SC: yes, WO: yes, Hybrid: yes }
-
-test rc_unbracketed "no labels: RC places almost no constraints" {
-    p: w(d)1 w(f)1
-    q: r(f)1 r(d)0
-} expect { RCsc: yes, RCpc: yes, WO: yes }
-
-# RC releases fence only the operations BEFORE them; an ordinary write
-# issued AFTER a release may become visible before it. Weak ordering's
-# full fences forbid exactly that, separating WO from RC_sc.
-test wo_release_fence "ordinary write overtakes the release that precedes it" {
-    q: wl(s)1 w(d)1
-    p: r(d)1 rl(s)0
-} expect { RCsc: yes, RCpc: yes, WO: no, SC: no, Hybrid: no }
-
-# Transitive synchronization: p0 releases s after writing d; p1 acquires
-# s and releases t; p2 acquires t and reads d. RC_sc's common labeled
-# order forces wl(s) before wl(t), so p2 must see the data. RC_pc's
-# per-processor labeled views do NOT order the two releases for p2 —
-# synchronization does not compose transitively under RC_pc.
-test rc_transitive_stale "stale read through a release chain" {
-    p0: w(d)1 wl(s)1
-    p1: rl(s)1 wl(t)1
-    p2: rl(t)1 r(d)0
-} expect { RCsc: no, RCpc: yes, WO: no, Hybrid: no }
-
-test rc_transitive_fresh "fresh read through a release chain" {
-    p0: w(d)1 wl(s)1
-    p1: rl(s)1 wl(t)1
-    p2: rl(t)1 r(d)1
-} expect { RCsc: yes, RCpc: yes, WO: yes, Hybrid: yes, SC: yes }
-
-test bakery_s5 "Section 5: both processors pass the Bakery doorway blind" {
-    p1: wl(choosing[0])1 rl(number[1])0 wl(number[0])1 wl(choosing[0])0 rl(choosing[1])0 rl(number[1])0
-    p2: wl(choosing[1])1 rl(number[0])0 wl(number[1])1 wl(choosing[1])0 rl(choosing[0])0 rl(number[0])0
-} expect { RCsc: no, RCpc: yes, WO: no, Hybrid: no }
-"#;
+pub const SUITE_TEXT: &str = include_str!("../../../litmus/paper.litmus");
 
 /// Parse the embedded corpus.
 ///

@@ -62,7 +62,11 @@
 //!   drain feeds them. `SNAPSHOT` drains a session and writes its
 //!   [`Monitor::checkpoint_bytes`] to `<evict-dir>/<name>.snap`; `RESUME`
 //!   rebuilds a session from such a file, warm — its verdict stream
-//!   continues byte-identically. The client sends a name, not a path
+//!   continues byte-identically. A checkpoint carries its session's
+//!   models, frontier cap and window, and a resumed session keeps them,
+//!   whatever the server's own defaults (so `RESUME` takes a file
+//!   `smc monitor --checkpoint-file` wrote, at any `--max-states`). The
+//!   client sends a name, not a path
 //!   (1–64 letters, digits, `-` and `_`), and without `--evict-dir`
 //!   both verbs answer `ERR`. With `--evict-dir` set, an `OPEN` that
 //!   hits `max_sessions` also checkpoints the least-recently-active
@@ -128,7 +132,8 @@ pub struct ServeConfig {
     pub models: Vec<ModelSpec>,
     /// Monitor tuning template, cloned per session. The clone shares
     /// the template's memo cache, so restart-model re-checks memoize
-    /// across sessions.
+    /// across sessions. A resumed session takes only `check` from it:
+    /// its frontier cap and window are the checkpoint's.
     pub monitor: MonitorConfig,
     /// Directory for checkpoint-to-disk eviction and snapshots. When
     /// set, an `OPEN` (or transparent resume) that finds the server full
@@ -498,22 +503,11 @@ fn try_evict(shared: &Shared) -> bool {
     true
 }
 
-/// Rebuild a session from checkpoint bytes and insert it under `sid`.
-/// Returns the restored event count.
+/// Rebuild a session from checkpoint bytes, under the models, frontier
+/// cap and window they name, and insert it under `sid`. Returns the
+/// restored event count.
 fn resume_session(shared: &Shared, sid: &str, bytes: &[u8]) -> Result<usize, String> {
-    // The checkpoint names its models; resolve them by name so a
-    // single-model session resumes as itself. Unresolvable names fall
-    // back to the server's default set — `restore` still validates.
-    let specs = smc_monitor::ckpt::peek_models(bytes)
-        .ok()
-        .and_then(|names| {
-            names
-                .iter()
-                .map(|n| models::by_name(n))
-                .collect::<Option<Vec<ModelSpec>>>()
-        })
-        .unwrap_or_else(|| shared.cfg.models.clone());
-    let mon = Monitor::restore_bytes(bytes, specs, shared.cfg.monitor.clone())?;
+    let mon = Monitor::restore_bytes(bytes, shared.cfg.monitor.check.clone())?;
     if !reserve_slot(shared) {
         return Err(format!("full max-sessions={}", shared.cfg.max_sessions));
     }
@@ -1236,6 +1230,38 @@ mod tests {
         assert!(stats.contains("resumes=1"), "{stats}");
         std::fs::remove_dir_all(&dir).ok();
         server.shutdown();
+    }
+
+    #[test]
+    fn resume_keeps_the_checkpoints_frontier_cap() {
+        // Two idle writers widen the frontier past 64 states (not past
+        // the server's 1024) before a store-buffering tail refutes SC.
+        let head = "r w(a)1\ns w(b)1\nr w(a)2\ns w(b)2\nr w(a)3\ns w(b)3\np w(x)1\n";
+        let tail = "q w(y)1\np r(y)0\nq r(x)0\n";
+        let t = parse_trace(&format!("{head}{tail}")).unwrap();
+        let session_models = vec![models::sc(), models::causal()];
+        let served = ServeConfig::default().monitor;
+        let cap64 = MonitorConfig {
+            max_frontier_states: 64,
+            ..served.clone()
+        };
+        let want = offline_payload(&session_models, &cap64, &t);
+        assert_ne!(want, offline_payload(&session_models, &served, &t));
+        let mut cut = Monitor::new(session_models, cap64);
+        cut.feed_trace(&parse_trace(head).unwrap());
+        let dir = std::env::temp_dir().join(format!("smc-serve-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("cap64.snap"), cut.checkpoint_bytes()).unwrap();
+        let server = snapshot_server(&dir);
+        let (mut r, mut w) = connect(server.addr());
+        assert_eq!(roundtrip(&mut r, &mut w, "RESUME s cap64"), "RESUMED s 7");
+        for line in tail.lines() {
+            writeln!(w, "@s {line}").unwrap();
+        }
+        let got = roundtrip(&mut r, &mut w, "CLOSE s");
+        assert_eq!(got, format!("CLOSED s {want}"));
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -187,57 +187,69 @@ fn truncated_reads_from_enumeration_is_exhausted() {
 }
 
 /// Budget soundness: a smaller node budget may leave a check undecided,
-/// never flip it. For every litmus-corpus history under every model
-/// (exhaustive engine, no memo), with N the nodes the check spends under
-/// the default budget, budgets 0, 1, 2, 4, … below N and N − 1 either
-/// exhaust, naming the stage, or return the unbudgeted verdict; budget
-/// N returns the unbudgeted verdict and witness, spending exactly N.
-/// With no budget at all, a TSO check stops listing its first store
-/// order.
+/// never flip it. For every litmus-corpus history under every model the
+/// engine supports (the exhaustive engine: all of them; saturation: its
+/// own models), with no memo and N the nodes the check spends under the
+/// default budget, budgets 0, 1, 2, 4, … below N and N − 1 either
+/// exhaust, naming the stage (`Saturation` for the saturation engine),
+/// or return the unbudgeted verdict; budget N returns the unbudgeted
+/// verdict and witness, spending exactly N. With no budget at all, an
+/// exhaustive TSO check stops listing its first store order.
 #[test]
 fn smaller_node_budgets_only_exhaust() {
     use smc_core::checker::{check_with_stats, EngineKind, Stage};
-    let full = CheckConfig {
-        engine: EngineKind::Exhaustive,
-        ..CheckConfig::default()
-    };
     let mut stepped = 0u64;
-    for t in litmus_suite() {
-        let h = &t.history;
-        for spec in models::all_models() {
-            let (verdict, stats) = check_with_stats(h, &spec, &full);
-            assert!(
-                !matches!(verdict, Verdict::Exhausted),
-                "{} {}: the default budget must decide",
-                t.name,
-                spec.name
-            );
-            let need = stats.nodes_spent;
-            let mut budgets: Vec<u64> =
-                std::iter::successors(Some(0u64), |&b| Some((2 * b).max(1)))
-                    .take_while(|&b| b < need)
-                    .collect();
-            budgets.extend([need.saturating_sub(1), need]);
-            budgets.dedup();
-            for node_budget in budgets {
-                let cfg = CheckConfig {
-                    node_budget,
-                    ..full.clone()
-                };
-                let (v, st) = check_with_stats(h, &spec, &cfg);
-                let at = format!("{} {} budget {node_budget} of {need}", t.name, spec.name);
-                stepped += 1;
-                if node_budget == need {
-                    assert_eq!(v, verdict, "{at}");
-                    assert_eq!(st.nodes_spent, need, "{at}");
-                    continue;
-                }
-                match v {
-                    Verdict::Exhausted => assert!(st.exhausted_stage.is_some(), "{at}"),
-                    v => assert_eq!(v, verdict, "{at}"),
-                }
-                if node_budget == 0 && spec.name == "TSO" {
-                    assert_eq!(st.exhausted_stage, Some(Stage::StoreOrders), "{at}");
+    for (engine, model_list) in [
+        (EngineKind::Exhaustive, models::all_models()),
+        (EngineKind::Saturate, models::saturating_models()),
+    ] {
+        let full = CheckConfig {
+            engine,
+            ..CheckConfig::default()
+        };
+        for t in litmus_suite() {
+            let h = &t.history;
+            for spec in &model_list {
+                let (verdict, stats) = check_with_stats(h, spec, &full);
+                assert!(
+                    !matches!(verdict, Verdict::Exhausted),
+                    "{} {} {engine:?}: the default budget must decide",
+                    t.name,
+                    spec.name
+                );
+                let need = stats.nodes_spent;
+                let mut budgets: Vec<u64> =
+                    std::iter::successors(Some(0u64), |&b| Some((2 * b).max(1)))
+                        .take_while(|&b| b < need)
+                        .collect();
+                budgets.extend([need.saturating_sub(1), need]);
+                budgets.dedup();
+                for node_budget in budgets {
+                    let cfg = CheckConfig {
+                        node_budget,
+                        ..full.clone()
+                    };
+                    let (v, st) = check_with_stats(h, spec, &cfg);
+                    let at = format!(
+                        "{} {} {engine:?} budget {node_budget} of {need}",
+                        t.name, spec.name
+                    );
+                    stepped += 1;
+                    if node_budget == need {
+                        assert_eq!(v, verdict, "{at}");
+                        assert_eq!(st.nodes_spent, need, "{at}");
+                        continue;
+                    }
+                    match v {
+                        Verdict::Exhausted if engine == EngineKind::Saturate => {
+                            assert_eq!(st.exhausted_stage, Some(Stage::Saturation), "{at}")
+                        }
+                        Verdict::Exhausted => assert!(st.exhausted_stage.is_some(), "{at}"),
+                        v => assert_eq!(v, verdict, "{at}"),
+                    }
+                    if node_budget == 0 && spec.name == "TSO" && engine == EngineKind::Exhaustive {
+                        assert_eq!(st.exhausted_stage, Some(Stage::StoreOrders), "{at}");
+                    }
                 }
             }
         }

@@ -97,8 +97,7 @@ fn checkpoint_round_trip_resumes_byte_identically() {
         let mut warm = Monitor::new(model_list.clone(), case_config(ci));
         feed_events(&mut warm, &trace, 0, split);
         let blob = warm.checkpoint_bytes();
-        let cfg = case_config(ci);
-        let mut warm = Monitor::restore_bytes(&blob, model_list.clone(), cfg)
+        let mut warm = Monitor::restore_bytes(&blob, case_config(ci).check)
             .unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
         // Restoring and immediately re-checkpointing reproduces the
         // blob bit for bit.
@@ -205,7 +204,7 @@ fn checkpoint_round_trips_across_churn_and_windows() {
             apply(&mut warm, s);
         }
         let blob = warm.checkpoint_bytes();
-        let mut warm = Monitor::restore_bytes(&blob, model_list.clone(), case_config(case))
+        let mut warm = Monitor::restore_bytes(&blob, case_config(case).check)
             .unwrap_or_else(|e| panic!("case {case}: restore failed: {e}"));
         for s in &script[split..] {
             apply(&mut warm, s);
@@ -240,7 +239,7 @@ fn truncated_and_corrupt_checkpoints_are_rejected_not_panicking() {
         apply(&mut mon, s);
     }
     let blob = mon.checkpoint_bytes();
-    let restore = |bytes: &[u8]| Monitor::restore_bytes(bytes, model_list.clone(), cfg.clone());
+    let restore = |bytes: &[u8]| Monitor::restore_bytes(bytes, cfg.check.clone());
     // Every truncation is an error naming an offset, never a panic.
     for cut in 0..blob.len() {
         match restore(&blob[..cut]) {
