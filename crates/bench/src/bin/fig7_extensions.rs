@@ -98,6 +98,6 @@ fn main() {
     println!(
         "\nLabeled models (corpus verdicts): WO ⊂ RCsc ⊂ RCpc, with Hybrid \
          incomparable to RCsc\n(see the `extended_models` integration tests and \
-         `table_matrix` for the full picture)."
+         `smc matrix litmus/paper.litmus` for the full picture)."
     );
 }

@@ -3,15 +3,18 @@
 //! Each binary in `src/bin/` regenerates one artifact of the paper's
 //! evaluation (see `DESIGN.md`'s per-experiment index):
 //!
-//! | binary        | paper artifact |
-//! |---------------|----------------|
-//! | `fig1_tso`    | Figure 1 — TSO-but-not-SC execution, with witness views |
-//! | `fig2_pc`     | Figure 2 — PC-but-not-TSO execution |
-//! | `fig3_pram`   | Figure 3 — PRAM-but-not-TSO execution |
-//! | `fig4_causal` | Figure 4 — causal-but-not-TSO execution |
-//! | `fig5_lattice`| Figure 5 — the inclusion lattice, recomputed empirically |
-//! | `fig6_bakery` | Figure 6 / Section 5 — Bakery under RC_sc vs RC_pc |
-//! | `table_matrix`| the corpus × model classification matrix |
+//! | binary            | paper artifact |
+//! |-------------------|----------------|
+//! | `fig1_tso`        | Figure 1 — TSO-but-not-SC execution, with witness views |
+//! | `fig2_pc`         | Figure 2 — PC-but-not-TSO execution |
+//! | `fig3_pram`       | Figure 3 — PRAM-but-not-TSO execution |
+//! | `fig4_causal`     | Figure 4 — causal-but-not-TSO execution |
+//! | `fig5_lattice`    | Figure 5 — the inclusion lattice, recomputed empirically |
+//! | `fig6_bakery`     | Figure 6 / Section 5 — Bakery under RC_sc vs RC_pc |
+//! | `fig7_extensions` | Section 7 — the extended models placed in the lattice |
+//!
+//! The corpus × model classification matrix, with every expectation of
+//! `litmus/paper.litmus` asserted, is `smc matrix litmus/paper.litmus`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,16 +25,6 @@ pub mod quickbench;
 use smc_core::checker::{check_with_config, format_view, CheckConfig, Verdict};
 use smc_core::spec::ModelSpec;
 use smc_history::{History, ProcId};
-
-/// Render a checker verdict as a short cell for tables.
-pub fn verdict_cell(v: &Verdict) -> &'static str {
-    match v {
-        Verdict::Allowed(_) => "yes",
-        Verdict::Disallowed => "no",
-        Verdict::Exhausted => "?",
-        Verdict::Unsupported(_) => "n/a",
-    }
-}
 
 /// Check `h` against `spec` and print the verdict; when allowed, also
 /// print the witness views in the paper's `S_{p+w}` notation.
@@ -64,36 +57,11 @@ pub fn print_history(h: &History) {
     }
 }
 
-/// Print a classification matrix: one row per history, one column per
-/// model.
-pub fn print_matrix(rows: &[(String, Vec<Verdict>)], models: &[ModelSpec]) {
-    let name_w = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(4).max(7);
-    print!("{:<name_w$}", "history");
-    for m in models {
-        print!(" {:>14}", m.name);
-    }
-    println!();
-    for (name, verdicts) in rows {
-        print!("{name:<name_w$}");
-        for v in verdicts {
-            print!(" {:>14}", verdict_cell(v));
-        }
-        println!();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use smc_core::models;
     use smc_history::litmus::parse_history;
-
-    #[test]
-    fn verdict_cells() {
-        assert_eq!(verdict_cell(&Verdict::Disallowed), "no");
-        assert_eq!(verdict_cell(&Verdict::Exhausted), "?");
-        assert_eq!(verdict_cell(&Verdict::Unsupported(String::new())), "n/a");
-    }
 
     #[test]
     fn report_check_runs() {

@@ -81,24 +81,31 @@ macro_rules! with_machine {
 /// Top-level usage text.
 pub const USAGE: &str = "\
 usage:
-  smc check <file> [--model NAME] [--jobs N] [--stats]
+  smc check <file> [--model NAME] [--jobs N] [--stats] [--json PATH]
             [--memo-file PATH] [--engine exhaustive|saturate|auto]
-                                    check a litmus history or suite;
+                                    check a litmus history or suite, and
+                                    hold each test to its `expect` line
+                                    (exit 1 if one fails); --json writes
+                                    one stats line per (test, model) pair
+                                    and a summary with memo counters;
                                     --memo-file persists decided verdicts
                                     across runs (corrupt or mismatched
                                     files are ignored with a warning)
-  smc corpus [--jobs N] [--stats] [--json PATH] [--exhaustive]
+  smc corpus [--jobs N] [--stats] [--json PATH]
             [--memo-file PATH] [--engine exhaustive|saturate|auto]
-                                    check the embedded litmus corpus
-                                    against its recorded expectations;
-                                    --json writes machine-readable per-case
-                                    stats + memo counters; --exhaustive
-                                    sweeps the full small-history universe
-                                    instead (Figure 5 models, with memoized
-                                    + lattice-propagated verdicts)
+                                    sweep every history of 2 processors ×
+                                    2 operations × 2 locations × 1 value
+                                    against the Figure 5 models, with
+                                    memoized and lattice-propagated
+                                    verdicts; --json writes one verdict
+                                    row per history (the rows the golden
+                                    file tests/golden/exhaustive_verdicts.txt
+                                    records)
   smc matrix <file> [--jobs N] [--stats] [--memo-file PATH]
             [--engine exhaustive|saturate|auto]
-                                    classification matrix for a suite
+                                    classification matrix for a suite; a
+                                    cell that fails its test's `expect`
+                                    line is marked `!` (exit 1)
   smc explore <file> --memory NAME [--check] [--model NAME] [--jobs N]
                                     enumerate every history a machine
                                     produces for the file's program shape;
@@ -181,7 +188,7 @@ usage:
                                     SHUTDOWN
   smc loadgen --addr HOST:PORT [--sessions N] [--events N] [--conns C]
             [--query-every K] [--memory NAME] [--seed S] [--verify]
-            [--model NAME] [--max-states N] [--shutdown] [--json PATH]
+            [--shutdown] [--json PATH]
             [--procs N] [--locs L] [--values V | --alias-values K]
                                     drive a running `smc serve` with
                                     generated multi-session traffic
@@ -190,8 +197,10 @@ usage:
                                     every 32 events) and report events/sec
                                     and QUERY latency percentiles;
                                     --verify diffs final verdicts
-                                    against the offline monitor (give it
-                                    the server's --model and --max-states),
+                                    against the offline monitor, run
+                                    under the session models, frontier
+                                    cap and window the server's STATS
+                                    line reports;
                                     --shutdown stops the server after;
                                     --procs, --locs, --values and
                                     --alias-values shape each session's
@@ -328,12 +337,17 @@ fn load(path: &str) -> Result<Vec<LitmusTest>, String> {
         parse_suite(&text).map_err(|e| e.to_string())
     } else {
         let history = parse_history(&text).map_err(|e| e.to_string())?;
-        Ok(vec![LitmusTest {
-            name: path.to_owned(),
-            description: String::new(),
-            history,
-            expectations: Vec::new(),
-        }])
+        Ok(vec![bare_test(path.to_owned(), history)])
+    }
+}
+
+/// A test of `history` alone: no description, no expectations.
+fn bare_test(name: String, history: History) -> LitmusTest {
+    LitmusTest {
+        name,
+        description: String::new(),
+        history,
+        expectations: Vec::new(),
     }
 }
 
@@ -498,7 +512,7 @@ fn memo_file_save(cfg: &CheckConfig, path: Option<&str>) {
     }
 }
 
-const CHECK_FLAGS: &[&str] = &["--model NAME --stats --jobs N", CHECKING];
+const CHECK_FLAGS: &[&str] = &["--model NAME --stats --json PATH --jobs N", CHECKING];
 
 fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     let path = args.operands().first().ok_or("check: missing <file>")?;
@@ -506,31 +520,39 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     let jobs = jobs_flag(args)?;
     let flags = CheckFlags::parse(args)?;
     let show_stats = args.switch("--stats");
-    let cfg = flags.config(CheckConfig::default(), false);
+    let json_path = args.value("--json");
+    // The report counts memo hits, so it comes with a memo, as the
+    // `matrix --stats` counters do. Decided verdicts are
+    // renaming-invariant, so expectations hold either way.
+    let cfg = flags.config(CheckConfig::default(), json_path.is_some());
     let suite = load(path)?;
     let results = check_suite(&suite, &model_list, &cfg, jobs);
     memo_file_save(&cfg, flags.memo_file);
-    let mut failures = 0;
+    let (mut checked, mut failures, mut nodes) = (0usize, 0usize, 0u64);
+    let mut json_lines: Vec<String> = Vec::new();
     for (ti, t) in suite.iter().enumerate() {
         println!("== {} ==", t.name);
         print_indented(&t.history);
         for (mi, m) in model_list.iter().enumerate() {
             let r = &results[ti * model_list.len() + mi];
             let v = &r.verdict;
+            nodes += r.stats.nodes_spent;
+            if json_path.is_some() {
+                json_lines.push(pair_json(t, m, r));
+            }
             let cell = match v {
                 Verdict::Allowed(_) => "allowed".to_owned(),
                 Verdict::Disallowed => "forbidden".to_owned(),
                 Verdict::Exhausted => "undecided (budget)".to_owned(),
                 Verdict::Unsupported(e) => format!("unsupported: {e}"),
             };
-            let expect = t.expectation(&m.name);
-            let marker = match (expect, v.decided()) {
-                (Some(e), Some(g)) if e == g => "  [expected]",
-                (Some(_), _) => {
-                    failures += 1;
-                    "  [MISMATCH]"
-                }
-                _ => "",
+            let met = meets_expectation(t, m, v);
+            checked += usize::from(met.is_some());
+            failures += usize::from(met == Some(false));
+            let marker = match met {
+                Some(true) => "  [expected]",
+                Some(false) => "  [MISMATCH]",
+                None => "",
             };
             println!("  {:<16} {cell}{marker}", m.name);
             if show_stats {
@@ -554,10 +576,56 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
         }
         println!();
     }
+    if let Some(path) = json_path {
+        let mut summary = JsonObject::new()
+            .num("tests", suite.len() as u64)
+            .num("models", model_list.len() as u64)
+            .num("checked", checked as u64)
+            .num("failures", failures as u64)
+            .num("total_nodes", nodes);
+        if let Some(memo) = &cfg.memo {
+            summary = summary.raw("memo", &memo_json(&memo.stats()));
+        }
+        json_lines.push(summary.finish());
+        write_json_lines(path, &json_lines)?;
+    }
+    Ok(expectations_met(failures))
+}
+
+/// Whether verdict `v` meets test `t`'s `expect` entry for model `m`;
+/// `None` when the test states none. An undecided verdict meets none.
+fn meets_expectation(t: &LitmusTest, m: &ModelSpec, v: &Verdict) -> Option<bool> {
+    t.expectation(&m.name).map(|e| v.decided() == Some(e))
+}
+
+/// Report `failures` failed expectations on stderr; the exit status is
+/// success only when there are none.
+fn expectations_met(failures: usize) -> ExitCode {
     if failures > 0 {
         eprintln!("{failures} expectation(s) failed");
     }
-    Ok(exit_status(failures == 0))
+    exit_status(failures == 0)
+}
+
+/// The `smc check --json` line of one (test, model) pair.
+fn pair_json(t: &LitmusTest, m: &ModelSpec, r: &BatchResult) -> String {
+    let s = &r.stats;
+    JsonObject::new()
+        .str("test", &t.name)
+        .str("model", &m.name)
+        .str("verdict", verdict_word(&r.verdict))
+        .num("nodes", s.nodes_spent)
+        .num("rf_tried", s.rf_assignments_tried as u64)
+        .num("wall_us", s.wall.as_micros() as u64)
+        .bool("memo_hit", s.memo_hit)
+        .str("engine", &s.engine_used.to_string())
+        .num("saturation_steps", s.saturation_steps)
+        .num("saturation_branches", s.saturation_branches)
+        .num("saturation_wakeups", s.saturation_wakeups)
+        .num("saturation_conflicts", s.saturation_conflicts)
+        .num("saturation_learned", s.saturation_learned)
+        .num("saturation_restarts", s.saturation_restarts)
+        .finish()
 }
 
 /// The `--stats` memo-counter line.
@@ -596,120 +664,69 @@ fn matrix_cell(v: &Verdict) -> &'static str {
     }
 }
 
-const CORPUS_FLAGS: &[&str] = &["--stats --json PATH --exhaustive --jobs N", CHECKING];
+/// Print the classification matrix of `suite` against `model_list`:
+/// one row per test, one column per model, `results` test-major as
+/// [`check_suite`] returns them. A cell that fails its test's `expect`
+/// line is marked `!`; returns how many are. `show_stats` adds a nodes
+/// column and total, and `show_history` prints each test's history
+/// under its row.
+fn print_grid(
+    suite: &[LitmusTest],
+    model_list: &[ModelSpec],
+    results: &[BatchResult],
+    show_stats: bool,
+    show_history: bool,
+) -> usize {
+    let name_w = suite.iter().map(|t| t.name.len()).max().unwrap_or(7).max(7);
+    print!("{:<name_w$}", "history");
+    for m in model_list {
+        print!(" {:>14}", m.name);
+    }
+    if show_stats {
+        print!(" {:>12}", "nodes");
+    }
+    println!();
+    let (mut failures, mut nodes) = (0usize, 0u64);
+    for (t, row) in suite.iter().zip(results.chunks(model_list.len())) {
+        print!("{:<name_w$}", t.name);
+        let mut row_nodes = 0u64;
+        for (m, r) in model_list.iter().zip(row) {
+            row_nodes += r.stats.nodes_spent;
+            let cell = matrix_cell(&r.verdict);
+            if meets_expectation(t, m, &r.verdict) == Some(false) {
+                failures += 1;
+                print!(" {:>14}", format!("{cell}!"));
+            } else {
+                print!(" {cell:>14}");
+            }
+        }
+        if show_stats {
+            print!(" {row_nodes:>12}");
+        }
+        nodes += row_nodes;
+        println!();
+        if show_history {
+            print_indented(&t.history);
+        }
+    }
+    if show_stats {
+        println!("total search nodes: {nodes}");
+    }
+    failures
+}
 
+const CORPUS_FLAGS: &[&str] = &["--stats --json PATH --jobs N", CHECKING];
+
+/// `smc corpus`: classify the full universe of small histories (2
+/// processors × 2 ops × 2 locations × 1 value) against the Figure 5
+/// models, with the memo table and lattice propagation on. One JSON line
+/// per history carries the verdict row, so a checked-in golden file can
+/// detect verdict drift between revisions.
 fn cmd_corpus(args: &Args) -> Result<ExitCode, String> {
     let jobs = jobs_flag(args)?;
     let flags = CheckFlags::parse(args)?;
     let show_stats = args.switch("--stats");
     let json_path = args.value("--json");
-    if args.switch("--exhaustive") {
-        return corpus_exhaustive(&flags, jobs, show_stats, json_path);
-    }
-    // Decided verdicts are renaming-invariant, so the memo is safe here:
-    // expectations compare only allowed/forbidden, never the witness.
-    let cfg = flags.config(CheckConfig::default(), true);
-    let memo = cfg.memo.clone().expect("with_memo attaches a cache");
-    let suite = smc_programs::corpus::litmus_suite();
-    let model_list = models::all_models();
-    let results = check_suite(&suite, &model_list, &cfg, jobs);
-    memo_file_save(&cfg, flags.memo_file);
-    let mut failures = 0;
-    let mut checked = 0;
-    let mut nodes = 0u64;
-    let mut json_lines: Vec<String> = Vec::new();
-    for (ti, t) in suite.iter().enumerate() {
-        for (mi, m) in model_list.iter().enumerate() {
-            let r = &results[ti * model_list.len() + mi];
-            nodes += r.stats.nodes_spent;
-            if json_path.is_some() {
-                json_lines.push(
-                    JsonObject::new()
-                        .str("test", &t.name)
-                        .str("model", &m.name)
-                        .str("verdict", verdict_word(&r.verdict))
-                        .num("nodes", r.stats.nodes_spent)
-                        .num("rf_tried", r.stats.rf_assignments_tried as u64)
-                        .num("wall_us", r.stats.wall.as_micros() as u64)
-                        .bool("memo_hit", r.stats.memo_hit)
-                        .str("engine", &r.stats.engine_used.to_string())
-                        .num("saturation_steps", r.stats.saturation_steps)
-                        .num("saturation_branches", r.stats.saturation_branches)
-                        .num("saturation_wakeups", r.stats.saturation_wakeups)
-                        .num("saturation_conflicts", r.stats.saturation_conflicts)
-                        .num("saturation_learned", r.stats.saturation_learned)
-                        .num("saturation_restarts", r.stats.saturation_restarts)
-                        .finish(),
-                );
-            }
-            let Some(expected) = t.expectation(&m.name) else {
-                continue;
-            };
-            checked += 1;
-            match r.verdict.decided() {
-                Some(got) if got == expected => {}
-                Some(_) => {
-                    failures += 1;
-                    println!(
-                        "MISMATCH {}: {} expected {}, got {}",
-                        t.name,
-                        m.name,
-                        if expected { "allowed" } else { "forbidden" },
-                        if expected { "forbidden" } else { "allowed" },
-                    );
-                }
-                None => {
-                    failures += 1;
-                    println!(
-                        "UNDECIDED {}: {} ({})",
-                        t.name,
-                        m.name,
-                        render_stats(&r.stats)
-                    );
-                }
-            }
-        }
-    }
-    let memo_stats = memo.stats();
-    if let Some(path) = json_path {
-        json_lines.push(
-            JsonObject::new()
-                .num("tests", suite.len() as u64)
-                .num("models", model_list.len() as u64)
-                .num("checked", checked as u64)
-                .num("failures", failures as u64)
-                .num("total_nodes", nodes)
-                .raw("memo", &memo_json(&memo_stats))
-                .finish(),
-        );
-        write_json_lines(path, &json_lines)?;
-    }
-    println!(
-        "corpus: {} tests × {} models, {} expectation(s) checked, {} failure(s){}",
-        suite.len(),
-        model_list.len(),
-        checked,
-        failures,
-        jobs_suffix(jobs)
-    );
-    if show_stats {
-        println!("total search nodes: {nodes}");
-        println!("{}", memo_line(&memo_stats));
-    }
-    Ok(exit_status(failures == 0))
-}
-
-/// `smc corpus --exhaustive`: classify the full universe of small
-/// histories (2 processors × 2 ops × 2 locations × 1 value) against the
-/// Figure 5 models, with the memo table and lattice propagation on. One
-/// JSON line per history carries the verdict row, so a checked-in golden
-/// file can detect verdict drift between revisions.
-fn corpus_exhaustive(
-    flags: &CheckFlags,
-    jobs: usize,
-    show_stats: bool,
-    json_path: Option<&str>,
-) -> Result<ExitCode, String> {
     let params = smc_core::histgen::GenParams {
         procs: 2,
         ops_per_proc: 2,
@@ -796,37 +813,11 @@ fn cmd_matrix(args: &Args) -> Result<ExitCode, String> {
     let cfg = flags.config(CheckConfig::default(), show_stats);
     let results = check_suite(&suite, &model_list, &cfg, jobs);
     memo_file_save(&cfg, flags.memo_file);
-    let name_w = suite.iter().map(|t| t.name.len()).max().unwrap_or(7).max(7);
-    print!("{:<name_w$}", "history");
-    for m in &model_list {
-        print!(" {:>14}", m.name);
+    let failures = print_grid(&suite, &model_list, &results, show_stats, false);
+    if let (true, Some(memo)) = (show_stats, &cfg.memo) {
+        println!("{}", memo_line(&memo.stats()));
     }
-    if show_stats {
-        print!(" {:>12}", "nodes");
-    }
-    println!();
-    let mut nodes = 0u64;
-    for (ti, t) in suite.iter().enumerate() {
-        print!("{:<name_w$}", t.name);
-        let mut row_nodes = 0u64;
-        for mi in 0..model_list.len() {
-            let r = &results[ti * model_list.len() + mi];
-            row_nodes += r.stats.nodes_spent;
-            print!(" {:>14}", matrix_cell(&r.verdict));
-        }
-        if show_stats {
-            print!(" {row_nodes:>12}");
-        }
-        nodes += row_nodes;
-        println!();
-    }
-    if show_stats {
-        println!("total search nodes: {nodes}");
-        if let Some(memo) = &cfg.memo {
-            println!("{}", memo_line(&memo.stats()));
-        }
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(expectations_met(failures))
 }
 
 /// Turn a history into the program shape that generated it: per-processor
@@ -881,26 +872,18 @@ fn cmd_explore(args: &Args) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    // --check: classify every explored history against the models, using
-    // the batch engine (explored histories come out in a deterministic
-    // order, and batch results preserve input order).
+    // --check: classify every explored history against the models;
+    // explored histories come out in a deterministic order, and batch
+    // results keep input order.
     let model_list = resolve_models(args.value("--model"), models::all_models)?;
-    let check_cfg = CheckConfig::default();
-    let results = smc_core::batch::check_matrix(&out.histories, &model_list, &check_cfg, jobs);
-    print!("{:<8}", "");
-    for m in &model_list {
-        print!(" {:>14}", m.name);
-    }
-    println!();
-    for (hi, h) in out.histories.iter().enumerate() {
-        print!("#{hi:<7}");
-        for mi in 0..model_list.len() {
-            let cell = matrix_cell(&results[hi * model_list.len() + mi].verdict);
-            print!(" {cell:>14}");
-        }
-        println!();
-        print_indented(h);
-    }
+    let explored: Vec<LitmusTest> = out
+        .histories
+        .into_iter()
+        .enumerate()
+        .map(|(hi, history)| bare_test(format!("#{hi}"), history))
+        .collect();
+    let results = check_suite(&explored, &model_list, &CheckConfig::default(), jobs);
+    print_grid(&explored, &model_list, &results, false, true);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1716,11 +1699,9 @@ fn report_traffic(
     Ok(())
 }
 
-const LOADGEN_FLAGS: &[&str] = &[
-    "--addr HOST:PORT --verify --model NAME --max-states N --shutdown --json PATH \
+const LOADGEN_FLAGS: &[&str] = &["--addr HOST:PORT --verify --shutdown --json PATH \
      --sessions N --events N --conns C --query-every K --memory NAME --seed S \
-     --procs N --locs L --values V --alias-values K",
-];
+     --procs N --locs L --values V --alias-values K"];
 
 /// `smc loadgen`: drive a *running* server (see `smc serve`) with
 /// generated multi-session traffic and report throughput, latency
@@ -1738,23 +1719,21 @@ fn cmd_loadgen(args: &Args) -> Result<ExitCode, String> {
         shutdown: args.switch("--shutdown"),
     };
     let work = gen_session_work(&GenSpec::parse(args, Some(64))?, sessions)?;
+    // The offline twin runs under the server's own session settings,
+    // read before `--shutdown` stops it.
+    let twin = if args.switch("--verify") {
+        Some(smc_serve::loadgen::session_settings(addr)?)
+    } else {
+        None
+    };
     let report = smc_serve::loadgen::run(&lg, &work)?;
-    let verified = if args.switch("--verify") {
-        // The offline twin assumes the server monitors the same models
-        // (its default set, or the matching --model) under the same
-        // per-session frontier budget (the serve default, or the
-        // matching --max-states).
-        let model_list = resolve_models(args.value("--model"), models::lattice_models)?;
-        let mut mon_cfg = smc_serve::ServeConfig::default().monitor;
-        mon_cfg.max_frontier_states = args.num("--max-states", mon_cfg.max_frontier_states)?;
+    let verified = twin.map(|(model_list, mon_cfg)| {
         let mismatches = smc_serve::loadgen::verify(&work, &report, &model_list, &mon_cfg);
         for m in mismatches.iter().take(5) {
             eprintln!("mismatch: {m}");
         }
-        Some(mismatches.len())
-    } else {
-        None
-    };
+        mismatches.len()
+    });
     report_traffic(args, &report, verified)?;
     Ok(exit_status(verified.unwrap_or(0) == 0))
 }

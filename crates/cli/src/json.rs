@@ -1,10 +1,10 @@
 //! Minimal hand-rolled JSON emission for machine-readable reports.
 //!
-//! The workspace deliberately has no serialization dependency; the `smc
-//! corpus --json` / `--exhaustive` reports only need flat objects with
-//! string/number/boolean fields, which this builder covers. Objects are
-//! rendered on one line each so reports stay greppable and diffable
-//! between runs.
+//! The workspace deliberately has no serialization dependency; the
+//! `--json` reports (`smc check`, `corpus`, `separate`, `monitor`,
+//! `loadgen`) only need flat objects with string/number/boolean fields,
+//! which this builder covers. Objects are rendered on one line each so
+//! reports stay greppable and diffable between runs.
 
 /// Escape a string for inclusion in a JSON string literal.
 pub fn escape(s: &str) -> String {

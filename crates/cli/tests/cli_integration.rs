@@ -48,9 +48,32 @@ fn check_suite_with_expectations_validates() {
         "smc_suite_ok.litmus",
         "test t {\n p: w(x)1 r(y)0\n q: w(y)1 r(x)0\n} expect { SC: no, TSO: yes }\n",
     );
-    let (ok, stdout, _) = smc(&["check", &f]);
+    let json = std::env::temp_dir().join("smc_suite_ok.json");
+    let (ok, stdout, _) = smc(&["check", &f, "--json", json.to_str().unwrap()]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("[expected]"));
+    // `--json`: one line per (test, model) pair, then the summary.
+    let report = std::fs::read_to_string(json).unwrap();
+    let (summary, pairs) = report
+        .lines()
+        .collect::<Vec<_>>()
+        .split_last()
+        .map(|(s, p)| (s.to_string(), p.len()))
+        .unwrap();
+    assert!(
+        report.starts_with(r#"{"test":"t","model":"SC","verdict":"forbidden","nodes":"#),
+        "{report}"
+    );
+    assert_eq!(
+        report.matches(r#","saturation_restarts":"#).count(),
+        pairs,
+        "{report}"
+    );
+    let head = format!(r#"{{"tests":1,"models":{pairs},"checked":2,"failures":0,"total_nodes":"#);
+    assert!(
+        summary.starts_with(&head) && summary.contains(r#""memo":{"hits":"#),
+        "{summary}"
+    );
 }
 
 #[test]
@@ -122,6 +145,24 @@ fn matrix_runs_on_the_shipped_corpus() {
         assert!(stdout.contains("bakery_s5"));
         assert!(stdout.contains("pcg_vs_pc"), "{stdout}");
     }
+}
+
+#[test]
+fn matrix_marks_cells_that_fail_their_expectations() {
+    // One wrong `expect` entry (SC admits no store buffering).
+    let f = write_tmp(
+        "smc_matrix_bad.litmus",
+        "test sb {\n p: w(x)1 r(y)0\n q: w(y)1 r(x)0\n} expect { SC: yes, TSO: yes }\n",
+    );
+    let (ok, stdout, stderr) = smc(&["matrix", &f]);
+    assert!(!ok, "{stdout}");
+    let row = stdout.lines().nth(1).unwrap_or_default();
+    assert!(
+        row.split_whitespace().take(3).eq(["sb", "no!", "yes"]),
+        "{stdout}"
+    );
+    assert_eq!(stdout.matches('!').count(), 1, "{stdout}");
+    assert!(stderr.contains("1 expectation(s) failed"), "{stderr}");
 }
 
 #[test]
@@ -401,11 +442,11 @@ fn corpus_exhaustive_reads_and_writes_the_memo_file() {
     let memo = std::env::temp_dir().join(format!("smc_exhaustive_{}.smcmemo", std::process::id()));
     let _ = std::fs::remove_file(&memo);
     let memo = memo.to_string_lossy().into_owned();
-    let (ok, out, err) = smc(&["corpus", "--exhaustive", "--memo-file", &memo]);
+    let (ok, out, err) = smc(&["corpus", "--memo-file", &memo]);
     assert!(ok, "{out}\n{err}");
     assert!(err.contains("memo: saved"), "{err}");
     assert!(std::path::Path::new(&memo).is_file());
-    let (ok, out, err) = smc(&["corpus", "--exhaustive", "--memo-file", &memo]);
+    let (ok, out, err) = smc(&["corpus", "--memo-file", &memo]);
     assert!(ok, "{out}\n{err}");
     assert!(err.contains("memo: loaded"), "{err}");
     std::fs::remove_file(&memo).ok();
@@ -557,13 +598,15 @@ fn monitor_batch_matches_per_event_verdicts() {
     assert_eq!(a, b, "{per_event}\n---\n{batched}");
 }
 
-/// Start `smc serve` on a free loopback port, drive it with `smc loadgen
-/// --verify --shutdown` plus `loadgen_args`, and wait for the server to
-/// exit cleanly. Returns loadgen's (success, stdout, stderr).
-fn serve_and_loadgen(loadgen_args: &[&str]) -> (bool, String, String) {
+/// Start `smc serve` on a free loopback port with the flags in
+/// `serve_args`, drive it with `smc loadgen --verify --shutdown` plus the
+/// flags in `loadgen_args` (both whitespace-separated), and wait for the
+/// server to exit cleanly. Returns loadgen's (success, stdout, stderr).
+fn serve_and_loadgen(serve_args: &str, loadgen_args: &str) -> (bool, String, String) {
     use std::io::{BufRead, BufReader, Read};
     let mut server = Command::new(env!("CARGO_BIN_EXE_smc"))
         .args(["serve", "--listen", "127.0.0.1:0"])
+        .args(serve_args.split_whitespace())
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("binary runs");
@@ -574,7 +617,7 @@ fn serve_and_loadgen(loadgen_args: &[&str]) -> (bool, String, String) {
     server_out.read_line(&mut first).unwrap();
     let addr = first.trim().strip_prefix("listening on ").expect(&first);
     let mut args = vec!["loadgen", "--addr", addr, "--verify", "--shutdown"];
-    args.extend_from_slice(loadgen_args);
+    args.extend(loadgen_args.split_whitespace());
     let (ok, stdout, stderr) = smc(&args);
     if !ok {
         server.kill().ok();
@@ -589,20 +632,10 @@ fn serve_and_loadgen(loadgen_args: &[&str]) -> (bool, String, String) {
 
 #[test]
 fn serve_bench_smoke_verifies_verdicts() {
-    let (_, stdout, _) = serve_and_loadgen(&[
-        "--sessions",
-        "16",
-        "--events",
-        "8",
-        "--conns",
-        "2",
-        "--query-every",
-        "4",
-        "--memory",
-        "tso",
-        "--seed",
-        "11",
-    ]);
+    let (_, stdout, _) = serve_and_loadgen(
+        "",
+        "--sessions 16 --events 8 --conns 2 --query-every 4 --memory tso --seed 11",
+    );
     assert!(
         stdout.contains("all verdicts match offline monitor"),
         "{stdout}"
@@ -610,10 +643,23 @@ fn serve_bench_smoke_verifies_verdicts() {
     assert!(stdout.contains("16 session(s)"), "{stdout}");
 }
 
+/// `--verify` runs its offline twin under the models, frontier cap and
+/// window the server's STATS line reports, so a windowed server verifies
+/// with no flag repeated. Its drains cut each session's stream wherever
+/// they race the client, and windows still seal every two events.
+#[test]
+fn loadgen_verifies_a_windowed_server_with_its_own_settings() {
+    let (_, stdout, _) = serve_and_loadgen("--window 2", "--sessions 64");
+    assert!(
+        stdout.contains("all verdicts match offline monitor"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn serve_bench_defaults_to_64_events_per_session() {
     // No --events: each session carries loadgen's default 64 events.
-    let (_, stdout, _) = serve_and_loadgen(&["--sessions", "4"]);
+    let (_, stdout, _) = serve_and_loadgen("", "--sessions 4");
     assert!(stdout.contains("4 session(s), 256 event(s)"), "{stdout}");
 }
 
@@ -651,7 +697,7 @@ fn unknown_flags_are_rejected_by_name() {
         "smc_unknown_flag.litmus",
         "p: w(x)1 r(y)0\nq: w(y)1 r(x)0\n",
     );
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 14] = [
         (&["check", &f, "--engin", "saturate"], "--engin"),
         (&["check", &f, "--job", "4"], "--job"),
         (&["check", &f, "--jobs=4"], "--jobs=4"),
@@ -679,6 +725,15 @@ fn unknown_flags_are_rejected_by_name() {
         // (`tests/engine_equiv.rs`, `tests/monitor_equiv.rs`), not modes.
         (&["corpus", "--engine-equiv"], "--engine-equiv"),
         (&["monitor", "--corpus"], "--corpus"),
+        // `smc corpus` is only the universe sweep; `smc check` and `smc
+        // matrix` hold a suite file to its expectations.
+        (&["corpus", "--exhaustive"], "--exhaustive"),
+        // `smc loadgen --verify` reads the session settings from the
+        // server's STATS line.
+        (
+            &["loadgen", "--addr", "127.0.0.1:1", "--model", "sc"],
+            "--model",
+        ),
         // A check runs on one thread: `--jobs` spreads histories and
         // pairs, which a monitor or a server session never has.
         (&["monitor", "--jobs", "2"], "--jobs"),

@@ -729,7 +729,7 @@ q: r(x)1",
 
     #[test]
     fn propagating_sweep_runs_the_pinned_checks() {
-        // The counts `smc corpus --exhaustive --stats` reports: each
+        // The counts `smc corpus --stats` reports: each
         // history is canonicalized once for all its models, and that must
         // neither add a memo lookup nor drop one.
         let params = crate::histgen::GenParams {

@@ -38,7 +38,7 @@ use crate::checker::{check_with_config, CheckConfig};
 use crate::histgen::{for_each_representative_range, GenParams};
 use crate::lattice::{Settle, Stronger};
 use crate::spec::ModelSpec;
-use smc_history::{History, HistoryBuilder, Location};
+use smc_history::{History, HistoryBuilder, Location, Operation};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -473,50 +473,39 @@ pub fn separates(h: &History, admits: &ModelSpec, refutes: &ModelSpec, cfg: &Che
 /// `h` with the operation whose dense id is `idx` removed (processors and
 /// their order preserved, even if left empty).
 pub fn without_op(h: &History, idx: usize) -> History {
-    let mut b = HistoryBuilder::new();
-    for ph in h.procs() {
-        let name = h.proc_name(ph.proc);
-        b.add_proc(name);
-        for o in ph.ops {
-            if o.id.index() == idx {
-                continue;
-            }
-            b.push(name, o.kind, h.loc_name(o.loc), o.value.0, o.label);
-        }
-    }
-    b.build()
+    rebuild(h, true, |o| (o.id.index() != idx).then_some(o.value.0))
 }
 
 /// `h` with processors that issued no operations removed.
 fn without_empty_procs(h: &History) -> History {
-    let mut b = HistoryBuilder::new();
-    for ph in h.procs() {
-        if ph.ops.is_empty() {
-            continue;
-        }
-        let name = h.proc_name(ph.proc);
-        b.add_proc(name);
-        for o in ph.ops {
-            b.push(name, o.kind, h.loc_name(o.loc), o.value.0, o.label);
-        }
-    }
-    b.build()
+    rebuild(h, false, |o| Some(o.value.0))
 }
 
 /// `h` with every operation on `loc` of value `from` rewritten to `to`.
 /// When `to` is 0 only reads are rewritten (a write of the initial value
 /// is not expressible in the universe and rarely meaningful).
 fn with_value_replaced(h: &History, loc: Location, from: i64, to: i64) -> History {
+    rebuild(h, true, |o| {
+        let hit = o.loc == loc && o.value.0 == from && (to != 0 || o.is_read());
+        Some(if hit { to } else { o.value.0 })
+    })
+}
+
+/// Rebuild `h` processor by processor, in order: `value` gives the
+/// value each operation keeps, or `None` to drop it; a processor that
+/// issued no operations is kept only when `keep_empty` is set.
+fn rebuild(h: &History, keep_empty: bool, value: impl Fn(&Operation) -> Option<i64>) -> History {
     let mut b = HistoryBuilder::new();
     for ph in h.procs() {
+        if ph.ops.is_empty() && !keep_empty {
+            continue;
+        }
         let name = h.proc_name(ph.proc);
         b.add_proc(name);
         for o in ph.ops {
-            let mut v = o.value.0;
-            if o.loc == loc && v == from && (to != 0 || o.is_read()) {
-                v = to;
+            if let Some(v) = value(o) {
+                b.push(name, o.kind, h.loc_name(o.loc), v, o.label);
             }
-            b.push(name, o.kind, h.loc_name(o.loc), v, o.label);
         }
     }
     b.build()

@@ -25,6 +25,7 @@
 use crate::builder::HistoryBuilder;
 use crate::history::History;
 use crate::op::{Label, OpKind};
+use crate::trace::offset_in;
 use std::fmt;
 
 /// Largest litmus file the tools read: 16 MiB. A 1,024-operation
@@ -33,11 +34,15 @@ use std::fmt;
 /// file is refused instead of read until allocation fails.
 pub const MAX_LITMUS_BYTES: u64 = 16 << 20;
 
-/// A parse failure, carrying a 1-based line number and message.
+/// A parse failure, carrying a 1-based line number, the byte offset of
+/// the offending token or line, and a message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based line on which the error was detected.
     pub line: usize,
+    /// Byte offset (0-based, into the whole text) of the offending token,
+    /// or of the line when no one token is at fault.
+    pub offset: usize,
     /// Human-readable description of the problem.
     pub message: String,
 }
@@ -46,17 +51,37 @@ impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "litmus parse error at line {}: {}",
-            self.line, self.message
+            "litmus parse error at line {} (byte {}): {}",
+            self.line, self.offset, self.message
         )
     }
 }
 
 impl std::error::Error for ParseError {}
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
+/// A source line: its 1-based number and its text with the comment and
+/// surrounding blanks stripped, still a slice of the parsed text, so an
+/// error can locate any part of it.
+type Line<'a> = (usize, &'a str);
+
+/// The lines of `text` that hold more than blanks and comments.
+fn content_lines(text: &str) -> impl Iterator<Item = Line<'_>> {
+    text.lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, strip_comment(l).trim()))
+        .filter(|(_, l)| !l.is_empty())
+}
+
+/// An error at `part`, a slice of the line `line_no` of `text`.
+fn err<T>(
+    text: &str,
+    line_no: usize,
+    part: &str,
+    message: impl Into<String>,
+) -> Result<T, ParseError> {
     Err(ParseError {
-        line,
+        line: line_no,
+        offset: offset_in(text, part),
         message: message.into(),
     })
 }
@@ -90,13 +115,8 @@ impl LitmusTest {
 /// Parse a bare history (no `test` wrapper) from litmus text.
 pub fn parse_history(text: &str) -> Result<History, ParseError> {
     let mut b = HistoryBuilder::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        parse_proc_line(&mut b, line, line_no)?;
+    for line in content_lines(text) {
+        parse_proc_line(&mut b, text, line)?;
     }
     Ok(b.build())
 }
@@ -104,41 +124,33 @@ pub fn parse_history(text: &str) -> Result<History, ParseError> {
 /// Parse a suite of [`LitmusTest`]s.
 pub fn parse_suite(text: &str) -> Result<Vec<LitmusTest>, ParseError> {
     let mut tests = Vec::new();
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, strip_comment(l).trim().to_owned()))
-        .filter(|(_, l)| !l.is_empty())
-        .collect::<Vec<_>>()
-        .into_iter()
-        .peekable();
-
+    let mut lines = content_lines(text);
     while let Some((line_no, header)) = lines.next() {
+        // An error on the header line.
+        let fail = |part, message: String| err(text, line_no, part, message);
         let rest = match header.strip_prefix("test") {
             Some(r) if r.starts_with(char::is_whitespace) => r.trim_start(),
             _ => {
-                return err(
-                    line_no,
+                return fail(
+                    header,
                     format!("expected `test <name> ... {{`, found `{header}`"),
                 )
             }
         };
-        let (name, rest) = take_ident(rest).ok_or_else(|| ParseError {
-            line: line_no,
-            message: "missing test name".into(),
-        })?;
+        let Some((name, rest)) = take_ident(rest) else {
+            return fail(rest, "missing test name".into());
+        };
         let rest = rest.trim_start();
         let (description, rest) = if let Some(r) = rest.strip_prefix('"') {
-            let end = r.find('"').ok_or_else(|| ParseError {
-                line: line_no,
-                message: "unterminated description string".into(),
-            })?;
+            let Some(end) = r.find('"') else {
+                return fail(rest, "unterminated description string".into());
+            };
             (r[..end].to_owned(), r[end + 1..].trim_start())
         } else {
             (String::new(), rest)
         };
         if rest != "{" {
-            return err(line_no, "expected `{` to open the test body");
+            return fail(rest, "expected `{` to open the test body".into());
         }
 
         let mut b = HistoryBuilder::new();
@@ -148,36 +160,32 @@ pub fn parse_suite(text: &str) -> Result<Vec<LitmusTest>, ParseError> {
             if let Some(tail) = body.strip_prefix('}') {
                 let tail = tail.trim_start();
                 // An `expect { ... }` block may span multiple lines;
-                // gather segments (keeping their line numbers for error
+                // gather segments (keeping their positions for error
                 // reporting) until its closing brace.
-                let mut segments: Vec<(usize, String)> = Vec::new();
+                let mut segments: Vec<Line> = Vec::new();
                 if !tail.is_empty() {
-                    segments.push((body_line_no, tail.to_owned()));
+                    segments.push((body_line_no, tail));
                 }
                 if tail.starts_with("expect") {
                     let mut terminated = tail.contains('}');
                     while !terminated {
-                        match lines.next() {
-                            Some((no, more)) => {
-                                terminated = more.contains('}');
-                                segments.push((no, more));
-                            }
-                            None => {
-                                return err(body_line_no, "unterminated expect block");
-                            }
-                        }
+                        let Some((no, more)) = lines.next() else {
+                            return err(text, body_line_no, body, "unterminated expect block");
+                        };
+                        terminated = more.contains('}');
+                        segments.push((no, more));
                     }
                 }
                 if !segments.is_empty() {
-                    expectations = parse_expect(&segments)?;
+                    expectations = parse_expect(text, &segments)?;
                 }
                 closed = true;
                 break;
             }
-            parse_proc_line(&mut b, &body, body_line_no)?;
+            parse_proc_line(&mut b, text, (body_line_no, body))?;
         }
         if !closed {
-            return err(line_no, format!("test `{name}` has no closing `}}`"));
+            return fail(header, format!("test `{name}` has no closing `}}`"));
         }
         tests.push(LitmusTest {
             name: name.to_owned(),
@@ -244,47 +252,50 @@ fn strip_comment(line: &str) -> &str {
 }
 
 /// Parse `expect { SC: no, TSO: yes }` from the gathered segments that
-/// followed a test's closing `}` — one `(line number, text)` pair per
-/// source line, so every error can name the line it occurred on.
-fn parse_expect(segments: &[(usize, String)]) -> Result<Vec<(String, bool)>, ParseError> {
-    // Join the segments into one string, remembering where each source
-    // line starts so offsets map back to line numbers.
+/// followed a test's closing `}` — one line of `source` each, so every
+/// error can name the line and byte it occurred at.
+fn parse_expect(source: &str, segments: &[Line]) -> Result<Vec<(String, bool)>, ParseError> {
+    // Join the segments into one string, remembering where each starts
+    // so an offset into it maps back to its line and source byte.
     let mut text = String::new();
-    let mut starts: Vec<(usize, usize)> = Vec::new();
-    for (line_no, seg) in segments {
+    let mut starts: Vec<(usize, Line)> = Vec::new();
+    for &(line_no, seg) in segments {
         if !text.is_empty() {
             text.push(' ');
         }
-        starts.push((text.len(), *line_no));
+        starts.push((text.len(), (line_no, seg)));
         text.push_str(seg);
     }
-    let first_line = segments.first().map_or(0, |&(no, _)| no);
-    let line_at = |offset: usize| -> usize {
-        starts
+    let fail = |at: usize, message: String| {
+        let &(start, (line, seg)) = starts
             .iter()
-            .rev()
-            .find(|&&(start, _)| start <= offset)
-            .map_or(first_line, |&(_, no)| no)
+            .rfind(|&&(start, _)| start <= at)
+            .expect("the first segment starts at 0");
+        Err(ParseError {
+            line,
+            offset: offset_in(source, seg) + (at - start),
+            message,
+        })
     };
 
     let Some(after_kw) = text.strip_prefix("expect") else {
-        return err(
-            first_line,
+        return fail(
+            0,
             format!("expected `expect {{...}}` after `}}`, found `{text}`"),
         );
     };
     let open = text.len() - after_kw.trim_start().len();
     if !text[open..].starts_with('{') {
-        return err(line_at(open), "expectations must be wrapped in `{...}`");
+        return fail(open, "expectations must be wrapped in `{...}`".into());
     }
     let close = match text.rfind('}') {
         Some(close) if close > open => close,
-        _ => return err(line_at(open), "expectations must be wrapped in `{...}`"),
+        _ => return fail(open, "expectations must be wrapped in `{...}`".into()),
     };
     let trailing = text[close + 1..].trim();
     if !trailing.is_empty() {
-        return err(
-            line_at(close + 1),
+        return fail(
+            text.len() - text[close + 1..].trim_start().len(),
             format!("unexpected text after expect block: `{trailing}`"),
         );
     }
@@ -295,76 +306,67 @@ fn parse_expect(segments: &[(usize, String)]) -> Result<Vec<(String, bool)>, Par
         let item_end = text[item_start..close]
             .find(',')
             .map_or(close, |i| item_start + i);
-        let item = text[item_start..item_end].trim();
-        let item_line = {
-            let leading =
-                text[item_start..item_end].len() - text[item_start..item_end].trim_start().len();
-            line_at(item_start + leading)
-        };
+        let raw = &text[item_start..item_end];
+        let item = raw.trim();
+        let at = item_start + (raw.len() - raw.trim_start().len());
         item_start = item_end + 1;
         if item.is_empty() {
             continue;
         }
         let Some((model, verdict)) = item.split_once(':') else {
-            return err(
-                item_line,
-                format!("expectation `{item}` is not `MODEL: yes|no`"),
-            );
+            return fail(at, format!("expectation `{item}` is not `MODEL: yes|no`"));
         };
         let model = model.trim();
         if !is_ident(model) {
-            return err(item_line, format!("invalid model name `{model}`"));
+            return fail(at, format!("invalid model name `{model}`"));
         }
         let v = match verdict.trim() {
             "yes" | "true" | "allowed" => true,
             "no" | "false" | "forbidden" => false,
-            other => {
-                return err(item_line, format!("unknown verdict `{other}` (use yes/no)"));
-            }
+            other => return fail(at, format!("unknown verdict `{other}` (use yes/no)")),
         };
         if out.iter().any(|(m, _)| m.eq_ignore_ascii_case(model)) {
-            return err(
-                item_line,
-                format!("duplicate expectation for model `{model}`"),
-            );
+            return fail(at, format!("duplicate expectation for model `{model}`"));
         }
         out.push((model.to_owned(), v));
     }
     Ok(out)
 }
 
-/// Parse `p: w(x)1 r(y)0` into the builder.
-fn parse_proc_line(b: &mut HistoryBuilder, line: &str, line_no: usize) -> Result<(), ParseError> {
-    let (proc, ops) = line.split_once(':').ok_or_else(|| ParseError {
-        line: line_no,
-        message: format!("expected `proc: ops...`, found `{line}`"),
-    })?;
+/// Parse `p: w(x)1 r(y)0`, a line of `text`, into the builder.
+fn parse_proc_line(
+    b: &mut HistoryBuilder,
+    text: &str,
+    (line_no, line): Line,
+) -> Result<(), ParseError> {
+    let Some((proc, ops)) = line.split_once(':') else {
+        return err(
+            text,
+            line_no,
+            line,
+            format!("expected `proc: ops...`, found `{line}`"),
+        );
+    };
     let proc = proc.trim();
     if proc.is_empty() || !is_ident(proc) {
-        return err(line_no, format!("invalid processor name `{proc}`"));
+        return err(
+            text,
+            line_no,
+            proc,
+            format!("invalid processor name `{proc}`"),
+        );
     }
     b.add_proc(proc);
     let mut rest = ops.trim();
     while !rest.is_empty() {
-        rest = parse_op(b, proc, rest, line_no)?.trim_start();
+        let tok = match parse_op_token(rest) {
+            Ok(tok) => tok,
+            Err(message) => return err(text, line_no, rest, message),
+        };
+        b.push(proc, tok.kind, tok.loc, tok.value, tok.label);
+        rest = tok.rest.trim_start();
     }
     Ok(())
-}
-
-/// Parse a single `w(x)1`-style operation from the front of `s`; returns
-/// the remainder.
-fn parse_op<'a>(
-    b: &mut HistoryBuilder,
-    proc: &str,
-    s: &'a str,
-    line_no: usize,
-) -> Result<&'a str, ParseError> {
-    let tok = parse_op_token(s).map_err(|message| ParseError {
-        line: line_no,
-        message,
-    })?;
-    b.push(proc, tok.kind, tok.loc, tok.value, tok.label);
-    Ok(tok.rest)
 }
 
 /// A `w(x)1`-style operation token parsed off the front of a line, shared
@@ -507,11 +509,24 @@ mod tests {
 
     #[test]
     fn error_reports_line_numbers() {
-        let e = parse_history("p: w(x)1\nq: z(x)1").unwrap_err();
-        assert_eq!(e.line, 2);
+        let text = "p: w(x)1\nq: z(x)1";
+        let e = parse_history(text).unwrap_err();
+        assert_eq!((e.line, e.offset), (2, text.find("z(").unwrap()));
         assert!(e.message.contains("mnemonic"));
+        assert!(
+            e.to_string()
+                .starts_with("litmus parse error at line 2 (byte 12): "),
+            "{e}"
+        );
         let e = parse_history("p w(x)1").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!((e.line, e.offset), (1, 0));
+        // A token behind a comment and blanks, on a later line.
+        let text = "# fig\n  p: w(x)1 r(y\n";
+        let e = parse_history(text).unwrap_err();
+        assert_eq!((e.line, e.offset), (2, text.find("r(y").unwrap()));
+        let text = "p: w(x)1\n 7q: r(x)1";
+        let e = parse_history(text).unwrap_err();
+        assert_eq!((e.line, e.offset), (2, text.find("7q").unwrap()));
     }
 
     #[test]
@@ -550,6 +565,16 @@ mod tests {
 
     #[test]
     fn suite_errors() {
+        // Header errors point at the token at fault.
+        for (text, at) in [
+            ("test t {\n p: w(x)1\n}\nfoo\n", "foo"),
+            ("test t \"d {\n", "\"d"),
+            ("test t junk\n", "junk"),
+            ("test t {\n p: w(x)1\n q: w(x)\n", "w(x)\n"),
+        ] {
+            let e = parse_suite(text).unwrap_err();
+            assert_eq!(e.offset, text.find(at).unwrap(), "{text:?}: {e}");
+        }
         assert!(parse_suite("test {").is_err());
         assert!(parse_suite("test t \"unterminated {").is_err());
         assert!(parse_suite("test t {\n p: w(x)1").is_err());
@@ -560,9 +585,10 @@ mod tests {
 
     #[test]
     fn duplicate_expectations_rejected() {
-        let e = parse_suite("test t {\n p: w(x)1\n} expect { SC: yes, SC: no }").unwrap_err();
+        let text = "test t {\n p: w(x)1\n} expect { SC: yes, SC: no }";
+        let e = parse_suite(text).unwrap_err();
         assert!(e.message.contains("duplicate expectation"), "{e}");
-        assert_eq!(e.line, 3);
+        assert_eq!((e.line, e.offset), (3, text.find("SC: no").unwrap()));
         // Case-insensitive, matching `LitmusTest::expectation` lookup.
         let e = parse_suite("test t {\n p: w(x)1\n} expect { SC: yes, sc: yes }").unwrap_err();
         assert!(e.message.contains("duplicate expectation"), "{e}");
@@ -572,21 +598,28 @@ mod tests {
     fn expect_errors_carry_line_numbers() {
         // Multiline expect block: the error names the continuation line
         // the bad item is on, not the line the block opened on.
-        let e = parse_suite("test t {\n p: w(x)1\n} expect { SC: yes,\n TSO: maybe,\n PC: no }")
-            .unwrap_err();
-        assert_eq!(e.line, 4, "{e}");
+        let text = "test t {\n p: w(x)1\n} expect { SC: yes,\n TSO: maybe,\n PC: no }";
+        let e = parse_suite(text).unwrap_err();
+        assert_eq!((e.line, e.offset), (4, text.find("TSO").unwrap()), "{e}");
         assert!(e.message.contains("maybe"), "{e}");
 
-        let e = parse_suite("test t {\n p: w(x)1\n} expect { SC: yes,\n 7up: no }").unwrap_err();
-        assert_eq!(e.line, 4, "{e}");
+        let text = "test t {\n p: w(x)1\n} expect { SC: yes,\n 7up: no }";
+        let e = parse_suite(text).unwrap_err();
+        assert_eq!((e.line, e.offset), (4, text.find("7up").unwrap()), "{e}");
         assert!(e.message.contains("invalid model name"), "{e}");
+
+        // An unwrapped block points at what follows `expect`.
+        let text = "test t {\n p: w(x)1\n} expect SC: yes }";
+        let e = parse_suite(text).unwrap_err();
+        assert_eq!((e.line, e.offset), (3, text.find("SC").unwrap()), "{e}");
     }
 
     #[test]
     fn expect_rejects_trailing_text() {
-        let e = parse_suite("test t {\n p: w(x)1\n} expect { SC: yes } junk").unwrap_err();
+        let text = "test t {\n p: w(x)1\n} expect { SC: yes } junk";
+        let e = parse_suite(text).unwrap_err();
         assert!(e.message.contains("unexpected text"), "{e}");
-        assert_eq!(e.line, 3);
+        assert_eq!((e.line, e.offset), (3, text.find("junk").unwrap()));
     }
 
     #[test]
@@ -606,8 +639,9 @@ mod tests {
 
     #[test]
     fn unterminated_expect_block_reports_opening_line() {
-        let e = parse_suite("test t {\n p: w(x)1\n} expect { SC: yes,\n TSO: yes").unwrap_err();
-        assert_eq!(e.line, 3);
+        let text = "test t {\n p: w(x)1\n} expect { SC: yes,\n TSO: yes";
+        let e = parse_suite(text).unwrap_err();
+        assert_eq!((e.line, e.offset), (3, text.find("} expect").unwrap()));
         assert!(e.message.contains("unterminated expect block"), "{e}");
     }
 

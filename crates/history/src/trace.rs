@@ -373,8 +373,8 @@ fn err<T>(line: usize, offset: usize, message: impl Into<String>) -> Result<T, T
 }
 
 /// Byte offset of the slice `part` within `whole` (both must come from
-/// the same allocation, which holds for everything the parser slices).
-fn offset_in(whole: &str, part: &str) -> usize {
+/// the same allocation, which holds for everything the parsers slice).
+pub(crate) fn offset_in(whole: &str, part: &str) -> usize {
     part.as_ptr() as usize - whole.as_ptr() as usize
 }
 

@@ -503,8 +503,10 @@ impl Monitor {
     /// declared up front it would take a fresh slot ahead of an earlier
     /// `retire` whose slot it should reuse. Each `join`/`retire` then
     /// applies at its recorded position, and the events between them go
-    /// down as one batch. Returns the aggregated report (`events` is the
-    /// prefix length afterwards).
+    /// down in batches cut at every window boundary as well, so a
+    /// window seals every `size` events however the stream was cut.
+    /// Returns the aggregated report (`events` is the prefix length
+    /// afterwards).
     ///
     /// Semantically a batch appends every event in order; operationally
     /// it amortizes the per-event bookkeeping that [`Monitor::feed`]
@@ -553,10 +555,11 @@ impl Monitor {
         report
     }
 
-    /// Intern a batch of `t`'s events, then grow the tables once and
-    /// append it. Interning comes first because a table rebuild replays
-    /// only the events already incorporated, so the appends never
-    /// duplicate an event. An empty batch does nothing.
+    /// Intern `t`'s `events`, then grow the tables once and append them
+    /// in batches that end at each window boundary. Interning comes first
+    /// because a table rebuild replays only the events already
+    /// incorporated, so the appends never duplicate an event. An empty
+    /// batch does nothing.
     fn feed_batch(&mut self, t: &Trace, events: &[TraceEvent]) -> StepReport {
         if events.is_empty() {
             return StepReport::default();
@@ -574,7 +577,18 @@ impl Monitor {
             })
             .collect();
         self.ensure_tables();
-        self.append(&batch)
+        let mut report = StepReport::default();
+        let mut rest = &batch[..];
+        while !rest.is_empty() {
+            let room = self
+                .window
+                .as_ref()
+                .map_or(rest.len(), |w| w.room(self.trace.len()));
+            let (now, later) = rest.split_at(room.min(rest.len()));
+            report.absorb(self.append(now));
+            rest = later;
+        }
+        report
     }
 
     /// Append interned events to the stream and settle every model on
@@ -1165,8 +1179,9 @@ mod tests {
     #[test]
     fn feed_trace_segments_match_per_event_feeding() {
         // Feeding `split_front` segments must land on the same final
-        // verdicts and first-violation prefixes as one-event-at-a-time
-        // feeding, for every way of cutting the stream into batches.
+        // verdicts, first-violation prefixes and sealed windows as
+        // one-event-at-a-time feeding, for every way of cutting the
+        // stream into batches, windowed or not.
         let traces = [
             "p w(x)1\nq w(y)1\np r(y)0\nq r(x)0\n",
             "p w(d)1\np w(f)1\nq r(f)1\nq r(d)1\n",
@@ -1174,35 +1189,42 @@ mod tests {
             // Mid-stream growth: `r` and `z` first appear late.
             "p w(x)1\nq r(x)1\nr w(z)2\np r(z)2\nq r(z)0\n",
         ];
-        for text in traces {
-            let t = parse_trace(text).unwrap();
-            let mut by_event = monitor(models::lattice_models());
-            for ev in t.events() {
-                by_event.feed(
-                    t.proc_name(ev.proc),
-                    ev.kind,
-                    t.loc_name(ev.loc),
-                    ev.value.0,
-                    ev.label,
-                );
-            }
-            for batch in [1usize, 2, 3, t.len().max(1)] {
-                let mut rest = t.clone();
-                let mut batched = monitor(models::lattice_models());
-                while !rest.is_empty() {
-                    batched.feed_trace(&rest.split_front(batch));
+        let windowed = MonitorConfig {
+            window: Some(2),
+            ..MonitorConfig::default()
+        };
+        for cfg in [MonitorConfig::default(), windowed] {
+            let fresh = || Monitor::new(models::lattice_models(), cfg.clone());
+            for text in traces {
+                let t = parse_trace(text).unwrap();
+                let mut by_event = fresh();
+                for ev in t.events() {
+                    by_event.feed(
+                        t.proc_name(ev.proc),
+                        ev.kind,
+                        t.loc_name(ev.loc),
+                        ev.value.0,
+                        ev.label,
+                    );
                 }
-                assert_eq!(
-                    batched.verdicts(),
-                    by_event.verdicts(),
-                    "batch={batch} trace={text:?}"
-                );
-                // Frontier-engine models keep event-exact first_violation
-                // even inside a batch; fig1's SC refutation at prefix 4
-                // must not be reported as "somewhere in the batch".
-                for (i, first) in by_event.first_violation.iter().enumerate() {
-                    if matches!(batched.engines[i], Engine::Frontier { .. }) {
-                        assert_eq!(batched.first_violation(i), *first, "model {i}");
+                for batch in [1usize, 2, 3, t.len().max(1)] {
+                    let mut rest = t.clone();
+                    let mut batched = fresh();
+                    while !rest.is_empty() {
+                        batched.feed_trace(&rest.split_front(batch));
+                    }
+                    let at = format!("batch={batch} window={:?} trace={text:?}", cfg.window);
+                    assert_eq!(batched.verdicts(), by_event.verdicts(), "{at}");
+                    let records = |m: &Monitor| m.windows().map(|w| w.records().to_vec());
+                    assert_eq!(records(&batched), records(&by_event), "{at}");
+                    // Frontier-engine models keep event-exact
+                    // first_violation even inside a batch; fig1's SC
+                    // refutation at prefix 4 must not be reported as
+                    // "somewhere in the batch".
+                    for (i, first) in by_event.first_violation.iter().enumerate() {
+                        if matches!(batched.engines[i], Engine::Frontier { .. }) {
+                            assert_eq!(batched.first_violation(i), *first, "model {i}, {at}");
+                        }
                     }
                 }
             }

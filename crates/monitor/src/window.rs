@@ -60,9 +60,19 @@ impl WindowState {
         }
     }
 
-    /// Should a batch ending at stream position `events` seal?
+    /// Should the stream seal at position `events`?
     pub fn due(&self, events: usize) -> bool {
         events - self.sealed_events >= self.size
+    }
+
+    /// Events from stream position `events` up to the next seal (at
+    /// least 1): a batch no longer than this ends at or before the
+    /// window boundary, so windows seal every `size` events however
+    /// the stream is batched.
+    pub fn room(&self, events: usize) -> usize {
+        (self.sealed_events + self.size)
+            .saturating_sub(events)
+            .max(1)
     }
 
     /// Record a seal at `end` with the boundary verdicts.
@@ -133,9 +143,11 @@ mod tests {
         assert!(!w.due(2));
         assert!(w.due(3));
         assert!(w.due(5));
+        assert_eq!(w.room(2), 1);
         w.record(5, vec![TriVerdict::Admitted]);
         assert!(!w.due(7));
         assert!(w.due(8));
+        assert_eq!((w.room(5), w.room(7)), (3, 1));
         assert_eq!(w.windows_sealed, 1);
         assert_eq!(w.records()[0].end, 5);
     }

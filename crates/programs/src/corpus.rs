@@ -7,8 +7,9 @@
 //! Expectations use the checker's model names (`SC`, `TSO`, `PC`, `PRAM`,
 //! `Causal`, `Coherent`, `CausalCoherent`, `RCsc`, `RCpc`); tests omit
 //! models for which the verdict is uninteresting. The corpus is consumed
-//! by the integration suite (every expectation is checked), by the
-//! Figure 5 lattice harness, and by the `table_matrix` binary.
+//! by the integration suite (every expectation is checked) and by the
+//! Figure 5 lattice harness; `smc check` and `smc matrix` hold the file
+//! to its expectations.
 
 use smc_history::litmus::{parse_suite, LitmusTest};
 

@@ -15,7 +15,7 @@
 //! SNAPSHOT <sid> <name>  -> SNAPSHOTTED <sid> <events> (session stays open)
 //! RESUME <sid> <name>    -> RESUMED <sid> <events> (session resumes warm)
 //! PING                   -> PONG
-//! STATS                  -> STATS sessions=.. events=.. ...
+//! STATS                  -> STATS sessions=.. events=.. ... models=.. max_states=.. window=..
 //! SHUTDOWN               -> BYE (server stops)
 //! ```
 //!
@@ -301,10 +301,11 @@ impl Shared {
             })
             .unwrap_or((0, 0));
         let t = self.totals();
+        let models: Vec<&str> = self.cfg.models.iter().map(|m| m.name.as_str()).collect();
         format!(
             "STATS sessions={} peak={} conns={} events={} busy={} poisoned={} queries={} \
              memo_hits={hits} memo_misses={misses} snapshots={} resumes={} evictions={} \
-             joins={} retires={} folds={} windows={}",
+             joins={} retires={} folds={} windows={} models={} max_states={} window={}",
             self.open_sessions.load(Ordering::Relaxed),
             self.peak_sessions.load(Ordering::Relaxed),
             self.conns.load(Ordering::Relaxed),
@@ -319,6 +320,9 @@ impl Shared {
             t.retires,
             t.folds,
             t.windows_sealed,
+            models.join(","),
+            self.cfg.monitor.max_frontier_states,
+            self.cfg.monitor.window.unwrap_or(0),
         )
     }
 }

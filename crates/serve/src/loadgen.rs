@@ -17,7 +17,10 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
+use smc_core::models;
+use smc_core::spec::ModelSpec;
 use smc_history::trace::{emit_trace, session_line, Trace};
+use smc_monitor::MonitorConfig;
 
 /// Tuning for [`run`].
 #[derive(Debug, Clone)]
@@ -236,13 +239,7 @@ pub fn run(cfg: &LoadgenConfig, work: &[(String, Trace)]) -> Result<LoadgenRepor
         }
     }
     if cfg.shutdown {
-        let stream =
-            TcpStream::connect(&cfg.addr).map_err(|e| format!("connect {}: {e}", cfg.addr))?;
-        let mut r = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-        let mut w = stream;
-        writeln!(w, "SHUTDOWN").map_err(|e| e.to_string())?;
-        let mut scratch = 0u64;
-        let reply = read_reply(&mut r, &mut scratch)?;
+        let reply = request(&cfg.addr, "SHUTDOWN")?;
         if reply != "BYE" {
             return Err(format!("SHUTDOWN: unexpected reply `{reply}`"));
         }
@@ -277,13 +274,54 @@ pub fn run(cfg: &LoadgenConfig, work: &[(String, Trace)]) -> Result<LoadgenRepor
     })
 }
 
+/// Send `command` to the server at `addr` on a connection of its own
+/// and return the reply.
+fn request(addr: &str, command: &str) -> Result<String, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut r = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
+    writeln!(&stream, "{command}").map_err(|e| e.to_string())?;
+    read_reply(&mut r, &mut 0)
+}
+
+/// The models, frontier cap and window a session of the server at
+/// `addr` runs under when `OPEN` names no model: the `models=`,
+/// `max_states=` and `window=` keys of its `STATS` line. [`verify`]'s
+/// offline twin must run under them.
+pub fn session_settings(addr: &str) -> Result<(Vec<ModelSpec>, MonitorConfig), String> {
+    let stats = request(addr, "STATS")?;
+    let field = |key: &str| {
+        stats
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+            .ok_or_else(|| format!("STATS reply lacks `{key}=`: {stats}"))
+    };
+    let num = |key: &str| {
+        let v = field(key)?;
+        v.parse::<usize>()
+            .map_err(|_| format!("STATS `{key}={v}` is not a number"))
+    };
+    let models = field("models")?
+        .split(',')
+        .map(|name| {
+            models::by_name(name).ok_or_else(|| format!("STATS names unknown model `{name}`"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let window = num("window")?;
+    let cfg = MonitorConfig {
+        max_frontier_states: num("max_states")?,
+        window: (window > 0).then_some(window),
+        ..MonitorConfig::default()
+    };
+    Ok((models, cfg))
+}
+
 /// Diff every session's server payload against the offline monitor on
 /// the same trace; returns the list of mismatches (empty = verified).
 pub fn verify(
     work: &[(String, Trace)],
     report: &LoadgenReport,
-    models: &[smc_core::spec::ModelSpec],
-    cfg: &smc_monitor::MonitorConfig,
+    models: &[ModelSpec],
+    cfg: &MonitorConfig,
 ) -> Vec<String> {
     let mut mismatches = Vec::new();
     for ((sid, t), outcome) in work.iter().zip(&report.outcomes) {

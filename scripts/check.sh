@@ -102,9 +102,9 @@ if [ "${1:-}" != "--no-test" ]; then
     # means a checker change altered admitted sets — intended changes
     # must regenerate tests/golden/exhaustive_verdicts.txt. The workers
     # share out histories; each check runs on one thread.
-    echo "==> smc corpus --exhaustive --jobs 4 (golden verdicts)"
+    echo "==> smc corpus --jobs 4 (golden verdicts)"
     sweep_json="$tmp/sweep.json"
-    cargo run -q --release --bin smc -- corpus --exhaustive --jobs 4 --json "$sweep_json" >/dev/null
+    cargo run -q --release --bin smc -- corpus --jobs 4 --json "$sweep_json" >/dev/null
     if ! grep '"verdicts"' "$sweep_json" | diff -u tests/golden/exhaustive_verdicts.txt -; then
         echo "verdict drift against tests/golden/exhaustive_verdicts.txt" >&2
         exit 1
